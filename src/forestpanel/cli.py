@@ -164,10 +164,9 @@ def cmd_ingest(args) -> int:
     elif args.pixels and args.events:
         grid = load_pixel_grid_csv(args.pixels, args.events)
         grid = filter_canopy(grid, args.canopy_threshold)
-        years_present = sorted({year for _, year in grid.loss_events})
-        if not years_present:
+        if grid.event_year.size == 0:
             raise LoadError("pixel grid has no loss events")
-        years = range(min(years_present), max(years_present) + 1)
+        years = range(int(grid.event_year.min()), int(grid.event_year.max()) + 1)
         panel = pixel_panel(grid, EmissionFactors(args.theta), years)
         dropped = []
     else:
@@ -249,12 +248,13 @@ def _mask_years(panel: PanelDataset, excluded: set[int]) -> PanelDataset:
 
 
 def _subset_regions(panel: PanelDataset, keep: list[str]) -> PanelDataset:
-    missing = [r for r in keep if r not in panel.regions]
+    position = {r: i for i, r in enumerate(panel.regions)}
+    missing = [r for r in keep if r not in position]
     if missing:
         raise PanelError(f"unknown regions: {missing}")
     if not keep:
         raise PanelError("region subset is empty")
-    idx = [panel.regions.index(r) for r in keep]
+    idx = [position[r] for r in keep]
     variables = {
         name: Grid(grid.values[idx], grid.available[idx])
         for name, grid in panel.variables.items()

@@ -153,17 +153,17 @@ def cluster_robust_vcov(
     residuals = np.asarray(residuals, dtype=float)
     clusters = np.asarray(clusters)
     n, k = X.shape
-    labels = np.unique(clusters)
+    labels, inverse = np.unique(clusters, return_inverse=True)
     G = labels.size
     if G < 2:
         raise EstimationError("cluster-robust covariance needs at least 2 clusters")
     _, R = np.linalg.qr(X)
     Rinv = solve_triangular(R, np.eye(k))
     xtx_inv = Rinv @ Rinv.T
-    meat = np.zeros((k, k))
-    for g in labels:
-        score = X[clusters == g].T @ residuals[clusters == g]
-        meat += np.outer(score, score)
+    # per-cluster scores X_g' u_g in one scatter-add over the cluster index
+    scores = np.zeros((G, k))
+    np.add.at(scores, inverse, X * residuals[:, None])
+    meat = scores.T @ scores
     df = n - k - dof_absorbed
     if df <= 0:
         raise EstimationError("no residual degrees of freedom for the clustered vcov")

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,6 +38,13 @@ class Pixel:
     canopy_density: float   # percent, 0..100
 
     def __post_init__(self):
+        for name, value in (
+            ("biomass density", self.biomass_density),
+            ("area", self.pixel_area),
+            ("canopy density", self.canopy_density),
+        ):
+            if not math.isfinite(value):
+                raise LoadError(f"pixel {self.pixel_id}: non-finite {name}")
         if self.biomass_density < 0:
             raise LoadError(f"pixel {self.pixel_id}: negative biomass density")
         if self.pixel_area <= 0:
@@ -43,33 +53,136 @@ class Pixel:
             raise LoadError(f"pixel {self.pixel_id}: canopy density outside [0, 100]")
 
 
-@dataclass(frozen=True)
 class PixelGrid:
-    """Pixels plus the set of (pixel_id, year) loss events."""
+    """Pixels plus the set of (pixel_id, year) loss events, stored as columns.
 
-    pixels: tuple[Pixel, ...]
-    loss_events: frozenset[tuple[str, int]]
+    One row per pixel: ``pixel_ids`` (object array of str), ``region_code``
+    (index into ``regions``, the regions in first-seen pixel order), and the
+    float arrays ``biomass``, ``area`` and ``canopy``. Loss events are two
+    parallel arrays, ``event_pixel`` (a pixel row) and ``event_year``, sorted
+    once by (pixel_id, year). Aggregates sum in that order, so results are
+    bit-identical across runs and across the CSV round trip.
 
-    def __post_init__(self):
-        ids = [p.pixel_id for p in self.pixels]
-        if len(set(ids)) != len(ids):
+    ``PixelGrid(pixels, loss_events)`` builds the columns from ``Pixel``
+    objects. ``pixels`` and ``loss_events`` give the object view back; each
+    is built from the columns at most once, on first use.
+    """
+
+    def __init__(self, pixels: Iterable[Pixel], loss_events: Iterable[tuple[str, int]]):
+        pixels = tuple(pixels)
+        self._fill(
+            [p.pixel_id for p in pixels],
+            [p.region for p in pixels],
+            np.array([p.biomass_density for p in pixels], dtype=float),
+            np.array([p.pixel_area for p in pixels], dtype=float),
+            np.array([p.canopy_density for p in pixels], dtype=float),
+            loss_events,
+        )
+        self._pixels = pixels
+
+    @classmethod
+    def _from_columns(cls, pixel_ids, regions, biomass, area, canopy, loss_events) -> "PixelGrid":
+        grid = cls.__new__(cls)
+        grid._fill(pixel_ids, regions, biomass, area, canopy, loss_events)
+        return grid
+
+    def _fill(self, pixel_ids: list[str], regions: list[str], biomass, area, canopy,
+              loss_events: Iterable[tuple[str, int]]) -> None:
+        """Validate pixel ids and loss events, then store the columns."""
+        row_of = dict(zip(pixel_ids, range(len(pixel_ids))))
+        if len(row_of) != len(pixel_ids):
             raise LoadError("duplicate pixel ids")
-        known = set(ids)
-        lost: set[str] = set()
-        for pixel_id, _year in sorted(self.loss_events):
-            if pixel_id not in known:
+        # sorted, with exact repeats dropped as from a set
+        events = list(dict.fromkeys(sorted(loss_events)))
+        event_pixel = np.fromiter(
+            map(row_of.get, map(itemgetter(0), events), repeat(-1)), dtype=np.intp, count=len(events)
+        )
+        bad = event_pixel < 0
+        bad[1:] |= event_pixel[1:] == event_pixel[:-1]
+        if bad.any():
+            i = int(np.argmax(bad))
+            pixel_id = events[i][0]
+            if event_pixel[i] < 0:
                 raise LoadError(f"loss event references unknown pixel {pixel_id!r}")
-            if pixel_id in lost:
-                raise LoadError(f"pixel {pixel_id!r} lost more than once")
-            lost.add(pixel_id)
+            raise LoadError(f"pixel {pixel_id!r} lost more than once")
+        code_of = {r: i for i, r in enumerate(dict.fromkeys(regions))}
+        self._store(
+            np.array(pixel_ids, dtype=object),
+            tuple(code_of),
+            np.fromiter(map(code_of.__getitem__, regions), dtype=np.intp, count=len(regions)),
+            biomass, area, canopy,
+            event_pixel,
+            np.fromiter(map(itemgetter(1), events), dtype=np.int64, count=len(events)),
+        )
+
+    def _store(self, pixel_ids, regions, region_code, biomass, area, canopy,
+               event_pixel, event_year) -> None:
+        self.regions: tuple[str, ...] = regions
+        for name, column in (
+            ("pixel_ids", pixel_ids), ("region_code", region_code), ("biomass", biomass),
+            ("area", area), ("canopy", canopy), ("event_pixel", event_pixel),
+            ("event_year", event_year),
+        ):
+            column = np.asarray(column)
+            column.setflags(write=False)
+            setattr(self, name, column)
+        self._pixels: tuple[Pixel, ...] | None = None
+        self._loss_events: frozenset[tuple[str, int]] | None = None
+
+    def _subset(self, keep: np.ndarray) -> "PixelGrid":
+        """The pixels where the boolean row mask ``keep`` holds, with their events."""
+        codes = self.region_code[keep]
+        present, first = np.unique(codes, return_index=True)
+        order = present[np.argsort(first)]  # first-seen order among kept pixels
+        recode = np.empty(len(self.regions), dtype=np.intp)
+        recode[order] = np.arange(order.size)
+        new_row = np.cumsum(keep) - 1
+        kept_events = keep[self.event_pixel]
+        grid = PixelGrid.__new__(PixelGrid)
+        grid._store(
+            self.pixel_ids[keep],
+            tuple(self.regions[c] for c in order),
+            recode[codes],
+            self.biomass[keep], self.area[keep], self.canopy[keep],
+            new_row[self.event_pixel[kept_events]],
+            self.event_year[kept_events],
+        )
+        return grid
 
     @property
-    def regions(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for p in self.pixels:
-            if p.region not in seen:
-                seen.append(p.region)
-        return tuple(seen)
+    def pixels(self) -> tuple[Pixel, ...]:
+        if self._pixels is None:
+            self._pixels = tuple(map(
+                Pixel,
+                self.pixel_ids.tolist(),
+                [self.regions[c] for c in self.region_code.tolist()],
+                self.biomass.tolist(), self.area.tolist(), self.canopy.tolist(),
+            ))
+        return self._pixels
+
+    @property
+    def loss_events(self) -> frozenset[tuple[str, int]]:
+        if self._loss_events is None:
+            self._loss_events = frozenset(zip(
+                self.pixel_ids[self.event_pixel].tolist(), self.event_year.tolist()
+            ))
+        return self._loss_events
+
+    def __eq__(self, other):
+        if not isinstance(other, PixelGrid):
+            return NotImplemented
+        return self.regions == other.regions and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("pixel_ids", "region_code", "biomass", "area", "canopy",
+                         "event_pixel", "event_year")
+        )
+
+    def __hash__(self):
+        return hash((self.pixels, self.loss_events))
+
+    def __repr__(self):
+        return (f"PixelGrid({len(self.pixel_ids)} pixels, {len(self.event_pixel)} loss events, "
+                f"{len(self.regions)} regions)")
 
 
 @dataclass(frozen=True)
@@ -85,42 +198,46 @@ def filter_canopy(grid: PixelGrid, threshold: float) -> PixelGrid:
     """Keep pixels with canopy density >= threshold (inclusive boundary)."""
     if not 0 <= threshold <= 100:
         raise LoadError("canopy threshold must lie in [0, 100]")
-    kept = tuple(p for p in grid.pixels if p.canopy_density >= threshold)
-    kept_ids = {p.pixel_id for p in kept}
-    events = frozenset(e for e in grid.loss_events if e[0] in kept_ids)
-    return PixelGrid(kept, events)
+    return grid._subset(grid.canopy >= threshold)
 
 
-def _aggregate(grid: PixelGrid, years: Sequence[int], per_pixel_mass) -> PanelDataset:
-    if not grid.pixels:
+def _aggregate(grid: PixelGrid, years: Sequence[int], per_pixel: dict[str, np.ndarray]) -> PanelDataset:
+    """Sum each per-pixel weight over the loss events into a region x year grid.
+
+    One ``np.bincount`` per variable over the (region, year) cell index.
+    bincount adds weights in input order, so every cell is summed in the
+    grid's fixed (pixel_id, year) event order.
+    """
+    if len(grid.pixel_ids) == 0:
         raise LoadError("empty pixel grid")
-    years = tuple(int(y) for y in years)
-    regions = grid.regions
-    region_idx = {r: i for i, r in enumerate(regions)}
-    year_idx = {y: j for j, y in enumerate(years)}
-    by_id = {p.pixel_id: p for p in grid.pixels}
-    totals = np.zeros((len(regions), len(years)))
-    # fixed summation order keeps results bit-identical across runs
-    for pixel_id, year in sorted(grid.loss_events):
-        if year not in year_idx:
-            continue
-        p = by_id[pixel_id]
-        totals[region_idx[p.region], year_idx[year]] += per_pixel_mass(p)
-    return PanelDataset(regions, years, {"value": Grid.full(totals)})
+    span = PanelDataset(grid.regions, tuple(int(y) for y in years))  # validates the years
+    N, T = span.N, span.T
+    col = grid.event_year - span.years[0]
+    counted = (col >= 0) & (col < T)
+    rows = grid.event_pixel[counted]
+    cell = grid.region_code[rows] * T + col[counted]
+    variables = {
+        name: Grid.full(np.bincount(cell, weights=weight[rows], minlength=N * T).reshape(N, T))
+        for name, weight in per_pixel.items()
+    }
+    return PanelDataset(span.regions, span.years, variables)
+
+
+def _carbon_mass(grid: PixelGrid, factors: EmissionFactors) -> np.ndarray:
+    """Per-pixel emissions if lost: biomass x area x theta, in that order."""
+    return grid.biomass * grid.area * factors.theta
 
 
 def aggregate_loss(grid: PixelGrid, years: Sequence[int]) -> PanelDataset:
     """Annual loss area per region (hectares); zero where nothing was lost."""
-    return _aggregate(grid, years, lambda p: p.pixel_area)
+    return _aggregate(grid, years, {"value": grid.area})
 
 
 def aggregate_emissions(
     grid: PixelGrid, factors: EmissionFactors, years: Sequence[int]
 ) -> PanelDataset:
     """Annual emissions per region: sum of lost-pixel carbon mass times theta."""
-    return _aggregate(
-        grid, years, lambda p: p.biomass_density * p.pixel_area * factors.theta
-    )
+    return _aggregate(grid, years, {"value": _carbon_mass(grid, factors)})
 
 
 def pixel_panel(
@@ -131,13 +248,10 @@ def pixel_panel(
     emissions_name: str = "E",
 ) -> PanelDataset:
     """Loss and emission variables aggregated into one panel."""
-    loss = aggregate_loss(grid, years)
-    emis = aggregate_emissions(grid, factors, years)
-    return PanelDataset(
-        loss.regions,
-        loss.years,
-        {loss_name: loss.var("value"), emissions_name: emis.var("value")},
-    )
+    return _aggregate(grid, years, {
+        loss_name: grid.area,
+        emissions_name: _carbon_mass(grid, factors),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -206,53 +320,96 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
                 writer.writerow(row)
 
 
+def _convert_prefix(texts: list[str], convert) -> tuple[list, ValueError | None]:
+    """Convert texts up to the first failure; return the values and that error."""
+    values: list = []
+    try:
+        values.extend(map(convert, texts))  # keeps the items converted before a failure
+    except ValueError as exc:
+        return values, exc
+    return values, None
+
+
+def _read_columns(path, converters: dict) -> tuple[list[list], LoadError | None]:
+    """Parse the named columns of a CSV file, one list per column.
+
+    ``converters`` maps each required header name to the function that parses
+    its fields. Rows are read up to the first one that is too short or fails a
+    conversion; the columns returned all stop there, together with the error
+    naming that row's ``path:lineno`` (None if every row parsed). The caller
+    raises it unless it finds an earlier bad row. Blank lines are skipped and
+    not counted, and a repeated header name means its last column, as with
+    ``csv.DictReader``.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or not set(converters) <= set(header):
+            raise LoadError(f"{path}: header must contain {sorted(converters)}")
+        rows = list(filter(None, reader))
+    position = {name: i for i, name in enumerate(header)}
+    index = [position[name] for name in converters]
+    width = max(index) + 1
+    stop, error = len(rows), None
+    lengths = list(map(len, rows))
+    if lengths and min(lengths) < width:
+        stop = next(i for i, n in enumerate(lengths) if n < width)
+        error = LoadError(
+            f"{path}:{stop + 2}: expected at least {width} fields, got {lengths[stop]}"
+        )
+    columns = []
+    for i, convert in zip(index, converters.values()):
+        # a later column takes over only at an earlier row, as fields parse left to right
+        values, exc = _convert_prefix(list(map(itemgetter(i), rows[:stop])), convert)
+        if exc is not None:
+            stop, error = len(values), LoadError(f"{path}:{len(values) + 2}: {exc}")
+        columns.append(values)
+    return [column[:stop] for column in columns], error
+
+
 def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
     """Load the `pixels.csv` / `loss_events.csv` pair."""
-    pixels = []
-    with Path(pixels_path).open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        required = {"pixel", "region", "biomass", "area", "canopy"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise LoadError(f"{pixels_path}: header must contain {sorted(required)}")
-        for lineno, record in enumerate(reader, start=2):
-            try:
-                pixels.append(
-                    Pixel(
-                        record["pixel"],
-                        record["region"],
-                        float(record["biomass"]),
-                        float(record["area"]),
-                        float(record["canopy"]),
-                    )
-                )
-            except ValueError as exc:
-                raise LoadError(f"{pixels_path}:{lineno}: {exc}") from exc
-    events = set()
-    with Path(events_path).open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"pixel", "year"} <= set(reader.fieldnames):
-            raise LoadError(f"{events_path}: header must contain ['pixel', 'year']")
-        for lineno, record in enumerate(reader, start=2):
-            try:
-                events.add((record["pixel"], int(record["year"])))
-            except ValueError as exc:
-                raise LoadError(f"{events_path}:{lineno}: {exc}") from exc
-    return PixelGrid(tuple(pixels), frozenset(events))
+    (ids, regions, *attributes), error = _read_columns(
+        pixels_path,
+        {"pixel": str, "region": str, "biomass": float, "area": float, "canopy": float},
+    )
+    biomass, area, canopy = (np.array(a, dtype=float) for a in attributes)
+    # the checks of Pixel.__post_init__, vectorised; NaN fails every comparison
+    invalid = ~(
+        np.isfinite(biomass) & np.isfinite(area) & np.isfinite(canopy)
+        & (biomass >= 0) & (area > 0) & (canopy >= 0) & (canopy <= 100)
+    )
+    if invalid.any():
+        i = int(np.argmax(invalid))  # the first bad row; Pixel raises its message
+        try:
+            Pixel(ids[i], regions[i], float(biomass[i]), float(area[i]), float(canopy[i]))
+        except LoadError as exc:
+            raise LoadError(f"{pixels_path}:{i + 2}: {exc}") from exc
+    if error is not None:
+        raise error
+    (event_ids, event_years), error = _read_columns(events_path, {"pixel": str, "year": int})
+    if error is not None:
+        raise error
+    return PixelGrid._from_columns(
+        ids, regions, biomass, area, canopy, zip(event_ids, event_years)
+    )
 
 
 def write_pixel_grid_csv(grid: PixelGrid, pixels_path, events_path) -> None:
     with Path(pixels_path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["pixel", "region", "biomass", "area", "canopy"])
-        for p in grid.pixels:
-            writer.writerow(
-                [p.pixel_id, p.region, repr(p.biomass_density), repr(p.pixel_area), repr(p.canopy_density)]
-            )
+        writer.writerows(zip(
+            grid.pixel_ids.tolist(),
+            [grid.regions[c] for c in grid.region_code.tolist()],
+            map(repr, grid.biomass.tolist()),
+            map(repr, grid.area.tolist()),
+            map(repr, grid.canopy.tolist()),
+        ))
     with Path(events_path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["pixel", "year"])
-        for pixel_id, year in sorted(grid.loss_events):
-            writer.writerow([pixel_id, year])
+        writer.writerows(zip(grid.pixel_ids[grid.event_pixel].tolist(), grid.event_year.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ invalid cells can never leak into an estimation sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -115,36 +116,45 @@ def build_panel(
     Regions missing any (year, variable) cell over the observed year span are
     dropped. Returns the panel together with the list of dropped regions.
     """
-    cells: dict[tuple[str, int, str], float] = {}
-    region_order: list[str] = []
-    var_order: list[str] = []
-    years_seen: set[int] = set()
-    for region, year, var, value in rows:
-        region, year, var = str(region), int(year), str(var)
-        key = (region, year, var)
-        if key in cells:
-            raise PanelError(f"duplicate cell for region={region} year={year} variable={var}")
-        cells[key] = float(value)
-        if region not in region_order:
-            region_order.append(region)
-        if var not in var_order:
-            var_order.append(var)
-        years_seen.add(year)
-    if not cells:
+    rows = list(rows)
+    if not rows:
         raise PanelError("no input rows")
+    n = len(rows)
+    regions = list(map(str, map(itemgetter(0), rows)))
+    names = list(map(str, map(itemgetter(2), rows)))
+    years_seen = np.fromiter(map(int, map(itemgetter(1), rows)), dtype=np.int64, count=n)
+    values = np.fromiter(map(float, map(itemgetter(3), rows)), dtype=float, count=n)
+    # first-seen order of regions and variables, kept by dict insertion order
+    region_index = {r: i for i, r in enumerate(dict.fromkeys(regions))}
+    var_index = {v: k for k, v in enumerate(dict.fromkeys(names))}
+    ri = np.fromiter(map(region_index.__getitem__, regions), dtype=np.intp, count=n)
+    vi = np.fromiter(map(var_index.__getitem__, names), dtype=np.intp, count=n)
+    first_year = int(years_seen.min())
+    years = tuple(range(first_year, int(years_seen.max()) + 1))
+    R, T, V = len(region_index), len(years), len(var_index)
+    yi = years_seen - first_year
 
-    years = tuple(range(min(years_seen), max(years_seen) + 1))
-    kept, dropped = [], []
-    for region in region_order:
-        complete = all((region, y, v) in cells for y in years for v in var_order)
-        (kept if complete else dropped).append(region)
+    cell = (ri * T + yi) * V + vi
+    _, first_row = np.unique(cell, return_index=True)
+    if first_row.size != n:
+        repeat = np.ones(n, dtype=bool)
+        repeat[first_row] = False
+        i = int(np.argmax(repeat))  # the first row whose cell was seen before
+        raise PanelError(
+            f"duplicate cell for region={regions[i]} year={int(years_seen[i])} variable={names[i]}"
+        )
+    # cells are distinct and inside the span, so a region is complete iff it has all T * V
+    complete = np.bincount(ri, minlength=R) == T * V
+    kept = [r for r, ok in zip(region_index, complete.tolist()) if ok]
+    dropped = [r for r, ok in zip(region_index, complete.tolist()) if not ok]
     if not kept:
         raise PanelError("no region has a complete year series over the observed span")
 
-    variables = {}
-    for v in var_order:
-        values = np.array([[cells[(r, y, v)] for y in years] for r in kept])
-        variables[v] = Grid.full(values)
+    take = complete[ri]
+    kept_row = np.cumsum(complete) - 1
+    grids = np.empty((V, len(kept), T))
+    grids[vi[take], kept_row[ri[take]], yi[take]] = values[take]
+    variables = {v: Grid.full(grids[k]) for v, k in var_index.items()}
     return PanelDataset(tuple(kept), years, variables), dropped
 
 

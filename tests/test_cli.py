@@ -58,6 +58,25 @@ class TestIngest:
         bad.write_text("region,year,L\nA,2001,not-a-number\n")
         assert main(["ingest", "--panel", str(bad), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("pixels, events, where", [
+        # a short row used to escape as an uncaught TypeError
+        ("p1,A,10.0,1.0,80\np2,A,20.0\n", "p1,2001\n", "pixels.csv:3: expected at least 5 fields"),
+        ("p1,A,10.0,1.0,80\n", "p1,2001\np1\n", "events.csv:3: expected at least 2 fields"),
+        # non-finite attributes used to pass validation
+        ("p1,A,10.0,1.0,80\np2,A,20.0,inf,80\n", "p1,2001\n", "pixels.csv:3: pixel p2: non-finite area"),
+        ("p1,A,nan,1.0,80\n", "p1,2001\n", "pixels.csv:2: pixel p1: non-finite biomass"),
+    ], ids=["short-pixel-row", "short-event-row", "inf-area", "nan-biomass"])
+    def test_malformed_pixel_files_exit_with_line(self, tmp_path, capsys, pixels, events, where):
+        (tmp_path / "pixels.csv").write_text("pixel,region,biomass,area,canopy\n" + pixels)
+        (tmp_path / "events.csv").write_text("pixel,year\n" + events)
+        code = main([
+            "ingest", "--pixels", str(tmp_path / "pixels.csv"),
+            "--events", str(tmp_path / "events.csv"), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
+
     def test_simulated_grid_skewness(self, tmp_path):
         from forestpanel import GridDGPConfig, simulate_disturbance_grid
         from forestpanel.ingest import write_pixel_grid_csv

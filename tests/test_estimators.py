@@ -220,6 +220,37 @@ class TestClusterRobustVcov:
         assert np.abs(vcov - vcov.T).max() < 1e-12
         assert np.linalg.eigvalsh(vcov).min() > -1e-10
 
+    @pytest.mark.parametrize("layout", ["unbalanced", "non_contiguous", "unsorted", "strings"])
+    def test_matches_loop_per_cluster_oracle(self, layout):
+        rng = np.random.default_rng(44)
+        sizes = rng.integers(1, 40, size=25)
+        clusters = np.repeat(np.arange(25), sizes)  # sorted blocks of unequal size
+        n = clusters.size
+        if layout == "non_contiguous":  # labels with gaps, rows of a cluster scattered
+            clusters = rng.choice(np.arange(3, 3000, 97), size=n)
+        elif layout == "unsorted":
+            clusters = rng.permutation(clusters)
+        elif layout == "strings":
+            clusters = np.array([f"county-{c:02d}" for c in rng.permutation(clusters)])
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        resid = rng.normal(size=n)
+
+        # reference: one boolean mask and one outer product per cluster
+        _, R = np.linalg.qr(X)
+        Rinv = np.linalg.inv(R)
+        bread = Rinv @ Rinv.T
+        labels = np.unique(clusters)
+        meat = np.zeros((3, 3))
+        for g in labels:
+            score = X[clusters == g].T @ resid[clusters == g]
+            meat += np.outer(score, score)
+        G, dof_absorbed = labels.size, 5
+        factor = (G / (G - 1)) * ((n - 1) / (n - 3 - dof_absorbed))
+        expected = factor * bread @ meat @ bread
+
+        vcov = cluster_robust_vcov(X, resid, clusters, dof_absorbed=dof_absorbed)
+        assert np.abs(vcov - expected).max() <= 1e-12 * np.abs(expected).max()
+
 
 def stub_fit(beta, rho, vcov=None):
     names = ("l", "e_l1")

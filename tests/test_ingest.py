@@ -164,6 +164,43 @@ class TestAggregateEmissions:
         assert np.all(L[E > 0] > 0)
 
 
+class TestPixelPanelOracle:
+    @pytest.mark.parametrize("threshold", [0.0, 40.0])
+    def test_matches_per_event_loop_bitwise(self, threshold):
+        rng = np.random.default_rng(14)
+        specs = [
+            (f"p{i}", f"R{rng.integers(0, 7)}", float(rng.lognormal(4.0, 0.8)),
+             float(rng.uniform(0.05, 0.2)), float(rng.uniform(0, 100)))
+            for i in rng.permutation(500)
+        ]
+        events = [(specs[k][0], int(rng.integers(2001, 2011)))
+                  for k in rng.choice(500, size=300, replace=False)]
+        grid = filter_canopy(grid_of(specs, events), threshold)
+        years = range(2002, 2010)  # events in 2001 and 2010 fall outside
+        theta = 44.0 / 12.0
+        panel = pixel_panel(grid, EmissionFactors(theta), years)
+
+        # reference: one += per loss event, in sorted (pixel_id, year) order
+        kept = [spec for spec in specs if spec[4] >= threshold]
+        by_id = {spec[0]: spec for spec in kept}
+        regions = []
+        for spec in kept:
+            if spec[1] not in regions:
+                regions.append(spec[1])
+        L = np.zeros((len(regions), len(years)))
+        E = np.zeros_like(L)
+        for pixel_id, year in sorted(events):
+            if pixel_id not in by_id or year not in years:
+                continue
+            _, region, biomass, area, _ = by_id[pixel_id]
+            cell = regions.index(region), year - years[0]
+            L[cell] += area
+            E[cell] += biomass * area * theta
+        assert panel.regions == tuple(regions)
+        assert np.array_equal(panel.var("L").values, L)
+        assert np.array_equal(panel.var("E").values, E)
+
+
 class TestPixelGridInvariants:
     def test_pixel_lost_at_most_once(self):
         with pytest.raises(LoadError):
@@ -180,6 +217,9 @@ class TestPixelGridInvariants:
             Pixel("p", "A", 1.0, 0.0, 50.0)
         with pytest.raises(LoadError):
             Pixel("p", "A", 1.0, 1.0, 101.0)
+        for bad in ((float("nan"), 1.0, 50.0), (1.0, float("inf"), 50.0), (1.0, 1.0, float("nan"))):
+            with pytest.raises(LoadError, match="non-finite"):
+                Pixel("p", "A", *bad)
 
 
 class TestPanelCsv:
@@ -245,6 +285,42 @@ class TestPanelCsv:
         write_pixel_grid_csv(grid, tmp_path / "pixels.csv", tmp_path / "events.csv")
         reloaded = load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv")
         assert reloaded == grid
+        assert reloaded.pixels == grid.pixels
+        assert reloaded.loss_events == grid.loss_events
+
+    @pytest.mark.parametrize("rows, line, message", [
+        # the first bad line wins, whatever is wrong with it
+        (["p1,A,1,1,50", "p2,A,-1,1,50", "p3,A,x,1,50"], 3, "negative biomass"),
+        (["p1,A,1,1,50", "p2,A,1,x,50", "p3,A,1,1,500"], 3, "could not convert"),
+        (["p1,A,1,1,50", "p2,A,1,1,50", "p3,A,1"], 4, "expected at least 5 fields"),
+        (["p1,A,1,1,50", "p2,A,1,inf,50"], 3, "non-finite area"),
+        (["p1,A,1,1,nan"], 2, "non-finite canopy"),
+    ])
+    def test_pixel_errors_name_first_bad_line(self, tmp_path, rows, line, message):
+        (tmp_path / "pixels.csv").write_text(
+            "pixel,region,biomass,area,canopy\n" + "\n".join(rows) + "\n"
+        )
+        (tmp_path / "events.csv").write_text("pixel,year\n")
+        with pytest.raises(LoadError, match=f"pixels.csv:{line}: .*{message}"):
+            load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv")
+
+    def test_event_file_checks(self, tmp_path):
+        (tmp_path / "pixels.csv").write_text(
+            "pixel,region,biomass,area,canopy\np1,A,1,1,50\np2,A,1,1,50\n"
+        )
+        events = tmp_path / "events.csv"
+        events.write_text("pixel,year\np1,2001\np1,2001\n")  # exact repeats collapse
+        grid = load_pixel_grid_csv(tmp_path / "pixels.csv", events)
+        assert grid.loss_events == {("p1", 2001)}
+        for text, message in (
+            ("pixel,year\np1,2001\np2,20x2\n", "events.csv:3: invalid literal"),
+            ("pixel,year\np1,2001\np2\n", "events.csv:3: expected at least 2 fields"),
+            ("pixel,year\np1,2001\np1,2002\n", "'p1' lost more than once"),
+            ("pixel,year\np9,2001\n", "unknown pixel 'p9'"),
+        ):
+            events.write_text(text)
+            with pytest.raises(LoadError, match=message):
+                load_pixel_grid_csv(tmp_path / "pixels.csv", events)
 
 
 class TestSummaryStats:

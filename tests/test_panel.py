@@ -83,6 +83,36 @@ class TestBuildPanel:
         with pytest.raises(PanelError, match="duplicate"):
             build_panel([("A", 2001, "x", 1.0), ("A", 2001, "x", 2.0)])
 
+    def test_first_seen_order_and_drops_with_shuffled_rows(self):
+        rng = np.random.default_rng(12)
+        names = [f"R{i}" for i in rng.permutation(2000)]
+        incomplete = set(rng.choice(names, size=50, replace=False).tolist())
+        rows = [
+            (r, y, v, float(rng.random()))
+            for r in names for y in range(2001, 2024) for v in ("L", "E")
+            if not (r in incomplete and y == 2010 and v == "E")
+        ]
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        panel, dropped = build_panel(rows)
+
+        def first_seen(items):
+            order, seen = [], set()
+            for item in items:
+                if item not in seen:
+                    seen.add(item)
+                    order.append(item)
+            return order
+
+        regions = first_seen(row[0] for row in rows)
+        assert list(panel.regions) == [r for r in regions if r not in incomplete]
+        assert dropped == [r for r in regions if r in incomplete]
+        assert list(panel.variables) == first_seen(row[2] for row in rows)
+        assert panel.years == tuple(range(2001, 2024))
+        index = {r: i for i, r in enumerate(panel.regions)}
+        for r, y, v, value in rows:
+            if r in index:
+                assert panel.var(v).values[index[r], y - 2001] == value
+
     def test_balancing_idempotent(self):
         rows = rows_for(
             ["A", "B"], [2001, 2002], {"x": {"A": {2001: 1, 2002: 2}, "B": {2001: 3, 2002: 4}}}
