@@ -12,10 +12,7 @@ from .panel import (
     Grid,
     PanelDataset,
     PanelError,
-    TransformSpec,
-    apply_transform,
     build_panel,
-    demean_region,
     demean_twoway,
     demean_twoway_values,
     first_difference,

@@ -10,20 +10,17 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .diagnostics import diagnostic_bundle
-from .dgp import (
-    DGPConfig,
-    monte_carlo,
-    simulate_dynamic_panel,
-)
+from .dgp import DGPConfig, DGPError, monte_carlo
 from .estimators import (
     CONST,
     EstimationError,
+    FitResult,
     RegressionSpec,
     fit_dynamic_lsdv,
     fit_pooled_ols,
@@ -50,8 +47,6 @@ from .panel import (
     demean_twoway_values,
     log1_grid,
 )
-
-ESTIMATOR_CHOICES = ("pooled", "fe2w", "lsdv", "diffgmm", "sysgmm", "all")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -97,32 +92,43 @@ def _log_variables(panel: PanelDataset, use_levels: bool) -> tuple[PanelDataset,
     raise PanelError("panel must contain variables L/E or l/e")
 
 
-def _gmm_options(args, level_equations: bool = False) -> GmmOptions:
-    return GmmOptions(
-        min_lag=args.min_lag,
-        max_lag=args.max_lag,
-        collapse=args.collapse,
-        steps=2 if args.two_step else 1,
-        level_equations=level_equations,
-    )
+class Estimator(NamedTuple):
+    dynamic: bool  # also fits the lagged response, whose Monte Carlo truth is rho
+    fit: Callable[..., FitResult]  # (panel, x, y, args, gmm_year_dummies) -> FitResult
 
 
-def _run_estimators(panel: PanelDataset, x: str, y: str, which: str, args):
-    static_spec = RegressionSpec(
-        y, (x,), include_region_effects=True, include_time_effects=True
-    )
-    fits = {}
-    if which in ("pooled", "all"):
-        fits["pooled"] = fit_pooled_ols(panel, RegressionSpec(y, (CONST, x)))
-    if which in ("fe2w", "all"):
-        fits["fe2w"] = fit_twoway_fe(panel, static_spec)
-    if which in ("lsdv", "all"):
-        fits["lsdv"] = fit_dynamic_lsdv(panel, static_spec)
-    if which in ("diffgmm", "all"):
-        fits["diffgmm"] = fit_diff_gmm(panel, static_spec, _gmm_options(args))
-    if which in ("sysgmm", "all"):
-        fits["sysgmm"] = fit_sys_gmm(panel, static_spec, _gmm_options(args, True))
-    return fits
+def _effects(x: str, y: str, year_effects: bool = True) -> RegressionSpec:
+    return RegressionSpec(y, (x,), include_region_effects=True, include_time_effects=year_effects)
+
+
+def _gmm(level: bool):
+    def fit(panel, x, y, args, gmm_year_dummies):
+        options = GmmOptions(args.min_lag, args.max_lag, args.collapse, 2 if args.two_step else 1)
+        spec = _effects(x, y, gmm_year_dummies)
+        return fit_sys_gmm(panel, spec, options) if level else fit_diff_gmm(panel, spec, options)
+
+    return fit
+
+
+# The estimator ladder, in fit order. Within fits always absorb both effects;
+# whether GMM fits carry year dummies is the caller's explicit choice. The
+# entries look their fit function up by module-global name at call time, so
+# rebinding a module attribute (as a tracer does) reaches every fit.
+ESTIMATORS = {
+    "pooled": Estimator(False, lambda panel, x, y, *_:
+                        fit_pooled_ols(panel, RegressionSpec(y, (CONST, x)))),
+    "fe2w": Estimator(False, lambda panel, x, y, *_: fit_twoway_fe(panel, _effects(x, y))),
+    "lsdv": Estimator(True, lambda panel, x, y, *_: fit_dynamic_lsdv(panel, _effects(x, y))),
+    "diffgmm": Estimator(True, _gmm(level=False)),
+    "sysgmm": Estimator(True, _gmm(level=True)),
+}
+ESTIMATOR_CHOICES = (*ESTIMATORS, "all")
+
+
+def _fit(name: str, panel: PanelDataset, x: str, y: str, args, *,
+         gmm_year_dummies: bool) -> FitResult:
+    """Fit registry estimator ``name`` of y on x."""
+    return ESTIMATORS[name].fit(panel, x, y, args, gmm_year_dummies)
 
 
 def _elasticity_rows(fits, x: str, y: str):
@@ -204,7 +210,8 @@ def cmd_estimate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     panel, _ = load_panel_csv(args.panel)
     panel, x, y = _log_variables(panel, args.levels)
-    fits = _run_estimators(panel, x, y, args.estimator, args)
+    names = ESTIMATORS if args.estimator == "all" else (args.estimator,)
+    fits = {name: _fit(name, panel, x, y, args, gmm_year_dummies=True) for name in names}
     elasticity = _elasticity_rows(fits, x, y)
     report = {
         "fits": {tag: fit.to_json_dict() for tag, fit in fits.items()},
@@ -270,14 +277,12 @@ def cmd_robustness(args) -> int:
     if not excluded and not regions and not args.levels:
         raise PanelError("robustness needs a filter (--exclude-years, --regions) or --levels")
     base_panel, _ = load_panel_csv(args.panel)
-    which = args.estimator if args.estimator != "all" else "fe2w"
-    if which in ("diffgmm", "sysgmm") and excluded:
+    if args.estimator in ("diffgmm", "sysgmm") and excluded:
         raise EstimationError("year exclusion breaks the GMM lag chain; use fe2w or lsdv")
 
     def run(panel, use_levels):
         panel, x, y = _log_variables(panel, use_levels)
-        fit = _run_estimators(panel, x, y, which, args)[which]
-        return fit
+        return _fit(args.estimator, panel, x, y, args, gmm_year_dummies=True)
 
     columns = [("base", run(base_panel, False))]
     if excluded:
@@ -323,35 +328,6 @@ _PRESETS = {
 }
 
 
-def _mc_estimator(name: str, args):
-    spec = RegressionSpec(
-        "e", ("l",), include_region_effects=True, include_time_effects=False
-    )
-
-    def run(panel):
-        if name == "lsdv":
-            dyn = RegressionSpec(
-                "e", ("l",), include_region_effects=True, include_time_effects=True
-            )
-            return fit_dynamic_lsdv(panel, dyn)
-        if name == "fe2w":
-            return fit_twoway_fe(
-                panel,
-                RegressionSpec(
-                    "e", ("l",), include_region_effects=True, include_time_effects=True
-                ),
-            )
-        if name == "pooled":
-            return fit_pooled_ols(panel, RegressionSpec("e", (CONST, "l")))
-        if name == "diffgmm":
-            return fit_diff_gmm(panel, spec, _gmm_options(args))
-        if name == "sysgmm":
-            return fit_sys_gmm(panel, spec, _gmm_options(args, True))
-        raise EstimationError(f"unknown estimator {name!r}")
-
-    return run
-
-
 def cmd_montecarlo(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -361,21 +337,29 @@ def cmd_montecarlo(args) -> int:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     else:
         raise PanelError("montecarlo needs --config or --preset")
+    if not isinstance(config, dict) or not isinstance(config.get("dgp"), dict):
+        raise DGPError("montecarlo config needs a 'dgp' object")
     dgp_fields = dict(config["dgp"])
-    dgp_fields.setdefault("seed", args.seed)
     if args.seed is not None:
         dgp_fields["seed"] = args.seed
-    dgp = DGPConfig(**dgp_fields)
+    dgp_fields.setdefault("seed", DGPConfig.seed)
+    dgp = DGPConfig.from_mapping(dgp_fields)
     reps = args.reps or config.get("replications", 100)
     estimators = config.get("estimators") or [config.get("estimator", "lsdv")]
-    dynamic = {"lsdv", "diffgmm", "sysgmm"}
+    unknown = [name for name in estimators if name not in ESTIMATORS]
+    if unknown:
+        raise EstimationError(
+            f"unknown estimators {unknown}; montecarlo accepts {list(ESTIMATORS)}"
+        )
     results = {}
     all_rows = []
     for name in estimators:
         truth = {"l": dgp.beta}
-        if name in dynamic:
+        if ESTIMATORS[name].dynamic:
             truth[lagged_name("e")] = dgp.rho
-        study = monte_carlo(dgp, _mc_estimator(name, args), truth, reps)
+        # unlike estimate and robustness, GMM replications fit no year dummies
+        fit = partial(_fit, name, x="l", y="e", args=args, gmm_year_dummies=False)
+        study = monte_carlo(dgp, fit, truth, reps)
         results[name] = study.to_json_dict()
         for row in study.per_rep_rows():
             all_rows.append({"estimator": name, **row})
@@ -422,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("-v", "--verbose", action="count", default=0)
 
     p_ingest = sub.add_parser("ingest", help="build a balanced panel and summary stats")
@@ -434,23 +417,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_ingest)
     p_ingest.set_defaults(func=cmd_ingest)
 
-    def estimation_flags(p):
-        p.add_argument("--estimator", choices=ESTIMATOR_CHOICES, default="all")
+    def gmm_flags(p):
         p.add_argument("--min-lag", type=int, default=2)
         p.add_argument("--max-lag", type=int, default=None)
         p.add_argument("--collapse", action="store_true")
         p.add_argument("--two-step", action="store_true")
-        p.add_argument("--levels", action="store_true", help="levels instead of log1")
 
     p_est = sub.add_parser("estimate", help="run estimators, diagnostics, elasticities")
     p_est.add_argument("--panel", required=True)
-    estimation_flags(p_est)
+    p_est.add_argument("--estimator", choices=ESTIMATOR_CHOICES, default="all")
+    gmm_flags(p_est)
+    p_est.add_argument("--levels", action="store_true", help="levels instead of log1")
     common(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
     p_rob = sub.add_parser("robustness", help="side-by-side variation table")
     p_rob.add_argument("--panel", required=True)
-    estimation_flags(p_rob)
+    p_rob.add_argument("--estimator", choices=tuple(ESTIMATORS), default="fe2w")
+    gmm_flags(p_rob)
+    p_rob.add_argument("--levels", action="store_true", help="levels instead of log1")
     p_rob.add_argument("--exclude-years", type=_int_list, default=None)
     p_rob.add_argument("--regions", type=_str_list, default=None)
     common(p_rob)
@@ -460,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--config", help="JSON file with dgp/estimators/replications")
     p_mc.add_argument("--preset", choices=sorted(_PRESETS))
     p_mc.add_argument("--reps", type=int, default=None)
-    estimation_flags(p_mc)
+    p_mc.add_argument("--seed", type=int, default=None)
+    gmm_flags(p_mc)
     common(p_mc)
     p_mc.set_defaults(func=cmd_montecarlo)
     return parser
@@ -470,7 +456,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PanelError, LoadError, EstimationError, OSError, KeyError, ValueError) as exc:
+    except (PanelError, LoadError, EstimationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

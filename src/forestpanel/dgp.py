@@ -9,8 +9,8 @@ independent of execution order and thread count.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -60,6 +60,19 @@ class DGPConfig:
             raise DGPError(f"unknown error law {self.error_law!r}")
         if self.burn_in < 50:
             raise DGPError("burn_in must be >= 50")
+
+    @classmethod
+    def from_mapping(cls, fields: Mapping) -> "DGPConfig":
+        """Build from a JSON object, naming any unknown or missing key."""
+        known = dataclasses.fields(cls)
+        unknown = sorted(set(fields) - {f.name for f in known})
+        if unknown:
+            raise DGPError(f"unknown dgp keys: {unknown}")
+        missing = [f.name for f in known
+                   if f.default is dataclasses.MISSING and f.name not in fields]
+        if missing:
+            raise DGPError(f"dgp block lacks required keys: {missing}")
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .estimators import EstimationError, FitResult
+from .estimators import FitResult
 
 
 class DiagnosticError(ValueError):
@@ -122,21 +122,18 @@ def jarque_bera(residuals) -> TestResult:
 
 def within_r2(fit: FitResult) -> float:
     """1 - RSS/TSS of the demeaned response, from a within-transformed fit."""
-    if fit.within_tss is None or fit.within_rss is None:
-        raise DiagnosticError("fit was not estimated on within-transformed data")
-    if fit.within_tss == 0.0:
-        raise DiagnosticError("zero total sum of squares")
-    return 1.0 - fit.within_rss / fit.within_tss
+    if fit.within_r2 is None:
+        raise DiagnosticError(
+            "no within R2: fit not on within-transformed data, or zero total sum of squares"
+        )
+    return fit.within_r2
 
 
 def diagnostic_bundle(fit: FitResult) -> dict:
     """All diagnostics applicable to one fit, as a JSON-ready mapping."""
     out: dict = {}
-    if fit.within_tss is not None:
-        try:
-            out["within_r2"] = within_r2(fit)
-        except DiagnosticError:
-            pass
+    if fit.within_r2 is not None:
+        out["within_r2"] = fit.within_r2
     if fit.residual_grid is not None:
         rows = fit.residual_rows()
         flat = np.concatenate([r for r in rows if r.size]) if rows else np.array([])

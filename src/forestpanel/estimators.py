@@ -8,14 +8,14 @@ live in :mod:`forestpanel.gmm` and share the FitResult container defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 from scipy import stats
 from scipy.linalg import solve_triangular
 
-from .panel import Grid, PanelDataset, PanelError, demean_twoway_values, interact, lag
+from .panel import Grid, PanelDataset, demean_twoway_values, interact, lag
 
 CONST = "const"  # reserved regressor name mapping to a column of ones
 
@@ -26,13 +26,12 @@ class EstimationError(ValueError):
 
 @dataclass(frozen=True)
 class RegressionSpec:
-    """What to regress on what, and how to absorb effects and cluster."""
+    """What to regress on what, and which effects to absorb."""
 
     response: str
     regressors: tuple[str, ...]
     include_region_effects: bool = False
     include_time_effects: bool = False
-    cluster: str = "region"
 
     def __post_init__(self):
         object.__setattr__(self, "regressors", tuple(self.regressors))
@@ -54,8 +53,6 @@ class FitResult:
     residual_grid: Grid | None = None
     regions: tuple[str, ...] = ()
     within_r2: float | None = None
-    within_tss: float | None = None
-    within_rss: float | None = None
     warnings: tuple[str, ...] = ()
     gmm: Any = None
 
@@ -271,8 +268,6 @@ def _within_fit(
         residual_grid=Grid(res_values, avail),
         regions=panel.regions,
         within_r2=1.0 - rss / tss if tss > 0 else None,
-        within_tss=tss,
-        within_rss=rss,
         warnings=extra_warnings,
     )
 
@@ -309,7 +304,6 @@ def fit_dynamic_lsdv(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
         regressors=regressors,
         include_region_effects=True,
         include_time_effects=True,
-        cluster=spec.cluster,
     )
     return _within_fit(
         panel,
@@ -358,7 +352,6 @@ def fit_heterogeneous(
         regressors=(*spec.regressors, inter_name),
         include_region_effects=True,
         include_time_effects=True,
-        cluster=spec.cluster,
     )
     fit = fit_dynamic_lsdv(panel, aug)
     b1, b2 = fit.coefficients[base], fit.coefficients[inter_name]

@@ -29,7 +29,6 @@ class GmmOptions:
     max_lag: int | None = None
     collapse: bool = False
     steps: int = 1
-    level_equations: bool = False
 
     def __post_init__(self):
         if self.min_lag < 2:
@@ -118,7 +117,9 @@ def build_ab_instruments(
     return InstrumentSet(Z, labels, tuple(panel.years[t] for t in periods))
 
 
-def _fit_gmm(panel: PanelDataset, spec: RegressionSpec, options: GmmOptions) -> FitResult:
+def _fit_gmm(
+    panel: PanelDataset, spec: RegressionSpec, options: GmmOptions, level: bool
+) -> FitResult:
     response = spec.response
     lag_name = lagged_name(response)
     exog = tuple(r for r in spec.regressors if r != lag_name)
@@ -131,7 +132,6 @@ def _fit_gmm(panel: PanelDataset, spec: RegressionSpec, options: GmmOptions) -> 
         raise EstimationError("GMM needs T >= 3")
     periods = _diff_periods(T)
     P = len(periods)
-    level = options.level_equations
 
     Xg = []
     for name in exog:
@@ -295,11 +295,7 @@ def fit_diff_gmm(
 ) -> FitResult:
     """Difference GMM for the dynamic model: first-difference out the region
     effects and instrument the lagged differenced response with lagged levels."""
-    if options.level_equations:
-        options = GmmOptions(
-            options.min_lag, options.max_lag, options.collapse, options.steps, False
-        )
-    return _fit_gmm(panel, spec, options)
+    return _fit_gmm(panel, spec, options, level=False)
 
 
 def fit_sys_gmm(
@@ -307,7 +303,4 @@ def fit_sys_gmm(
 ) -> FitResult:
     """System GMM: differenced equations stacked with level equations
     instrumented by the lagged first difference of the response."""
-    options = GmmOptions(
-        options.min_lag, options.max_lag, options.collapse, options.steps, True
-    )
-    return _fit_gmm(panel, spec, options)
+    return _fit_gmm(panel, spec, options, level=True)

@@ -9,7 +9,6 @@ loss-area and emission variables.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -367,6 +366,13 @@ def _read_columns(path, converters: dict) -> tuple[list[list], LoadError | None]
     return [column[:stop] for column in columns], error
 
 
+def _event_year(text: str) -> int:
+    year = int(text)
+    if not 1000 <= year <= 9999:
+        raise ValueError(f"event year {year} outside 1000-9999")
+    return year
+
+
 def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
     """Load the `pixels.csv` / `loss_events.csv` pair."""
     (ids, regions, *attributes), error = _read_columns(
@@ -387,7 +393,7 @@ def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
             raise LoadError(f"{pixels_path}:{i + 2}: {exc}") from exc
     if error is not None:
         raise error
-    (event_ids, event_years), error = _read_columns(events_path, {"pixel": str, "year": int})
+    (event_ids, event_years), error = _read_columns(events_path, {"pixel": str, "year": _event_year})
     if error is not None:
         raise error
     return PixelGrid._from_columns(
@@ -426,9 +432,3 @@ def summary_stats(panel: PanelDataset, var: str) -> dict[str, float]:
         "median": float(np.median(x)),
         "max": float(np.max(x)),
     }
-
-
-def summary_json(panel: PanelDataset) -> str:
-    """Table-style summary statistics for every variable, as JSON text."""
-    stats = {name: summary_stats(panel, name) for name in panel.variables}
-    return json.dumps(stats, indent=2, sort_keys=True)

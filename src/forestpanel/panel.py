@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -177,13 +177,6 @@ def log1_grid(panel: PanelDataset, var: str) -> Grid:
     return Grid(values, grid.available)
 
 
-def demean_region(panel: PanelDataset, var: str) -> Grid:
-    grid = panel.var(var)
-    if not grid.available.all():
-        raise PanelError("demeaning requires a fully available grid")
-    return Grid.full(grid.values - grid.values.mean(axis=1, keepdims=True))
-
-
 def demean_twoway_values(values: np.ndarray) -> np.ndarray:
     """x_it - xbar_i - xbar_t + xbar, exact for balanced grids."""
     values = np.asarray(values, dtype=float)
@@ -233,41 +226,3 @@ def interact(panel: PanelDataset, var_a: str, var_b: str) -> Grid:
     values = np.where(available, a.values * b.values, 0.0)
     return Grid(values, available)
 
-
-_TRANSFORM_KINDS = {"log1", "lag", "diff", "demean_region", "demean_twoway", "interact"}
-
-
-@dataclass(frozen=True)
-class TransformSpec:
-    """Declarative description of one named transformation."""
-
-    source: str
-    target: str
-    kind: str
-    order: int = 1
-    with_var: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in _TRANSFORM_KINDS:
-            raise PanelError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "lag" and self.order < 1:
-            raise PanelError("lag order must be >= 1")
-        if self.kind == "interact" and self.with_var is None:
-            raise PanelError("interact transform needs with_var")
-
-
-def apply_transform(panel: PanelDataset, spec: TransformSpec) -> PanelDataset:
-    """Apply one TransformSpec and return a panel extended with the target."""
-    if spec.kind == "log1":
-        grid = log1_grid(panel, spec.source)
-    elif spec.kind == "lag":
-        grid = lag(panel, spec.source, spec.order)
-    elif spec.kind == "diff":
-        grid = first_difference(panel, spec.source)
-    elif spec.kind == "demean_region":
-        grid = demean_region(panel, spec.source)
-    elif spec.kind == "demean_twoway":
-        grid = demean_twoway(panel, spec.source)
-    else:
-        grid = interact(panel, spec.source, spec.with_var)
-    return panel.with_variable(spec.target, grid)

@@ -10,7 +10,7 @@ from forestpanel import (
     simulate_dynamic_panel,
     write_panel_csv,
 )
-from forestpanel.cli import main
+from forestpanel.cli import ESTIMATORS, main
 
 
 def write_log_panel(path, N=30, T=10, rho=0.3, beta=1.0, sigma_u=0.5, seed=80):
@@ -65,7 +65,14 @@ class TestIngest:
         # non-finite attributes used to pass validation
         ("p1,A,10.0,1.0,80\np2,A,20.0,inf,80\n", "p1,2001\n", "pixels.csv:3: pixel p2: non-finite area"),
         ("p1,A,nan,1.0,80\n", "p1,2001\n", "pixels.csv:2: pixel p1: non-finite biomass"),
-    ], ids=["short-pixel-row", "short-event-row", "inf-area", "nan-biomass"])
+        # a year beyond int64 used to end ingest with an OverflowError, and a
+        # typo year used to stretch the panel over thousands of empty years
+        ("p1,A,10.0,1.0,80\np2,A,20.0,1.0,80\n", "p1,2001\np2,99999999999999999999\n",
+         "events.csv:3: event year 99999999999999999999 outside 1000-9999"),
+        ("p1,A,10.0,1.0,80\np2,A,20.0,1.0,80\n", "p1,2001\np2,20011\n",
+         "events.csv:3: event year 20011 outside 1000-9999"),
+    ], ids=["short-pixel-row", "short-event-row", "inf-area", "nan-biomass",
+            "year-beyond-int64", "typo-year"])
     def test_malformed_pixel_files_exit_with_line(self, tmp_path, capsys, pixels, events, where):
         (tmp_path / "pixels.csv").write_text("pixel,region,biomass,area,canopy\n" + pixels)
         (tmp_path / "events.csv").write_text("pixel,year\n" + events)
@@ -138,6 +145,23 @@ class TestEstimate:
         n_obs = report["fits"]["fe2w"]["n_obs"]
         lines = (out / "scatter.csv").read_text().strip().splitlines()
         assert len(lines) - 1 == n_obs
+
+    def test_single_estimator_matches_all(self, tmp_path):
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, N=40, T=8, seed=90)
+        assert main(["estimate", "--panel", str(src), "--estimator", "all",
+                     "--two-step", "--out", str(tmp_path / "all")]) == 0
+        fits = json.loads((tmp_path / "all" / "report.json").read_text())["fits"]
+        assert set(fits) == set(ESTIMATORS)
+        # elasticity rows follow the fit order of the registry
+        rows = (tmp_path / "all" / "elasticity.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == list(ESTIMATORS)
+        for name in ESTIMATORS:
+            out = tmp_path / name
+            assert main(["estimate", "--panel", str(src), "--estimator", name,
+                         "--two-step", "--out", str(out)]) == 0
+            single = json.loads((out / "report.json").read_text())["fits"]
+            assert single == {name: fits[name]}
 
     def test_levels_pathway(self, tmp_path):
         rng = np.random.default_rng(85)
@@ -223,6 +247,64 @@ class TestMonteCarloCommand:
         gmm_rho = results["diffgmm"]["aggregates"]["e_l1"]["mean"]
         assert lsdv_rho < 0.45
         assert abs(gmm_rho - 0.5) < abs(lsdv_rho - 0.5)
+
+    def test_every_registry_estimator_runs(self, tmp_path):
+        config = {
+            "dgp": {"n_regions": 30, "n_years": 6, "rho": 0.3, "beta": 1.0,
+                    "sigma_alpha": 1.0, "sigma_u": 1.0},
+            "estimators": list(ESTIMATORS),
+            "replications": 2,
+        }
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
+                     "--seed", "3", "--out", str(out)]) == 0
+        results = json.loads((out / "montecarlo.json").read_text())["results"]
+        assert set(results) == set(ESTIMATORS)
+        for name, res in results.items():
+            assert (res["failed"], res["completed"]) == (0, 2), name
+            assert ("e_l1" in res["aggregates"]) == ESTIMATORS[name].dynamic
+
+    @pytest.mark.parametrize("estimators", [["lsdv", "diffgmn"], ["all"]])
+    def test_unknown_estimator_is_an_error(self, tmp_path, capsys, estimators):
+        config = {
+            "dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0},
+            "estimators": estimators,
+            "replications": 2,
+        }
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
+                     "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown estimators") and "sysgmm" in err
+        assert not (out / "montecarlo.json").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0,
+                  "sigma_alfa": 1.0}}, "unknown dgp keys: ['sigma_alfa']"),
+        ({"dgp": {"n_regions": 20, "n_years": 6, "beta": 1.0}},
+         "dgp block lacks required keys: ['rho']"),
+        ({"estimators": ["lsdv"]}, "montecarlo config needs a 'dgp' object"),
+    ], ids=["unknown-key", "missing-rho", "missing-dgp"])
+    def test_malformed_dgp_block_is_an_error(self, tmp_path, capsys, config, message):
+        (tmp_path / "mc.json").write_text(json.dumps({**config, "replications": 2}))
+        assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
+                     "--seed", "1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_default_seed_is_the_dgp_default(self, tmp_path):
+        config = {
+            "dgp": {"n_regions": 15, "n_years": 6, "rho": 0.2, "beta": 1.0},
+            "estimator": "lsdv",
+            "replications": 2,
+        }
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        for name, seed in (("none", []), ("zero", ["--seed", "0"])):
+            assert main(["montecarlo", "--config", str(tmp_path / "mc.json"), *seed,
+                         "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "none" / "montecarlo.json").read_bytes()
+                == (tmp_path / "zero" / "montecarlo.json").read_bytes())
 
     def test_same_seed_byte_identical(self, tmp_path):
         config = {

@@ -6,8 +6,6 @@ from forestpanel import (
     Grid,
     PanelDataset,
     PanelError,
-    TransformSpec,
-    apply_transform,
     build_panel,
     demean_twoway,
     demean_twoway_values,
@@ -266,17 +264,3 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             panel.var("x").values[0, 0] = 9.0
 
-
-class TestTransformSpec:
-    def test_apply_lag(self):
-        panel = make_panel([[1, 2, 3]])
-        out = apply_transform(panel, TransformSpec("x", "x_l1", "lag", order=1))
-        assert "x_l1" in out.variables
-
-    def test_bad_kind(self):
-        with pytest.raises(PanelError):
-            TransformSpec("x", "y", "sqrt")
-
-    def test_interact_needs_with_var(self):
-        with pytest.raises(PanelError):
-            TransformSpec("x", "y", "interact")
