@@ -95,15 +95,20 @@ def _log_variables(panel: PanelDataset, use_levels: bool) -> tuple[PanelDataset,
 class Estimator(NamedTuple):
     dynamic: bool  # also fits the lagged response, whose Monte Carlo truth is rho
     fit: Callable[..., FitResult]  # (panel, x, y, args, gmm_year_dummies) -> FitResult
+    gmm: bool = False  # reads the GMM flags
 
 
 def _effects(x: str, y: str, year_effects: bool = True) -> RegressionSpec:
     return RegressionSpec(y, (x,), include_region_effects=True, include_time_effects=year_effects)
 
 
+def _gmm_options(args) -> GmmOptions:
+    return GmmOptions(args.min_lag, args.max_lag, args.collapse, 2 if args.two_step else 1)
+
+
 def _gmm(level: bool):
     def fit(panel, x, y, args, gmm_year_dummies):
-        options = GmmOptions(args.min_lag, args.max_lag, args.collapse, 2 if args.two_step else 1)
+        options = _gmm_options(args)
         spec = _effects(x, y, gmm_year_dummies)
         return fit_sys_gmm(panel, spec, options) if level else fit_diff_gmm(panel, spec, options)
 
@@ -119,8 +124,8 @@ ESTIMATORS = {
                         fit_pooled_ols(panel, RegressionSpec(y, (CONST, x)))),
     "fe2w": Estimator(False, lambda panel, x, y, *_: fit_twoway_fe(panel, _effects(x, y))),
     "lsdv": Estimator(True, lambda panel, x, y, *_: fit_dynamic_lsdv(panel, _effects(x, y))),
-    "diffgmm": Estimator(True, _gmm(level=False)),
-    "sysgmm": Estimator(True, _gmm(level=True)),
+    "diffgmm": Estimator(True, _gmm(level=False), gmm=True),
+    "sysgmm": Estimator(True, _gmm(level=True), gmm=True),
 }
 ESTIMATOR_CHOICES = (*ESTIMATORS, "all")
 
@@ -277,7 +282,7 @@ def cmd_robustness(args) -> int:
     if not excluded and not regions and not args.levels:
         raise PanelError("robustness needs a filter (--exclude-years, --regions) or --levels")
     base_panel, _ = load_panel_csv(args.panel)
-    if args.estimator in ("diffgmm", "sysgmm") and excluded:
+    if ESTIMATORS[args.estimator].gmm and excluded:
         raise EstimationError("year exclusion breaks the GMM lag chain; use fe2w or lsdv")
 
     def run(panel, use_levels):
@@ -351,6 +356,8 @@ def cmd_montecarlo(args) -> int:
         raise EstimationError(
             f"unknown estimators {unknown}; montecarlo accepts {list(ESTIMATORS)}"
         )
+    if any(ESTIMATORS[name].gmm for name in estimators):
+        _gmm_options(args)  # a bad GMM flag fails the run, not every replication
     results = {}
     all_rows = []
     for name in estimators:
@@ -379,6 +386,9 @@ def cmd_montecarlo(args) -> int:
     )
     _write_manifest(out, "montecarlo", args)
     for name, res in results.items():
+        if not res["completed"]:
+            print(f"{name}: no replication completed ({res['failed']} failed)")
+            continue
         agg = res["aggregates"]
         lead = lagged_name("e") if lagged_name("e") in agg else "l"
         print(f"{name}: mean {lead}_hat={agg[lead]['mean']:.4f} (truth {agg[lead]['truth']})")

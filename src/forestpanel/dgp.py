@@ -14,9 +14,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .estimators import FitResult
+from .estimators import EstimationError, FitResult
 from .ingest import Pixel, PixelGrid
-from .panel import Grid, PanelDataset
+from .panel import Grid, PanelDataset, PanelError
 
 
 class DGPError(ValueError):
@@ -237,10 +237,15 @@ class MonteCarloStudy:
     def n_failed(self) -> int:
         return len(self.failures)
 
-    def aggregates(self) -> dict[str, dict[str, float]]:
+    def aggregates(self) -> dict[str, dict[str, float | None]]:
+        """Per-parameter summaries; ``None`` when no replication completed."""
         out = {}
         for name in self.param_names:
             true = self.truth[name]
+            if not self.estimates:
+                out[name] = {"truth": true, "mean": None, "bias": None,
+                             "rmse": None, "coverage": None}
+                continue
             est = np.array([rep[name] for rep in self.estimates])
             ses = np.array([rep[name] for rep in self.std_errors])
             covered = np.abs(est - true) <= 1.96 * ses
@@ -280,9 +285,10 @@ def monte_carlo(
 ) -> MonteCarloStudy:
     """Run the estimator on fresh draws and aggregate bias, RMSE, coverage.
 
-    ``params`` maps fit coefficient names to their true values. Failed
-    replications are recorded and excluded from aggregates, never silently
-    dropped.
+    ``params`` maps fit coefficient names to their true values. A
+    replication whose fit raises a typed estimation, panel or linear-algebra
+    error is recorded and excluded from aggregates, never silently dropped;
+    any other exception is a bug and propagates.
     """
     if replications < 2:
         raise DGPError("need at least 2 replications")
@@ -296,7 +302,7 @@ def monte_carlo(
             ses = fit.std_errors()
             estimates.append({n: fit.coefficients[n] for n in names})
             std_errors.append({n: ses[n] for n in names})
-        except Exception as exc:  # recorded per-rep, surfaced in the study
+        except (EstimationError, PanelError, np.linalg.LinAlgError) as exc:
             failures.append((r, f"{type(exc).__name__}: {exc}"))
     return MonteCarloStudy(
         param_names=names,

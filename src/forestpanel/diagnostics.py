@@ -69,7 +69,7 @@ def hansen_j(gmm_fit: FitResult) -> TestResult:
     if gmm_fit.gmm is None:
         raise DiagnosticError("J test needs a GMM fit with retained instruments")
     internals = gmm_fit.gmm
-    zu = np.einsum("nrK,nr->nK", internals.instruments, internals.residuals)
+    zu = internals.scores
     g = zu.sum(axis=0)
     S = zu.T @ zu
     J = float(g @ np.linalg.pinv(S) @ g)

@@ -4,6 +4,17 @@ optionally stacked with level equations instrumented by lagged differences.
 Moment conditions: levels dated t-s with s >= 2 are orthogonal to the
 differenced error, which identifies the persistence coefficient that the
 within estimator gets wrong for small T.
+
+Every region's instrument matrix Z_i (equation rows x K columns) has the same
+sparsity pattern. An uncollapsed lag block holds one cell per (period, lag)
+column, a collapsed lag column repeats one lag down the rows, the level block
+of system GMM is diagonal (one column when collapsed), and the exogenous
+regressors and year dummies instrument themselves in their own rows. So Z is
+kept as that shared list of (row, column) cells plus an (N, cells) array of
+values, and Z'X, Z'y, Z'HZ and the per-region scores Z_i'u_i are formed from
+it. No (N, rows, K) array is built: beyond the (N, rows, k) regressors, the
+fit holds O(N * cells + cells^2 + N * K) numbers, where cells is about K plus
+rows times the number of exogenous regressors.
 """
 
 from __future__ import annotations
@@ -41,31 +52,38 @@ class GmmOptions:
 
 @dataclass(frozen=True)
 class InstrumentSet:
-    """Per-region instrument blocks for the differenced equation.
+    """Lagged-level instruments for the differenced equation, as one cell
+    pattern shared by every region.
 
-    ``matrices`` has shape (N, periods, columns); rows line up with the
-    differenced periods in ``period_years``. Missing instruments are
-    zero-filled inside the standard per-period block layout.
+    Cell e holds ``values[:, e]`` at (period ``rows[e]``, column ``cols[e]``)
+    of each region's (periods, columns) block; every other entry is zero.
+    Rows line up with the differenced periods in ``period_years``.
     """
 
-    matrices: np.ndarray
+    values: np.ndarray  # (N, cells) lagged levels
+    rows: np.ndarray    # (cells,)
+    cols: np.ndarray    # (cells,)
     labels: tuple[str, ...]
     period_years: tuple[int, ...]
 
     @property
     def n_columns(self) -> int:
-        return self.matrices.shape[2]
+        return len(self.labels)
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The dense (N, periods, columns) blocks, built on each access."""
+        Z = np.zeros((self.values.shape[0], len(self.period_years), self.n_columns))
+        Z[:, self.rows, self.cols] = self.values
+        return Z
 
 
 @dataclass(frozen=True)
 class GmmInternals:
-    """Moment-level pieces retained for the post-estimation tests."""
+    """What the post-estimation tests read, at the final estimates."""
 
-    instruments: np.ndarray       # (N, rows, K), stacked diff + level rows
-    residuals: np.ndarray         # (N, rows) at the final estimates
-    diff_residuals: np.ndarray    # (N, P) differenced-equation part
-    period_years: tuple[int, ...]
-    weight: np.ndarray            # (K, K) weighting used in estimation
+    scores: np.ndarray          # (N, K) per-region moments Z_i'u_i
+    diff_residuals: np.ndarray  # (N, P) differenced-equation residuals
     n_instruments: int
     n_coef: int
 
@@ -96,11 +114,9 @@ def build_ab_instruments(
         lags = [s for s in range(options.min_lag, s_max_global + 1)]
         if not lags:
             raise EstimationError("no usable instruments for the given lag range")
-        Z = np.zeros((N, len(periods), len(lags)))
-        for p, t in enumerate(periods):
-            for c, s in enumerate(lags):
-                if t - s >= 0:
-                    Z[:, p, c] = y[:, t - s]
+        # (period index, column, source year index) of every cell
+        cells = [(p, c, t - s) for c, s in enumerate(lags)
+                 for p, t in enumerate(periods) if t - s >= 0]
         labels = tuple(f"lev_l{s}" for s in lags)
     else:
         cols: list[tuple[int, int]] = []  # (period index, lag distance)
@@ -109,12 +125,49 @@ def build_ab_instruments(
             cols.extend((p, s) for s in range(options.min_lag, s_hi + 1))
         if not cols:
             raise EstimationError("no usable instruments for the given lag range")
-        Z = np.zeros((N, len(periods), len(cols)))
-        for c, (p, s) in enumerate(cols):
-            t = periods[p]
-            Z[:, p, c] = y[:, t - s]
+        cells = [(p, c, periods[p] - s) for c, (p, s) in enumerate(cols)]
         labels = tuple(f"t{panel.years[periods[p]]}_lev_l{s}" for p, s in cols)
-    return InstrumentSet(Z, labels, tuple(panel.years[t] for t in periods))
+    rows, columns, source = np.array(cells, dtype=np.intp).T
+    return InstrumentSet(
+        y[:, source], rows, columns, labels, tuple(panel.years[t] for t in periods)
+    )
+
+
+class _Instruments:
+    """The stacked instrument matrices Z_i of one fit, as cells shared by
+    every region: cell e holds ``values[:, e]`` at (``rows[e]``, ``cols[e]``)."""
+
+    def __init__(self, blocks, n_rows: int, n_columns: int):
+        rows = np.concatenate([b[0] for b in blocks])
+        cols = np.concatenate([b[1] for b in blocks])
+        values = np.concatenate([b[2] for b in blocks], axis=1)
+        order = np.lexsort((rows, cols))  # each column contiguous, for reduceat
+        self.rows, self.cols, self.values = rows[order], cols[order], values[:, order]
+        self.n_columns = n_columns
+        self._starts = np.flatnonzero(np.diff(self.cols, prepend=-1))
+        self._row_cells = [np.flatnonzero(self.rows == r) for r in range(n_rows)]
+
+    def _to_columns(self, W: np.ndarray) -> np.ndarray:
+        """Sum the last (cell) axis of W into instrument columns."""
+        out = np.zeros(W.shape[:-1] + (self.n_columns,))
+        out[..., self.cols[self._starts]] = np.add.reduceat(W, self._starts, axis=-1)
+        return out
+
+    def scores(self, u: np.ndarray) -> np.ndarray:
+        """(N, K) per-region Z_i'u_i for residuals u of shape (N, rows)."""
+        return self._to_columns(self.values * u[:, self.rows])
+
+    def cross(self, X: np.ndarray) -> np.ndarray:
+        """sum_i Z_i'X_i for X of shape (N, rows, m): one product per row."""
+        G = np.empty((self.values.shape[1], X.shape[2]))
+        for r, cells in enumerate(self._row_cells):
+            G[cells] = self.values[:, cells].T @ X[:, r]
+        return self._to_columns(G.T).T
+
+    def gram(self, H: np.ndarray) -> np.ndarray:
+        """sum_i Z_i'H Z_i for a (rows, rows) matrix H."""
+        G = (self.values.T @ self.values) * H[np.ix_(self.rows, self.rows)]
+        return self._to_columns(self._to_columns(G).T)
 
 
 def _fit_gmm(
@@ -163,15 +216,11 @@ def _fit_gmm(
 
     ab = build_ab_instruments(panel, response, options)
     K_ab = ab.n_columns
-    exo_d = Xd[:, :, 1 : 1 + len(exog) + len(dummy_years)]
-    m_exo_d = exo_d.shape[2]
+    m_exo_d = len(exog) + len(dummy_years)
 
     if not level:
         rows = P
         K = K_ab + m_exo_d
-        Z = np.zeros((N, rows, K))
-        Z[:, :, :K_ab] = ab.matrices
-        Z[:, :, K_ab:] = exo_d
         X_all, y_all = Xd, yd
     else:
         # level-equation rows share the coefficient vector
@@ -186,27 +235,25 @@ def _fit_gmm(
                 Xl[:, p, 1 + len(exog) + d] = float(t == s)
             if include_const:
                 Xl[:, p, k - 1] = 1.0
-        dy_lag = np.zeros((N, P))
-        for p, t in enumerate(periods):
-            dy_lag[:, p] = y[:, t - 1] - y[:, t - 2]
-        if options.collapse:
-            Zlev = dy_lag[:, :, None]
-        else:
-            Zlev = np.zeros((N, P, P))
-            for p in range(P):
-                Zlev[:, p, p] = dy_lag[:, p]
-        K_lev = Zlev.shape[2]
-        exo_l = Xl[:, :, 1:]  # exogenous regressors, dummies, const self-instrument
-        m_exo_l = exo_l.shape[2]
+        K_lev = 1 if options.collapse else P
         rows = 2 * P
-        K = K_ab + m_exo_d + K_lev + m_exo_l
-        Z = np.zeros((N, rows, K))
-        Z[:, :P, :K_ab] = ab.matrices
-        Z[:, :P, K_ab : K_ab + m_exo_d] = exo_d
-        Z[:, P:, K_ab + m_exo_d : K_ab + m_exo_d + K_lev] = Zlev
-        Z[:, P:, K_ab + m_exo_d + K_lev :] = exo_l
+        # exogenous regressors, dummies and const instrument themselves
+        K = K_ab + m_exo_d + K_lev + (k - 1)
         X_all = np.concatenate([Xd, Xl], axis=1)
         y_all = np.concatenate([yd, yl], axis=1)
+
+    def own_rows(lo, hi, j_lo, j_hi, col0):
+        # regressors j_lo..j_hi-1 as instruments of rows lo..hi-1, at their non-zero cells
+        r, j = np.nonzero(np.any(X_all[:, lo:hi, j_lo:j_hi] != 0, axis=0))
+        return lo + r, col0 + j, X_all[:, lo + r, j_lo + j]
+
+    # column order: lag levels, differenced exogenous, [lagged differences, level exogenous]
+    blocks = [(ab.rows, ab.cols, ab.values), own_rows(0, P, 1, 1 + m_exo_d, K_ab)]
+    if level:
+        lev_cols = np.zeros(P, dtype=np.intp) if options.collapse else np.arange(P)
+        blocks.append((P + np.arange(P), K_ab + m_exo_d + lev_cols, Xd[:, :, 0]))
+        blocks.append(own_rows(P, rows, 1, k, K_ab + m_exo_d + K_lev))
+    Z = _Instruments(blocks, rows, K)
 
     warnings: list[str] = []
     if K >= N:
@@ -221,8 +268,8 @@ def _fit_gmm(
     if level:
         H[P:, P:] = np.eye(P)
 
-    Mzx = np.einsum("nrK,nrk->Kk", Z, X_all)
-    mzy = np.einsum("nrK,nr->K", Z, y_all)
+    Mzx = Z.cross(X_all)
+    mzy = Z.cross(y_all[:, :, None])[:, 0]
 
     def weight_inverse(M):
         if np.linalg.matrix_rank(M) < M.shape[0]:
@@ -230,8 +277,7 @@ def _fit_gmm(
             return np.linalg.pinv(M)
         return np.linalg.inv(M)
 
-    ZH = np.einsum("nrK,rs->nsK", Z, H)
-    W = weight_inverse(np.einsum("nsK,nsJ->KJ", ZH, Z))
+    W = weight_inverse(Z.gram(H))
 
     def solve_theta(Wm):
         A = Mzx.T @ Wm @ Mzx
@@ -241,21 +287,21 @@ def _fit_gmm(
         return np.linalg.solve(A, b)
 
     theta = solve_theta(W)
-    u = y_all - np.einsum("nrk,k->nr", X_all, theta)
+    u = y_all - X_all @ theta
     if options.steps == 2:
-        zu = np.einsum("nrK,nr->nK", Z, u)
+        zu = Z.scores(u)
         S1 = zu.T @ zu
-        if np.trace(S1) <= 1e-12 * max(1.0, float(np.abs(Z).max()) ** 2):
+        if np.trace(S1) <= 1e-12 * max(1.0, float(np.abs(Z.values).max()) ** 2):
             warnings.append(
                 "degenerate first-step residuals: kept one-step weighting"
             )
         else:
             W = weight_inverse(S1)
             theta = solve_theta(W)
-            u = y_all - np.einsum("nrk,k->nr", X_all, theta)
+            u = y_all - X_all @ theta
 
     # clustered GMM sandwich
-    zu = np.einsum("nrK,nr->nK", Z, u)
+    zu = Z.scores(u)
     S = zu.T @ zu
     A = Mzx.T @ W @ Mzx
     B = Mzx.T @ W @ S @ W @ Mzx
@@ -269,11 +315,8 @@ def _fit_gmm(
     res_values[:, periods] = diff_resid
     avail[:, periods] = True
     internals = GmmInternals(
-        instruments=Z,
-        residuals=u,
+        scores=zu,
         diff_residuals=diff_resid,
-        period_years=ab.period_years,
-        weight=W,
         n_instruments=K,
         n_coef=k,
     )

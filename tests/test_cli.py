@@ -5,11 +5,13 @@ import pytest
 
 from forestpanel import (
     DGPConfig,
+    EstimationError,
     Grid,
     PanelDataset,
     simulate_dynamic_panel,
     write_panel_csv,
 )
+from forestpanel import cli
 from forestpanel.cli import ESTIMATORS, main
 
 
@@ -292,6 +294,37 @@ class TestMonteCarloCommand:
         assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
                      "--seed", "1", "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--min-lag", "min_lag must be >= 2 for valid moment conditions"),
+        ("--max-lag", "max_lag must be >= min_lag"),
+    ], ids=["min-lag", "max-lag"])
+    def test_bad_gmm_flag_is_an_error(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--preset", "nickell-demo", "--reps", "2", flag, "1",
+                     "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "montecarlo.json").exists()
+
+    def test_no_completed_replication_writes_no_nan(self, tmp_path, capsys, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise EstimationError("stub failure")
+
+        monkeypatch.setattr(cli, "fit_diff_gmm", failing_fit)
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--preset", "nickell-demo", "--reps", "2",
+                     "--seed", "1", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        results = json.loads((out / "montecarlo.json").read_text(),
+                             parse_constant=reject)["results"]
+        assert (results["diffgmm"]["completed"], results["diffgmm"]["failed"]) == (0, 2)
+        for agg in results["diffgmm"]["aggregates"].values():
+            assert agg["mean"] is agg["bias"] is agg["rmse"] is agg["coverage"] is None
+        assert results["lsdv"]["completed"] == 2
+        assert "diffgmm: no replication completed (2 failed)" in capsys.readouterr().out
 
     def test_default_seed_is_the_dgp_default(self, tmp_path):
         config = {

@@ -6,6 +6,7 @@ import pytest
 from forestpanel import (
     DGPConfig,
     DGPError,
+    EstimationError,
     FitResult,
     GridDGPConfig,
     RegressionSpec,
@@ -176,13 +177,29 @@ class TestMonteCarlo:
         def flaky(panel):
             calls["n"] += 1
             if calls["n"] % 2 == 0:
-                raise RuntimeError("boom")
+                raise EstimationError("boom")
             return FitResult("stub", ("l",), {"l": 1.0}, np.array([[1e-6]]), 1)
 
         study = monte_carlo(self.CFG, flaky, {"l": 1.0}, replications=6)
         assert study.n_failed == 3
         assert len(study.estimates) == 3
         assert all("boom" in msg for _, msg in study.failures)
+
+    def test_unexpected_exception_propagates(self):
+        def buggy(panel):
+            raise RuntimeError("bug in the estimator")
+
+        with pytest.raises(RuntimeError, match="bug in the estimator"):
+            monte_carlo(self.CFG, buggy, {"l": 1.0}, replications=2)
+
+    def test_no_completed_replication_aggregates_to_none(self):
+        def failing(panel):
+            raise EstimationError("always")
+
+        study = monte_carlo(self.CFG, failing, {"l": 1.0}, replications=3)
+        assert study.n_failed == 3
+        assert study.aggregates() == {"l": {"truth": 1.0, "mean": None, "bias": None,
+                                            "rmse": None, "coverage": None}}
 
     def test_aggregates_match_hand_recomputation(self):
         rng = np.random.default_rng(15)

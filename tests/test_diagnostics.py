@@ -29,11 +29,8 @@ def gmm_stub(diff_residuals):
     """FitResult carrying only the differenced residuals the AR test reads."""
     d = np.asarray(diff_residuals, float)
     internals = GmmInternals(
-        instruments=np.zeros((d.shape[0], d.shape[1], 1)),
-        residuals=d,
+        scores=np.zeros((d.shape[0], 1)),
         diff_residuals=d,
-        period_years=tuple(range(d.shape[1])),
-        weight=np.eye(1),
         n_instruments=1,
         n_coef=1,
     )
