@@ -71,6 +71,7 @@ from .dgp import (
     DGPConfig,
     DGPError,
     GridDGPConfig,
+    MonteCarloRun,
     MonteCarloStudy,
     monte_carlo,
     replication_seed,

@@ -14,8 +14,10 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import __version__
-from .diagnostics import diagnostic_bundle
+from .diagnostics import DiagnosticError, diagnostic_bundle
 from .dgp import DGPConfig, DGPError, monte_carlo
 from .estimators import (
     CONST,
@@ -339,7 +341,10 @@ def cmd_montecarlo(args) -> int:
     if args.preset:
         config = _PRESETS[args.preset]
     elif args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DGPError(f"{args.config}: malformed JSON: {exc}") from None
     else:
         raise PanelError("montecarlo needs --config or --preset")
     if not isinstance(config, dict) or not isinstance(config.get("dgp"), dict):
@@ -356,20 +361,26 @@ def cmd_montecarlo(args) -> int:
         raise EstimationError(
             f"unknown estimators {unknown}; montecarlo accepts {list(ESTIMATORS)}"
         )
+    repeated = sorted({name for name in estimators if estimators.count(name) > 1})
+    if repeated:
+        raise EstimationError(f"estimators listed more than once: {repeated}")
     if any(ESTIMATORS[name].gmm for name in estimators):
         _gmm_options(args)  # a bad GMM flag fails the run, not every replication
-    results = {}
-    all_rows = []
+    estimands = {}
     for name in estimators:
         truth = {"l": dgp.beta}
         if ESTIMATORS[name].dynamic:
             truth[lagged_name("e")] = dgp.rho
         # unlike estimate and robustness, GMM replications fit no year dummies
         fit = partial(_fit, name, x="l", y="e", args=args, gmm_year_dummies=False)
-        study = monte_carlo(dgp, fit, truth, reps)
-        results[name] = study.to_json_dict()
-        for row in study.per_rep_rows():
-            all_rows.append({"estimator": name, **row})
+        estimands[name] = (fit, truth)
+    run = monte_carlo(dgp, estimands, reps)
+    results = {name: study.to_json_dict() for name, study in run.studies.items()}
+    all_rows = [
+        {"estimator": name, **row}
+        for name, study in run.studies.items()
+        for row in study.per_rep_rows()
+    ]
     _write_json(out / "montecarlo.json", {"dgp": sorted(dgp_fields.items()), "results": results})
     value_fields = sorted({k for r in all_rows for k in r} - {"estimator", "rep"})
     fieldnames = ["estimator", "rep"] + value_fields
@@ -392,6 +403,10 @@ def cmd_montecarlo(args) -> int:
         agg = res["aggregates"]
         lead = lagged_name("e") if lagged_name("e") in agg else "l"
         print(f"{name}: mean {lead}_hat={agg[lead]['mean']:.4f} (truth {agg[lead]['truth']})")
+    for name, study in run.studies.items():
+        if study.failures:
+            kinds = ", ".join(f"{kind}: {n}" for kind, n in sorted(study.failure_counts().items()))
+            print(f"{name}: {study.n_failed} failed ({kinds})", file=sys.stderr)
     return 0
 
 
@@ -464,9 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # input and numerical errors only (UnicodeDecodeError: an input file that is
+    # not UTF-8); any other exception is a bug and propagates
     try:
         return args.func(args)
-    except (PanelError, LoadError, EstimationError, OSError, ValueError) as exc:
+    except (PanelError, LoadError, EstimationError, DGPError, DiagnosticError,
+            np.linalg.LinAlgError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

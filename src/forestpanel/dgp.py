@@ -1,15 +1,18 @@
 """Simulation: dynamic panel data with known parameters, synthetic pixel
 disturbance grids, and the Monte Carlo harness used to validate estimators.
 
-Every draw is reproducible from the config seed; replication r of a Monte
-Carlo study derives its own sub-seed from (seed, r), so replications are
-independent of execution order and thread count.
+Every draw is reproducible from the config seed. Replication r of a Monte
+Carlo study draws one panel from the sub-seed of (seed, r), so replications
+are independent of execution order and thread count, and every estimator of
+the study is fitted on that same panel.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -60,6 +63,8 @@ class DGPConfig:
             raise DGPError(f"unknown error law {self.error_law!r}")
         if self.burn_in < 50:
             raise DGPError("burn_in must be >= 50")
+        if self.seed < 0:
+            raise DGPError("seed must be nonnegative")
 
     @classmethod
     def from_mapping(cls, fields: Mapping) -> "DGPConfig":
@@ -91,6 +96,11 @@ def _draw_errors(rng, law: str, tail_index: float, size) -> np.ndarray:
     magnitude = rng.pareto(tail_index, size) + 1.0
     sign = rng.choice([-1.0, 1.0], size=size)
     return magnitude * sign
+
+
+@lru_cache(maxsize=8)
+def _region_labels(n: int) -> tuple[str, ...]:
+    return tuple(f"R{i:04d}" for i in range(n))
 
 
 def simulate_dynamic_panel(
@@ -128,9 +138,8 @@ def simulate_dynamic_panel(
         e[:, t] = prev
 
     years = tuple(range(config.start_year, config.start_year + T))
-    regions = tuple(f"R{i:04d}" for i in range(N))
     panel = PanelDataset(
-        regions,
+        _region_labels(N),
         years,
         {
             regressor_name: Grid.full(x[:, B:]),
@@ -237,6 +246,10 @@ class MonteCarloStudy:
     def n_failed(self) -> int:
         return len(self.failures)
 
+    def failure_counts(self) -> Counter:
+        """Failed replications counted by exception type name."""
+        return Counter(message.split(":", 1)[0] for _, message in self.failures)
+
     def aggregates(self) -> dict[str, dict[str, float | None]]:
         """Per-parameter summaries; ``None`` when no replication completed."""
         out = {}
@@ -277,38 +290,60 @@ class MonteCarloStudy:
         return rows
 
 
+# (fit, truth): fit takes a panel; truth maps fit coefficient names to true values
+Estimand = tuple[Callable[[PanelDataset], FitResult], Mapping[str, float]]
+
+
+@dataclass(frozen=True)
+class MonteCarloRun:
+    """One study per estimator, every study fitted on the same panels."""
+
+    studies: Mapping[str, MonteCarloStudy]
+
+    @property
+    def n_failed(self) -> int:
+        return sum(study.n_failed for study in self.studies.values())
+
+
 def monte_carlo(
     config: DGPConfig,
-    estimator: Callable[[PanelDataset], FitResult],
-    params: Mapping[str, float],
+    estimators: Mapping[str, Estimand],
     replications: int,
-) -> MonteCarloStudy:
-    """Run the estimator on fresh draws and aggregate bias, RMSE, coverage.
+) -> MonteCarloRun:
+    """Fit every estimator on fresh draws and aggregate bias, RMSE, coverage.
 
-    ``params`` maps fit coefficient names to their true values. A
-    replication whose fit raises a typed estimation, panel or linear-algebra
-    error is recorded and excluded from aggregates, never silently dropped;
-    any other exception is a bug and propagates.
+    Replication r draws one panel from ``replication_seed(seed, r)`` and fits
+    every estimator on it, in the order given. A fit that raises a typed
+    estimation, panel or linear-algebra error is recorded as that
+    estimator's failure at r and excluded from its aggregates, never silently
+    dropped; the other estimators still fit r. Any other exception is a bug
+    and propagates.
     """
     if replications < 2:
         raise DGPError("need at least 2 replications")
-    names = tuple(params)
-    estimates, std_errors, failures = [], [], []
+    if not estimators:
+        raise DGPError("need at least one estimator")
+    studies = {
+        name: MonteCarloStudy(
+            param_names=tuple(truth),
+            truth={n: float(v) for n, v in truth.items()},
+            estimates=[],
+            std_errors=[],
+            failures=[],
+            replications=replications,
+        )
+        for name, (_, truth) in estimators.items()
+    }
     for r in range(replications):
         sub = dataclasses.replace(config, seed=replication_seed(config.seed, r))
         panel, _ = simulate_dynamic_panel(sub)
-        try:
-            fit = estimator(panel)
-            ses = fit.std_errors()
-            estimates.append({n: fit.coefficients[n] for n in names})
-            std_errors.append({n: ses[n] for n in names})
-        except (EstimationError, PanelError, np.linalg.LinAlgError) as exc:
-            failures.append((r, f"{type(exc).__name__}: {exc}"))
-    return MonteCarloStudy(
-        param_names=names,
-        truth={n: float(v) for n, v in params.items()},
-        estimates=estimates,
-        std_errors=std_errors,
-        failures=failures,
-        replications=replications,
-    )
+        for name, (estimator, _) in estimators.items():
+            study = studies[name]
+            try:
+                fit = estimator(panel)
+                ses = fit.std_errors()
+                study.estimates.append({n: fit.coefficients[n] for n in study.param_names})
+                study.std_errors.append({n: ses[n] for n in study.param_names})
+            except (EstimationError, PanelError, np.linalg.LinAlgError) as exc:
+                study.failures.append((r, f"{type(exc).__name__}: {exc}"))
+    return MonteCarloRun(studies)

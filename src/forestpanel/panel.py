@@ -66,7 +66,7 @@ class PanelDataset:
     variables: Mapping[str, Grid] = field(default_factory=dict)
 
     def __post_init__(self):
-        regions = tuple(str(r) for r in self.regions)
+        regions = tuple(map(str, self.regions))
         years = tuple(int(y) for y in self.years)
         if len(set(regions)) != len(regions):
             raise PanelError("region identifiers must be unique")

@@ -5,6 +5,8 @@ import pytest
 
 from forestpanel import (
     DGPConfig,
+    DGPError,
+    DiagnosticError,
     EstimationError,
     Grid,
     PanelDataset,
@@ -223,6 +225,39 @@ class TestRobustness:
                      "--out", str(tmp_path / "out")]) == 1
 
 
+class TestErrorHandling:
+    def test_bare_value_error_is_a_bug_and_propagates(self, tmp_path, monkeypatch):
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, seed=90)
+
+        def buggy_fit(*args, **kwargs):
+            raise ValueError("bug in a fit")
+
+        monkeypatch.setattr(cli, "fit_twoway_fe", buggy_fit)
+        with pytest.raises(ValueError, match="bug in a fit"):
+            main(["estimate", "--panel", str(src), "--estimator", "fe2w",
+                  "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("error", [DGPError, DiagnosticError, np.linalg.LinAlgError])
+    def test_typed_error_exits_one(self, tmp_path, capsys, monkeypatch, error):
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, seed=91)
+
+        def failing_fit(*args, **kwargs):
+            raise error("typed failure")
+
+        monkeypatch.setattr(cli, "fit_twoway_fe", failing_fit)
+        assert main(["estimate", "--panel", str(src), "--estimator", "fe2w",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: typed failure\n"
+
+    def test_input_not_utf8_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "panel.csv"
+        src.write_bytes(b"region,year,L,E\nR\xff,2001,1.0,2.0\n")
+        assert main(["estimate", "--panel", str(src), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
 class TestMonteCarloCommand:
     def test_smoke_run_two_reps(self, tmp_path):
         config = {
@@ -324,7 +359,48 @@ class TestMonteCarloCommand:
         for agg in results["diffgmm"]["aggregates"].values():
             assert agg["mean"] is agg["bias"] is agg["rmse"] is agg["coverage"] is None
         assert results["lsdv"]["completed"] == 2
-        assert "diffgmm: no replication completed (2 failed)" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "diffgmm: no replication completed (2 failed)" in captured.out
+        assert captured.err == "diffgmm: 2 failed (EstimationError: 2)\n"
+
+    def test_one_study_equals_single_estimator_runs(self, tmp_path):
+        dgp = {"n_regions": 40, "n_years": 6, "rho": 0.5, "beta": 1.0,
+               "sigma_alpha": 1.0, "sigma_u": 1.0}
+        runs = {}
+        for tag, estimators in (("both", ["lsdv", "diffgmm"]),
+                                ("lsdv", ["lsdv"]), ("diffgmm", ["diffgmm"])):
+            (tmp_path / f"{tag}.json").write_text(
+                json.dumps({"dgp": dgp, "estimators": estimators, "replications": 4}))
+            out = tmp_path / tag
+            assert main(["montecarlo", "--config", str(tmp_path / f"{tag}.json"),
+                         "--two-step", "--seed", "5", "--out", str(out)]) == 0
+            results = json.loads((out / "montecarlo.json").read_text())["results"]
+            rows = (out / "montecarlo.csv").read_text().splitlines()
+            runs[tag] = results, rows
+        both_results, both_rows = runs["both"]
+        for name in ("lsdv", "diffgmm"):
+            assert both_results[name] == runs[name][0][name]
+        # both estimators are dynamic, so the headers agree; rows run estimator then rep
+        header, lsdv_rows = runs["lsdv"][1][0], runs["lsdv"][1][1:]
+        assert runs["diffgmm"][1][0] == header
+        assert both_rows == [header, *lsdv_rows, *runs["diffgmm"][1][1:]]
+
+    def test_repeated_estimator_is_an_error(self, tmp_path, capsys):
+        config = {"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0},
+                  "estimators": ["lsdv", "fe2w", "lsdv"], "replications": 2}
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: estimators listed more than once: ['lsdv']\n"
+
+    def test_malformed_config_json_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "mc.json"
+        path.write_text('{"dgp": {"n_regions": 20,}')
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed JSON: ")
+        assert not (out / "montecarlo.json").exists()
 
     def test_default_seed_is_the_dgp_default(self, tmp_path):
         config = {

@@ -8,15 +8,20 @@ from forestpanel import (
     DGPError,
     EstimationError,
     FitResult,
+    GmmOptions,
     GridDGPConfig,
     RegressionSpec,
     aggregate_loss,
+    fit_diff_gmm,
+    fit_dynamic_lsdv,
     fit_twoway_fe,
+    lagged_name,
     monte_carlo,
     replication_seed,
     simulate_disturbance_grid,
     simulate_dynamic_panel,
 )
+from forestpanel import dgp
 
 
 class TestDGPConfigValidation:
@@ -36,6 +41,10 @@ class TestDGPConfigValidation:
         with pytest.raises(DGPError):
             DGPConfig(n_regions=5, n_years=5, rho=0.0, beta=1.0,
                       regressor_process="brownian")
+
+    def test_negative_seed(self):
+        with pytest.raises(DGPError, match="seed must be nonnegative"):
+            DGPConfig(n_regions=5, n_years=5, rho=0.0, beta=1.0, seed=-1)
 
 
 class TestSimulateDynamicPanel:
@@ -155,7 +164,8 @@ class TestMonteCarlo:
                 n_obs=panel.N * panel.T,
             )
 
-        study = monte_carlo(self.CFG, oracle_estimator, {"l": 1.0}, replications=10)
+        study = monte_carlo(self.CFG, {"stub": (oracle_estimator, {"l": 1.0})},
+                            replications=10).studies["stub"]
         agg = study.aggregates()["l"]
         assert agg["bias"] == 0.0
         assert agg["rmse"] == 0.0
@@ -166,7 +176,8 @@ class TestMonteCarlo:
                         sigma_alpha=1.0, sigma_gamma=0.5, sigma_u=1.0, seed=14)
         spec = RegressionSpec("e", ("l",), include_region_effects=True,
                               include_time_effects=True)
-        study = monte_carlo(cfg, lambda p: fit_twoway_fe(p, spec), {"l": 1.0}, 200)
+        study = monte_carlo(cfg, {"fe2w": (lambda p: fit_twoway_fe(p, spec), {"l": 1.0})},
+                            200).studies["fe2w"]
         agg = study.aggregates()["l"]
         assert abs(agg["bias"]) < 0.01
         assert 0.90 <= agg["coverage"] <= 0.98
@@ -180,7 +191,8 @@ class TestMonteCarlo:
                 raise EstimationError("boom")
             return FitResult("stub", ("l",), {"l": 1.0}, np.array([[1e-6]]), 1)
 
-        study = monte_carlo(self.CFG, flaky, {"l": 1.0}, replications=6)
+        study = monte_carlo(self.CFG, {"flaky": (flaky, {"l": 1.0})},
+                            replications=6).studies["flaky"]
         assert study.n_failed == 3
         assert len(study.estimates) == 3
         assert all("boom" in msg for _, msg in study.failures)
@@ -190,13 +202,14 @@ class TestMonteCarlo:
             raise RuntimeError("bug in the estimator")
 
         with pytest.raises(RuntimeError, match="bug in the estimator"):
-            monte_carlo(self.CFG, buggy, {"l": 1.0}, replications=2)
+            monte_carlo(self.CFG, {"buggy": (buggy, {"l": 1.0})}, replications=2)
 
     def test_no_completed_replication_aggregates_to_none(self):
         def failing(panel):
             raise EstimationError("always")
 
-        study = monte_carlo(self.CFG, failing, {"l": 1.0}, replications=3)
+        study = monte_carlo(self.CFG, {"failing": (failing, {"l": 1.0})},
+                            replications=3).studies["failing"]
         assert study.n_failed == 3
         assert study.aggregates() == {"l": {"truth": 1.0, "mean": None, "bias": None,
                                             "rmse": None, "coverage": None}}
@@ -209,7 +222,8 @@ class TestMonteCarlo:
             value = next(draws)
             return FitResult("stub", ("l",), {"l": value}, np.array([[0.01]]), 1)
 
-        study = monte_carlo(self.CFG, noisy, {"l": 1.0}, replications=8)
+        study = monte_carlo(self.CFG, {"noisy": (noisy, {"l": 1.0})},
+                            replications=8).studies["noisy"]
         est = np.array([rep["l"] for rep in study.estimates])
         agg = study.aggregates()["l"]
         assert agg["mean"] == pytest.approx(est.mean(), abs=1e-15)
@@ -226,13 +240,95 @@ class TestMonteCarlo:
 
     def test_minimum_replications(self):
         with pytest.raises(DGPError):
-            monte_carlo(self.CFG, lambda p: None, {"l": 1.0}, replications=1)
+            monte_carlo(self.CFG, {"stub": (lambda p: None, {"l": 1.0})}, replications=1)
 
     def test_per_rep_rows_shape(self):
         def stub(panel):
             return FitResult("stub", ("l",), {"l": 1.0}, np.array([[0.01]]), 1)
 
-        study = monte_carlo(self.CFG, stub, {"l": 1.0}, replications=3)
+        study = monte_carlo(self.CFG, {"stub": (stub, {"l": 1.0})},
+                            replications=3).studies["stub"]
         rows = study.per_rep_rows()
         assert len(rows) == 3
         assert set(rows[0]) == {"rep", "l_estimate", "l_se"}
+
+
+def stub_fit(panel):
+    return FitResult("stub", ("l",), {"l": 1.0}, np.array([[1e-6]]), 1)
+
+
+def fails_on_even_replications():
+    """A stub fit that raises on replications 0, 2, 4, ...; it is called once
+    per replication, in order, so its call count is the replication index."""
+    calls = {"r": -1}
+
+    def fit(panel):
+        calls["r"] += 1
+        if calls["r"] % 2 == 0:
+            raise EstimationError(f"even {calls['r']}")
+        return stub_fit(panel)
+
+    return fit
+
+
+class TestSharedDraw:
+    CFG = DGPConfig(n_regions=40, n_years=7, rho=0.4, beta=1.0,
+                    sigma_alpha=1.0, sigma_u=1.0, seed=16)
+    SPEC = RegressionSpec("e", ("l",), include_region_effects=True,
+                          include_time_effects=True)
+    GMM_SPEC = RegressionSpec("e", ("l",), include_region_effects=True,
+                              include_time_effects=False)
+    DYNAMIC = {"l": 1.0, lagged_name("e"): 0.4}
+
+    def estimands(self):
+        return {
+            "fe2w": (lambda p: fit_twoway_fe(p, self.SPEC), {"l": 1.0}),
+            "lsdv": (lambda p: fit_dynamic_lsdv(p, self.SPEC), self.DYNAMIC),
+            "diffgmm": (lambda p: fit_diff_gmm(p, self.GMM_SPEC, GmmOptions(steps=2)),
+                        self.DYNAMIC),
+        }
+
+    def test_one_draw_per_replication(self, monkeypatch):
+        calls = []
+        simulate = dgp.simulate_dynamic_panel
+
+        def counting(config, *args, **kwargs):
+            calls.append(config.seed)
+            return simulate(config, *args, **kwargs)
+
+        monkeypatch.setattr(dgp, "simulate_dynamic_panel", counting)
+        run = monte_carlo(self.CFG, self.estimands(), replications=5)
+        assert calls == [replication_seed(self.CFG.seed, r) for r in range(5)]
+        assert list(run.studies) == ["fe2w", "lsdv", "diffgmm"]
+        assert all(len(study.estimates) == 5 for study in run.studies.values())
+
+    def test_failure_stays_with_its_estimator(self):
+        run = monte_carlo(self.CFG, {"flaky": (fails_on_even_replications(), {"l": 1.0}),
+                                     "steady": (stub_fit, {"l": 1.0})},
+                          replications=5)
+        flaky, steady = run.studies["flaky"], run.studies["steady"]
+        assert flaky.failures == [(0, "EstimationError: even 0"),
+                                  (2, "EstimationError: even 2"),
+                                  (4, "EstimationError: even 4")]
+        assert len(flaky.estimates) == 2
+        assert steady.failures == [] and len(steady.estimates) == 5
+        assert run.n_failed == 3
+        assert flaky.failure_counts() == {"EstimationError": 3}
+
+    def test_each_study_equals_its_solo_run(self):
+        estimands = self.estimands()
+        estimands["flaky"] = (fails_on_even_replications(), {"l": 1.0})
+        shared = monte_carlo(self.CFG, estimands, replications=4)
+        solo_estimands = {**self.estimands(),
+                          "flaky": (fails_on_even_replications(), {"l": 1.0})}
+        for name, estimand in solo_estimands.items():
+            solo = monte_carlo(self.CFG, {name: estimand}, replications=4).studies[name]
+            study = shared.studies[name]
+            assert study.estimates == solo.estimates, name
+            assert study.std_errors == solo.std_errors, name
+            assert study.failures == solo.failures, name
+            assert study.truth == solo.truth and study.param_names == solo.param_names
+
+    def test_no_estimator_is_an_error(self):
+        with pytest.raises(DGPError, match="at least one estimator"):
+            monte_carlo(self.CFG, {}, replications=2)
