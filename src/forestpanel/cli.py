@@ -354,7 +354,9 @@ def cmd_montecarlo(args) -> int:
         dgp_fields["seed"] = args.seed
     dgp_fields.setdefault("seed", DGPConfig.seed)
     dgp = DGPConfig.from_mapping(dgp_fields)
-    reps = args.reps or config.get("replications", 100)
+    reps = config.get("replications", 100) if args.reps is None else args.reps
+    if isinstance(reps, bool) or not isinstance(reps, int):
+        raise DGPError(f"config key 'replications' must be an integer, got {reps!r}")
     estimators = config.get("estimators") or [config.get("estimator", "lsdv")]
     unknown = [name for name in estimators if name not in ESTIMATORS]
     if unknown:

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .estimators import EstimationError, FitResult
-from .ingest import Pixel, PixelGrid
+from .ingest import PixelGrid
 from .panel import Grid, PanelDataset, PanelError
 
 
@@ -182,31 +182,24 @@ def simulate_disturbance_grid(config: GridDGPConfig) -> PixelGrid:
     ignition process with Pareto-sized pixel batches.
 
     A pixel is lost at most once; an event that demands more pixels than
-    remain in its region is truncated, never an error.
+    remain in its region is truncated, never an error. The random draws come
+    in a fixed order (each region's biomass, then its canopy; then each
+    region-year's events), so a seed always gives the same grid.
     """
     rng = np.random.default_rng(config.seed)
-    pixels: list[Pixel] = []
-    remaining: dict[str, list[str]] = {}
-    for i in range(config.n_regions):
-        region = f"R{i:04d}"
-        biomass = rng.lognormal(
-            config.biomass_log_mean, config.biomass_log_sigma, config.pixels_per_region
-        )
-        canopy = rng.uniform(0.0, 100.0, config.pixels_per_region)
-        ids = []
-        for j in range(config.pixels_per_region):
-            pid = f"{region}:P{j:05d}"
-            pixels.append(
-                Pixel(pid, region, float(biomass[j]), config.pixel_area, float(canopy[j]))
-            )
-            ids.append(pid)
-        remaining[region] = ids
+    n = config.pixels_per_region
+    regions = [f"R{i:04d}" for i in range(config.n_regions)]
+    draws = [
+        (rng.lognormal(config.biomass_log_mean, config.biomass_log_sigma, n),
+         rng.uniform(0.0, 100.0, n))
+        for _ in regions
+    ]
+    pixel_ids = [f"{region}:P{j:05d}" for region in regions for j in range(n)]
 
-    events: set[tuple[str, int]] = set()
+    events: list[tuple[str, int]] = []
     years = range(config.start_year, config.start_year + config.n_years)
     for i in range(config.n_regions):
-        region = f"R{i:04d}"
-        pool = remaining[region]
+        pool = pixel_ids[i * n:(i + 1) * n]
         for year in years:
             n_events = rng.poisson(config.ignition_rate)
             for _ in range(n_events):
@@ -218,9 +211,15 @@ def simulate_disturbance_grid(config: GridDGPConfig) -> PixelGrid:
                     break
                 chosen = rng.choice(len(pool), size=take, replace=False)
                 for idx in sorted(chosen, reverse=True):
-                    events.add((pool[idx], year))
-                    pool.pop(idx)
-    return PixelGrid(tuple(pixels), frozenset(events))
+                    events.append((pool.pop(idx), year))
+    return PixelGrid(
+        pixel_ids,
+        [region for region in regions for _ in range(n)],
+        np.concatenate([biomass for biomass, _ in draws]),
+        np.full(len(pixel_ids), config.pixel_area),
+        np.concatenate([canopy for _, canopy in draws]),
+        events,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +236,7 @@ class MonteCarloStudy:
 
     param_names: tuple[str, ...]
     truth: dict[str, float]
+    reps: list[int]  # the replication r of each entry of estimates and std_errors
     estimates: list[dict[str, float]]
     std_errors: list[dict[str, float]]
     failures: list[tuple[int, str]]
@@ -281,7 +281,7 @@ class MonteCarloStudy:
 
     def per_rep_rows(self) -> list[dict]:
         rows = []
-        for r, (est, ses) in enumerate(zip(self.estimates, self.std_errors)):
+        for r, est, ses in zip(self.reps, self.estimates, self.std_errors):
             row: dict = {"rep": r}
             for name in self.param_names:
                 row[f"{name}_estimate"] = est[name]
@@ -327,6 +327,7 @@ def monte_carlo(
         name: MonteCarloStudy(
             param_names=tuple(truth),
             truth={n: float(v) for n, v in truth.items()},
+            reps=[],
             estimates=[],
             std_errors=[],
             failures=[],
@@ -344,6 +345,7 @@ def monte_carlo(
                 ses = fit.std_errors()
                 study.estimates.append({n: fit.coefficients[n] for n in study.param_names})
                 study.std_errors.append({n: ses[n] for n in study.param_names})
+                study.reps.append(r)
             except (EstimationError, PanelError, np.linalg.LinAlgError) as exc:
                 study.failures.append((r, f"{type(exc).__name__}: {exc}"))
     return MonteCarloRun(studies)

@@ -83,10 +83,7 @@ def hansen_j(gmm_fit: FitResult) -> TestResult:
 def durbin_watson(residuals_by_region) -> float:
     """Pooled panel Durbin-Watson: within-region squared-difference sums over
     the pooled squared-residual sum."""
-    if isinstance(residuals_by_region, np.ndarray) and residuals_by_region.ndim == 2:
-        series = [row for row in residuals_by_region]
-    else:
-        series = [np.asarray(r, dtype=float) for r in residuals_by_region]
+    series = [np.asarray(r, dtype=float) for r in residuals_by_region]
     num = 0.0
     den = 0.0
     total = 0

@@ -4,17 +4,22 @@ Pixel grids stand in for classified satellite rasters: each pixel carries a
 region id, biomass carbon density, area, and canopy density, plus a set of
 (pixel, year) loss events. Zonal aggregation turns those into the panel's
 loss-area and emission variables.
+
+A ``PixelGrid`` is built one way, from columns: the CSV loader and the
+simulator pass one list or array per attribute, and ``filter_canopy`` and the
+aggregations work on those columns. One vectorised rule, ``_first_bad_pixel``,
+decides which pixel values are valid, for the constructor and for the
+loader's line-numbered errors alike.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,66 +33,71 @@ class LoadError(ValueError):
     """Malformed input file."""
 
 
-@dataclass(frozen=True)
-class Pixel:
+class Pixel(NamedTuple):
+    """One row of ``PixelGrid.pixels``; the grid validates its columns, not this."""
+
     pixel_id: str
     region: str
     biomass_density: float  # Mg C per hectare
     pixel_area: float       # hectares
     canopy_density: float   # percent, 0..100
 
-    def __post_init__(self):
-        for name, value in (
-            ("biomass density", self.biomass_density),
-            ("area", self.pixel_area),
-            ("canopy density", self.canopy_density),
-        ):
-            if not math.isfinite(value):
-                raise LoadError(f"pixel {self.pixel_id}: non-finite {name}")
-        if self.biomass_density < 0:
-            raise LoadError(f"pixel {self.pixel_id}: negative biomass density")
-        if self.pixel_area <= 0:
-            raise LoadError(f"pixel {self.pixel_id}: nonpositive area")
-        if not 0 <= self.canopy_density <= 100:
-            raise LoadError(f"pixel {self.pixel_id}: canopy density outside [0, 100]")
+
+def _first_bad_pixel(ids, biomass, area, canopy) -> tuple[int, str] | None:
+    """The first row that breaks a pixel rule, with its message; None if none does.
+
+    Within a row the rules are checked in the order listed. NaN fails every
+    comparison, so only the non-finite rules name it.
+    """
+    rules = (
+        (~np.isfinite(biomass), "non-finite biomass density"),
+        (~np.isfinite(area), "non-finite area"),
+        (~np.isfinite(canopy), "non-finite canopy density"),
+        (biomass < 0, "negative biomass density"),
+        (area <= 0, "nonpositive area"),
+        ((canopy < 0) | (canopy > 100), "canopy density outside [0, 100]"),
+    )
+    broken = np.vstack([mask for mask, _ in rules])
+    bad = broken.any(axis=0)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, f"pixel {ids[row]}: {rules[int(np.argmax(broken[:, row]))][1]}"
 
 
 class PixelGrid:
     """Pixels plus the set of (pixel_id, year) loss events, stored as columns.
 
-    One row per pixel: ``pixel_ids`` (object array of str), ``region_code``
-    (index into ``regions``, the regions in first-seen pixel order), and the
-    float arrays ``biomass``, ``area`` and ``canopy``. Loss events are two
-    parallel arrays, ``event_pixel`` (a pixel row) and ``event_year``, sorted
-    once by (pixel_id, year). Aggregates sum in that order, so results are
-    bit-identical across runs and across the CSV round trip.
+    ``PixelGrid(pixel_ids, regions, biomass, area, canopy, loss_events)`` takes
+    one entry per pixel in each column (its id, its region label, biomass
+    carbon density in Mg C/ha, area in hectares, canopy density in percent)
+    and any iterable of (pixel_id, year) loss events. It raises ``LoadError``
+    for the first pixel with a non-finite attribute, negative biomass,
+    nonpositive area or canopy outside [0, 100], for a repeated pixel id, and
+    for an event naming an unknown pixel or a pixel lost twice. Exact repeats
+    of an event collapse, as in a set.
 
-    ``PixelGrid(pixels, loss_events)`` builds the columns from ``Pixel``
-    objects. ``pixels`` and ``loss_events`` give the object view back; each
-    is built from the columns at most once, on first use.
+    Stored: ``pixel_ids`` (object array of str), ``region_code`` (index into
+    ``regions``, the regions in first-seen pixel order), and the float arrays
+    ``biomass``, ``area`` and ``canopy``. Loss events are two parallel arrays,
+    ``event_pixel`` (a pixel row) and ``event_year``, sorted once by
+    (pixel_id, year). Aggregates sum in that order, so results are
+    bit-identical across runs and across the CSV round trip. Every column is
+    read-only, and a grid is not hashable. A float64 array passed in is kept
+    as the column, not copied, so it becomes read-only too.
+
+    ``pixels`` and ``loss_events`` are object views rebuilt from the columns
+    on every access.
     """
 
-    def __init__(self, pixels: Iterable[Pixel], loss_events: Iterable[tuple[str, int]]):
-        pixels = tuple(pixels)
-        self._fill(
-            [p.pixel_id for p in pixels],
-            [p.region for p in pixels],
-            np.array([p.biomass_density for p in pixels], dtype=float),
-            np.array([p.pixel_area for p in pixels], dtype=float),
-            np.array([p.canopy_density for p in pixels], dtype=float),
-            loss_events,
-        )
-        self._pixels = pixels
-
-    @classmethod
-    def _from_columns(cls, pixel_ids, regions, biomass, area, canopy, loss_events) -> "PixelGrid":
-        grid = cls.__new__(cls)
-        grid._fill(pixel_ids, regions, biomass, area, canopy, loss_events)
-        return grid
-
-    def _fill(self, pixel_ids: list[str], regions: list[str], biomass, area, canopy,
-              loss_events: Iterable[tuple[str, int]]) -> None:
-        """Validate pixel ids and loss events, then store the columns."""
+    def __init__(self, pixel_ids: Sequence[str], regions: Sequence[str], biomass, area, canopy,
+                 loss_events: Iterable[tuple[str, int]]):
+        biomass, area, canopy = (np.asarray(c, dtype=float) for c in (biomass, area, canopy))
+        if not len(pixel_ids) == len(regions) == len(biomass) == len(area) == len(canopy):
+            raise LoadError("pixel columns differ in length")
+        fault = _first_bad_pixel(pixel_ids, biomass, area, canopy)
+        if fault is not None:
+            raise LoadError(fault[1])
         row_of = dict(zip(pixel_ids, range(len(pixel_ids))))
         if len(row_of) != len(pixel_ids):
             raise LoadError("duplicate pixel ids")
@@ -122,11 +132,8 @@ class PixelGrid:
             ("area", area), ("canopy", canopy), ("event_pixel", event_pixel),
             ("event_year", event_year),
         ):
-            column = np.asarray(column)
             column.setflags(write=False)
             setattr(self, name, column)
-        self._pixels: tuple[Pixel, ...] | None = None
-        self._loss_events: frozenset[tuple[str, int]] | None = None
 
     def _subset(self, keep: np.ndarray) -> "PixelGrid":
         """The pixels where the boolean row mask ``keep`` holds, with their events."""
@@ -150,22 +157,16 @@ class PixelGrid:
 
     @property
     def pixels(self) -> tuple[Pixel, ...]:
-        if self._pixels is None:
-            self._pixels = tuple(map(
-                Pixel,
-                self.pixel_ids.tolist(),
-                [self.regions[c] for c in self.region_code.tolist()],
-                self.biomass.tolist(), self.area.tolist(), self.canopy.tolist(),
-            ))
-        return self._pixels
+        return tuple(map(
+            Pixel,
+            self.pixel_ids.tolist(),
+            [self.regions[c] for c in self.region_code.tolist()],
+            self.biomass.tolist(), self.area.tolist(), self.canopy.tolist(),
+        ))
 
     @property
     def loss_events(self) -> frozenset[tuple[str, int]]:
-        if self._loss_events is None:
-            self._loss_events = frozenset(zip(
-                self.pixel_ids[self.event_pixel].tolist(), self.event_year.tolist()
-            ))
-        return self._loss_events
+        return frozenset(zip(self.pixel_ids[self.event_pixel].tolist(), self.event_year.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, PixelGrid):
@@ -176,8 +177,7 @@ class PixelGrid:
                          "event_pixel", "event_year")
         )
 
-    def __hash__(self):
-        return hash((self.pixels, self.loss_events))
+    __hash__ = None  # nothing hashes a grid; a hash would have to build both views
 
     def __repr__(self):
         return (f"PixelGrid({len(self.pixel_ids)} pixels, {len(self.event_pixel)} loss events, "
@@ -380,25 +380,16 @@ def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
         {"pixel": str, "region": str, "biomass": float, "area": float, "canopy": float},
     )
     biomass, area, canopy = (np.array(a, dtype=float) for a in attributes)
-    # the checks of Pixel.__post_init__, vectorised; NaN fails every comparison
-    invalid = ~(
-        np.isfinite(biomass) & np.isfinite(area) & np.isfinite(canopy)
-        & (biomass >= 0) & (area > 0) & (canopy >= 0) & (canopy <= 100)
-    )
-    if invalid.any():
-        i = int(np.argmax(invalid))  # the first bad row; Pixel raises its message
-        try:
-            Pixel(ids[i], regions[i], float(biomass[i]), float(area[i]), float(canopy[i]))
-        except LoadError as exc:
-            raise LoadError(f"{pixels_path}:{i + 2}: {exc}") from exc
+    fault = _first_bad_pixel(ids, biomass, area, canopy)
+    if fault is not None:  # checked first: a bad value may sit above the row that failed to parse
+        row, message = fault
+        raise LoadError(f"{pixels_path}:{row + 2}: {message}")
     if error is not None:
         raise error
     (event_ids, event_years), error = _read_columns(events_path, {"pixel": str, "year": _event_year})
     if error is not None:
         raise error
-    return PixelGrid._from_columns(
-        ids, regions, biomass, area, canopy, zip(event_ids, event_years)
-    )
+    return PixelGrid(ids, regions, biomass, area, canopy, zip(event_ids, event_years))
 
 
 def write_pixel_grid_csv(grid: PixelGrid, pixels_path, events_path) -> None:

@@ -229,7 +229,7 @@ def test_criterion_8_aggregation_oracle_and_properties():
         (p.pixel_id, int(rng.choice(years)))
         for p in pixels if rng.random() < 0.6
     )
-    grid = fp.PixelGrid(tuple(pixels), events)
+    grid = fp.PixelGrid(*zip(*pixels), events)
     theta = 44.0 / 12.0
     panel = fp.pixel_panel(grid, fp.EmissionFactors(theta), years)
 
@@ -254,10 +254,8 @@ def test_criterion_8_aggregation_oracle_and_properties():
 
     # partition-additivity: splitting the grid and summing matches the whole
     half_ids = {p.pixel_id for p in pixels[:150]}
-    first = fp.PixelGrid(tuple(pixels[:150]),
-                         frozenset(e for e in events if e[0] in half_ids))
-    second = fp.PixelGrid(tuple(pixels[150:]),
-                          frozenset(e for e in events if e[0] not in half_ids))
+    first = fp.PixelGrid(*zip(*pixels[:150]), [e for e in events if e[0] in half_ids])
+    second = fp.PixelGrid(*zip(*pixels[150:]), [e for e in events if e[0] not in half_ids])
     total = np.zeros((len(panel.regions), len(years)))
     for part in (first, second):
         sub = fp.aggregate_loss(part, years)

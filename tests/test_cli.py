@@ -363,6 +363,45 @@ class TestMonteCarloCommand:
         assert "diffgmm: no replication completed (2 failed)" in captured.out
         assert captured.err == "diffgmm: 2 failed (EstimationError: 2)\n"
 
+    def test_rep_column_names_the_replication(self, tmp_path, monkeypatch):
+        fit_diff_gmm = cli.fit_diff_gmm
+        calls = []
+
+        def fails_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise EstimationError("stub failure at r=0")
+            return fit_diff_gmm(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_diff_gmm", fails_first)
+        config = {"dgp": {"n_regions": 30, "n_years": 6, "rho": 0.3, "beta": 1.0},
+                  "estimators": ["lsdv", "diffgmm"], "replications": 3}
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
+                     "--seed", "1", "--out", str(out)]) == 0
+        rows = [line.split(",")[:2] for line in
+                (out / "montecarlo.csv").read_text().splitlines()[1:]]
+        assert rows == [["lsdv", "0"], ["lsdv", "1"], ["lsdv", "2"],
+                        ["diffgmm", "1"], ["diffgmm", "2"]]
+
+    @pytest.mark.parametrize("flags, replications, message", [
+        (["--reps", "0"], 3, "need at least 2 replications"),
+        ([], 2.5, "config key 'replications' must be an integer, got 2.5"),
+        ([], True, "config key 'replications' must be an integer, got True"),
+        ([], "3", "config key 'replications' must be an integer, got '3'"),
+    ], ids=["reps-zero", "float", "bool", "string"])
+    def test_bad_replication_count_is_an_error(self, tmp_path, capsys, flags, replications,
+                                               message):
+        config = {"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0},
+                  "estimator": "lsdv", "replications": replications}
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(tmp_path / "mc.json"), *flags,
+                     "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "montecarlo.json").exists()
+
     def test_one_study_equals_single_estimator_runs(self, tmp_path):
         dgp = {"n_regions": 40, "n_years": 6, "rho": 0.5, "beta": 1.0,
                "sigma_alpha": 1.0, "sigma_u": 1.0}

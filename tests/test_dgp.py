@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ class TestDisturbanceGrid:
         cfg = GridDGPConfig(n_regions=4, pixels_per_region=20, n_years=6, seed=12)
         assert simulate_disturbance_grid(cfg) == simulate_disturbance_grid(cfg)
 
+    def test_columns_pinned_at_seed_11(self):
+        # drawing in another order, or adding or dropping a draw, changes the digest
+        grid = simulate_disturbance_grid(GridDGPConfig(seed=11))
+        digest = hashlib.sha256()
+        digest.update("\n".join(grid.pixel_ids.tolist()).encode())
+        digest.update("\n".join(grid.regions).encode())
+        for name, dtype in (("region_code", "<i8"), ("biomass", "<f8"), ("area", "<f8"),
+                            ("canopy", "<f8"), ("event_pixel", "<i8"), ("event_year", "<i8")):
+            digest.update(np.ascontiguousarray(getattr(grid, name), dtype=dtype).tobytes())
+        assert (len(grid.pixel_ids), len(grid.event_pixel)) == (80000, 13132)
+        assert digest.hexdigest() == (
+            "f83c413722cd128d57eb0baeeca68d32567cf7cf378a15eb6a8463f72dec4c12"
+        )
+
 
 class TestMonteCarlo:
     CFG = DGPConfig(n_regions=50, n_years=8, rho=0.2, beta=1.0,
@@ -251,6 +266,7 @@ class TestMonteCarlo:
         rows = study.per_rep_rows()
         assert len(rows) == 3
         assert set(rows[0]) == {"rep", "l_estimate", "l_se"}
+        assert [row["rep"] for row in rows] == [0, 1, 2]
 
 
 def stub_fit(panel):
@@ -311,7 +327,9 @@ class TestSharedDraw:
                                   (2, "EstimationError: even 2"),
                                   (4, "EstimationError: even 4")]
         assert len(flaky.estimates) == 2
+        assert [row["rep"] for row in flaky.per_rep_rows()] == flaky.reps == [1, 3]
         assert steady.failures == [] and len(steady.estimates) == 5
+        assert [row["rep"] for row in steady.per_rep_rows()] == [0, 1, 2, 3, 4]
         assert run.n_failed == 3
         assert flaky.failure_counts() == {"EstimationError": 3}
 

@@ -167,6 +167,8 @@ class TestDurbinWatson:
         num = np.sum(np.diff(a) ** 2) + np.sum(np.diff(b) ** 2)
         den = a @ a + b @ b
         assert durbin_watson([a, b]) == pytest.approx(num / den, abs=1e-12)
+        # a 2-D array is read as its rows
+        assert durbin_watson(np.vstack([a, b])) == durbin_watson([a, b])
 
     def test_range(self):
         rng = np.random.default_rng(64)

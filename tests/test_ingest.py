@@ -18,8 +18,8 @@ from forestpanel.ingest import load_pixel_grid_csv, write_pixel_grid_csv
 
 
 def grid_of(pixel_specs, events):
-    pixels = tuple(Pixel(*spec) for spec in pixel_specs)
-    return PixelGrid(pixels, frozenset(events))
+    """A grid from (pixel_id, region, biomass, area, canopy) rows."""
+    return PixelGrid(*zip(*pixel_specs), events)
 
 
 @pytest.fixture
@@ -59,7 +59,7 @@ class TestFilterCanopy:
 
 class TestAggregateLoss:
     def test_no_events(self, toy_grid):
-        grid = PixelGrid(toy_grid.pixels, frozenset())
+        grid = grid_of(toy_grid.pixels, [])
         panel = aggregate_loss(grid, [2001, 2002])
         assert np.all(panel.var("value").values == 0.0)
 
@@ -211,15 +211,49 @@ class TestPixelGridInvariants:
             grid_of([("p1", "A", 1, 1, 80)], [("p2", 2001)])
 
     def test_bad_pixel_fields(self):
-        with pytest.raises(LoadError):
-            Pixel("p", "A", -1.0, 1.0, 50.0)
-        with pytest.raises(LoadError):
-            Pixel("p", "A", 1.0, 0.0, 50.0)
-        with pytest.raises(LoadError):
-            Pixel("p", "A", 1.0, 1.0, 101.0)
-        for bad in ((float("nan"), 1.0, 50.0), (1.0, float("inf"), 50.0), (1.0, 1.0, float("nan"))):
-            with pytest.raises(LoadError, match="non-finite"):
-                Pixel("p", "A", *bad)
+        nan, inf = float("nan"), float("inf")
+        for bad, message in (
+            ((-1.0, 1.0, 50.0), "negative biomass density"),
+            ((1.0, 0.0, 50.0), "nonpositive area"),
+            ((1.0, 1.0, 101.0), r"canopy density outside \[0, 100\]"),
+            ((nan, 1.0, 50.0), "non-finite biomass density"),
+            ((1.0, inf, 50.0), "non-finite area"),
+            ((1.0, 1.0, nan), "non-finite canopy density"),
+            # several faults in one pixel: the first rule in this order names it
+            ((nan, -1.0, 500.0), "non-finite biomass density"),
+            ((-1.0, 0.0, 500.0), "negative biomass density"),
+            ((1.0, -inf, 500.0), "non-finite area"),
+        ):
+            with pytest.raises(LoadError, match=f"^pixel p: {message}$"):
+                grid_of([("ok", "A", 1.0, 1.0, 50.0), ("p", "A", *bad)], [])
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(LoadError, match="differ in length"):
+            PixelGrid(["p1", "p2"], ["A"], [1.0, 1.0], [1.0, 1.0], [50.0, 50.0], [])
+
+    def test_object_views_match_columns(self, toy_grid):
+        # the benchmark counts pixels and events through these views
+        for grid in (toy_grid, filter_canopy(toy_grid, 60.0)):
+            assert grid.pixels == tuple(
+                Pixel(pixel_id, grid.regions[code], biomass, area, canopy)
+                for pixel_id, code, biomass, area, canopy in zip(
+                    grid.pixel_ids, grid.region_code, grid.biomass, grid.area, grid.canopy)
+            )
+            assert grid.loss_events == frozenset(
+                zip(grid.pixel_ids[grid.event_pixel], grid.event_year.tolist())
+            )
+            assert len(grid.loss_events) == len(grid.event_pixel)
+        assert toy_grid.pixels[2] == ("p3", "B", 30.0, 1.0, 95.0)
+        assert filter_canopy(toy_grid, 60.0).loss_events == {("p1", 2001), ("p3", 2001)}
+
+    def test_columns_read_only_and_grid_unhashable(self):
+        biomass = np.array([1.0, 2.0])
+        grid = PixelGrid(["a", "b"], ["A", "A"], biomass, [1, 1], [50, 50], [("a", 2001)])
+        for column in (biomass, grid.area, grid.pixel_ids, grid.event_year):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[-1]
+        with pytest.raises(TypeError):
+            hash(grid)
 
 
 class TestPanelCsv:
@@ -285,8 +319,13 @@ class TestPanelCsv:
         write_pixel_grid_csv(grid, tmp_path / "pixels.csv", tmp_path / "events.csv")
         reloaded = load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv")
         assert reloaded == grid
-        assert reloaded.pixels == grid.pixels
-        assert reloaded.loss_events == grid.loss_events
+        assert reloaded.regions == grid.regions == ("A", "B")
+        for name in ("pixel_ids", "region_code", "biomass", "area", "canopy",
+                     "event_pixel", "event_year"):
+            assert np.array_equal(getattr(reloaded, name), getattr(grid, name)), name
+        assert reloaded.pixel_ids.tolist() == ["p1", "p2"]
+        assert reloaded.biomass.tolist() == [10.5, 20.25]
+        assert reloaded.event_year.tolist() == [2003]
 
     @pytest.mark.parametrize("rows, line, message", [
         # the first bad line wins, whatever is wrong with it
