@@ -9,6 +9,7 @@ import numpy as np
 from scipy import stats
 
 from .estimators import FitResult
+from .panel import Grid
 
 
 class DiagnosticError(ValueError):
@@ -42,16 +43,18 @@ def _verdict(p: float, what: str) -> str:
 def ar_test(gmm_fit: FitResult, order: int) -> TestResult:
     """Serial-correlation z-test of order m on the differenced residuals.
 
-    Per-region covariance contributions are summed and self-normalized; the
-    reference distribution is standard normal. Order-1 correlation is expected
-    by construction of differencing; order-2 correlation signals invalid
-    instruments.
+    Reads the fully available years of the fit's ``residual_grid``, which for
+    a GMM fit are its differenced periods. Per-region covariance contributions
+    are summed and self-normalized; the reference distribution is standard
+    normal. Order-1 correlation is expected by construction of differencing;
+    order-2 correlation signals invalid instruments.
     """
     if order not in (1, 2):
         raise DiagnosticError("order must be 1 or 2")
-    if gmm_fit.gmm is None:
+    grid = gmm_fit.residual_grid
+    if gmm_fit.gmm is None or grid is None:
         raise DiagnosticError("AR test needs a GMM fit with retained residuals")
-    d = gmm_fit.gmm.diff_residuals
+    d = grid.values[:, grid.available.all(axis=0)]
     P = d.shape[1]
     if P <= order:
         raise DiagnosticError(f"too few differenced periods ({P}) for AR({order})")
@@ -68,36 +71,33 @@ def hansen_j(gmm_fit: FitResult) -> TestResult:
     """Overidentification J statistic with the efficient clustered weighting."""
     if gmm_fit.gmm is None:
         raise DiagnosticError("J test needs a GMM fit with retained instruments")
-    internals = gmm_fit.gmm
-    zu = internals.scores
+    zu = gmm_fit.gmm.scores
     g = zu.sum(axis=0)
     S = zu.T @ zu
     J = float(g @ np.linalg.pinv(S) @ g)
-    df = internals.n_instruments - internals.n_coef
+    df = gmm_fit.gmm.n_instruments - len(gmm_fit.coef_names)
     if df <= 0:
         return TestResult(J, 1.0, 0, "just-identified: J is identically zero")
     p = float(stats.chi2.sf(J, df))
     return TestResult(J, p, df, _verdict(p, "instrument validity"))
 
 
-def durbin_watson(residuals_by_region) -> float:
+def durbin_watson(residuals: Grid) -> float:
     """Pooled panel Durbin-Watson: within-region squared-difference sums over
-    the pooled squared-residual sum."""
-    series = [np.asarray(r, dtype=float) for r in residuals_by_region]
-    num = 0.0
-    den = 0.0
-    total = 0
-    for r in series:
-        total += r.size
-        den += float(r @ r)
-        if r.size >= 2:
-            d = np.diff(r)
-            num += float(d @ d)
-    if total < 2:
+    the pooled squared-residual sum.
+
+    Each region's available residuals form its series in year order, so a
+    masked year is bridged: the years on either side of it are differenced.
+    """
+    rows = np.nonzero(residuals.available)[0]
+    r = residuals.values[residuals.available]
+    if r.size < 2:
         raise DiagnosticError("need at least 2 residuals")
+    den = float(r @ r)
     if den == 0.0:
         raise DiagnosticError("all residuals are zero: statistic undefined")
-    return num / den
+    d = np.diff(r)[rows[1:] == rows[:-1]]  # drop the pairs that span two regions
+    return float(d @ d) / den
 
 
 def jarque_bera(residuals) -> TestResult:
@@ -131,15 +131,14 @@ def diagnostic_bundle(fit: FitResult) -> dict:
     out: dict = {}
     if fit.within_r2 is not None:
         out["within_r2"] = fit.within_r2
-    if fit.residual_grid is not None:
-        rows = fit.residual_rows()
-        flat = np.concatenate([r for r in rows if r.size]) if rows else np.array([])
+    grid = fit.residual_grid
+    if grid is not None:
         try:
-            out["durbin_watson"] = durbin_watson(rows)
+            out["durbin_watson"] = durbin_watson(grid)
         except DiagnosticError as exc:
             out["durbin_watson_error"] = str(exc)
         try:
-            out["jarque_bera"] = jarque_bera(flat).to_json_dict()
+            out["jarque_bera"] = jarque_bera(grid.values[grid.available]).to_json_dict()
         except DiagnosticError as exc:
             out["jarque_bera_error"] = str(exc)
     if fit.gmm is not None:

@@ -43,7 +43,12 @@ class RegressionSpec:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Coefficients, clustered covariance, residuals, and fit statistics."""
+    """Coefficients, clustered covariance, residuals, and fit statistics.
+
+    ``residual_grid`` is the one copy of the residuals, available at the cells
+    of the estimation sample; for GMM those are the differenced-equation
+    residuals at their periods. Every diagnostic reads it.
+    """
 
     estimator_tag: str
     coef_names: tuple[str, ...]
@@ -51,7 +56,6 @@ class FitResult:
     vcov: np.ndarray
     n_obs: int
     residual_grid: Grid | None = None
-    regions: tuple[str, ...] = ()
     within_r2: float | None = None
     warnings: tuple[str, ...] = ()
     gmm: Any = None
@@ -94,13 +98,6 @@ class FitResult:
         if self.gmm is not None:
             out["n_instruments"] = int(self.gmm.n_instruments)
         return out
-
-    def residual_rows(self) -> list[np.ndarray]:
-        """Available residuals per region, in year order."""
-        if self.residual_grid is None:
-            raise EstimationError("fit carries no per-cell residuals")
-        grid = self.residual_grid
-        return [grid.values[i][grid.available[i]] for i in range(grid.shape[0])]
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,6 @@ def fit_pooled_ols(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
         vcov=vcov,
         n_obs=int(avail.sum()),
         residual_grid=Grid(res_values, avail),
-        regions=panel.regions,
     )
 
 
@@ -266,7 +262,6 @@ def _within_fit(
         vcov=vcov,
         n_obs=N * Ts,
         residual_grid=Grid(res_values, avail),
-        regions=panel.regions,
         within_r2=1.0 - rss / tss if tss > 0 else None,
         warnings=extra_warnings,
     )

@@ -80,12 +80,15 @@ class InstrumentSet:
 
 @dataclass(frozen=True)
 class GmmInternals:
-    """What the post-estimation tests read, at the final estimates."""
+    """The per-region moments Z_i'u_i (N, K) at the final estimates, which the
+    J test reads. The differenced residuals the AR tests read are the fit's
+    ``residual_grid``, and the coefficient count is ``len(fit.coef_names)``."""
 
-    scores: np.ndarray          # (N, K) per-region moments Z_i'u_i
-    diff_residuals: np.ndarray  # (N, P) differenced-equation residuals
-    n_instruments: int
-    n_coef: int
+    scores: np.ndarray
+
+    @property
+    def n_instruments(self) -> int:
+        return self.scores.shape[1]
 
 
 def _diff_periods(T: int) -> list[int]:
@@ -185,13 +188,8 @@ def _fit_gmm(
         raise EstimationError("GMM needs T >= 3")
     periods = _diff_periods(T)
     P = len(periods)
-
-    Xg = []
-    for name in exog:
-        g = panel.var(name)
-        if not g.available[:, periods].all():
-            raise EstimationError(f"regressor {name!r} unavailable in estimation years")
-        Xg.append(g.values)
+    # the periods and the years one before them, as slices of the year axis
+    now, before = slice(periods[0], T), slice(periods[0] - 1, T - 1)
 
     coef_names = [lag_name, *exog]
     dummy_years = periods if spec.include_time_effects else []
@@ -202,17 +200,22 @@ def _fit_gmm(
         coef_names.append("const")
     k = len(coef_names)
 
-    # differenced-equation rows
-    Xd = np.zeros((N, P, k))
-    yd = np.zeros((N, P))
-    for p, t in enumerate(periods):
-        yd[:, p] = y[:, t] - y[:, t - 1]
-        Xd[:, p, 0] = y[:, t - 1] - y[:, t - 2]
-        for j, xv in enumerate(Xg):
-            Xd[:, p, 1 + j] = xv[:, t] - xv[:, t - 1]
-        for d, s in enumerate(dummy_years):
-            Xd[:, p, 1 + len(exog) + d] = float(t == s) - float(t == s + 1)
-        # const column differences to zero
+    # level regressors in coefficient order; year 0 is never read
+    Xlev = np.zeros((N, T, k))
+    Xlev[:, 1:, 0] = y[:, :-1]
+    for j, name in enumerate(exog, start=1):
+        g = panel.var(name)
+        # the first differenced equation also reads the year before it
+        if not g.available[:, before.start:].all():
+            raise EstimationError(f"regressor {name!r} unavailable in estimation years")
+        Xlev[:, :, j] = g.values
+    for d, t in enumerate(dummy_years, start=1 + len(exog)):
+        Xlev[:, t, d] = 1.0
+    if include_const:
+        Xlev[:, :, k - 1] = 1.0
+    # differenced equations at the periods, from the same design
+    Xd = Xlev[:, now] - Xlev[:, before]
+    yd = y[:, now] - y[:, before]
 
     ab = build_ab_instruments(panel, response, options)
     K_ab = ab.n_columns
@@ -223,24 +226,13 @@ def _fit_gmm(
         K = K_ab + m_exo_d
         X_all, y_all = Xd, yd
     else:
-        # level-equation rows share the coefficient vector
-        Xl = np.zeros((N, P, k))
-        yl = np.zeros((N, P))
-        for p, t in enumerate(periods):
-            yl[:, p] = y[:, t]
-            Xl[:, p, 0] = y[:, t - 1]
-            for j, xv in enumerate(Xg):
-                Xl[:, p, 1 + j] = xv[:, t]
-            for d, s in enumerate(dummy_years):
-                Xl[:, p, 1 + len(exog) + d] = float(t == s)
-            if include_const:
-                Xl[:, p, k - 1] = 1.0
         K_lev = 1 if options.collapse else P
         rows = 2 * P
         # exogenous regressors, dummies and const instrument themselves
         K = K_ab + m_exo_d + K_lev + (k - 1)
-        X_all = np.concatenate([Xd, Xl], axis=1)
-        y_all = np.concatenate([yd, yl], axis=1)
+        # level-equation rows share the coefficient vector
+        X_all = np.concatenate([Xd, Xlev[:, now]], axis=1)
+        y_all = np.concatenate([yd, y[:, now]], axis=1)
 
     def own_rows(lo, hi, j_lo, j_hi, col0):
         # regressors j_lo..j_hi-1 as instruments of rows lo..hi-1, at their non-zero cells
@@ -309,17 +301,11 @@ def _fit_gmm(
     vcov = (N / (N - 1)) * Ainv @ B @ Ainv
     vcov = 0.5 * (vcov + vcov.T)
 
-    diff_resid = u[:, :P]
+    # the differenced-equation residuals, at their periods
     res_values = np.zeros((N, T))
     avail = np.zeros((N, T), dtype=bool)
-    res_values[:, periods] = diff_resid
-    avail[:, periods] = True
-    internals = GmmInternals(
-        scores=zu,
-        diff_residuals=diff_resid,
-        n_instruments=K,
-        n_coef=k,
-    )
+    res_values[:, now] = u[:, :P]
+    avail[:, now] = True
     return FitResult(
         estimator_tag="sys_gmm" if level else "diff_gmm",
         coef_names=tuple(coef_names),
@@ -327,9 +313,8 @@ def _fit_gmm(
         vcov=vcov,
         n_obs=N * rows,
         residual_grid=Grid(res_values, avail),
-        regions=panel.regions,
         warnings=tuple(warnings),
-        gmm=internals,
+        gmm=GmmInternals(zu),
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -256,6 +256,13 @@ def pixel_panel(
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
+def _bounded_year(year: int, what: str) -> int:
+    """``year``, or a ValueError naming it ``what`` if it is outside 1000-9999."""
+    if not 1000 <= year <= 9999:
+        raise ValueError(f"{what} {year} outside 1000-9999")
+    return year
+
+
 def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
     """Load a `region,year,<var>,...` CSV into a balanced panel.
 
@@ -273,9 +280,10 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
         var_names = header[2:]
         rows: list[tuple[str, int, str, float]] = []
         seen: set[tuple[str, int]] = set()
-        for lineno, record in enumerate(reader, start=2):
+        for record in reader:
             if not record:
                 continue
+            lineno = reader.line_num  # a quoted field may span lines
             if len(record) != len(header):
                 raise LoadError(f"{path}:{lineno}: expected {len(header)} fields")
             region = record[0]
@@ -283,6 +291,10 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
                 year = int(record[1])
             except ValueError:
                 raise LoadError(f"{path}:{lineno}: bad year {record[1]!r}") from None
+            try:
+                _bounded_year(year, "year")
+            except ValueError as exc:
+                raise LoadError(f"{path}:{lineno}: {exc}") from None
             if (region, year) in seen:
                 raise LoadError(f"{path}:{lineno}: duplicate row for ({region}, {year})")
             seen.add((region, year))
@@ -329,16 +341,26 @@ def _convert_prefix(texts: list[str], convert) -> tuple[list, ValueError | None]
     return values, None
 
 
+def _file_line(path, row: int) -> int:
+    """The file line of data row ``row`` (0-based, blank lines not rows)."""
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)  # the header
+        for _ in islice(filter(None, reader), row + 1):
+            pass
+        return reader.line_num
+
+
 def _read_columns(path, converters: dict) -> tuple[list[list], LoadError | None]:
     """Parse the named columns of a CSV file, one list per column.
 
     ``converters`` maps each required header name to the function that parses
     its fields. Rows are read up to the first one that is too short or fails a
     conversion; the columns returned all stop there, together with the error
-    naming that row's ``path:lineno`` (None if every row parsed). The caller
-    raises it unless it finds an earlier bad row. Blank lines are skipped and
-    not counted, and a repeated header name means its last column, as with
-    ``csv.DictReader``.
+    naming that row's ``path:line`` (None if every row parsed). The caller
+    raises it unless it finds an earlier bad row. Blank lines are skipped as
+    rows but counted as lines, and a repeated header name means its last
+    column, as with ``csv.DictReader``.
     """
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -349,28 +371,25 @@ def _read_columns(path, converters: dict) -> tuple[list[list], LoadError | None]
     position = {name: i for i, name in enumerate(header)}
     index = [position[name] for name in converters]
     width = max(index) + 1
-    stop, error = len(rows), None
+    stop, message = len(rows), None
     lengths = list(map(len, rows))
     if lengths and min(lengths) < width:
         stop = next(i for i, n in enumerate(lengths) if n < width)
-        error = LoadError(
-            f"{path}:{stop + 2}: expected at least {width} fields, got {lengths[stop]}"
-        )
+        message = f"expected at least {width} fields, got {lengths[stop]}"
     columns = []
     for i, convert in zip(index, converters.values()):
         # a later column takes over only at an earlier row, as fields parse left to right
         values, exc = _convert_prefix(list(map(itemgetter(i), rows[:stop])), convert)
         if exc is not None:
-            stop, error = len(values), LoadError(f"{path}:{len(values) + 2}: {exc}")
+            stop, message = len(values), str(exc)
         columns.append(values)
+    # only a file that failed is read again, to find the line of its bad row
+    error = None if message is None else LoadError(f"{path}:{_file_line(path, stop)}: {message}")
     return [column[:stop] for column in columns], error
 
 
 def _event_year(text: str) -> int:
-    year = int(text)
-    if not 1000 <= year <= 9999:
-        raise ValueError(f"event year {year} outside 1000-9999")
-    return year
+    return _bounded_year(int(text), "event year")
 
 
 def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
@@ -383,7 +402,7 @@ def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
     fault = _first_bad_pixel(ids, biomass, area, canopy)
     if fault is not None:  # checked first: a bad value may sit above the row that failed to parse
         row, message = fault
-        raise LoadError(f"{pixels_path}:{row + 2}: {message}")
+        raise LoadError(f"{pixels_path}:{_file_line(pixels_path, row)}: {message}")
     if error is not None:
         raise error
     (event_ids, event_years), error = _read_columns(events_path, {"pixel": str, "year": _event_year})

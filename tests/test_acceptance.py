@@ -193,8 +193,8 @@ def test_criterion_6_diagnostic_calibration():
 
 def test_criterion_7_diagnostic_fixtures():
     checks = []
-    checks.append(fp.durbin_watson([np.array([2.0, 2.0, 2.0, 2.0])]) == 0.0)
-    dw = fp.durbin_watson([np.array([1.0, -1.0, 1.0, -1.0])])
+    checks.append(fp.durbin_watson(fp.Grid.full([[2.0, 2.0, 2.0, 2.0]])) == 0.0)
+    dw = fp.durbin_watson(fp.Grid.full([[1.0, -1.0, 1.0, -1.0]]))
     checks.append(abs(dw - 3.0) < 1e-12)
 
     c = np.sqrt(6 + np.sqrt(50))
@@ -206,7 +206,7 @@ def test_criterion_7_diagnostic_fixtures():
     panel, _ = fp.simulate_dynamic_panel(cfg)
     fit = fp.fit_diff_gmm(panel, GMM_SPEC,
                           fp.GmmOptions(min_lag=2, max_lag=2, collapse=True))
-    just_identified = fit.gmm.n_instruments == fit.gmm.n_coef
+    just_identified = fit.gmm.n_instruments == len(fit.coef_names)
     checks.append(just_identified and fp.hansen_j(fit).statistic <= 1e-8)
 
     report("7 DW/JB/Hansen fixtures",

@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestpanel import (
     DGPConfig,
     DiagnosticError,
     GmmOptions,
+    Grid,
     RegressionSpec,
     ar_test,
     diagnostic_bundle,
@@ -28,19 +31,14 @@ SPEC = RegressionSpec("e", ("l",), include_region_effects=True, include_time_eff
 def gmm_stub(diff_residuals):
     """FitResult carrying only the differenced residuals the AR test reads."""
     d = np.asarray(diff_residuals, float)
-    internals = GmmInternals(
-        scores=np.zeros((d.shape[0], 1)),
-        diff_residuals=d,
-        n_instruments=1,
-        n_coef=1,
-    )
     return FitResult(
         estimator_tag="diff_gmm",
         coef_names=("x",),
         coefficients={"x": 0.0},
         vcov=np.eye(1),
         n_obs=d.size,
-        gmm=internals,
+        residual_grid=Grid.full(d),
+        gmm=GmmInternals(scores=np.zeros((d.shape[0], 1))),
     )
 
 
@@ -101,7 +99,7 @@ class TestHansenJ:
                         sigma_alpha=1.0, sigma_u=0.8, seed=55)
         panel, _ = simulate_dynamic_panel(cfg)
         fit = fit_diff_gmm(panel, SPEC, GmmOptions(min_lag=2, max_lag=2, collapse=True))
-        assert fit.gmm.n_instruments == fit.gmm.n_coef
+        assert fit.gmm.n_instruments == len(fit.coef_names)
         result = hansen_j(fit)
         assert result.statistic <= 1e-8
         assert result.df == 0
@@ -139,42 +137,90 @@ class TestHansenJ:
         assert rejections / R > 0.5
 
 
+def rows_grid(series):
+    """Residual grid with one region per equal-length series."""
+    return Grid.full(np.vstack(series))
+
+
 class TestDurbinWatson:
     def test_constant_residuals(self):
-        assert durbin_watson([np.array([1.0, 1.0, 1.0, 1.0])]) == 0.0
+        assert durbin_watson(rows_grid([np.array([1.0, 1.0, 1.0, 1.0])])) == 0.0
 
     def test_alternating_residuals(self):
-        assert durbin_watson([np.array([1.0, -1.0, 1.0, -1.0])]) == pytest.approx(3.0)
+        assert durbin_watson(rows_grid([np.array([1.0, -1.0, 1.0, -1.0])])) == pytest.approx(3.0)
 
     def test_white_noise_near_two(self):
         rng = np.random.default_rng(62)
         series = [rng.normal(size=500) for _ in range(20)]
-        assert 1.8 < durbin_watson(series) < 2.2
+        assert 1.8 < durbin_watson(rows_grid(series)) < 2.2
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(63)
         series = [rng.normal(size=30) for _ in range(3)]
-        base = durbin_watson(series)
-        scaled = durbin_watson([7.7 * s for s in series])
+        base = durbin_watson(rows_grid(series))
+        scaled = durbin_watson(rows_grid([7.7 * s for s in series]))
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_all_zero_rejected(self):
         with pytest.raises(DiagnosticError):
-            durbin_watson([np.zeros(5)])
+            durbin_watson(rows_grid([np.zeros(5)]))
 
     def test_pooled_across_regions(self):
         a, b = np.array([1.0, 2.0, 4.0]), np.array([2.0, -1.0, 3.0])
         num = np.sum(np.diff(a) ** 2) + np.sum(np.diff(b) ** 2)
         den = a @ a + b @ b
-        assert durbin_watson([a, b]) == pytest.approx(num / den, abs=1e-12)
-        # a 2-D array is read as its rows
-        assert durbin_watson(np.vstack([a, b])) == durbin_watson([a, b])
+        assert durbin_watson(rows_grid([a, b])) == pytest.approx(num / den, abs=1e-12)
+        # a masked year holding junk is skipped, its neighbours differenced
+        values = np.insert(np.vstack([a, b]), 1, 99.0, axis=1)
+        available = np.ones(values.shape, dtype=bool)
+        available[:, 1] = False
+        assert durbin_watson(Grid(values, available)) == durbin_watson(rows_grid([a, b]))
 
     def test_range(self):
         rng = np.random.default_rng(64)
         for _ in range(20):
-            value = durbin_watson([rng.normal(size=50)])
+            value = durbin_watson(rows_grid([rng.normal(size=50)]))
             assert 0.0 <= value <= 4.0
+
+    @staticmethod
+    def per_region_oracle(grid):
+        """The per-region loop the columnar statistic replaced."""
+        num = den = 0.0
+        total = 0
+        for i in range(grid.shape[0]):
+            r = grid.values[i][grid.available[i]]
+            total += r.size
+            den += float(r @ r)
+            if r.size >= 2:
+                d = np.diff(r)
+                num += float(d @ d)
+        if total < 2 or den == 0.0:
+            return None
+        return num / den
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 9)),
+        seed=st.integers(0, 2**32 - 1),
+        p_masked=st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+        dead_regions=st.integers(0, 3),
+        interior_year=st.booleans(),
+    )
+    def test_matches_per_region_loop(self, shape, seed, p_masked, dead_regions, interior_year):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=shape) * rng.choice([0.0, 1.0, 1e3], size=shape)
+        available = rng.random(shape) >= p_masked
+        available[: min(dead_regions, shape[0])] = False  # fully masked regions
+        if interior_year and shape[1] >= 3:
+            available[:, shape[1] // 2] = False  # a masked interior year, bridged
+        values[~available] = rng.normal(size=int((~available).sum())) * 1e6  # junk placeholders
+        grid = Grid(values, available)
+        expected = self.per_region_oracle(grid)
+        if expected is None:
+            with pytest.raises(DiagnosticError):
+                durbin_watson(grid)
+        else:
+            assert durbin_watson(grid) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def exact_normal_moments_sample():

@@ -14,6 +14,7 @@ from forestpanel import (
     fit_diff_gmm,
     fit_sys_gmm,
     hansen_j,
+    lag,
     replication_seed,
     simulate_dynamic_panel,
 )
@@ -201,6 +202,24 @@ class TestSysGmm:
         system = fit_sys_gmm(panel, SPEC, GmmOptions())
         assert system.n_obs == 2 * diff.n_obs
         assert system.estimator_tag == "sys_gmm"
+
+
+class TestRegressorAvailability:
+    # the first differenced equation (0-based year 2) also reads year 1
+    @pytest.mark.parametrize("fit", [fit_diff_gmm, fit_sys_gmm])
+    def test_lag2_regressor_rejected(self, fit):
+        panel = noise_free_panel(N=20, T=6, seed=32)
+        panel = panel.with_variable("l_l2", lag(panel, "l", 2))
+        spec = dataclasses.replace(SPEC, regressors=("l_l2",))
+        with pytest.raises(EstimationError, match="regressor 'l_l2' unavailable in estimation years"):
+            fit(panel, spec, GmmOptions())
+
+    @pytest.mark.parametrize("fit", [fit_diff_gmm, fit_sys_gmm])
+    def test_lag1_regressor_accepted(self, fit):
+        panel = noise_free_panel(N=20, T=6, seed=32)
+        panel = panel.with_variable("l_l1", lag(panel, "l", 1))
+        spec = dataclasses.replace(SPEC, regressors=("l_l1",))
+        assert np.isfinite(fit(panel, spec, GmmOptions()).coefficients["l_l1"])
 
 
 # ---------------------------------------------------------------------------

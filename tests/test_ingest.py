@@ -277,6 +277,15 @@ class TestPanelCsv:
         path.write_text("region,year,L\nA,2001,abc\n")
         with pytest.raises(LoadError, match=":2"):
             load_panel_csv(path)
+        # a quoted field spanning two lines moves the bad row to line 4
+        path.write_text('region,year,L\n"A\nB",2001,1\nA,2001,abc\n')
+        with pytest.raises(LoadError, match="panel.csv:4: malformed number 'abc'"):
+            load_panel_csv(path)
+        # a year outside 1000-9999 would span an unbounded year range
+        for year in ("300000000000000000", "999", "10000"):
+            path.write_text(f"region,year,L\nA,2001,1\nA,{year},2\n")
+            with pytest.raises(LoadError, match=f"panel.csv:3: year {year} outside 1000-9999"):
+                load_panel_csv(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "panel.csv"
@@ -334,6 +343,10 @@ class TestPanelCsv:
         (["p1,A,1,1,50", "p2,A,1,1,50", "p3,A,1"], 4, "expected at least 5 fields"),
         (["p1,A,1,1,50", "p2,A,1,inf,50"], 3, "non-finite area"),
         (["p1,A,1,1,nan"], 2, "non-finite canopy"),
+        # blank lines are not rows but still count as lines
+        (["p1,A,1,1,50", "", "p3,A,-1,1,50"], 4, "negative biomass"),
+        (["p1,A,1,1,50", "", "p3,A,x,1,50"], 4, "could not convert"),
+        (["", "p1,A,1,1,50", "", "", "p4,A,1"], 6, "expected at least 5 fields"),
     ])
     def test_pixel_errors_name_first_bad_line(self, tmp_path, rows, line, message):
         (tmp_path / "pixels.csv").write_text(
