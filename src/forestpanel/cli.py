@@ -48,6 +48,7 @@ from .panel import (
     PanelError,
     demean_twoway_values,
     log1_grid,
+    region_year_rows,
 )
 
 
@@ -162,8 +163,7 @@ def _write_csv(path: Path, header, rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +205,7 @@ def _scatter_rows(panel: PanelDataset, x: str, y: str):
     dx = demean_twoway_values(gx.values[:, mask])
     dy = demean_twoway_values(gy.values[:, mask])
     years = [panel.years[j] for j in range(panel.T) if mask[j]]
-    rows = []
-    for i, region in enumerate(panel.regions):
-        for j, year in enumerate(years):
-            rows.append([region, year, repr(float(dx[i, j])), repr(float(dy[i, j]))])
-    return rows
+    return region_year_rows(panel.regions, years, (dx, dy))
 
 
 def cmd_estimate(args) -> int:

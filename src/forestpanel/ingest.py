@@ -10,20 +10,29 @@ simulator pass one list or array per attribute, and ``filter_canopy`` and the
 aggregations work on those columns. One vectorised rule, ``_first_bad_pixel``,
 decides which pixel values are valid, for the constructor and for the
 loader's line-numbered errors alike.
+
+Both CSV loaders read a file in blocks of a few thousand rows. Each block's
+numeric fields become float64 or int64 arrays at once, years get one
+vectorised 1000-9999 check, and the block's text is dropped before the next
+block is read, except the fields kept as text: pixel ids and region labels.
+The first bad row of a file still names its line: a file is read a second
+time, only after it failed, to find that line. The panel writer formats one
+region's rows at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import Grid, PanelDataset, PanelError, build_panel
+from .panel import Grid, PanelDataset, PanelError, panel_from_cells, region_year_rows
 
 # CO2/C molecular mass ratio; the conventional carbon-to-CO2e factor.
 DEFAULT_THETA = 44.0 / 12.0
@@ -65,13 +74,17 @@ def _first_bad_pixel(ids, biomass, area, canopy) -> tuple[int, str] | None:
     return row, f"pixel {ids[row]}: {rules[int(np.argmax(broken[:, row]))][1]}"
 
 
+# one loss event as the constructor reads it
+_EVENT = np.dtype([("pixel", object), ("year", np.int64)])
+
+
 class PixelGrid:
     """Pixels plus the set of (pixel_id, year) loss events, stored as columns.
 
     ``PixelGrid(pixel_ids, regions, biomass, area, canopy, loss_events)`` takes
     one entry per pixel in each column (its id, its region label, biomass
     carbon density in Mg C/ha, area in hectares, canopy density in percent)
-    and any iterable of (pixel_id, year) loss events. It raises ``LoadError``
+    and any iterable of (pixel_id, year) loss-event tuples. It raises ``LoadError``
     for the first pixel with a non-finite attribute, negative biomass,
     nonpositive area or canopy outside [0, 100], for a repeated pixel id, and
     for an event naming an unknown pixel or a pixel lost twice. Exact repeats
@@ -83,8 +96,9 @@ class PixelGrid:
     ``event_pixel`` (a pixel row) and ``event_year``, sorted once by
     (pixel_id, year). Aggregates sum in that order, so results are
     bit-identical across runs and across the CSV round trip. Every column is
-    read-only, and a grid is not hashable. A float64 array passed in is kept
-    as the column, not copied, so it becomes read-only too.
+    read-only, and a grid is not hashable. A float64 array, or an object array
+    of pixel ids, passed in is kept as the column, not copied, so it becomes
+    read-only too.
 
     ``pixels`` and ``loss_events`` are object views rebuilt from the columns
     on every access.
@@ -98,30 +112,38 @@ class PixelGrid:
         fault = _first_bad_pixel(pixel_ids, biomass, area, canopy)
         if fault is not None:
             raise LoadError(fault[1])
-        row_of = dict(zip(pixel_ids, range(len(pixel_ids))))
-        if len(row_of) != len(pixel_ids):
+        pixel_ids = np.asarray(pixel_ids, dtype=object)
+        by_id = np.argsort(pixel_ids, kind="stable")
+        sorted_ids = pixel_ids[by_id]
+        if (sorted_ids[1:] == sorted_ids[:-1]).any():
             raise LoadError("duplicate pixel ids")
-        # sorted, with exact repeats dropped as from a set
-        events = list(dict.fromkeys(sorted(loss_events)))
-        event_pixel = np.fromiter(
-            map(row_of.get, map(itemgetter(0), events), repeat(-1)), dtype=np.intp, count=len(events)
-        )
-        bad = event_pixel < 0
+        events = np.fromiter(loss_events, dtype=_EVENT)
+        events = events[np.lexsort((events["year"], events["pixel"]))]
+        event_ids, event_year = events["pixel"], events["year"]
+        # sorted by (pixel_id, year), with exact repeats dropped as from a set
+        new = np.ones(len(events), dtype=bool)
+        new[1:] = (event_ids[1:] != event_ids[:-1]) | (event_year[1:] != event_year[:-1])
+        event_ids, event_year = event_ids[new], event_year[new]
+        at = np.searchsorted(sorted_ids, event_ids)
+        known = at < len(sorted_ids)
+        known[known] = sorted_ids[at[known]] == event_ids[known]
+        event_pixel = np.full(len(event_ids), -1, dtype=np.intp)
+        event_pixel[known] = by_id[at[known]]
+        bad = ~known
         bad[1:] |= event_pixel[1:] == event_pixel[:-1]
         if bad.any():
             i = int(np.argmax(bad))
-            pixel_id = events[i][0]
-            if event_pixel[i] < 0:
-                raise LoadError(f"loss event references unknown pixel {pixel_id!r}")
-            raise LoadError(f"pixel {pixel_id!r} lost more than once")
+            if not known[i]:
+                raise LoadError(f"loss event references unknown pixel {event_ids[i]!r}")
+            raise LoadError(f"pixel {event_ids[i]!r} lost more than once")
         code_of = {r: i for i, r in enumerate(dict.fromkeys(regions))}
         self._store(
-            np.array(pixel_ids, dtype=object),
+            pixel_ids,
             tuple(code_of),
             np.fromiter(map(code_of.__getitem__, regions), dtype=np.intp, count=len(regions)),
             biomass, area, canopy,
             event_pixel,
-            np.fromiter(map(itemgetter(1), events), dtype=np.int64, count=len(events)),
+            event_year,
         )
 
     def _store(self, pixel_ids, regions, region_code, biomass, area, canopy,
@@ -189,6 +211,8 @@ class EmissionFactors:
     theta: float = DEFAULT_THETA
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise LoadError(f"theta must be finite, got {self.theta!r}")
         if self.theta <= 0:
             raise LoadError("theta must be positive")
 
@@ -256,79 +280,16 @@ def pixel_panel(
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
-def _bounded_year(year: int, what: str) -> int:
-    """``year``, or a ValueError naming it ``what`` if it is outside 1000-9999."""
-    if not 1000 <= year <= 9999:
-        raise ValueError(f"{what} {year} outside 1000-9999")
-    return year
+# Rows parsed at a time. Each block's fields are converted to columns before
+# the next block is read, so a load holds one block of text, never the file.
+_BLOCK_ROWS = 4096
 
 
-def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
-    """Load a `region,year,<var>,...` CSV into a balanced panel.
-
-    Returns the panel and the list of regions dropped for incompleteness.
-    """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
-        if len(header) < 3 or header[0] != "region" or header[1] != "year":
-            raise LoadError(f"{path}: header must start with 'region,year,'")
-        var_names = header[2:]
-        rows: list[tuple[str, int, str, float]] = []
-        seen: set[tuple[str, int]] = set()
-        for record in reader:
-            if not record:
-                continue
-            lineno = reader.line_num  # a quoted field may span lines
-            if len(record) != len(header):
-                raise LoadError(f"{path}:{lineno}: expected {len(header)} fields")
-            region = record[0]
-            try:
-                year = int(record[1])
-            except ValueError:
-                raise LoadError(f"{path}:{lineno}: bad year {record[1]!r}") from None
-            try:
-                _bounded_year(year, "year")
-            except ValueError as exc:
-                raise LoadError(f"{path}:{lineno}: {exc}") from None
-            if (region, year) in seen:
-                raise LoadError(f"{path}:{lineno}: duplicate row for ({region}, {year})")
-            seen.add((region, year))
-            for name, text in zip(var_names, record[2:]):
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise LoadError(
-                        f"{path}:{lineno}: malformed number {text!r} for {name}"
-                    ) from None
-                rows.append((region, year, name, value))
-    try:
-        return build_panel(rows)
-    except PanelError as exc:
-        raise LoadError(f"{path}: {exc}") from exc
-
-
-def write_panel_csv(panel: PanelDataset, path) -> None:
-    """Write a fully available panel back to the `region,year,...` layout."""
-    names = list(panel.variables)
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["region", "year"] + names)
-        for i, region in enumerate(panel.regions):
-            for j, year in enumerate(panel.years):
-                row = [region, year]
-                for name in names:
-                    grid = panel.variables[name]
-                    if not grid.available[i, j]:
-                        raise LoadError(
-                            f"variable {name!r} unavailable at ({region}, {year})"
-                        )
-                    row.append(repr(float(grid.values[i, j])))
-                writer.writerow(row)
+def _blocks(reader) -> Iterator[list[list[str]]]:
+    """The non-blank rows of ``reader``, in lists of at most ``_BLOCK_ROWS``."""
+    rows = filter(None, reader)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        yield block
 
 
 def _convert_prefix(texts: list[str], convert) -> tuple[list, ValueError | None]:
@@ -341,6 +302,38 @@ def _convert_prefix(texts: list[str], convert) -> tuple[list, ValueError | None]
     return values, None
 
 
+def _texts(texts: list[str]) -> tuple[np.ndarray, None]:
+    """A column of fields kept as text."""
+    return np.array(texts, dtype=object), None
+
+
+def _floats(texts: list[str]) -> tuple[np.ndarray, ValueError | None]:
+    """float64 values of ``texts`` up to the first that ``float`` rejects, and that error."""
+    try:
+        return np.fromiter(map(float, texts), dtype=float, count=len(texts)), None
+    except ValueError:
+        values, exc = _convert_prefix(texts, float)  # only a block that fails converts twice
+        return np.array(values, dtype=float), exc
+
+
+def _first_outside(years: list[int]) -> int | None:
+    """Index of the first year outside 1000-9999; None if every one lies inside."""
+    # int64, or float64 or object when a year is beyond int64: compared alike
+    years = np.array(years)
+    outside = (years < 1000) | (years > 9999)
+    return int(np.argmax(outside)) if outside.any() else None
+
+
+def _event_years(texts: list[str]) -> tuple[np.ndarray, ValueError | None]:
+    """int64 event years up to the first field that is no integer in 1000-9999, and its error."""
+    years, exc = _convert_prefix(texts, int)
+    k = _first_outside(years)
+    if k is not None:
+        exc = ValueError(f"event year {years[k]} outside 1000-9999")
+        del years[k:]
+    return np.array(years, dtype=np.int64), exc
+
+
 def _file_line(path, row: int) -> int:
     """The file line of data row ``row`` (0-based, blank lines not rows)."""
     with Path(path).open(newline="", encoding="utf-8") as handle:
@@ -351,61 +344,165 @@ def _file_line(path, row: int) -> int:
         return reader.line_num
 
 
-def _read_columns(path, converters: dict) -> tuple[list[list], LoadError | None]:
-    """Parse the named columns of a CSV file, one list per column.
+def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
+    """Load a `region,year,<var>,...` CSV into a balanced panel.
 
-    ``converters`` maps each required header name to the function that parses
-    its fields. Rows are read up to the first one that is too short or fails a
-    conversion; the columns returned all stop there, together with the error
-    naming that row's ``path:line`` (None if every row parsed). The caller
-    raises it unless it finds an earlier bad row. Blank lines are skipped as
-    rows but counted as lines, and a repeated header name means its last
-    column, as with ``csv.DictReader``.
+    Returns the panel and the list of regions dropped for incompleteness. The
+    header must name each variable once. A row fails for, in this order, its
+    field count, a year that is no integer or lies outside 1000-9999, a
+    (region, year) pair seen before, and a malformed number, checked in header
+    order; the first row that fails names its ``path:line``. The file is read
+    in blocks of rows, so only one block of text is held at a time.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise LoadError(f"{path}: empty file") from None
+        if len(header) < 3 or header[0] != "region" or header[1] != "year":
+            raise LoadError(f"{path}: header must start with 'region,year,'")
+        names = header[2:]
+        repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+        if repeated:
+            raise LoadError(f"{path}: header repeats column {repeated[0]!r}")
+        code: dict[str, int] = {}  # region -> index, in first-seen order
+        codes, years = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int64)]
+        columns = [[np.empty(0)] for _ in names]
+        done, fault, keyed_rows = 0, None, None
+        for block in _blocks(reader):
+            stop, message = len(block), None
+            lengths = list(map(len, block))
+            if lengths.count(len(header)) < len(block):
+                stop = next(i for i, n in enumerate(lengths) if n != len(header))
+                message = f"expected {len(header)} fields"
+            ints, exc = _convert_prefix(list(map(itemgetter(1), block[:stop])), int)
+            if exc is not None:
+                stop, message = len(ints), f"bad year {block[len(ints)][1]!r}"
+            k = _first_outside(ints)
+            if k is not None:
+                stop, message = k, f"year {ints[k]} outside 1000-9999"
+            keyed = stop  # rows whose region and year parsed
+            regions = list(map(itemgetter(0), block[:keyed]))
+            for region in dict.fromkeys(regions):
+                code.setdefault(region, len(code))
+            codes.append(np.fromiter(map(code.__getitem__, regions), dtype=np.intp, count=keyed))
+            years.append(np.array(ints[:keyed], dtype=np.int64))
+            for j, (name, column) in enumerate(zip(names, columns), start=2):
+                # a later variable takes over only at an earlier row
+                values, exc = _floats(list(map(itemgetter(j), block[:stop])))
+                if exc is not None:
+                    stop = len(values)
+                    message = f"malformed number {block[stop][j]!r} for {name}"
+                column.append(values)
+            if message is not None:
+                # the duplicate check precedes the numbers within a row
+                fault, keyed_rows = (done + stop, message), done + min(stop + 1, keyed)
+                break
+            done += stop
+    region_code, year = np.concatenate(codes), np.concatenate(years)
+    key = region_code[:keyed_rows] * 10000 + year[:keyed_rows]
+    _, first = np.unique(key, return_index=True)
+    if first.size != key.size:
+        seen_before = np.ones(key.size, dtype=bool)
+        seen_before[first] = False
+        row = int(np.argmax(seen_before))
+        fault = row, f"duplicate row for ({list(code)[region_code[row]]}, {year[row]})"
+    if fault is not None:
+        row, message = fault
+        raise LoadError(f"{path}:{_file_line(path, row)}: {message}")
+    values = np.column_stack([np.concatenate(column) for column in columns])  # rows x names
+    V = len(names)
+    try:
+        return panel_from_cells(
+            tuple(code), tuple(names), region_code.repeat(V), year.repeat(V),
+            np.tile(np.arange(V), len(year)), values.ravel(),
+        )
+    except PanelError as exc:
+        raise LoadError(f"{path}: {exc}") from exc
+
+
+def write_panel_csv(panel: PanelDataset, path) -> None:
+    """Write a fully available panel back to the `region,year,...` layout."""
+    names = list(panel.variables)
+    grids = [panel.variables[name] for name in names]
+    # the first unavailable cell in row order, then in variable order
+    missing = [(int(np.argmax(~g.available)), k)
+               for k, g in enumerate(grids) if not g.available.all()]
+    if missing:
+        cell, k = min(missing)
+        region, year = panel.regions[cell // panel.T], panel.years[cell % panel.T]
+        raise LoadError(f"variable {names[k]!r} unavailable at ({region}, {year})")
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["region", "year"] + names)
+        writer.writerows(region_year_rows(panel.regions, panel.years, [g.values for g in grids]))
+
+
+def _read_columns(path, parsers: dict) -> tuple[list[np.ndarray], LoadError | None]:
+    """Parse the named columns of a CSV file, one array per column.
+
+    ``parsers`` maps each required header name to the function that parses a
+    list of its fields: it returns their values as an array, up to the first
+    field it rejects, and the ValueError naming that field (None if it rejects
+    none). The file is read in blocks of rows, so only one block of text is
+    held at a time. Rows are read up to the first one that is too short or
+    that a parser rejects; the columns returned all stop there, together with
+    the error naming that row's ``path:line`` (None if every row parsed). The
+    caller raises it unless it finds an earlier bad row. Blank lines are
+    skipped as rows but counted as lines, and a repeated header name means its
+    last column, as with ``csv.DictReader``.
     """
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header is None or not set(converters) <= set(header):
-            raise LoadError(f"{path}: header must contain {sorted(converters)}")
-        rows = list(filter(None, reader))
-    position = {name: i for i, name in enumerate(header)}
-    index = [position[name] for name in converters]
-    width = max(index) + 1
-    stop, message = len(rows), None
-    lengths = list(map(len, rows))
-    if lengths and min(lengths) < width:
-        stop = next(i for i, n in enumerate(lengths) if n < width)
-        message = f"expected at least {width} fields, got {lengths[stop]}"
-    columns = []
-    for i, convert in zip(index, converters.values()):
-        # a later column takes over only at an earlier row, as fields parse left to right
-        values, exc = _convert_prefix(list(map(itemgetter(i), rows[:stop])), convert)
-        if exc is not None:
-            stop, message = len(values), str(exc)
-        columns.append(values)
-    # only a file that failed is read again, to find the line of its bad row
-    error = None if message is None else LoadError(f"{path}:{_file_line(path, stop)}: {message}")
-    return [column[:stop] for column in columns], error
-
-
-def _event_year(text: str) -> int:
-    return _bounded_year(int(text), "event year")
+        if header is None or not set(parsers) <= set(header):
+            raise LoadError(f"{path}: header must contain {sorted(parsers)}")
+        position = {name: i for i, name in enumerate(header)}
+        index = [position[name] for name in parsers]
+        width = max(index) + 1
+        # an empty first chunk gives a file without rows its column types
+        chunks = [[parse([])[0]] for parse in parsers.values()]
+        done, message = 0, None
+        for block in _blocks(reader):
+            stop = len(block)
+            lengths = list(map(len, block))
+            if min(lengths) < width:
+                stop = next(i for i, n in enumerate(lengths) if n < width)
+                message = f"expected at least {width} fields, got {lengths[stop]}"
+            for i, parse, chunk in zip(index, parsers.values(), chunks):
+                # a later column takes over only at an earlier row, as fields parse left to right
+                values, exc = parse(list(map(itemgetter(i), block[:stop])))
+                if exc is not None:
+                    stop, message = len(values), str(exc)
+                chunk.append(values)
+            if message is not None:
+                for chunk in chunks:
+                    chunk[-1] = chunk[-1][:stop]
+                break
+            done += stop
+    error = None
+    if message is not None:  # only a file that failed is read again, to find its bad row's line
+        error = LoadError(f"{path}:{_file_line(path, done + stop)}: {message}")
+    return [np.concatenate(chunk) for chunk in chunks], error
 
 
 def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
     """Load the `pixels.csv` / `loss_events.csv` pair."""
-    (ids, regions, *attributes), error = _read_columns(
+    (ids, regions, biomass, area, canopy), error = _read_columns(
         pixels_path,
-        {"pixel": str, "region": str, "biomass": float, "area": float, "canopy": float},
+        {"pixel": _texts, "region": _texts, "biomass": _floats, "area": _floats, "canopy": _floats},
     )
-    biomass, area, canopy = (np.array(a, dtype=float) for a in attributes)
     fault = _first_bad_pixel(ids, biomass, area, canopy)
     if fault is not None:  # checked first: a bad value may sit above the row that failed to parse
         row, message = fault
         raise LoadError(f"{pixels_path}:{_file_line(pixels_path, row)}: {message}")
     if error is not None:
         raise error
-    (event_ids, event_years), error = _read_columns(events_path, {"pixel": str, "year": _event_year})
+    (event_ids, event_years), error = _read_columns(
+        events_path, {"pixel": _texts, "year": _event_years}
+    )
     if error is not None:
         raise error
     return PixelGrid(ids, regions, biomass, area, canopy, zip(event_ids, event_years))

@@ -9,9 +9,10 @@ invalid cells can never leak into an estimation sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -117,45 +118,82 @@ def build_panel(
     dropped. Returns the panel together with the list of dropped regions.
     """
     rows = list(rows)
-    if not rows:
-        raise PanelError("no input rows")
     n = len(rows)
     regions = list(map(str, map(itemgetter(0), rows)))
     names = list(map(str, map(itemgetter(2), rows)))
-    years_seen = np.fromiter(map(int, map(itemgetter(1), rows)), dtype=np.int64, count=n)
-    values = np.fromiter(map(float, map(itemgetter(3), rows)), dtype=float, count=n)
     # first-seen order of regions and variables, kept by dict insertion order
     region_index = {r: i for i, r in enumerate(dict.fromkeys(regions))}
     var_index = {v: k for k, v in enumerate(dict.fromkeys(names))}
-    ri = np.fromiter(map(region_index.__getitem__, regions), dtype=np.intp, count=n)
-    vi = np.fromiter(map(var_index.__getitem__, names), dtype=np.intp, count=n)
-    first_year = int(years_seen.min())
-    years = tuple(range(first_year, int(years_seen.max()) + 1))
-    R, T, V = len(region_index), len(years), len(var_index)
-    yi = years_seen - first_year
+    return panel_from_cells(
+        tuple(region_index),
+        tuple(var_index),
+        np.fromiter(map(region_index.__getitem__, regions), dtype=np.intp, count=n),
+        np.fromiter(map(int, map(itemgetter(1), rows)), dtype=np.int64, count=n),
+        np.fromiter(map(var_index.__getitem__, names), dtype=np.intp, count=n),
+        np.fromiter(map(float, map(itemgetter(3), rows)), dtype=float, count=n),
+    )
 
-    cell = (ri * T + yi) * V + vi
+
+def panel_from_cells(
+    regions: tuple[str, ...],
+    names: tuple[str, ...],
+    region_code: np.ndarray,
+    years: np.ndarray,
+    var_code: np.ndarray,
+    values: np.ndarray,
+) -> tuple[PanelDataset, list[str]]:
+    """The balanced panel of cells given as four parallel columns.
+
+    Entry c sets variable ``names[var_code[c]]`` of region
+    ``regions[region_code[c]]`` in year ``years[c]`` to ``values[c]``; regions
+    and variables keep the order given. Regions missing any (year, variable)
+    cell over the observed year span are dropped. Returns the panel together
+    with the list of dropped regions. ``build_panel`` and the panel CSV loader
+    both fill their grids here.
+    """
+    n = len(values)
+    if not n:
+        raise PanelError("no input rows")
+    first_year = int(years.min())
+    span = tuple(range(first_year, int(years.max()) + 1))
+    R, T, V = len(regions), len(span), len(names)
+    yi = years - first_year
+
+    cell = (region_code * T + yi) * V + var_code
     _, first_row = np.unique(cell, return_index=True)
     if first_row.size != n:
-        repeat = np.ones(n, dtype=bool)
-        repeat[first_row] = False
-        i = int(np.argmax(repeat))  # the first row whose cell was seen before
+        seen_before = np.ones(n, dtype=bool)
+        seen_before[first_row] = False
+        i = int(np.argmax(seen_before))  # the first entry whose cell was seen before
         raise PanelError(
-            f"duplicate cell for region={regions[i]} year={int(years_seen[i])} variable={names[i]}"
+            f"duplicate cell for region={regions[region_code[i]]} year={int(years[i])} "
+            f"variable={names[var_code[i]]}"
         )
     # cells are distinct and inside the span, so a region is complete iff it has all T * V
-    complete = np.bincount(ri, minlength=R) == T * V
-    kept = [r for r, ok in zip(region_index, complete.tolist()) if ok]
-    dropped = [r for r, ok in zip(region_index, complete.tolist()) if not ok]
+    complete = np.bincount(region_code, minlength=R) == T * V
+    kept = [r for r, ok in zip(regions, complete.tolist()) if ok]
+    dropped = [r for r, ok in zip(regions, complete.tolist()) if not ok]
     if not kept:
         raise PanelError("no region has a complete year series over the observed span")
 
-    take = complete[ri]
+    take = complete[region_code]
     kept_row = np.cumsum(complete) - 1
     grids = np.empty((V, len(kept), T))
-    grids[vi[take], kept_row[ri[take]], yi[take]] = values[take]
-    variables = {v: Grid.full(grids[k]) for v, k in var_index.items()}
-    return PanelDataset(tuple(kept), years, variables), dropped
+    grids[var_code[take], kept_row[region_code[take]], yi[take]] = values[take]
+    variables = {v: Grid.full(grids[k]) for k, v in enumerate(names)}
+    return PanelDataset(tuple(kept), span, variables), dropped
+
+
+def region_year_rows(regions, years, columns) -> Iterator[tuple]:
+    """One ``(region, year, repr(value), ...)`` row per cell of the N x T ``columns``.
+
+    Rows come region by region, each region's years in order. ``repr`` of a
+    float is the shortest text that reads back to the same double, so written
+    values round-trip bit for bit. A region's values are formatted only when
+    its rows are reached, so no list of every formatted value is held.
+    """
+    for region, *values in zip(regions, *columns):
+        yield from zip(repeat(region), years, *(map(repr, row.tolist()) for row in values))
 
 
 # ---------------------------------------------------------------------------

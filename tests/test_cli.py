@@ -88,6 +88,18 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and where in err
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta_is_named(self, tmp_path, capsys, theta):
+        (tmp_path / "pixels.csv").write_text("pixel,region,biomass,area,canopy\np1,A,10.0,1.0,80\n")
+        (tmp_path / "events.csv").write_text("pixel,year\np1,2001\n")
+        code = main([
+            "ingest", "--pixels", str(tmp_path / "pixels.csv"),
+            "--events", str(tmp_path / "events.csv"), "--theta", theta,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: theta must be finite, got {theta}\n"
+
     def test_simulated_grid_skewness(self, tmp_path):
         from forestpanel import GridDGPConfig, simulate_disturbance_grid
         from forestpanel.ingest import write_pixel_grid_csv

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from forestpanel import (
     summary_stats,
     write_panel_csv,
 )
+from forestpanel.dgp import GridDGPConfig, simulate_disturbance_grid
 from forestpanel.ingest import load_pixel_grid_csv, write_pixel_grid_csv
 
 
@@ -107,6 +111,11 @@ class TestAggregateEmissions:
     def test_theta_zero_invalid(self):
         with pytest.raises(LoadError):
             EmissionFactors(theta=0.0)
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_theta_invalid(self, theta):
+        with pytest.raises(LoadError, match="theta must be finite"):
+            EmissionFactors(theta=theta)
 
     def test_tiny_theta_scales_to_zero(self):
         grid = grid_of([("p1", "A", 10, 1, 80)], [("p1", 2001)])
@@ -293,6 +302,13 @@ class TestPanelCsv:
         with pytest.raises(LoadError, match="header"):
             load_panel_csv(path)
 
+    def test_repeated_variable_is_a_header_error(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        # the first data row is bad too: the header is checked before any row
+        path.write_text("region,year,L,E,L\nA,20x1,1,2,3\n")
+        with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: header repeats column 'L'$"):
+            load_panel_csv(path)
+
     def test_drop_report(self, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text(
@@ -373,6 +389,24 @@ class TestPanelCsv:
             events.write_text(text)
             with pytest.raises(LoadError, match=message):
                 load_pixel_grid_csv(tmp_path / "pixels.csv", events)
+
+
+def test_pixel_load_peak_memory_per_pixel(tmp_path):
+    # The loader converts each block of rows to columns before reading the
+    # next, so no file is held whole as rows of strings. A whole-file read
+    # peaked at 594 B/pixel here; reading in blocks peaks near 270.
+    grid = simulate_disturbance_grid(
+        GridDGPConfig(n_regions=200, pixels_per_region=100, n_years=23, seed=3)
+    )
+    write_pixel_grid_csv(grid, tmp_path / "pixels.csv", tmp_path / "events.csv")
+    tracemalloc.start()
+    try:
+        loaded = load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == grid
+    assert peak / len(grid.pixel_ids) < 400
 
 
 class TestSummaryStats:
