@@ -199,13 +199,16 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _scatter_rows(panel: PanelDataset, x: str, y: str):
+def _write_scatter(path: Path, panel: PanelDataset, x: str, y: str) -> None:
+    """``scatter.csv``: x and y two-way demeaned over the years where both are complete."""
     gx, gy = panel.var(x), panel.var(y)
     mask = (gx.available & gy.available).all(axis=0)
     dx = demean_twoway_values(gx.values[:, mask])
     dy = demean_twoway_values(gy.values[:, mask])
     years = [panel.years[j] for j in range(panel.T) if mask[j]]
-    return region_year_rows(panel.regions, years, (dx, dy))
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(["region", "year", f"{x}_demeaned", f"{y}_demeaned"])
+        handle.writelines(region_year_rows(panel.regions, years, (dx, dy)))
 
 
 def cmd_estimate(args) -> int:
@@ -232,11 +235,7 @@ def cmd_estimate(args) -> int:
         ],
     )
     if "fe2w" in fits:
-        _write_csv(
-            out / "scatter.csv",
-            ["region", "year", f"{x}_demeaned", f"{y}_demeaned"],
-            _scatter_rows(panel, x, y),
-        )
+        _write_scatter(out / "scatter.csv", panel, x, y)
     _write_manifest(out, "estimate", args)
     for tag, fit in fits.items():
         coefs = ", ".join(f"{n}={v:.4f}" for n, v in list(fit.coefficients.items())[:3])

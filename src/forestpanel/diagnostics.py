@@ -9,6 +9,7 @@ import numpy as np
 from scipy import stats
 
 from .estimators import FitResult
+from .gmm import symmetric_factor
 from .panel import Grid
 
 
@@ -68,13 +69,18 @@ def ar_test(gmm_fit: FitResult, order: int) -> TestResult:
 
 
 def hansen_j(gmm_fit: FitResult) -> TestResult:
-    """Overidentification J statistic with the efficient clustered weighting."""
+    """Overidentification J statistic with the efficient clustered weighting.
+
+    J = g' S^+ g for the summed scores g and S = sum_i (Z_i'u_i)(Z_i'u_i)',
+    read from one eigendecomposition of S as the sum of (v'g)^2 / lambda over
+    the eigenpairs that ``np.linalg.pinv``'s cutoff keeps.
+    """
     if gmm_fit.gmm is None:
         raise DiagnosticError("J test needs a GMM fit with retained instruments")
     zu = gmm_fit.gmm.scores
     g = zu.sum(axis=0)
-    S = zu.T @ zu
-    J = float(g @ np.linalg.pinv(S) @ g)
+    _, V, lam = symmetric_factor(zu.T @ zu)
+    J = float(np.sum((V.T @ g) ** 2 / lam))
     df = gmm_fit.gmm.n_instruments - len(gmm_fit.coef_names)
     if df <= 0:
         return TestResult(J, 1.0, 0, "just-identified: J is identically zero")

@@ -15,6 +15,16 @@ values, and Z'X, Z'y, Z'HZ and the per-region scores Z_i'u_i are formed from
 it. No (N, rows, K) array is built: beyond the (N, rows, k) regressors, the
 fit holds O(N * cells + cells^2 + N * K) numbers, where cells is about K plus
 rows times the number of exogenous regressors.
+
+Each symmetric matrix of the fit is decomposed once, by ``np.linalg.eigh`` in
+``symmetric_factor``: the one-step weight sum_i Z_i'H Z_i, the two-step score
+covariance S1, and the system matrix A = Mzx'W Mzx of each step. Its
+eigenvalues give the rank with ``np.linalg.matrix_rank``'s tolerance
+n * eps * max|lambda|, which decides the pseudo-inverse fallback of a weight
+and the singular-system error, and the eigenpairs kept by ``np.linalg.pinv``'s
+cutoff 1e-15 * max|lambda|, which apply the (pseudo-)inverse. W itself is never
+formed: only the K x k product W Mzx, which the sandwich reuses with A's
+factor. ``hansen_j`` reads its J statistic from the same kind of factor.
 """
 
 from __future__ import annotations
@@ -89,6 +99,25 @@ class GmmInternals:
     @property
     def n_instruments(self) -> int:
         return self.scores.shape[1]
+
+
+def symmetric_factor(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """One eigendecomposition of the symmetric matrix M, read two ways.
+
+    Returns the numerical rank of M with ``np.linalg.matrix_rank``'s tolerance
+    (eigenvalues larger than n * eps * max|lambda| in size), and the
+    eigenvectors V and eigenvalues lam that ``np.linalg.pinv``'s cutoff keeps
+    (larger than 1e-15 * max|lambda| in size), so that pinv(M) is
+    ``(V / lam) @ V.T``. When the rank is full every eigenpair is kept and
+    that product is the inverse. The singular values of a symmetric matrix are
+    the sizes of its eigenvalues, so both decisions are numpy's.
+    """
+    lam, V = np.linalg.eigh(M)
+    size = np.abs(lam)
+    top = size.max(initial=0.0)
+    rank = int(np.count_nonzero(size > top * M.shape[0] * np.finfo(float).eps))
+    kept = size > 1e-15 * top
+    return rank, V[:, kept], lam[kept]
 
 
 def _diff_periods(T: int) -> list[int]:
@@ -263,22 +292,22 @@ def _fit_gmm(
     Mzx = Z.cross(X_all)
     mzy = Z.cross(y_all[:, :, None])[:, 0]
 
-    def weight_inverse(M):
-        if np.linalg.matrix_rank(M) < M.shape[0]:
+    def weight_factor(M):
+        rank, V, lam = symmetric_factor(M)
+        if rank < M.shape[0]:
             warnings.append("singular weighting matrix: pseudo-inverse fallback")
-            return np.linalg.pinv(M)
-        return np.linalg.inv(M)
+        return V, lam
 
-    W = weight_inverse(Z.gram(H))
-
-    def solve_theta(Wm):
-        A = Mzx.T @ Wm @ Mzx
-        b = Mzx.T @ Wm @ mzy
-        if np.linalg.matrix_rank(A) < A.shape[0]:
+    def solve_theta(V, lam):
+        # W = V diag(1/lam) V' stays factored: only the K x k product W Mzx is formed
+        WM = V @ ((V.T @ Mzx) / lam[:, None])
+        rank, VA, lamA = symmetric_factor(Mzx.T @ WM)
+        if rank < k:
             raise EstimationError("GMM system matrix is singular")
-        return np.linalg.solve(A, b)
+        Ainv = (VA / lamA) @ VA.T
+        return Ainv @ (WM.T @ mzy), WM, Ainv
 
-    theta = solve_theta(W)
+    theta, WM, Ainv = solve_theta(*weight_factor(Z.gram(H)))
     u = y_all - X_all @ theta
     if options.steps == 2:
         zu = Z.scores(u)
@@ -288,17 +317,13 @@ def _fit_gmm(
                 "degenerate first-step residuals: kept one-step weighting"
             )
         else:
-            W = weight_inverse(S1)
-            theta = solve_theta(W)
+            theta, WM, Ainv = solve_theta(*weight_factor(S1))
             u = y_all - X_all @ theta
 
-    # clustered GMM sandwich
+    # clustered GMM sandwich A^-1 B A^-1, with B = (W Mzx)' S (W Mzx) and S = zu'zu
     zu = Z.scores(u)
-    S = zu.T @ zu
-    A = Mzx.T @ W @ Mzx
-    B = Mzx.T @ W @ S @ W @ Mzx
-    Ainv = np.linalg.pinv(A)
-    vcov = (N / (N - 1)) * Ainv @ B @ Ainv
+    C = (zu @ WM) @ Ainv
+    vcov = (N / (N - 1)) * C.T @ C
     vcov = 0.5 * (vcov + vcov.T)
 
     # the differenced-equation residuals, at their periods

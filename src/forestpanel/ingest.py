@@ -285,11 +285,39 @@ def pixel_panel(
 _BLOCK_ROWS = 4096
 
 
-def _blocks(reader) -> Iterator[list[list[str]]]:
-    """The non-blank rows of ``reader``, in lists of at most ``_BLOCK_ROWS``."""
-    rows = filter(None, reader)
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        yield block
+def _header(reader, path) -> list[str] | None:
+    """The first row of ``reader``; None for an empty file."""
+    try:
+        return next(reader, None)
+    except csv.Error as exc:
+        raise LoadError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+class _Blocks:
+    """The non-blank rows of a ``csv.reader``, in lists of at most ``_BLOCK_ROWS``.
+
+    A row the reader cannot read, such as one with an oversize field, ends the
+    iteration: the rows before it come as a last, shorter block, and ``error``
+    then holds the ``LoadError`` naming that row's ``path:line`` (it stays None
+    otherwise). A caller reports a bad row it finds in the blocks first, since
+    that row lies above the unreadable one.
+    """
+
+    def __init__(self, reader, path):
+        self._reader, self._path = reader, path
+        self.error: LoadError | None = None
+
+    def __iter__(self) -> Iterator[list[list[str]]]:
+        rows = filter(None, self._reader)
+        while self.error is None:
+            block: list[list[str]] = []
+            try:
+                block.extend(islice(rows, _BLOCK_ROWS))  # keeps the rows read before a failure
+            except csv.Error as exc:
+                self.error = LoadError(f"{self._path}:{self._reader.line_num}: {exc}")
+            if not block:
+                return
+            yield block
 
 
 def _convert_prefix(texts: list[str], convert) -> tuple[list, ValueError | None]:
@@ -351,16 +379,17 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
     header must name each variable once. A row fails for, in this order, its
     field count, a year that is no integer or lies outside 1000-9999, a
     (region, year) pair seen before, and a malformed number, checked in header
-    order; the first row that fails names its ``path:line``. The file is read
-    in blocks of rows, so only one block of text is held at a time.
+    order; the first row that fails names its ``path:line``. A row the csv
+    module cannot read, such as one with an oversize field, fails after every
+    row above it passed these checks. The file is read in blocks of rows, so
+    only one block of text is held at a time.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
+        header = _header(reader, path)
+        if header is None:
+            raise LoadError(f"{path}: empty file")
         if len(header) < 3 or header[0] != "region" or header[1] != "year":
             raise LoadError(f"{path}: header must start with 'region,year,'")
         names = header[2:]
@@ -371,7 +400,8 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
         codes, years = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int64)]
         columns = [[np.empty(0)] for _ in names]
         done, fault, keyed_rows = 0, None, None
-        for block in _blocks(reader):
+        blocks = _Blocks(reader, path)
+        for block in blocks:
             stop, message = len(block), None
             lengths = list(map(len, block))
             if lengths.count(len(header)) < len(block):
@@ -412,6 +442,8 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
     if fault is not None:
         row, message = fault
         raise LoadError(f"{path}:{_file_line(path, row)}: {message}")
+    if blocks.error is not None:
+        raise blocks.error
     values = np.column_stack([np.concatenate(column) for column in columns])  # rows x names
     V = len(names)
     try:
@@ -435,9 +467,8 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
         region, year = panel.regions[cell // panel.T], panel.years[cell % panel.T]
         raise LoadError(f"variable {names[k]!r} unavailable at ({region}, {year})")
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["region", "year"] + names)
-        writer.writerows(region_year_rows(panel.regions, panel.years, [g.values for g in grids]))
+        csv.writer(handle).writerow(["region", "year"] + names)
+        handle.writelines(region_year_rows(panel.regions, panel.years, [g.values for g in grids]))
 
 
 def _read_columns(path, parsers: dict) -> tuple[list[np.ndarray], LoadError | None]:
@@ -449,14 +480,15 @@ def _read_columns(path, parsers: dict) -> tuple[list[np.ndarray], LoadError | No
     none). The file is read in blocks of rows, so only one block of text is
     held at a time. Rows are read up to the first one that is too short or
     that a parser rejects; the columns returned all stop there, together with
-    the error naming that row's ``path:line`` (None if every row parsed). The
-    caller raises it unless it finds an earlier bad row. Blank lines are
-    skipped as rows but counted as lines, and a repeated header name means its
-    last column, as with ``csv.DictReader``.
+    the error naming that row's ``path:line`` (None if every row parsed). A
+    row the csv module cannot read stops the rows too, unless a row above it
+    failed first. The caller raises the error unless it finds an earlier bad
+    row. Blank lines are skipped as rows but counted as lines, and a repeated
+    header name means its last column, as with ``csv.DictReader``.
     """
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
+        header = _header(reader, path)
         if header is None or not set(parsers) <= set(header):
             raise LoadError(f"{path}: header must contain {sorted(parsers)}")
         position = {name: i for i, name in enumerate(header)}
@@ -465,7 +497,8 @@ def _read_columns(path, parsers: dict) -> tuple[list[np.ndarray], LoadError | No
         # an empty first chunk gives a file without rows its column types
         chunks = [[parse([])[0]] for parse in parsers.values()]
         done, message = 0, None
-        for block in _blocks(reader):
+        blocks = _Blocks(reader, path)
+        for block in blocks:
             stop = len(block)
             lengths = list(map(len, block))
             if min(lengths) < width:
@@ -482,7 +515,7 @@ def _read_columns(path, parsers: dict) -> tuple[list[np.ndarray], LoadError | No
                     chunk[-1] = chunk[-1][:stop]
                 break
             done += stop
-    error = None
+    error = blocks.error
     if message is not None:  # only a file that failed is read again, to find its bad row's line
         error = LoadError(f"{path}:{_file_line(path, done + stop)}: {message}")
     return [np.concatenate(chunk) for chunk in chunks], error

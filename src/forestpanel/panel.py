@@ -8,8 +8,9 @@ invalid cells can never leak into an estimation sample.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -184,16 +185,32 @@ def panel_from_cells(
     return PanelDataset(tuple(kept), span, variables), dropped
 
 
-def region_year_rows(regions, years, columns) -> Iterator[tuple]:
-    """One ``(region, year, repr(value), ...)`` row per cell of the N x T ``columns``.
+def region_year_rows(regions, years, columns) -> Iterator[str]:
+    """The CSV text of the ``region,year,value,...`` rows of the N x T ``columns``,
+    one string per region.
 
-    Rows come region by region, each region's years in order. ``repr`` of a
-    float is the shortest text that reads back to the same double, so written
-    values round-trip bit for bit. A region's values are formatted only when
-    its rows are reached, so no list of every formatted value is held.
+    Rows come region by region, each region's years in order, and end in
+    ``\\r\\n`` as ``csv.writer``'s do. A value is written as its ``repr``, the
+    shortest text that reads back to the same double, so written values
+    round-trip bit for bit; such a text and a year never need quoting. The
+    region label is quoted once per region, by ``csv.writer``. A region's values
+    are formatted only when its string is reached, so no text of every row is
+    held.
     """
+    row = ",{}" + ",{!r}" * len(columns) + "\r\n"
     for region, *values in zip(regions, *columns):
-        yield from zip(repeat(region), years, *(map(repr, row.tolist()) for row in values))
+        # the label is literal text of the row template, so its braces are doubled
+        label = _csv_field(region).replace("{", "{{").replace("}", "}}")
+        yield "".join(map((label + row).format, years, *(v.tolist() for v in values)))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    buffer = io.StringIO()
+    # a second, empty field keeps a lone empty label unquoted; the writer's own
+    # line terminator decides whether a label with a line break is quoted
+    csv.writer(buffer).writerow((text, ""))
+    return buffer.getvalue()[:-3]  # drop ",\r\n"
 
 
 # ---------------------------------------------------------------------------

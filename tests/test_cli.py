@@ -62,6 +62,14 @@ class TestIngest:
         bad.write_text("region,year,L\nA,2001,not-a-number\n")
         assert main(["ingest", "--panel", str(bad), "--out", str(tmp_path / "o")]) == 1
 
+    def test_oversize_panel_field_exits_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "panel.csv"
+        bad.write_text("region,year,L\nA,2001,1\nA,2002," + "9" * 200_000 + "\n")
+        assert main(["ingest", "--panel", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}:3: field larger than field limit (131072)\n"
+        )
+
     @pytest.mark.parametrize("pixels, events, where", [
         # a short row used to escape as an uncaught TypeError
         ("p1,A,10.0,1.0,80\np2,A,20.0\n", "p1,2001\n", "pixels.csv:3: expected at least 5 fields"),
@@ -75,8 +83,11 @@ class TestIngest:
          "events.csv:3: event year 99999999999999999999 outside 1000-9999"),
         ("p1,A,10.0,1.0,80\np2,A,20.0,1.0,80\n", "p1,2001\np2,20011\n",
          "events.csv:3: event year 20011 outside 1000-9999"),
+        # a field beyond the csv module's limit used to escape as a csv.Error
+        ("p1,A,10.0,1.0,80\np2,A," + "9" * 200_000 + ",1.0,80\n", "p1,2001\n",
+         "pixels.csv:3: field larger than field limit (131072)"),
     ], ids=["short-pixel-row", "short-event-row", "inf-area", "nan-biomass",
-            "year-beyond-int64", "typo-year"])
+            "year-beyond-int64", "typo-year", "oversize-field"])
     def test_malformed_pixel_files_exit_with_line(self, tmp_path, capsys, pixels, events, where):
         (tmp_path / "pixels.csv").write_text("pixel,region,biomass,area,canopy\n" + pixels)
         (tmp_path / "events.csv").write_text("pixel,year\n" + events)

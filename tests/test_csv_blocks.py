@@ -448,5 +448,24 @@ def test_scatter_matches_per_cell_writer(work, data):
         return  # no complete year: the fe2w fit that precedes scatter.csv fails first
     header = ["region", "year", "l_demeaned", "e_demeaned"]
     old_write_csv(work / "old_scatter.csv", header, old_scatter_rows(panel, "l", "e"))
-    cli._write_csv(work / "new_scatter.csv", header, cli._scatter_rows(panel, "l", "e"))
+    cli._write_scatter(work / "new_scatter.csv", panel, "l", "e")
+    assert (work / "new_scatter.csv").read_bytes() == (work / "old_scatter.csv").read_bytes()
+
+
+# labels the generated panels above do not draw: the region writer fills a
+# format template with each label, and quotes it apart from its rows
+ODD_LABELS = ["", "{}", "{0}", "{x!r}", "}{", "a{b}c", "\r", "x\r\ny", " pad ", '"', "é"]
+
+
+@pytest.mark.parametrize("label", ODD_LABELS)
+def test_writers_quote_odd_labels_like_csv_writer(work, label):
+    values = np.array([[1.5, -0.0], [5e-324, 1 / 3]])
+    panel = PanelDataset((label, "B"), (2001, 2002), {"l": Grid.full(values),
+                                                      "e": Grid.full(values[::-1])})
+    old_write_panel_csv(panel, work / "old.csv")
+    write_panel_csv(panel, work / "new.csv")
+    assert (work / "new.csv").read_bytes() == (work / "old.csv").read_bytes()
+    header = ["region", "year", "l_demeaned", "e_demeaned"]
+    old_write_csv(work / "old_scatter.csv", header, old_scatter_rows(panel, "l", "e"))
+    cli._write_scatter(work / "new_scatter.csv", panel, "l", "e")
     assert (work / "new_scatter.csv").read_bytes() == (work / "old_scatter.csv").read_bytes()

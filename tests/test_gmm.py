@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from forestpanel import (
     replication_seed,
     simulate_dynamic_panel,
 )
+from forestpanel.gmm import symmetric_factor
 
 
 def make_panel(y, x=None):
@@ -376,3 +378,77 @@ class TestMomentEngine:
         fit = fit_sys_gmm(panel, spec, options)
         assert "singular weighting matrix: pseudo-inverse fallback" in fit.warnings
         assert_matches_oracle(fit, panel, spec, options, level=True)
+
+
+def planted_psd(rng, n, rank, tiny=None):
+    """A random n x n PSD matrix with an exact null space of size n - rank.
+
+    A generic positive definite block, eigenvalues spread over [1, 1e6], sits
+    with ``tiny`` times its largest eigenvalue (if given, as one more
+    eigenvalue) and zero rows and columns in a shuffled order. The zero rows
+    make the null space exact, so eigh and SVD both find its eigenvalues as
+    rounding noise far below either numpy cutoff.
+    """
+    Q, _ = np.linalg.qr(rng.normal(size=(rank, rank)))
+    block = (Q * np.logspace(0, 6, rank)) @ Q.T
+    M = np.zeros((n, n))
+    M[:rank, :rank] = 0.5 * (block + block.T)
+    if tiny is not None:
+        M[rank, rank] = tiny * np.abs(np.linalg.eigvalsh(M)).max()
+    order = rng.permutation(n)
+    return M[np.ix_(order, order)]
+
+
+class TestSymmetricFactor:
+    @pytest.mark.parametrize("n, rank", [(1, 1), (5, 5), (5, 3), (40, 40), (40, 31), (120, 97)])
+    def test_rank_and_pinv_match_numpy(self, n, rank):
+        rng = np.random.default_rng(n + rank)
+        M = planted_psd(rng, n, rank)
+        got_rank, V, lam = symmetric_factor(M)
+        assert got_rank == np.linalg.matrix_rank(M) == rank
+        assert lam.size == rank
+        B = rng.normal(size=(n, 3))
+        want = np.linalg.pinv(M) @ B
+        assert np.abs(V @ ((V.T @ B) / lam[:, None]) - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("tiny", [3e-15, 8e-15])
+    def test_eigenvalue_between_the_cutoffs(self, tiny):
+        # above pinv's 1e-15 * max but below matrix_rank's n * eps * max (n = 60):
+        # the rank leaves it out, the pseudo-inverse keeps it
+        n, rank = 60, 50
+        assert 1e-15 < tiny < n * np.finfo(float).eps
+        rng = np.random.default_rng(5)
+        M = planted_psd(rng, n, rank, tiny=tiny)
+        got_rank, V, lam = symmetric_factor(M)
+        assert got_rank == np.linalg.matrix_rank(M) == rank
+        # pinv keeps the same eigenvalues, tiny included. Their action is not
+        # compared: an eigenvalue eps * max / tiny, a few percent, away from the
+        # null space has an eigenvector that eigh and SVD each find only to
+        # that relative accuracy, and its 1/tiny term dominates the action
+        singular = np.linalg.svd(M, compute_uv=False)
+        kept = np.sort(singular[singular > 1e-15 * singular.max()])
+        assert kept.size == lam.size == rank + 1
+        assert np.allclose(np.sort(np.abs(lam)), kept, rtol=0.1, atol=0)
+        assert np.allclose(np.sort(lam)[1:], kept[1:], rtol=1e-9, atol=0)
+
+    def test_zero_matrix(self):
+        rank, V, lam = symmetric_factor(np.zeros((4, 4)))
+        assert rank == np.linalg.matrix_rank(np.zeros((4, 4))) == 0
+        assert V.shape == (4, 0) and lam.size == 0
+
+    def test_two_step_fit_and_j_use_no_svd(self, monkeypatch):
+        # the pinv fixture: sys-GMM, year dummies, a singular two-step weight
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD-based routine was called")
+
+        impl = sys.modules[np.linalg.svd.__module__]  # where matrix_rank and pinv find svd
+        for name in ("svd", "matrix_rank", "pinv", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+            monkeypatch.setattr(impl, name, refuse)
+        panel = gmm_panel(N=200, T=8, seed=42)
+        spec = dataclasses.replace(SPEC, include_time_effects=True)
+        fit = fit_sys_gmm(panel, spec, GmmOptions(steps=2))
+        assert "singular weighting matrix: pseudo-inverse fallback" in fit.warnings
+        assert hansen_j(fit).statistic > 0
+        monkeypatch.undo()
+        assert_matches_oracle(fit, panel, spec, GmmOptions(steps=2), level=True)

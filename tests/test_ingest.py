@@ -17,6 +17,7 @@ from forestpanel import (
     summary_stats,
     write_panel_csv,
 )
+from forestpanel import ingest
 from forestpanel.dgp import GridDGPConfig, simulate_disturbance_grid
 from forestpanel.ingest import load_pixel_grid_csv, write_pixel_grid_csv
 
@@ -389,6 +390,61 @@ class TestPanelCsv:
             events.write_text(text)
             with pytest.raises(LoadError, match=message):
                 load_pixel_grid_csv(tmp_path / "pixels.csv", events)
+
+
+OVERSIZE = "9" * 200_000  # beyond the csv module's default field limit of 131072
+
+
+class TestUnreadableRow:
+    """A row the csv module cannot read is a line-numbered LoadError, and a bad
+    row above it, even in the same block, is reported instead."""
+
+    @pytest.fixture(params=[1, 3, ingest._BLOCK_ROWS])
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", request.param)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["A,2001,1", f"B,2001,{OVERSIZE}"], "panel.csv:3: field larger than field limit"),
+        (["A,2001,abc", f"B,2001,{OVERSIZE}"], "panel.csv:2: malformed number 'abc' for L"),
+        (["A,2001,1", "A,2001,2", f"B,2001,{OVERSIZE}"], "panel.csv:3: duplicate row for"),
+        (["A,2001,1", "", f'B,2001,"1\n{OVERSIZE}"'], "panel.csv:5: field larger than field limit"),
+    ])
+    def test_panel_loader(self, tmp_path, block_rows, rows, message):
+        path = tmp_path / "panel.csv"
+        path.write_text("region,year,L\n" + "\n".join(rows) + "\n")
+        with pytest.raises(LoadError, match=f"^{re.escape(str(tmp_path))}/{message}"):
+            load_panel_csv(path)
+
+    def test_panel_header(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(f"region,year,{OVERSIZE}\nA,2001,1\n")
+        with pytest.raises(LoadError, match="panel.csv:1: field larger than field limit"):
+            load_panel_csv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["p1,A,1,1,50", f"p2,A,1,{OVERSIZE},50"], "pixels.csv:3: field larger than field limit"),
+        (["p1,A,x,1,50", f"p2,A,1,{OVERSIZE},50"], "pixels.csv:2: could not convert"),
+        (["p1,A,-1,1,50", f"p2,A,1,{OVERSIZE},50"], "pixels.csv:2: pixel p1: negative biomass"),
+        ([f"{OVERSIZE},A,1,1,50"], "pixels.csv:2: field larger than field limit"),
+    ])
+    def test_pixel_loader(self, tmp_path, block_rows, rows, message):
+        (tmp_path / "pixels.csv").write_text(
+            "pixel,region,biomass,area,canopy\n" + "\n".join(rows) + "\n"
+        )
+        (tmp_path / "events.csv").write_text("pixel,year\n")
+        with pytest.raises(LoadError, match=message):
+            load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv")
+
+    @pytest.mark.parametrize("text, message", [
+        (f"pixel,year\np1,2001\np1,{OVERSIZE}\n", "events.csv:3: field larger than field limit"),
+        (f"pixel,year\np1,20x1\np1,{OVERSIZE}\n", "events.csv:2: invalid literal"),
+        (f"pixel,{OVERSIZE}\n", "events.csv:1: field larger than field limit"),
+    ])
+    def test_event_loader(self, tmp_path, block_rows, text, message):
+        (tmp_path / "pixels.csv").write_text("pixel,region,biomass,area,canopy\np1,A,1,1,50\n")
+        (tmp_path / "events.csv").write_text(text)
+        with pytest.raises(LoadError, match=message):
+            load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv")
 
 
 def test_pixel_load_peak_memory_per_pixel(tmp_path):
