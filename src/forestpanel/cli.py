@@ -353,6 +353,11 @@ def cmd_montecarlo(args) -> int:
     if isinstance(reps, bool) or not isinstance(reps, int):
         raise DGPError(f"config key 'replications' must be an integer, got {reps!r}")
     estimators = config.get("estimators") or [config.get("estimator", "lsdv")]
+    if not isinstance(estimators, list) or not all(isinstance(n, str) for n in estimators):
+        key = "estimators" if config.get("estimators") else "estimator"
+        raise EstimationError(
+            f"config key {key!r} must name estimators as strings, got {config[key]!r}"
+        )
     unknown = [name for name in estimators if name not in ESTIMATORS]
     if unknown:
         raise EstimationError(

@@ -68,7 +68,8 @@ class DGPConfig:
 
     @classmethod
     def from_mapping(cls, fields: Mapping) -> "DGPConfig":
-        """Build from a JSON object, naming any unknown or missing key."""
+        """Build from a JSON object, naming any unknown or missing key and any
+        value of the wrong JSON type."""
         known = dataclasses.fields(cls)
         unknown = sorted(set(fields) - {f.name for f in known})
         if unknown:
@@ -77,7 +78,24 @@ class DGPConfig:
                    if f.default is dataclasses.MISSING and f.name not in fields]
         if missing:
             raise DGPError(f"dgp block lacks required keys: {missing}")
+        for f in known:
+            if f.name not in fields:
+                continue
+            value = fields[f.name]
+            types, what = _JSON_TYPES[f.type]
+            # a JSON true or false is a Python int, but no count or parameter
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise DGPError(f"dgp key {f.name!r} must be {what}, got {value!r}")
         return cls(**fields)
+
+
+# the JSON values a field accepts, by its annotation (a string under
+# postponed annotations): a float is no count, and a number no name
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
 
 
 @dataclass(frozen=True)

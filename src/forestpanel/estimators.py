@@ -3,6 +3,10 @@
 Covers pooled OLS, the two-way within estimator, dynamic LSDV, interaction
 (heterogeneity) fits, and the long-run elasticity transform. GMM estimators
 live in :mod:`forestpanel.gmm` and share the FitResult container defined here.
+
+Coefficient p-values are two-sided normal tails from ``scipy.special.ndtr``,
+the ufunc behind ``scipy.stats.norm.sf``, so the package never pays the import
+of ``scipy.stats``; ``normal_p_value`` is the one place they are computed.
 """
 
 from __future__ import annotations
@@ -12,12 +16,18 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 from scipy.linalg import solve_triangular
 
 from .panel import Grid, PanelDataset, demean_twoway_values, interact, lag
 
 CONST = "const"  # reserved regressor name mapping to a column of ones
+
+
+def normal_p_value(z: float) -> float:
+    """Two-sided standard normal p-value 2 * P(Z > |z|), by the ufunc that
+    ``scipy.stats.norm.sf`` evaluates, so bit for bit its value."""
+    return float(2.0 * special.ndtr(-abs(z)))
 
 
 class EstimationError(ValueError):
@@ -71,7 +81,7 @@ class FitResult:
             if se == 0:
                 out[name] = 0.0 if est != 0 else 1.0
             else:
-                out[name] = float(2.0 * stats.norm.sf(abs(est) / se))
+                out[name] = normal_p_value(est / se)
         return out
 
     def coefficient_table(self) -> list[dict[str, float]]:

@@ -176,13 +176,25 @@ class _Instruments:
         order = np.lexsort((rows, cols))  # each column contiguous, for reduceat
         self.rows, self.cols, self.values = rows[order], cols[order], values[:, order]
         self.n_columns = n_columns
-        self._starts = np.flatnonzero(np.diff(self.cols, prepend=-1))
         self._row_cells = [np.flatnonzero(self.rows == r) for r in range(n_rows)]
+        # a column of one cell is a copy of it (every uncollapsed lag column);
+        # the cells of the others are gathered and summed as reduceat segments
+        starts = np.flatnonzero(np.diff(self.cols, prepend=-1))
+        sizes = np.diff(starts, append=self.cols.size)
+        one = sizes == 1
+        self._single_cells = starts[one]
+        self._single_cols = self.cols[self._single_cells]
+        self._multi_cells = np.flatnonzero(np.repeat(~one, sizes))
+        self._multi_starts = np.cumsum(sizes[~one]) - sizes[~one]
+        self._multi_cols = self.cols[starts[~one]]
 
     def _to_columns(self, W: np.ndarray) -> np.ndarray:
         """Sum the last (cell) axis of W into instrument columns."""
         out = np.zeros(W.shape[:-1] + (self.n_columns,))
-        out[..., self.cols[self._starts]] = np.add.reduceat(W, self._starts, axis=-1)
+        out[..., self._single_cols] = W[..., self._single_cells]
+        out[..., self._multi_cols] = np.add.reduceat(
+            W[..., self._multi_cells], self._multi_starts, axis=-1
+        )
         return out
 
     def scores(self, u: np.ndarray) -> np.ndarray:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +216,37 @@ class TestEstimate:
         assert b_lev != b_log
 
 
+class TestColdStart:
+    def test_scipy_stats_is_never_imported(self, tmp_path):
+        """Neither the import of the CLI nor a run that reports p-values loads
+        scipy.stats, whose import alone outlasts an estimate run."""
+        import forestpanel
+
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, N=40, T=8, seed=85)
+        script = f"""
+import json, sys
+from forestpanel.cli import main
+seen = ["scipy.stats" in sys.modules]
+assert main(["estimate", "--panel", {str(src)!r}, "--two-step",
+             "--out", {str(tmp_path / "est")!r}]) == 0
+seen.append("scipy.stats" in sys.modules)
+assert main(["montecarlo", "--preset", "nickell-demo", "--reps", "2",
+             "--out", {str(tmp_path / "mc")!r}]) == 0
+seen.append(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"]))
+print(json.dumps(seen))
+"""
+        env = dict(os.environ)
+        package_root = str(Path(forestpanel.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [False, False, []]
+        report = json.loads((tmp_path / "est" / "report.json").read_text())
+        assert "hansen_j" in report["diagnostics"]["sysgmm"]
+
+
 class TestRobustness:
     def test_full_region_subset_is_noop(self, tmp_path):
         src = tmp_path / "panel.csv"
@@ -423,6 +458,32 @@ class TestMonteCarloCommand:
         assert main(["montecarlo", "--config", str(tmp_path / "mc.json"), *flags,
                      "--seed", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "montecarlo.json").exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"estimators": 5}, "config key 'estimators' must name estimators as strings, got 5"),
+        ({"estimators": "lsdv"},
+         "config key 'estimators' must name estimators as strings, got 'lsdv'"),
+        ({"estimator": ["lsdv"]},
+         "config key 'estimator' must name estimators as strings, got ['lsdv']"),
+        ({"dgp": {"n_regions": "50"}}, "dgp key 'n_regions' must be an integer, got '50'"),
+        ({"dgp": {"n_regions": True}}, "dgp key 'n_regions' must be an integer, got True"),
+        ({"dgp": {"rho": "0.5"}}, "dgp key 'rho' must be a number, got '0.5'"),
+        ({"dgp": {"seed": 1.5}}, "dgp key 'seed' must be an integer, got 1.5"),
+        ({"dgp": {"error_law": 3}}, "dgp key 'error_law' must be a string, got 3"),
+    ], ids=["estimators-int", "estimators-str", "estimator-list", "n-regions-str",
+            "n-regions-bool", "rho-str", "seed-float", "error-law-int"])
+    def test_config_type_error_is_named(self, tmp_path, capsys, changes, message):
+        dgp = {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0,
+               **changes.get("dgp", {})}
+        config = {"replications": 2, **changes, "dgp": dgp}
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert err == f"error: {message}\n"
         assert not (out / "montecarlo.json").exists()
 
     def test_one_study_equals_single_estimator_runs(self, tmp_path):

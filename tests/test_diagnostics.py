@@ -311,3 +311,73 @@ class TestDiagnosticBundle:
         y = 1.5 * x + rng.normal(size=(6, 8))
         bundle = diagnostic_bundle(TestWithinR2.fe_fit(x, y))
         assert {"within_r2", "durbin_watson", "jarque_bera"} <= set(bundle)
+
+
+class TestPValueParity:
+    """Every reported p-value is bit for bit the scipy.stats value, although
+    the package takes its tails from scipy.special and never imports it."""
+
+    GRID = (0.0, 1e-300, 8.3, 37.5, 40.0, 1e6, np.inf)
+    DFS = (1, 2, 41, 276)
+
+    def test_coefficient_p_values_on_the_grid(self):
+        from scipy import stats
+
+        for se in (1.0, 0.37, 2.5e3):
+            names = tuple(f"b{i}" for i in range(2 * len(self.GRID)))
+            est = [sign * se * x for sign in (1.0, -1.0) for x in self.GRID]
+            fit = FitResult("stub", names, dict(zip(names, est)),
+                            np.eye(len(names)) * se**2, n_obs=10)
+            ps = fit.p_values()
+            assert fit.std_errors() == dict.fromkeys(names, se)
+            for name, b in zip(names, est):
+                assert ps[name] == float(2.0 * stats.norm.sf(abs(b) / se)), (se, b)
+
+    def test_tails_on_the_grid(self):
+        from scipy import stats
+
+        from forestpanel.diagnostics import _chi2_sf
+        from forestpanel.estimators import normal_p_value
+
+        for x in self.GRID:
+            assert normal_p_value(x) == normal_p_value(-x) == float(2.0 * stats.norm.sf(x))
+            for df in self.DFS:
+                assert _chi2_sf(x, df) == float(stats.chi2.sf(x, df)), (x, df)
+
+    @pytest.mark.parametrize("x", [-1e-12, -0.0, -37.5, -np.inf])
+    def test_negative_chi_square_statistic_has_p_one(self, x):
+        from scipy import stats
+
+        from forestpanel.diagnostics import _chi2_sf
+
+        for df in self.DFS:
+            assert _chi2_sf(x, df) == 1.0 == stats.chi2.sf(x, df)
+
+    def test_reported_tests_match_scipy_stats(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(68)
+        ar = [ar_test(fit, m) for m in (1, 2) for fit in (
+            simulated_gmm_fit(seed=69), simulated_gmm_fit(seed=70, collapse=True),
+            gmm_stub(rng.normal(size=(30, 6))),
+            gmm_stub(np.cumsum(rng.normal(size=(400, 8)), axis=1)),
+            gmm_stub(1.0 + 0.01 * rng.normal(size=(2000, 5))),  # z near sqrt(2000)
+        )]
+        assert min(r.p_value for r in ar) == 0.0 and max(r.p_value for r in ar) > 0.05
+        for r in ar:
+            assert r.p_value == float(2.0 * stats.norm.sf(abs(r.statistic)))
+
+        j_tests = [hansen_j(simulated_gmm_fit(seed=71))]
+        for df in self.DFS:
+            names = tuple(f"b{i}" for i in range(4))
+            stub = FitResult("stub", names, dict.fromkeys(names, 0.0), np.eye(4), n_obs=400,
+                             gmm=GmmInternals(scores=rng.normal(0.1, 1.0, (400, df + 4))))
+            j_tests.append(hansen_j(stub))
+        assert [r.df for r in j_tests[1:]] == list(self.DFS)
+        jb_tests = [jarque_bera(sample) for sample in (
+            exact_normal_moments_sample(), rng.standard_normal(500),
+            rng.standard_cauchy(20_000), np.r_[np.zeros(10_000), 1.0, -1.0],
+        )]
+        assert jb_tests[-1].statistic > 1e6
+        for r in j_tests + jb_tests:
+            assert r.p_value == float(stats.chi2.sf(r.statistic, r.df))

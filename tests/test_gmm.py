@@ -362,6 +362,39 @@ class TestMomentEngine:
         for value in vars(fit.gmm).values():
             assert np.size(value) <= N * K
 
+    @pytest.mark.parametrize("level,collapse,dummies",
+                             sorted({(lv, c, d) for lv, c, _, d in CONFIGS}))
+    def test_columns_sum_cells_like_one_reduceat(self, monkeypatch, level, collapse, dummies):
+        # the reference sums every column, one cell or many, in one reduceat
+        from forestpanel import gmm
+
+        made = []
+        init = gmm._Instruments.__init__
+
+        def record(self, *args):
+            init(self, *args)
+            made.append(self)
+
+        monkeypatch.setattr(gmm._Instruments, "__init__", record)
+        panel = gmm_panel()
+        spec = dataclasses.replace(SPEC, include_time_effects=dummies)
+        (fit_sys_gmm if level else fit_diff_gmm)(panel, spec, GmmOptions(collapse=collapse))
+        (Z,) = made
+        starts = np.flatnonzero(np.diff(Z.cols, prepend=-1))
+        sizes = np.diff(starts, append=Z.cols.size)
+        assert (sizes == 1).any() and (sizes > 1).any()
+
+        def reference(W):
+            out = np.zeros(W.shape[:-1] + (Z.n_columns,))
+            out[..., Z.cols[starts]] = np.add.reduceat(W, starts, axis=-1)
+            return out
+
+        rng = np.random.default_rng(43)
+        W = rng.normal(size=(panel.N, Z.cols.size))
+        G = rng.normal(size=(Z.cols.size, Z.cols.size))
+        assert np.array_equal(Z._to_columns(W), reference(W))
+        assert np.array_equal(Z._to_columns(Z._to_columns(G).T), reference(reference(G).T))
+
     @pytest.mark.parametrize("level", [False, True])
     def test_max_lag_matches_dense_oracle(self, level):
         panel = gmm_panel(T=9, seed=41)
