@@ -44,7 +44,6 @@ from .estimators import (
     RegressionSpec,
     cluster_robust_vcov,
     fit_dynamic_lsdv,
-    fit_heterogeneous,
     fit_pooled_ols,
     fit_twoway_fe,
     lagged_name,

@@ -101,32 +101,30 @@ class Estimator(NamedTuple):
     gmm: bool = False  # reads the GMM flags
 
 
-def _effects(x: str, y: str, year_effects: bool = True) -> RegressionSpec:
-    return RegressionSpec(y, (x,), include_region_effects=True, include_time_effects=year_effects)
-
-
-def _gmm_options(args) -> GmmOptions:
-    return GmmOptions(args.min_lag, args.max_lag, args.collapse, 2 if args.two_step else 1)
+def _gmm_options(args, year_dummies: bool) -> GmmOptions:
+    return GmmOptions(args.min_lag, args.max_lag, args.collapse, 2 if args.two_step else 1,
+                      year_dummies)
 
 
 def _gmm(level: bool):
     def fit(panel, x, y, args, gmm_year_dummies):
-        options = _gmm_options(args)
-        spec = _effects(x, y, gmm_year_dummies)
+        spec, options = RegressionSpec(y, (x,)), _gmm_options(args, gmm_year_dummies)
         return fit_sys_gmm(panel, spec, options) if level else fit_diff_gmm(panel, spec, options)
 
     return fit
 
 
-# The estimator ladder, in fit order. Within fits always absorb both effects;
-# whether GMM fits carry year dummies is the caller's explicit choice. The
-# entries look their fit function up by module-global name at call time, so
-# rebinding a module attribute (as a tracer does) reaches every fit.
+# The estimator ladder, in fit order. Each fit owns its effects; whether GMM
+# fits carry year dummies is the caller's explicit choice. The entries look
+# their fit function up by module-global name at call time, so rebinding a
+# module attribute (as a tracer does) reaches every fit.
 ESTIMATORS = {
     "pooled": Estimator(False, lambda panel, x, y, *_:
                         fit_pooled_ols(panel, RegressionSpec(y, (CONST, x)))),
-    "fe2w": Estimator(False, lambda panel, x, y, *_: fit_twoway_fe(panel, _effects(x, y))),
-    "lsdv": Estimator(True, lambda panel, x, y, *_: fit_dynamic_lsdv(panel, _effects(x, y))),
+    "fe2w": Estimator(False, lambda panel, x, y, *_:
+                      fit_twoway_fe(panel, RegressionSpec(y, (x,)))),
+    "lsdv": Estimator(True, lambda panel, x, y, *_:
+                      fit_dynamic_lsdv(panel, RegressionSpec(y, (x,)))),
     "diffgmm": Estimator(True, _gmm(level=False), gmm=True),
     "sysgmm": Estimator(True, _gmm(level=True), gmm=True),
 }
@@ -170,6 +168,8 @@ def _write_csv(path: Path, header, rows) -> None:
 # subcommands
 
 def cmd_ingest(args) -> int:
+    if args.panel and (args.pixels or args.events):
+        raise LoadError("ingest takes --panel or --pixels with --events, not both")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.panel:
@@ -335,13 +335,11 @@ def cmd_montecarlo(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.preset:
         config = _PRESETS[args.preset]
-    elif args.config:
+    else:
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise DGPError(f"{args.config}: malformed JSON: {exc}") from None
-    else:
-        raise PanelError("montecarlo needs --config or --preset")
     if not isinstance(config, dict) or not isinstance(config.get("dgp"), dict):
         raise DGPError("montecarlo config needs a 'dgp' object")
     dgp_fields = dict(config["dgp"])
@@ -367,7 +365,7 @@ def cmd_montecarlo(args) -> int:
     if repeated:
         raise EstimationError(f"estimators listed more than once: {repeated}")
     if any(ESTIMATORS[name].gmm for name in estimators):
-        _gmm_options(args)  # a bad GMM flag fails the run, not every replication
+        _gmm_options(args, year_dummies=False)  # a bad GMM flag fails the run, not every rep
     estimands = {}
     for name in estimators:
         truth = {"l": dgp.beta}
@@ -469,8 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rob.set_defaults(func=cmd_robustness)
 
     p_mc = sub.add_parser("montecarlo", help="simulation study from a DGP config")
-    p_mc.add_argument("--config", help="JSON file with dgp/estimators/replications")
-    p_mc.add_argument("--preset", choices=sorted(_PRESETS))
+    source = p_mc.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="JSON file with dgp/estimators/replications")
+    source.add_argument("--preset", choices=sorted(_PRESETS))
     p_mc.add_argument("--reps", type=int, default=None)
     p_mc.add_argument("--seed", type=int, default=None)
     gmm_flags(p_mc)

@@ -1,8 +1,13 @@
 """Least-squares panel estimators with cluster-robust inference.
 
-Covers pooled OLS, the two-way within estimator, dynamic LSDV, interaction
-(heterogeneity) fits, and the long-run elasticity transform. GMM estimators
-live in :mod:`forestpanel.gmm` and share the FitResult container defined here.
+Covers pooled OLS, the two-way within estimator, dynamic LSDV and the
+long-run elasticity transform. GMM estimators live in :mod:`forestpanel.gmm`
+and share the FitResult container defined here.
+
+Each estimator owns its effects: pooled OLS absorbs none (give it ``const``
+for an intercept), the within fits absorb region and year effects, and GMM
+differences out the region effects. A ``RegressionSpec`` only names the
+response and the regressors.
 
 Coefficient p-values are two-sided normal tails from ``scipy.special.ndtr``,
 the ufunc behind ``scipy.stats.norm.sf``, so the package never pays the import
@@ -19,7 +24,7 @@ import numpy as np
 from scipy import special
 from scipy.linalg import solve_triangular
 
-from .panel import Grid, PanelDataset, demean_twoway_values, interact, lag
+from .panel import Grid, PanelDataset, demean_twoway_values, lag
 
 CONST = "const"  # reserved regressor name mapping to a column of ones
 
@@ -36,12 +41,10 @@ class EstimationError(ValueError):
 
 @dataclass(frozen=True)
 class RegressionSpec:
-    """What to regress on what, and which effects to absorb."""
+    """What to regress on what. The estimator decides which effects to absorb."""
 
     response: str
     regressors: tuple[str, ...]
-    include_region_effects: bool = False
-    include_time_effects: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "regressors", tuple(self.regressors))
@@ -233,8 +236,6 @@ def _within_fit(
     tag: str,
     extra_warnings: tuple[str, ...] = (),
 ) -> FitResult:
-    if not (spec.include_region_effects and spec.include_time_effects):
-        raise EstimationError("within estimator needs both effect flags set")
     if CONST in spec.regressors:
         raise EstimationError("const is absorbed by the fixed effects")
     names = [spec.response, *spec.regressors]
@@ -278,7 +279,8 @@ def _within_fit(
 
 
 def fit_twoway_fe(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
-    """Two-way within estimator: double-demean, then least squares."""
+    """Two-way within estimator: double-demean, absorbing region and year
+    effects, then least squares."""
     return _within_fit(panel, spec, "fe2w")
 
 
@@ -304,63 +306,15 @@ def fit_dynamic_lsdv(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
         raise EstimationError("dynamic LSDV needs T >= 3")
     panel, lag_name = _with_lagged_response(panel, spec.response)
     regressors = (lag_name, *(r for r in spec.regressors if r != lag_name))
-    dyn_spec = RegressionSpec(
-        response=spec.response,
-        regressors=regressors,
-        include_region_effects=True,
-        include_time_effects=True,
-    )
     return _within_fit(
         panel,
-        dyn_spec,
+        RegressionSpec(spec.response, regressors),
         "lsdv_dynamic",
         extra_warnings=(
             "finite-T bias: within estimates of the lagged-response "
             "coefficient are biased; compare against GMM",
         ),
     )
-
-
-def fit_heterogeneous(
-    panel: PanelDataset,
-    spec: RegressionSpec,
-    moderator: str,
-    z_values: Sequence[float] = (),
-) -> tuple[FitResult, dict[float, float]]:
-    """Dynamic fit with a loss x region-characteristic interaction.
-
-    Returns the fit and, for each requested moderator value z, the implied
-    elasticity beta1 + beta2 * z. The moderator must be constant within each
-    region; a moderator that is identically zero degenerates to the plain
-    dynamic fit (the interaction column would be all zeros).
-    """
-    mod = panel.var(moderator)
-    spread = mod.values.max(axis=1) - mod.values.min(axis=1)
-    if np.any(spread > 1e-12 * max(1.0, np.abs(mod.values).max())):
-        raise EstimationError(f"moderator {moderator!r} varies within a region")
-    base = spec.regressors[0]
-    if np.abs(mod.values).max() == 0.0:
-        fit = fit_dynamic_lsdv(panel, spec)
-        fit = FitResult(
-            **{
-                **fit.__dict__,
-                "warnings": fit.warnings
-                + (f"moderator {moderator!r} is identically zero; interaction dropped",),
-            }
-        )
-        return fit, {float(z): fit.coefficients[base] for z in z_values}
-    inter_name = f"{base}_x_{moderator}"
-    if inter_name not in panel.variables:
-        panel = panel.with_variable(inter_name, interact(panel, base, moderator))
-    aug = RegressionSpec(
-        response=spec.response,
-        regressors=(*spec.regressors, inter_name),
-        include_region_effects=True,
-        include_time_effects=True,
-    )
-    fit = fit_dynamic_lsdv(panel, aug)
-    b1, b2 = fit.coefficients[base], fit.coefficients[inter_name]
-    return fit, {float(z): b1 + b2 * float(z) for z in z_values}
 
 
 def long_run_elasticity(

@@ -44,12 +44,18 @@ from .panel import Grid, PanelDataset
 
 @dataclass(frozen=True)
 class GmmOptions:
-    """Instrument layout and weighting choices."""
+    """Instrument layout, weighting, and whether to fit year dummies.
+
+    Differencing removes the region effects. With ``year_dummies`` each year
+    that has a differenced equation gets a dummy, which instruments itself;
+    without them, system GMM fits a level-equation ``const``.
+    """
 
     min_lag: int = 2
     max_lag: int | None = None
     collapse: bool = False
     steps: int = 1
+    year_dummies: bool = False
 
     def __post_init__(self):
         if self.min_lag < 2:
@@ -79,13 +85,6 @@ class InstrumentSet:
     @property
     def n_columns(self) -> int:
         return len(self.labels)
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """The dense (N, periods, columns) blocks, built on each access."""
-        Z = np.zeros((self.values.shape[0], len(self.period_years), self.n_columns))
-        Z[:, self.rows, self.cols] = self.values
-        return Z
 
 
 @dataclass(frozen=True)
@@ -233,10 +232,10 @@ def _fit_gmm(
     now, before = slice(periods[0], T), slice(periods[0] - 1, T - 1)
 
     coef_names = [lag_name, *exog]
-    dummy_years = periods if spec.include_time_effects else []
+    dummy_years = periods if options.year_dummies else []
     coef_names += [f"year_{panel.years[t]}" for t in dummy_years]
-    # with time dummies the level-equation intercepts are already spanned
-    include_const = level and not spec.include_time_effects
+    # with year dummies the level-equation intercepts are already spanned
+    include_const = level and not options.year_dummies
     if include_const:
         coef_names.append("const")
     k = len(coef_names)

@@ -32,12 +32,7 @@ def stub_fit(beta, rho, vcov):
     )
 
 
-DYNAMIC_SPEC = fp.RegressionSpec(
-    "e", ("l",), include_region_effects=True, include_time_effects=True
-)
-GMM_SPEC = fp.RegressionSpec(
-    "e", ("l",), include_region_effects=True, include_time_effects=False
-)
+SPEC = fp.RegressionSpec("e", ("l",))
 
 
 def test_criterion_1_long_run_elasticity():
@@ -57,7 +52,7 @@ def test_criterion_2_calibrated_lsdv_recovery():
     for r in range(100):
         sub = dataclasses.replace(cfg, seed=fp.replication_seed(cfg.seed, r))
         panel, _ = fp.simulate_dynamic_panel(sub)
-        fit = fp.fit_dynamic_lsdv(panel, DYNAMIC_SPEC)
+        fit = fp.fit_dynamic_lsdv(panel, SPEC)
         betas.append(fit.coefficients["l"])
         r2s.append(fp.within_r2(fit))
     mean_beta, mean_r2 = np.mean(betas), np.mean(r2s)
@@ -101,8 +96,7 @@ def test_criterion_3_fe_matches_dummy_ols():
         panel = fp.PanelDataset(
             tuple(f"r{i}" for i in range(N)), tuple(range(2001, 2001 + T)), variables
         )
-        spec = fp.RegressionSpec("y", tuple(names), include_region_effects=True,
-                                 include_time_effects=True)
+        spec = fp.RegressionSpec("y", tuple(names))
         fit = fp.fit_twoway_fe(panel, spec)
         oracle = dummy_ols_coefficients(panel, spec)
         got = np.array([fit.coefficients[n] for n in names])
@@ -114,15 +108,13 @@ def test_criterion_3_fe_matches_dummy_ols():
 def test_criterion_4_nickell_bias_demonstration():
     cfg = fp.DGPConfig(n_regions=500, n_years=6, rho=0.5, beta=1.0,
                        sigma_alpha=1.0, sigma_u=1.0, seed=902)
-    lsdv_spec = fp.RegressionSpec("e", ("l",), include_region_effects=True,
-                                  include_time_effects=False)
     lsdv_rhos, gmm_rhos = [], []
     for r in range(200):
         sub = dataclasses.replace(cfg, seed=fp.replication_seed(cfg.seed, r))
         panel, _ = fp.simulate_dynamic_panel(sub)
-        lsdv_rhos.append(fp.fit_dynamic_lsdv(panel, lsdv_spec).coefficients["e_l1"])
+        lsdv_rhos.append(fp.fit_dynamic_lsdv(panel, SPEC).coefficients["e_l1"])
         gmm_rhos.append(
-            fp.fit_diff_gmm(panel, GMM_SPEC, fp.GmmOptions(steps=1)).coefficients["e_l1"]
+            fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions(steps=1)).coefficients["e_l1"]
         )
     m_lsdv, m_gmm = np.mean(lsdv_rhos), np.mean(gmm_rhos)
     ok = m_lsdv < 0.45 and 0.45 <= m_gmm <= 0.55
@@ -149,24 +141,23 @@ def test_criterion_5_noise_free_exactness():
     fe_cfg = dataclasses.replace(static, sigma_alpha=1.0, sigma_gamma=0.5, seed=904)
     panel, _ = fp.simulate_dynamic_panel(fe_cfg)
     check(
-        fp.fit_twoway_fe(panel, fp.RegressionSpec(
-            "e", ("l",), include_region_effects=True, include_time_effects=True)),
+        fp.fit_twoway_fe(panel, SPEC),
         {"l": 1.5},
     )
 
     dyn = fp.DGPConfig(n_regions=40, n_years=8, rho=0.3, beta=1.5,
                        sigma_alpha=1.0, sigma_gamma=0.5, sigma_u=0.0, seed=905)
     panel, _ = fp.simulate_dynamic_panel(dyn)
-    check(fp.fit_dynamic_lsdv(panel, DYNAMIC_SPEC), {"l": 1.5, "e_l1": 0.3})
+    check(fp.fit_dynamic_lsdv(panel, SPEC), {"l": 1.5, "e_l1": 0.3})
 
     diff_cfg = dataclasses.replace(dyn, sigma_gamma=0.0, seed=906)
     panel, _ = fp.simulate_dynamic_panel(diff_cfg)
-    check(fp.fit_diff_gmm(panel, GMM_SPEC, fp.GmmOptions(steps=2)),
+    check(fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions(steps=2)),
           {"l": 1.5, "e_l1": 0.3})
 
     sys_cfg = dataclasses.replace(diff_cfg, sigma_alpha=0.0, seed=907)
     panel, _ = fp.simulate_dynamic_panel(sys_cfg)
-    check(fp.fit_sys_gmm(panel, GMM_SPEC, fp.GmmOptions(steps=2)),
+    check(fp.fit_sys_gmm(panel, SPEC, fp.GmmOptions(steps=2)),
           {"l": 1.5, "e_l1": 0.3})
 
     report("5 noise-free exactness for all five estimators",
@@ -181,7 +172,7 @@ def test_criterion_6_diagnostic_calibration():
     for r in range(R):
         sub = dataclasses.replace(cfg, seed=fp.replication_seed(cfg.seed, r))
         panel, _ = fp.simulate_dynamic_panel(sub)
-        fit = fp.fit_diff_gmm(panel, GMM_SPEC, fp.GmmOptions(steps=2))
+        fit = fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions(steps=2))
         ar1_rej += fp.ar_test(fit, 1).p_value < 0.05
         ar2_rej += fp.ar_test(fit, 2).p_value < 0.05
         hansen_rej += fp.hansen_j(fit).p_value < 0.05
@@ -204,7 +195,7 @@ def test_criterion_7_diagnostic_fixtures():
     cfg = fp.DGPConfig(n_regions=100, n_years=5, rho=0.4, beta=1.0,
                        sigma_alpha=1.0, sigma_u=0.8, seed=909)
     panel, _ = fp.simulate_dynamic_panel(cfg)
-    fit = fp.fit_diff_gmm(panel, GMM_SPEC,
+    fit = fp.fit_diff_gmm(panel, SPEC,
                           fp.GmmOptions(min_lag=2, max_lag=2, collapse=True))
     just_identified = fit.gmm.n_instruments == len(fit.coef_names)
     checks.append(just_identified and fp.hansen_j(fit).statistic <= 1e-8)

@@ -61,6 +61,22 @@ class TestIngest:
         assert main(["ingest", "--panel", str(src), "--out", str(out)]) == 0
         assert (out / "panel.csv").read_bytes() == src.read_bytes()
 
+    @pytest.mark.parametrize("extra", [
+        ["--pixels", "px.csv"],
+        ["--events", "ev.csv"],
+        ["--pixels", "px.csv", "--events", "ev.csv"],
+    ])
+    def test_panel_with_pixel_inputs_is_an_error(self, tmp_path, capsys, extra):
+        # one source per run, so the manifest names only the input that was read
+        src = tmp_path / "panel.csv"
+        write_log_panel(src)
+        out = tmp_path / "out"
+        assert main(["ingest", "--panel", str(src), *extra, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--panel" in err and extra[0] in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_input_exits_nonzero(self, tmp_path):
         bad = tmp_path / "panel.csv"
         bad.write_text("region,year,L\nA,2001,not-a-number\n")
@@ -515,6 +531,30 @@ class TestMonteCarloCommand:
         assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: estimators listed more than once: ['lsdv']\n"
+
+    def test_config_and_preset_are_exclusive(self, tmp_path, capsys):
+        # neither source may silently override the other
+        config = {"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0},
+                  "estimator": "lsdv", "replications": 2}
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            main(["montecarlo", "--config", str(tmp_path / "mc.json"),
+                  "--preset", "nickell-demo", "--reps", "2", "--out", str(out)])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and "--preset" in err and "not allowed with" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_or_preset_is_required(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            main(["montecarlo", "--reps", "2", "--out", str(out)])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "one of the arguments --config --preset is required" in err
+        assert not out.exists()
 
     def test_malformed_config_json_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "mc.json"

@@ -92,8 +92,7 @@ class TestSimulateDynamicPanel:
                         regressor_param=0.8, seed=5)
         panel, _ = simulate_dynamic_panel(cfg)
         pooled = fit_pooled_ols(panel, RegressionSpec("e", (CONST, "l")))
-        spec = RegressionSpec("e", ("l",), include_region_effects=True,
-                              include_time_effects=True)
+        spec = RegressionSpec("e", ("l",))
         fe = fit_twoway_fe(panel, spec)
         assert abs(fe.coefficients["l"] - 1.0) < 0.05
         assert abs(pooled.coefficients["l"] - 1.0) > 0.3
@@ -189,8 +188,7 @@ class TestMonteCarlo:
     def test_fe_bias_and_coverage(self):
         cfg = DGPConfig(n_regions=200, n_years=23, rho=0.0, beta=1.0,
                         sigma_alpha=1.0, sigma_gamma=0.5, sigma_u=1.0, seed=14)
-        spec = RegressionSpec("e", ("l",), include_region_effects=True,
-                              include_time_effects=True)
+        spec = RegressionSpec("e", ("l",))
         study = monte_carlo(cfg, {"fe2w": (lambda p: fit_twoway_fe(p, spec), {"l": 1.0})},
                             200).studies["fe2w"]
         agg = study.aggregates()["l"]
@@ -290,17 +288,14 @@ def fails_on_even_replications():
 class TestSharedDraw:
     CFG = DGPConfig(n_regions=40, n_years=7, rho=0.4, beta=1.0,
                     sigma_alpha=1.0, sigma_u=1.0, seed=16)
-    SPEC = RegressionSpec("e", ("l",), include_region_effects=True,
-                          include_time_effects=True)
-    GMM_SPEC = RegressionSpec("e", ("l",), include_region_effects=True,
-                              include_time_effects=False)
+    SPEC = RegressionSpec("e", ("l",))
     DYNAMIC = {"l": 1.0, lagged_name("e"): 0.4}
 
     def estimands(self):
         return {
             "fe2w": (lambda p: fit_twoway_fe(p, self.SPEC), {"l": 1.0}),
             "lsdv": (lambda p: fit_dynamic_lsdv(p, self.SPEC), self.DYNAMIC),
-            "diffgmm": (lambda p: fit_diff_gmm(p, self.GMM_SPEC, GmmOptions(steps=2)),
+            "diffgmm": (lambda p: fit_diff_gmm(p, self.SPEC, GmmOptions(steps=2)),
                         self.DYNAMIC),
         }
 

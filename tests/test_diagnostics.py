@@ -25,7 +25,7 @@ from forestpanel import (
 from forestpanel.estimators import FitResult
 from forestpanel.gmm import GmmInternals
 
-SPEC = RegressionSpec("e", ("l",), include_region_effects=True, include_time_effects=False)
+SPEC = RegressionSpec("e", ("l",))
 
 
 def gmm_stub(diff_residuals):
@@ -277,8 +277,7 @@ class TestWithinR2:
             tuple(range(2001, 2001 + x.shape[1])),
             {"x": Grid.full(x), "y": Grid.full(y)},
         )
-        spec = RegressionSpec("y", ("x",), include_region_effects=True,
-                              include_time_effects=True)
+        spec = RegressionSpec("y", ("x",))
         return fit_twoway_fe(panel, spec)
 
     def test_perfect_fit(self):

@@ -13,7 +13,6 @@ from forestpanel import (
     RegressionSpec,
     cluster_robust_vcov,
     fit_dynamic_lsdv,
-    fit_heterogeneous,
     fit_pooled_ols,
     fit_twoway_fe,
     long_run_elasticity,
@@ -83,7 +82,7 @@ class TestPooledOls:
 class TestTwowayFe:
     @staticmethod
     def spec(*regs):
-        return RegressionSpec("y", regs, include_region_effects=True, include_time_effects=True)
+        return RegressionSpec("y", regs)
 
     def test_exact_construction(self):
         rng = np.random.default_rng(31)
@@ -140,8 +139,7 @@ class TestDynamicLsdv:
         cfg = DGPConfig(n_regions=20, n_years=8, rho=0.0, beta=1.0,
                         sigma_alpha=1.0, sigma_gamma=0.5, sigma_u=0.0, seed=9)
         panel, _ = simulate_dynamic_panel(cfg)
-        spec = RegressionSpec("e", ("l",), include_region_effects=True,
-                              include_time_effects=True)
+        spec = RegressionSpec("e", ("l",))
         fit = fit_dynamic_lsdv(panel, spec)
         assert abs(fit.coefficients["e_l1"]) < 1e-8
         assert fit.coefficients["l"] == pytest.approx(1.0, abs=1e-8)
@@ -149,8 +147,7 @@ class TestDynamicLsdv:
 
     def test_too_short(self):
         panel = panel_from(x=np.ones((3, 2)), y=np.zeros((3, 2)))
-        spec = RegressionSpec("y", ("x",), include_region_effects=True,
-                              include_time_effects=True)
+        spec = RegressionSpec("y", ("x",))
         with pytest.raises(EstimationError):
             fit_dynamic_lsdv(panel, spec)
 
@@ -158,8 +155,7 @@ class TestDynamicLsdv:
         # small paired check; the full-scale version runs in the acceptance suite
         cfg = DGPConfig(n_regions=300, n_years=6, rho=0.5, beta=1.0,
                         sigma_alpha=1.0, sigma_u=1.0, seed=10)
-        spec = RegressionSpec("e", ("l",), include_region_effects=True,
-                              include_time_effects=True)
+        spec = RegressionSpec("e", ("l",))
         rhos = []
         for r in range(40):
             sub = dataclasses.replace(cfg, seed=cfg.seed + 1000 + r)
@@ -294,71 +290,6 @@ class TestLongRunElasticity:
         report = long_run_elasticity(stub_fit(beta, rho, vcov), "l", "e_l1")
         grad = np.array([1 / (1 - rho), beta / (1 - rho) ** 2])
         assert report.long_run_se == pytest.approx(np.sqrt(grad @ vcov @ grad), abs=1e-12)
-
-
-class TestHeterogeneous:
-    @staticmethod
-    def spec():
-        return RegressionSpec("e", ("l",), include_region_effects=True,
-                              include_time_effects=True)
-
-    def test_zero_moderator_degenerates(self):
-        cfg = DGPConfig(n_regions=15, n_years=8, rho=0.2, beta=1.0,
-                        sigma_alpha=1.0, sigma_u=0.5, seed=12)
-        panel, _ = simulate_dynamic_panel(cfg)
-        panel = panel.with_variable("z", Grid.full(np.zeros((panel.N, panel.T))))
-        fit, regimes = fit_heterogeneous(panel, self.spec(), "z", z_values=[0.0])
-        plain = fit_dynamic_lsdv(panel, self.spec())
-        assert fit.coefficients["l"] == pytest.approx(plain.coefficients["l"], abs=1e-12)
-        assert any("identically zero" in w for w in fit.warnings)
-        assert regimes[0.0] == fit.coefficients["l"]
-
-    def test_noise_free_recovery(self):
-        rng = np.random.default_rng(13)
-        N, T = 12, 9
-        x = rng.normal(size=(N, T))
-        z = np.tile(rng.normal(size=(N, 1)), (1, T))
-        alpha = np.tile(rng.normal(size=(N, 1)), (1, T))
-        e = np.zeros((N, T))
-        prev = np.zeros(N)
-        for t in range(T):
-            prev = alpha[:, 0] + 0.2 * prev + 1.0 * x[:, t] + 0.5 * x[:, t] * z[:, 0]
-            e[:, t] = prev
-        panel = panel_from(l=x, z=z, e=e)
-        fit, regimes = fit_heterogeneous(panel, self.spec(), "z", z_values=[0.0, 2.0])
-        assert fit.coefficients["l"] == pytest.approx(1.0, abs=1e-7)
-        assert fit.coefficients["l_x_z"] == pytest.approx(0.5, abs=1e-7)
-        assert regimes[2.0] == pytest.approx(2.0, abs=1e-6)
-
-    def test_moderator_varying_within_region(self):
-        cfg = DGPConfig(n_regions=10, n_years=6, rho=0.0, beta=1.0, seed=14)
-        panel, _ = simulate_dynamic_panel(cfg)
-        varying = Grid.full(np.random.default_rng(0).normal(size=(panel.N, panel.T)))
-        panel = panel.with_variable("z", varying)
-        with pytest.raises(EstimationError, match="varies"):
-            fit_heterogeneous(panel, self.spec(), "z")
-
-    def test_monte_carlo_recovery(self):
-        rng = np.random.default_rng(15)
-        estimates = []
-        for rep in range(30):
-            N, T = 150, 8
-            x = rng.normal(size=(N, T))
-            z_col = rng.normal(size=(N, 1))
-            z = np.tile(z_col, (1, T))
-            alpha = np.tile(rng.normal(size=(N, 1)), (1, T))
-            e = np.zeros((N, T))
-            prev = np.zeros(N)
-            for t in range(T):
-                prev = (alpha[:, 0] + 0.1 * prev + 1.0 * x[:, t]
-                        + 0.5 * x[:, t] * z[:, 0] + 0.5 * rng.normal(size=N))
-                e[:, t] = prev
-            panel = panel_from(l=x, z=z, e=e)
-            fit, _ = fit_heterogeneous(panel, self.spec(), "z")
-            estimates.append([fit.coefficients["l"], fit.coefficients["l_x_z"]])
-        mean = np.mean(estimates, axis=0)
-        assert abs(mean[0] - 1.0) < 0.05
-        assert abs(mean[1] - 0.5) < 0.05
 
 
 class TestFitResultSerialization:

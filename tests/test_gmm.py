@@ -33,7 +33,7 @@ def make_panel(y, x=None):
     )
 
 
-SPEC = RegressionSpec("e", ("l",), include_region_effects=True, include_time_effects=False)
+SPEC = RegressionSpec("e", ("l",))
 
 
 class TestInstrumentLayout:
@@ -42,9 +42,10 @@ class TestInstrumentLayout:
         instruments = build_ab_instruments(panel, "e", GmmOptions(min_lag=2))
         # t=3 has one lag (s=2), t=4 has two (s=2,3): 3 columns total
         assert instruments.n_columns == 3
-        assert instruments.matrices.shape == (2, 2, 3)
+        Z = dense_instruments(instruments)
+        assert Z.shape == (2, 2, 3)
         # period blocks are zero-filled outside their own period
-        assert np.all(instruments.matrices[:, 0, 1:] == 0.0)
+        assert np.all(Z[:, 0, 1:] == 0.0)
 
     def test_collapsed_counts_T4(self):
         panel = make_panel(np.arange(8.0).reshape(2, 4))
@@ -62,8 +63,9 @@ class TestInstrumentLayout:
         panel = make_panel(y)
         instruments = build_ab_instruments(panel, "e", GmmOptions())
         # row for t=2 (0-based): level y_0; row for t=3: levels y_1, y_0
-        assert instruments.matrices[0, 0].tolist() == [10.0, 0.0, 0.0]
-        assert instruments.matrices[0, 1].tolist() == [0.0, 20.0, 10.0]
+        Z = dense_instruments(instruments)
+        assert Z[0, 0].tolist() == [10.0, 0.0, 0.0]
+        assert Z[0, 1].tolist() == [0.0, 20.0, 10.0]
 
     def test_max_lag_cap(self):
         panel = make_panel(np.arange(12.0).reshape(2, 6))
@@ -149,9 +151,7 @@ class TestDiffGmm:
         cfg = DGPConfig(n_regions=50, n_years=7, rho=0.2, beta=1.0,
                         sigma_alpha=1.0, sigma_gamma=0.8, sigma_u=0.0, seed=26)
         panel, _ = simulate_dynamic_panel(cfg)
-        spec = RegressionSpec("e", ("l",), include_region_effects=True,
-                              include_time_effects=True)
-        fit = fit_diff_gmm(panel, spec, GmmOptions())
+        fit = fit_diff_gmm(panel, SPEC, GmmOptions(year_dummies=True))
         assert fit.coefficients["e_l1"] == pytest.approx(0.2, abs=1e-6)
         assert fit.coefficients["l"] == pytest.approx(1.0, abs=1e-6)
         assert any(name.startswith("year_") for name in fit.coef_names)
@@ -228,6 +228,14 @@ class TestRegressorAvailability:
 # dense oracle: the moment algebra over an explicit (N, rows, K) instrument
 # tensor, with the Arellano-Bond block built by loops
 
+def dense_instruments(instruments):
+    """The dense (N, periods, columns) blocks of an InstrumentSet's cells."""
+    Z = np.zeros((instruments.values.shape[0], len(instruments.period_years),
+                  instruments.n_columns))
+    Z[:, instruments.rows, instruments.cols] = instruments.values
+    return Z
+
+
 def dense_gmm_oracle(panel, spec, options, level):
     """Coefficients, vcov, Hansen J, warnings and K from dense einsums."""
     lag_name = f"{spec.response}_l1"
@@ -237,8 +245,8 @@ def dense_gmm_oracle(panel, spec, options, level):
     periods = list(range(2, T))
     P = len(periods)
     Xg = [panel.var(name).values for name in exog]
-    dummy_years = periods if spec.include_time_effects else []
-    include_const = level and not spec.include_time_effects
+    dummy_years = periods if options.year_dummies else []
+    include_const = level and not options.year_dummies
     k = 1 + len(exog) + len(dummy_years) + int(include_const)
 
     Xd, yd = np.zeros((N, P, k)), np.zeros((N, P))
@@ -354,10 +362,9 @@ class TestMomentEngine:
     @pytest.mark.parametrize("level,collapse,steps,dummies", CONFIGS)
     def test_matches_dense_oracle(self, level, collapse, steps, dummies):
         panel = gmm_panel()
-        spec = dataclasses.replace(SPEC, include_time_effects=dummies)
-        options = GmmOptions(collapse=collapse, steps=steps)
-        fit = (fit_sys_gmm if level else fit_diff_gmm)(panel, spec, options)
-        assert_matches_oracle(fit, panel, spec, options, level)
+        options = GmmOptions(collapse=collapse, steps=steps, year_dummies=dummies)
+        fit = (fit_sys_gmm if level else fit_diff_gmm)(panel, SPEC, options)
+        assert_matches_oracle(fit, panel, SPEC, options, level)
         N, K = panel.N, fit.gmm.n_instruments
         for value in vars(fit.gmm).values():
             assert np.size(value) <= N * K
@@ -377,8 +384,8 @@ class TestMomentEngine:
 
         monkeypatch.setattr(gmm._Instruments, "__init__", record)
         panel = gmm_panel()
-        spec = dataclasses.replace(SPEC, include_time_effects=dummies)
-        (fit_sys_gmm if level else fit_diff_gmm)(panel, spec, GmmOptions(collapse=collapse))
+        options = GmmOptions(collapse=collapse, year_dummies=dummies)
+        (fit_sys_gmm if level else fit_diff_gmm)(panel, SPEC, options)
         (Z,) = made
         starts = np.flatnonzero(np.diff(Z.cols, prepend=-1))
         sizes = np.diff(starts, append=Z.cols.size)
@@ -406,11 +413,10 @@ class TestMomentEngine:
         # with year dummies the differenced residuals are differences of the
         # level residuals, so the two-step sys-GMM score covariance is singular
         panel = gmm_panel(N=200, T=8, seed=42)
-        spec = dataclasses.replace(SPEC, include_time_effects=True)
-        options = GmmOptions(steps=2)
-        fit = fit_sys_gmm(panel, spec, options)
+        options = GmmOptions(steps=2, year_dummies=True)
+        fit = fit_sys_gmm(panel, SPEC, options)
         assert "singular weighting matrix: pseudo-inverse fallback" in fit.warnings
-        assert_matches_oracle(fit, panel, spec, options, level=True)
+        assert_matches_oracle(fit, panel, SPEC, options, level=True)
 
 
 def planted_psd(rng, n, rank, tiny=None):
@@ -479,9 +485,9 @@ class TestSymmetricFactor:
             monkeypatch.setattr(np.linalg, name, refuse)
             monkeypatch.setattr(impl, name, refuse)
         panel = gmm_panel(N=200, T=8, seed=42)
-        spec = dataclasses.replace(SPEC, include_time_effects=True)
-        fit = fit_sys_gmm(panel, spec, GmmOptions(steps=2))
+        options = GmmOptions(steps=2, year_dummies=True)
+        fit = fit_sys_gmm(panel, SPEC, options)
         assert "singular weighting matrix: pseudo-inverse fallback" in fit.warnings
         assert hansen_j(fit).statistic > 0
         monkeypatch.undo()
-        assert_matches_oracle(fit, panel, spec, GmmOptions(steps=2), level=True)
+        assert_matches_oracle(fit, panel, SPEC, options, level=True)
