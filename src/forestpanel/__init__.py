@@ -13,9 +13,7 @@ from .panel import (
     PanelDataset,
     PanelError,
     build_panel,
-    demean_twoway,
     demean_twoway_values,
-    first_difference,
     interact,
     lag,
     log1,
@@ -27,8 +25,6 @@ from .ingest import (
     LoadError,
     Pixel,
     PixelGrid,
-    aggregate_emissions,
-    aggregate_loss,
     filter_canopy,
     load_panel_csv,
     load_pixel_grid_csv,

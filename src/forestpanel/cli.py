@@ -1,7 +1,9 @@
 """Command-line entry point: ingest, estimate, robustness, montecarlo.
 
 Every run writes a manifest with the fully resolved configuration and seed;
-rerunning from the same manifest reproduces output files byte for byte.
+rerunning from the same manifest reproduces output files byte for byte. A flag
+that no fit of a run reads must stay at its default, so the manifest records
+only settings that were applied.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .diagnostics import DiagnosticError, diagnostic_bundle
 from .dgp import DGPConfig, DGPError, monte_carlo
 from .estimators import (
     CONST,
+    ElasticityReport,
     EstimationError,
     FitResult,
     RegressionSpec,
@@ -106,6 +109,27 @@ def _gmm_options(args, year_dummies: bool) -> GmmOptions:
                       year_dummies)
 
 
+# Flags that only some runs read, by argparse destination, with their defaults.
+# A run that reads none of a group rejects any of them set off its default.
+_PIXEL_FLAGS = {"canopy_threshold": 30.0, "theta": DEFAULT_THETA}
+_GMM_FLAGS = {"min_lag": 2, "max_lag": None, "collapse": False, "two_step": False}
+
+
+def _unread_flags(args, defaults: dict) -> str:
+    """The flags of ``defaults`` that ``args`` sets off their default, as typed."""
+    return ", ".join("--" + dest.replace("_", "-") for dest, default in defaults.items()
+                     if getattr(args, dest) != default)
+
+
+def _check_gmm_flags(args, names) -> None:
+    """Validate the GMM flags when a GMM estimator is among ``names``; reject
+    any that is set when none is."""
+    if any(ESTIMATORS[name].gmm for name in names):
+        _gmm_options(args, year_dummies=False)  # a bad GMM flag fails the run, not a fit
+    elif unread := _unread_flags(args, _GMM_FLAGS):
+        raise EstimationError(f"{unread}: read only by the GMM estimators, and none runs")
+
+
 def _gmm(level: bool):
     def fit(panel, x, y, args, gmm_year_dummies):
         spec, options = RegressionSpec(y, (x,)), _gmm_options(args, gmm_year_dummies)
@@ -137,24 +161,12 @@ def _fit(name: str, panel: PanelDataset, x: str, y: str, args, *,
     return ESTIMATORS[name].fit(panel, x, y, args, gmm_year_dummies)
 
 
-def _elasticity_rows(fits, x: str, y: str):
-    rows = []
-    rho_name = lagged_name(y)
-    for tag, fit in fits.items():
-        if x in fit.coefficients and rho_name in fit.coefficients:
-            report = long_run_elasticity(fit, x, rho_name)
-            rows.append({"estimator": tag, **report.to_json_dict()})
-        elif x in fit.coefficients:
-            rows.append(
-                {
-                    "estimator": tag,
-                    "short_run": fit.coefficients[x],
-                    "persistence": 0.0,
-                    "long_run": fit.coefficients[x],
-                    "long_run_se": fit.std_errors()[x],
-                }
-            )
-    return rows
+def _elasticity(fit: FitResult, x: str, y: str) -> ElasticityReport:
+    """A dynamic fit's long-run elasticity; a static fit's is its short-run one."""
+    if lagged_name(y) in fit.coefficients:
+        return long_run_elasticity(fit, x, lagged_name(y))
+    beta = fit.coefficients[x]
+    return ElasticityReport(beta, 0.0, beta, fit.std_errors()[x])
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -170,6 +182,8 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_ingest(args) -> int:
     if args.panel and (args.pixels or args.events):
         raise LoadError("ingest takes --panel or --pixels with --events, not both")
+    if args.panel and (unread := _unread_flags(args, _PIXEL_FLAGS)):
+        raise LoadError(f"{unread}: read only with --pixels and --events, not with --panel")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.panel:
@@ -212,27 +226,24 @@ def _write_scatter(path: Path, panel: PanelDataset, x: str, y: str) -> None:
 
 
 def cmd_estimate(args) -> int:
+    names = ESTIMATORS if args.estimator == "all" else (args.estimator,)
+    _check_gmm_flags(args, names)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     panel, _ = load_panel_csv(args.panel)
     panel, x, y = _log_variables(panel, args.levels)
-    names = ESTIMATORS if args.estimator == "all" else (args.estimator,)
     fits = {name: _fit(name, panel, x, y, args, gmm_year_dummies=True) for name in names}
-    elasticity = _elasticity_rows(fits, x, y)
+    elasticity = {tag: _elasticity(fit, x, y).to_json_dict() for tag, fit in fits.items()}
     report = {
         "fits": {tag: fit.to_json_dict() for tag, fit in fits.items()},
         "diagnostics": {tag: diagnostic_bundle(fit) for tag, fit in fits.items()},
-        "elasticity": elasticity,
+        "elasticity": [{"estimator": tag, **row} for tag, row in elasticity.items()],
     }
     _write_json(out / "report.json", report)
     _write_csv(
         out / "elasticity.csv",
         ["estimator", "short_run", "persistence", "long_run", "long_run_se"],
-        [
-            [r["estimator"], repr(float(r["short_run"])), repr(float(r["persistence"])),
-             repr(float(r["long_run"])), repr(float(r["long_run_se"]))]
-            for r in elasticity
-        ],
+        [[tag, *(repr(float(v)) for v in row.values())] for tag, row in elasticity.items()],
     )
     if "fe2w" in fits:
         _write_scatter(out / "scatter.csv", panel, x, y)
@@ -272,6 +283,7 @@ def _subset_regions(panel: PanelDataset, keep: list[str]) -> PanelDataset:
 
 
 def cmd_robustness(args) -> int:
+    _check_gmm_flags(args, (args.estimator,))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     excluded = set(args.exclude_years or [])
@@ -328,11 +340,10 @@ _PRESETS = {
         "replications": 200,
     }
 }
+_CONFIG_KEYS = ("dgp", "estimators", "replications")
 
 
 def cmd_montecarlo(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.preset:
         config = _PRESETS[args.preset]
     else:
@@ -342,6 +353,9 @@ def cmd_montecarlo(args) -> int:
             raise DGPError(f"{args.config}: malformed JSON: {exc}") from None
     if not isinstance(config, dict) or not isinstance(config.get("dgp"), dict):
         raise DGPError("montecarlo config needs a 'dgp' object")
+    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    if unknown:
+        raise DGPError(f"unknown config keys: {unknown}; montecarlo accepts {list(_CONFIG_KEYS)}")
     dgp_fields = dict(config["dgp"])
     if args.seed is not None:
         dgp_fields["seed"] = args.seed
@@ -350,12 +364,13 @@ def cmd_montecarlo(args) -> int:
     reps = config.get("replications", 100) if args.reps is None else args.reps
     if isinstance(reps, bool) or not isinstance(reps, int):
         raise DGPError(f"config key 'replications' must be an integer, got {reps!r}")
-    estimators = config.get("estimators") or [config.get("estimator", "lsdv")]
+    estimators = config.get("estimators", [])
     if not isinstance(estimators, list) or not all(isinstance(n, str) for n in estimators):
-        key = "estimators" if config.get("estimators") else "estimator"
         raise EstimationError(
-            f"config key {key!r} must name estimators as strings, got {config[key]!r}"
+            f"config key 'estimators' must name estimators as strings, got {estimators!r}"
         )
+    if not estimators:
+        raise EstimationError("config key 'estimators' must name at least one estimator")
     unknown = [name for name in estimators if name not in ESTIMATORS]
     if unknown:
         raise EstimationError(
@@ -364,8 +379,9 @@ def cmd_montecarlo(args) -> int:
     repeated = sorted({name for name in estimators if estimators.count(name) > 1})
     if repeated:
         raise EstimationError(f"estimators listed more than once: {repeated}")
-    if any(ESTIMATORS[name].gmm for name in estimators):
-        _gmm_options(args, year_dummies=False)  # a bad GMM flag fails the run, not every rep
+    _check_gmm_flags(args, estimators)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     estimands = {}
     for name in estimators:
         truth = {"l": dgp.beta}
@@ -437,13 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--panel", help="panel CSV passthrough")
     p_ingest.add_argument("--pixels", help="pixels.csv (pixel,region,biomass,area,canopy)")
     p_ingest.add_argument("--events", help="loss_events.csv (pixel,year)")
-    p_ingest.add_argument("--canopy-threshold", type=float, default=30.0)
-    p_ingest.add_argument("--theta", type=float, default=DEFAULT_THETA)
+    p_ingest.add_argument("--canopy-threshold", type=float,
+                          default=_PIXEL_FLAGS["canopy_threshold"])
+    p_ingest.add_argument("--theta", type=float, default=_PIXEL_FLAGS["theta"])
     common(p_ingest)
     p_ingest.set_defaults(func=cmd_ingest)
 
     def gmm_flags(p):
-        p.add_argument("--min-lag", type=int, default=2)
+        p.add_argument("--min-lag", type=int, default=_GMM_FLAGS["min_lag"])
         p.add_argument("--max-lag", type=int, default=None)
         p.add_argument("--collapse", action="store_true")
         p.add_argument("--two-step", action="store_true")

@@ -121,12 +121,9 @@ def _region_labels(n: int) -> tuple[str, ...]:
     return tuple(f"R{i:04d}" for i in range(n))
 
 
-def simulate_dynamic_panel(
-    config: DGPConfig,
-    response_name: str = "e",
-    regressor_name: str = "l",
-) -> tuple[PanelDataset, PanelTruth]:
-    """Simulate the autoregressive panel recursion after a burn-in window."""
+def simulate_dynamic_panel(config: DGPConfig) -> tuple[PanelDataset, PanelTruth]:
+    """Simulate the autoregressive panel recursion after a burn-in window: the
+    regressor is ``l`` and the response ``e``."""
     rng = np.random.default_rng(config.seed)
     N, T, B = config.n_regions, config.n_years, config.burn_in
     total = B + T
@@ -157,12 +154,7 @@ def simulate_dynamic_panel(
 
     years = tuple(range(config.start_year, config.start_year + T))
     panel = PanelDataset(
-        _region_labels(N),
-        years,
-        {
-            regressor_name: Grid.full(x[:, B:]),
-            response_name: Grid.full(e[:, B:]),
-        },
+        _region_labels(N), years, {"l": Grid.full(x[:, B:]), "e": Grid.full(e[:, B:])}
     )
     return panel, PanelTruth(config.rho, config.beta, alpha, gamma_all[B:], config)
 

@@ -284,8 +284,8 @@ def fit_twoway_fe(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
     return _within_fit(panel, spec, "fe2w")
 
 
-def lagged_name(response: str, k: int = 1) -> str:
-    return f"{response}_l{k}"
+def lagged_name(response: str) -> str:
+    return f"{response}_l1"
 
 
 def _with_lagged_response(panel: PanelDataset, response: str) -> tuple[PanelDataset, str]:

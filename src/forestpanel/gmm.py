@@ -72,19 +72,14 @@ class InstrumentSet:
     pattern shared by every region.
 
     Cell e holds ``values[:, e]`` at (period ``rows[e]``, column ``cols[e]``)
-    of each region's (periods, columns) block; every other entry is zero.
-    Rows line up with the differenced periods in ``period_years``.
+    of each region's (periods, ``n_columns``) block; every other entry is
+    zero. Row p is the p-th differenced period, year index p + 2.
     """
 
     values: np.ndarray  # (N, cells) lagged levels
     rows: np.ndarray    # (cells,)
     cols: np.ndarray    # (cells,)
-    labels: tuple[str, ...]
-    period_years: tuple[int, ...]
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.labels)
+    n_columns: int
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,7 @@ def build_ab_instruments(
         # (period index, column, source year index) of every cell
         cells = [(p, c, t - s) for c, s in enumerate(lags)
                  for p, t in enumerate(periods) if t - s >= 0]
-        labels = tuple(f"lev_l{s}" for s in lags)
+        n_columns = len(lags)
     else:
         cols: list[tuple[int, int]] = []  # (period index, lag distance)
         for p, t in enumerate(periods):
@@ -157,11 +152,9 @@ def build_ab_instruments(
         if not cols:
             raise EstimationError("no usable instruments for the given lag range")
         cells = [(p, c, periods[p] - s) for c, (p, s) in enumerate(cols)]
-        labels = tuple(f"t{panel.years[periods[p]]}_lev_l{s}" for p, s in cols)
+        n_columns = len(cols)
     rows, columns, source = np.array(cells, dtype=np.intp).T
-    return InstrumentSet(
-        y[:, source], rows, columns, labels, tuple(panel.years[t] for t in periods)
-    )
+    return InstrumentSet(y[:, source], rows, columns, n_columns)
 
 
 class _Instruments:

@@ -2,14 +2,14 @@
 
 Pixel grids stand in for classified satellite rasters: each pixel carries a
 region id, biomass carbon density, area, and canopy density, plus a set of
-(pixel, year) loss events. Zonal aggregation turns those into the panel's
-loss-area and emission variables.
+(pixel, year) loss events. Zonal aggregation, ``pixel_panel``, turns those
+into the panel's loss-area and emission variables ``L`` and ``E``.
 
 A ``PixelGrid`` is built one way, from columns: the CSV loader and the
-simulator pass one list or array per attribute, and ``filter_canopy`` and the
-aggregations work on those columns. One vectorised rule, ``_first_bad_pixel``,
-decides which pixel values are valid, for the constructor and for the
-loader's line-numbered errors alike.
+simulator pass one list or array per attribute, and ``filter_canopy`` and
+``pixel_panel`` work on those columns. One vectorised rule,
+``_first_bad_pixel``, decides which pixel values are valid, for the
+constructor and for the loader's line-numbered errors alike.
 
 Both CSV loaders read a file in blocks of a few thousand rows. Each block's
 numeric fields become float64 or int64 arrays at once, years get one
@@ -224,12 +224,14 @@ def filter_canopy(grid: PixelGrid, threshold: float) -> PixelGrid:
     return grid._subset(grid.canopy >= threshold)
 
 
-def _aggregate(grid: PixelGrid, years: Sequence[int], per_pixel: dict[str, np.ndarray]) -> PanelDataset:
-    """Sum each per-pixel weight over the loss events into a region x year grid.
+def pixel_panel(grid: PixelGrid, factors: EmissionFactors, years: Sequence[int]) -> PanelDataset:
+    """Annual loss area ``L`` (hectares) and emissions ``E`` per region over ``years``.
 
-    One ``np.bincount`` per variable over the (region, year) cell index.
-    bincount adds weights in input order, so every cell is summed in the
-    grid's fixed (pixel_id, year) event order.
+    A lost pixel adds its area to ``L`` and its carbon mass, biomass x area x
+    theta in that order, to ``E``; a cell where nothing was lost is zero, and
+    events outside ``years`` are not counted. One ``np.bincount`` per variable
+    over the (region, year) cell index: bincount adds weights in input order,
+    so every cell is summed in the grid's fixed (pixel_id, year) event order.
     """
     if len(grid.pixel_ids) == 0:
         raise LoadError("empty pixel grid")
@@ -239,42 +241,12 @@ def _aggregate(grid: PixelGrid, years: Sequence[int], per_pixel: dict[str, np.nd
     counted = (col >= 0) & (col < T)
     rows = grid.event_pixel[counted]
     cell = grid.region_code[rows] * T + col[counted]
+    per_pixel = {"L": grid.area, "E": grid.biomass * grid.area * factors.theta}
     variables = {
         name: Grid.full(np.bincount(cell, weights=weight[rows], minlength=N * T).reshape(N, T))
         for name, weight in per_pixel.items()
     }
     return PanelDataset(span.regions, span.years, variables)
-
-
-def _carbon_mass(grid: PixelGrid, factors: EmissionFactors) -> np.ndarray:
-    """Per-pixel emissions if lost: biomass x area x theta, in that order."""
-    return grid.biomass * grid.area * factors.theta
-
-
-def aggregate_loss(grid: PixelGrid, years: Sequence[int]) -> PanelDataset:
-    """Annual loss area per region (hectares); zero where nothing was lost."""
-    return _aggregate(grid, years, {"value": grid.area})
-
-
-def aggregate_emissions(
-    grid: PixelGrid, factors: EmissionFactors, years: Sequence[int]
-) -> PanelDataset:
-    """Annual emissions per region: sum of lost-pixel carbon mass times theta."""
-    return _aggregate(grid, years, {"value": _carbon_mass(grid, factors)})
-
-
-def pixel_panel(
-    grid: PixelGrid,
-    factors: EmissionFactors,
-    years: Sequence[int],
-    loss_name: str = "L",
-    emissions_name: str = "E",
-) -> PanelDataset:
-    """Loss and emission variables aggregated into one panel."""
-    return _aggregate(grid, years, {
-        loss_name: grid.area,
-        emissions_name: _carbon_mass(grid, factors),
-    })
 
 
 # ---------------------------------------------------------------------------

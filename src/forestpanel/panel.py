@@ -2,7 +2,7 @@
 
 The panel is the currency every other module trades in: a set of named
 N x T variable grids over the same ordered regions and consecutive years.
-Derived grids (lags, differences) carry an explicit availability mask so
+Derived grids (lags, interactions) carry an explicit availability mask so
 invalid cells can never leak into an estimation sample.
 """
 
@@ -243,13 +243,6 @@ def demean_twoway_values(values: np.ndarray) -> np.ndarray:
     )
 
 
-def demean_twoway(panel: PanelDataset, var: str) -> Grid:
-    grid = panel.var(var)
-    if not grid.available.all():
-        raise PanelError("demeaning requires a fully available grid")
-    return Grid.full(demean_twoway_values(grid.values))
-
-
 def lag(panel: PanelDataset, var: str, k: int = 1) -> Grid:
     """Shift a variable k years back; the first k years are flagged unavailable."""
     if k < 1:
@@ -261,16 +254,6 @@ def lag(panel: PanelDataset, var: str, k: int = 1) -> Grid:
     available = np.zeros_like(grid.available)
     values[:, k:] = grid.values[:, :-k]
     available[:, k:] = grid.available[:, :-k]
-    return Grid(values, available)
-
-
-def first_difference(panel: PanelDataset, var: str) -> Grid:
-    """x_it - x_{i,t-1}; the first year is flagged unavailable."""
-    grid = panel.var(var)
-    values = np.zeros_like(grid.values)
-    available = np.zeros_like(grid.available)
-    values[:, 1:] = grid.values[:, 1:] - grid.values[:, :-1]
-    available[:, 1:] = grid.available[:, 1:] & grid.available[:, :-1]
     return Grid(values, available)
 
 

@@ -239,9 +239,8 @@ def test_criterion_8_aggregation_oracle_and_properties():
             ok &= panel.var("E").values[gi, gj] == pytest.approx(emis, abs=1e-10)
 
     # theta-scaling: emissions scale linearly in theta
-    doubled = fp.aggregate_emissions(grid, fp.EmissionFactors(2 * theta), years)
-    base = fp.aggregate_emissions(grid, fp.EmissionFactors(theta), years)
-    scale_err = np.abs(doubled.var("value").values - 2 * base.var("value").values).max()
+    doubled = fp.pixel_panel(grid, fp.EmissionFactors(2 * theta), years)
+    scale_err = np.abs(doubled.var("E").values - 2 * panel.var("E").values).max()
 
     # partition-additivity: splitting the grid and summing matches the whole
     half_ids = {p.pixel_id for p in pixels[:150]}
@@ -249,9 +248,9 @@ def test_criterion_8_aggregation_oracle_and_properties():
     second = fp.PixelGrid(*zip(*pixels[150:]), [e for e in events if e[0] not in half_ids])
     total = np.zeros((len(panel.regions), len(years)))
     for part in (first, second):
-        sub = fp.aggregate_loss(part, years)
+        sub = fp.pixel_panel(part, fp.EmissionFactors(theta), years)
         for gi, region in enumerate(sub.regions):
-            total[panel.regions.index(region)] += sub.var("value").values[gi]
+            total[panel.regions.index(region)] += sub.var("L").values[gi]
     part_err = np.abs(total - panel.var("L").values).max()
 
     ok = ok and scale_err <= 1e-10 and part_err <= 1e-10
@@ -268,7 +267,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     mc_config = {
         "dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0,
                 "sigma_alpha": 1.0, "sigma_u": 1.0},
-        "estimator": "diffgmm",
+        "estimators": ["diffgmm"],
         "replications": 5,
     }
     (tmp_path / "mc.json").write_text(json.dumps(mc_config))

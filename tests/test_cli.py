@@ -77,6 +77,29 @@ class TestIngest:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--theta", "2"], "--theta"),
+        (["--canopy-threshold", "90"], "--canopy-threshold"),
+        (["--theta", "2", "--canopy-threshold", "90"], "--canopy-threshold, --theta"),
+    ], ids=["theta", "canopy", "both"])
+    def test_panel_with_pixel_flags_is_an_error(self, tmp_path, capsys, flags, named):
+        # a passthrough applies neither flag, so the manifest must not record one
+        src = tmp_path / "panel.csv"
+        write_log_panel(src)
+        out = tmp_path / "out"
+        assert main(["ingest", "--panel", str(src), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {named}: read only with --pixels and --events, not with --panel\n")
+        assert not out.exists()
+
+    def test_panel_with_default_pixel_flags_runs(self, tmp_path):
+        src = tmp_path / "panel.csv"
+        write_log_panel(src)
+        out = tmp_path / "out"
+        assert main(["ingest", "--panel", str(src), "--canopy-threshold", "30",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["canopy_threshold"] == 30
+
     def test_bad_input_exits_nonzero(self, tmp_path):
         bad = tmp_path / "panel.csv"
         bad.write_text("region,year,L\nA,2001,not-a-number\n")
@@ -205,8 +228,9 @@ class TestEstimate:
         assert [row.split(",")[0] for row in rows] == list(ESTIMATORS)
         for name in ESTIMATORS:
             out = tmp_path / name
+            two_step = ["--two-step"] if ESTIMATORS[name].gmm else []
             assert main(["estimate", "--panel", str(src), "--estimator", name,
-                         "--two-step", "--out", str(out)]) == 0
+                         *two_step, "--out", str(out)]) == 0
             single = json.loads((out / "report.json").read_text())["fits"]
             assert single == {name: fits[name]}
 
@@ -230,6 +254,24 @@ class TestEstimate:
         b_log = log["fits"]["fe2w"]["coefficients"][0]["estimate"]
         assert b_lev == pytest.approx(3.0, abs=0.05)
         assert b_lev != b_log
+
+
+    @pytest.mark.parametrize("command, estimator, flags, named", [
+        ("estimate", "fe2w", ["--min-lag", "1"], "--min-lag"),
+        ("estimate", "lsdv", ["--max-lag", "3"], "--max-lag"),
+        ("estimate", "pooled", ["--two-step"], "--two-step"),
+        ("robustness", "fe2w", ["--two-step", "--collapse"], "--collapse, --two-step"),
+    ], ids=["estimate-min-lag", "estimate-max-lag", "estimate-two-step", "robustness-both"])
+    def test_gmm_flags_without_gmm_fit_are_an_error(self, tmp_path, capsys, command,
+                                                    estimator, flags, named):
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, seed=84)
+        out = tmp_path / "out"
+        assert main([command, "--panel", str(src), "--estimator", estimator, *flags,
+                     "--levels", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {named}: read only by the GMM estimators, and none runs\n")
+        assert not out.exists()
 
 
 class TestColdStart:
@@ -337,7 +379,7 @@ class TestMonteCarloCommand:
         config = {
             "dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0,
                     "sigma_alpha": 1.0, "sigma_u": 1.0},
-            "estimator": "lsdv",
+            "estimators": ["lsdv"],
             "replications": 2,
         }
         (tmp_path / "mc.json").write_text(json.dumps(config))
@@ -468,7 +510,7 @@ class TestMonteCarloCommand:
     def test_bad_replication_count_is_an_error(self, tmp_path, capsys, flags, replications,
                                                message):
         config = {"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0},
-                  "estimator": "lsdv", "replications": replications}
+                  "estimators": ["lsdv"], "replications": replications}
         (tmp_path / "mc.json").write_text(json.dumps(config))
         out = tmp_path / "out"
         assert main(["montecarlo", "--config", str(tmp_path / "mc.json"), *flags,
@@ -481,7 +523,8 @@ class TestMonteCarloCommand:
         ({"estimators": "lsdv"},
          "config key 'estimators' must name estimators as strings, got 'lsdv'"),
         ({"estimator": ["lsdv"]},
-         "config key 'estimator' must name estimators as strings, got ['lsdv']"),
+         "unknown config keys: ['estimator']; "
+         "montecarlo accepts ['dgp', 'estimators', 'replications']"),
         ({"dgp": {"n_regions": "50"}}, "dgp key 'n_regions' must be an integer, got '50'"),
         ({"dgp": {"n_regions": True}}, "dgp key 'n_regions' must be an integer, got True"),
         ({"dgp": {"rho": "0.5"}}, "dgp key 'rho' must be a number, got '0.5'"),
@@ -511,8 +554,9 @@ class TestMonteCarloCommand:
             (tmp_path / f"{tag}.json").write_text(
                 json.dumps({"dgp": dgp, "estimators": estimators, "replications": 4}))
             out = tmp_path / tag
+            two_step = ["--two-step"] if "diffgmm" in estimators else []
             assert main(["montecarlo", "--config", str(tmp_path / f"{tag}.json"),
-                         "--two-step", "--seed", "5", "--out", str(out)]) == 0
+                         *two_step, "--seed", "5", "--out", str(out)]) == 0
             results = json.loads((out / "montecarlo.json").read_text())["results"]
             rows = (out / "montecarlo.csv").read_text().splitlines()
             runs[tag] = results, rows
@@ -523,6 +567,35 @@ class TestMonteCarloCommand:
         header, lsdv_rows = runs["lsdv"][1][0], runs["lsdv"][1][1:]
         assert runs["diffgmm"][1][0] == header
         assert both_rows == [header, *lsdv_rows, *runs["diffgmm"][1][1:]]
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"replication": 3}, "unknown config keys: ['replication']"),
+        ({"estimator": "diffgmm"}, "unknown config keys: ['estimator']"),
+        ({"estimators": []}, "config key 'estimators' must name at least one estimator"),
+        ({"estimators": None}, "config key 'estimators' must name estimators as strings, "
+                               "got None"),
+    ], ids=["typo-key", "singular-key", "empty-list", "null"])
+    def test_config_keys_are_checked(self, tmp_path, capsys, changes, message):
+        config = {"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0},
+                  "estimators": ["lsdv"], "replications": 2, **changes}
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_gmm_flag_without_gmm_estimator_is_an_error(self, tmp_path, capsys):
+        config = {"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0},
+                  "estimators": ["lsdv", "fe2w"], "replications": 2}
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(tmp_path / "mc.json"), "--two-step",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --two-step: read only by the GMM estimators, and none runs\n")
+        assert not out.exists()
 
     def test_repeated_estimator_is_an_error(self, tmp_path, capsys):
         config = {"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0},
@@ -535,7 +608,7 @@ class TestMonteCarloCommand:
     def test_config_and_preset_are_exclusive(self, tmp_path, capsys):
         # neither source may silently override the other
         config = {"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0},
-                  "estimator": "lsdv", "replications": 2}
+                  "estimators": ["lsdv"], "replications": 2}
         (tmp_path / "mc.json").write_text(json.dumps(config))
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as stop:
@@ -568,7 +641,7 @@ class TestMonteCarloCommand:
     def test_default_seed_is_the_dgp_default(self, tmp_path):
         config = {
             "dgp": {"n_regions": 15, "n_years": 6, "rho": 0.2, "beta": 1.0},
-            "estimator": "lsdv",
+            "estimators": ["lsdv"],
             "replications": 2,
         }
         (tmp_path / "mc.json").write_text(json.dumps(config))
@@ -582,7 +655,7 @@ class TestMonteCarloCommand:
         config = {
             "dgp": {"n_regions": 15, "n_years": 6, "rho": 0.2, "beta": 1.0,
                     "sigma_u": 1.0},
-            "estimator": "fe2w",
+            "estimators": ["fe2w"],
             "replications": 3,
         }
         (tmp_path / "mc.json").write_text(json.dumps(config))

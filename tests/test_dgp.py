@@ -7,17 +7,18 @@ import pytest
 from forestpanel import (
     DGPConfig,
     DGPError,
+    EmissionFactors,
     EstimationError,
     FitResult,
     GmmOptions,
     GridDGPConfig,
     RegressionSpec,
-    aggregate_loss,
     fit_diff_gmm,
     fit_dynamic_lsdv,
     fit_twoway_fe,
     lagged_name,
     monte_carlo,
+    pixel_panel,
     replication_seed,
     simulate_disturbance_grid,
     simulate_dynamic_panel,
@@ -131,15 +132,15 @@ class TestDisturbanceGrid:
                             ignition_rate=2.0, seed=10)
         grid = simulate_disturbance_grid(cfg)
         years = range(cfg.start_year, cfg.start_year + cfg.n_years)
-        panel = aggregate_loss(grid, years)
-        per_region_loss = panel.var("value").values.sum(axis=1)
+        panel = pixel_panel(grid, EmissionFactors(), years)
+        per_region_loss = panel.var("L").values.sum(axis=1)
         assert np.all(per_region_loss <= cfg.pixels_per_region * cfg.pixel_area + 1e-9)
 
     def test_heavy_tail_shape_at_defaults(self):
         cfg = GridDGPConfig(seed=11)
         grid = simulate_disturbance_grid(cfg)
         years = range(cfg.start_year, cfg.start_year + cfg.n_years)
-        loss = aggregate_loss(grid, years).var("value").values.ravel()
+        loss = pixel_panel(grid, EmissionFactors(), years).var("L").values.ravel()
         centered = loss - loss.mean()
         skewness = np.mean(centered**3) / np.mean(centered**2) ** 1.5
         assert skewness > 2.0

@@ -42,7 +42,7 @@ class TestInstrumentLayout:
         instruments = build_ab_instruments(panel, "e", GmmOptions(min_lag=2))
         # t=3 has one lag (s=2), t=4 has two (s=2,3): 3 columns total
         assert instruments.n_columns == 3
-        Z = dense_instruments(instruments)
+        Z = dense_instruments(instruments, 2)
         assert Z.shape == (2, 2, 3)
         # period blocks are zero-filled outside their own period
         assert np.all(Z[:, 0, 1:] == 0.0)
@@ -51,7 +51,12 @@ class TestInstrumentLayout:
         panel = make_panel(np.arange(8.0).reshape(2, 4))
         instruments = build_ab_instruments(panel, "e", GmmOptions(min_lag=2, collapse=True))
         assert instruments.n_columns == 2
-        assert instruments.labels == ("lev_l2", "lev_l3")
+        # column c repeats the level lagged s = 2 + c down the periods t = 2, 3
+        # (0-based) that reach back that far; elsewhere it is zero
+        y = panel.var("e").values
+        Z = dense_instruments(instruments, 2)
+        assert Z[:, :, 0].tolist() == y[:, [0, 1]].tolist()
+        assert Z[:, :, 1].tolist() == [[0.0, y0] for y0 in y[:, 0]]
 
     def test_T2_errors(self):
         panel = make_panel(np.arange(4.0).reshape(2, 2))
@@ -63,7 +68,7 @@ class TestInstrumentLayout:
         panel = make_panel(y)
         instruments = build_ab_instruments(panel, "e", GmmOptions())
         # row for t=2 (0-based): level y_0; row for t=3: levels y_1, y_0
-        Z = dense_instruments(instruments)
+        Z = dense_instruments(instruments, 2)
         assert Z[0, 0].tolist() == [10.0, 0.0, 0.0]
         assert Z[0, 1].tolist() == [0.0, 20.0, 10.0]
 
@@ -228,10 +233,9 @@ class TestRegressorAvailability:
 # dense oracle: the moment algebra over an explicit (N, rows, K) instrument
 # tensor, with the Arellano-Bond block built by loops
 
-def dense_instruments(instruments):
+def dense_instruments(instruments, n_periods):
     """The dense (N, periods, columns) blocks of an InstrumentSet's cells."""
-    Z = np.zeros((instruments.values.shape[0], len(instruments.period_years),
-                  instruments.n_columns))
+    Z = np.zeros((instruments.values.shape[0], n_periods, instruments.n_columns))
     Z[:, instruments.rows, instruments.cols] = instruments.values
     return Z
 

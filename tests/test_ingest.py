@@ -9,8 +9,6 @@ from forestpanel import (
     LoadError,
     Pixel,
     PixelGrid,
-    aggregate_emissions,
-    aggregate_loss,
     filter_canopy,
     load_panel_csv,
     pixel_panel,
@@ -65,16 +63,16 @@ class TestFilterCanopy:
 class TestAggregateLoss:
     def test_no_events(self, toy_grid):
         grid = grid_of(toy_grid.pixels, [])
-        panel = aggregate_loss(grid, [2001, 2002])
-        assert np.all(panel.var("value").values == 0.0)
+        panel = pixel_panel(grid, EmissionFactors(), [2001, 2002])
+        assert np.all(panel.var("L").values == 0.0)
 
     def test_direct_sum(self):
         grid = grid_of(
             [("p1", "A", 1, 0.09, 80), ("p2", "A", 1, 0.09, 80)],
             [("p1", 2005), ("p2", 2005)],
         )
-        panel = aggregate_loss(grid, [2005])
-        assert panel.var("value").values[0, 0] == pytest.approx(0.18)
+        panel = pixel_panel(grid, EmissionFactors(), [2005])
+        assert panel.var("L").values[0, 0] == pytest.approx(0.18)
 
     def test_matches_brute_force_tally(self):
         rng = np.random.default_rng(99)
@@ -87,7 +85,7 @@ class TestAggregateLoss:
         events = [(f"p{i}", int(2001 + rng.integers(0, 5))) for i in lost]
         grid = grid_of(pixels, events)
         years = list(range(2001, 2006))
-        panel = aggregate_loss(grid, years)
+        panel = pixel_panel(grid, EmissionFactors(), years)
         # brute force: iterate pixels, tally independently
         by_id = {p[0]: p for p in pixels}
         for i, region in enumerate(panel.regions):
@@ -97,7 +95,7 @@ class TestAggregateLoss:
                     for pid, yr in events
                     if yr == year and by_id[pid][1] == region
                 )
-                assert panel.var("value").values[i, j] == pytest.approx(expected, abs=1e-12)
+                assert panel.var("L").values[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 class TestAggregateEmissions:
@@ -106,8 +104,8 @@ class TestAggregateEmissions:
             [("p1", "A", 10, 1, 80), ("p2", "A", 20, 1, 80), ("p3", "A", 30, 1, 80)],
             [("p1", 2001), ("p3", 2001)],
         )
-        panel = aggregate_emissions(grid, EmissionFactors(theta=1.0), [2001])
-        assert panel.var("value").values[0, 0] == pytest.approx(40.0)
+        panel = pixel_panel(grid, EmissionFactors(theta=1.0), [2001])
+        assert panel.var("E").values[0, 0] == pytest.approx(40.0)
 
     def test_theta_zero_invalid(self):
         with pytest.raises(LoadError):
@@ -120,16 +118,16 @@ class TestAggregateEmissions:
 
     def test_tiny_theta_scales_to_zero(self):
         grid = grid_of([("p1", "A", 10, 1, 80)], [("p1", 2001)])
-        tiny = aggregate_emissions(grid, EmissionFactors(theta=1e-300), [2001])
-        assert tiny.var("value").values[0, 0] == pytest.approx(0.0, abs=1e-290)
+        tiny = pixel_panel(grid, EmissionFactors(theta=1e-300), [2001])
+        assert tiny.var("E").values[0, 0] == pytest.approx(0.0, abs=1e-290)
 
     def test_molecular_factor_hand_arithmetic(self):
         grid = grid_of(
             [("p1", "A", 100, 1, 80), ("p2", "A", 50, 1, 80)],
             [("p1", 2001), ("p2", 2001)],
         )
-        panel = aggregate_emissions(grid, EmissionFactors(theta=44 / 12), [2001])
-        assert panel.var("value").values[0, 0] == pytest.approx(550.0)
+        panel = pixel_panel(grid, EmissionFactors(theta=44 / 12), [2001])
+        assert panel.var("E").values[0, 0] == pytest.approx(550.0)
 
     def test_theta_scaling(self):
         rng = np.random.default_rng(4)
@@ -137,9 +135,9 @@ class TestAggregateEmissions:
         events = [(f"p{i}", 2001 + i % 4) for i in range(0, 30, 2)]
         grid = grid_of(pixels, events)
         years = range(2001, 2005)
-        base = aggregate_emissions(grid, EmissionFactors(theta=1.0), years)
-        scaled = aggregate_emissions(grid, EmissionFactors(theta=3.5), years)
-        assert np.abs(scaled.var("value").values - 3.5 * base.var("value").values).max() < 1e-10
+        base = pixel_panel(grid, EmissionFactors(theta=1.0), years)
+        scaled = pixel_panel(grid, EmissionFactors(theta=3.5), years)
+        assert np.abs(scaled.var("E").values - 3.5 * base.var("E").values).max() < 1e-10
 
     def test_partition_additivity(self):
         rng = np.random.default_rng(5)
@@ -149,18 +147,18 @@ class TestAggregateEmissions:
         ids_a = {p[0] for p in half_a}
         years = range(2001, 2004)
         factors = EmissionFactors()
-        full = aggregate_emissions(grid_of(pixels, events), factors, years)
-        part_a = aggregate_emissions(
+        full = pixel_panel(grid_of(pixels, events), factors, years)
+        part_a = pixel_panel(
             grid_of(half_a, [e for e in events if e[0] in ids_a]), factors, years
         )
-        part_b = aggregate_emissions(
+        part_b = pixel_panel(
             grid_of(half_b, [e for e in events if e[0] not in ids_a]), factors, years
         )
-        combined = np.zeros_like(full.var("value").values)
+        combined = np.zeros_like(full.var("E").values)
         for part in (part_a, part_b):
             for i, region in enumerate(part.regions):
-                combined[full.regions.index(region)] += part.var("value").values[i]
-        assert np.abs(full.var("value").values - combined).max() < 1e-10
+                combined[full.regions.index(region)] += part.var("E").values[i]
+        assert np.abs(full.var("E").values - combined).max() < 1e-10
 
     def test_support_agreement(self):
         rng = np.random.default_rng(6)

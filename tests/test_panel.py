@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +9,7 @@ from forestpanel import (
     PanelDataset,
     PanelError,
     build_panel,
-    demean_twoway,
     demean_twoway_values,
-    first_difference,
     interact,
     lag,
     log1,
@@ -142,17 +142,20 @@ class TestLog1:
     @given(st.tuples(st.floats(0, 1e12), st.floats(0, 1e12)).filter(lambda p: p[0] != p[1]))
     def test_strictly_increasing(self, pair):
         lo, hi = sorted(pair)
-        assert log1(lo) < log1(hi)
+        assert log1(lo) <= log1(hi)
+        # log1(hi) - log1(lo) >= (hi - lo) / (1 + hi); above a few ulps of
+        # log1(hi) the gap survives rounding, below it the two may be equal
+        # (1e12 and its predecessor both give 27.63102111592955)
+        if (hi - lo) / (1.0 + hi) > 4 * math.ulp(log1(hi)):
+            assert log1(lo) < log1(hi)
 
 
 class TestDemeanTwoway:
     def test_additively_separable_grid(self):
-        panel = make_panel([[1, 2], [3, 4]])
-        assert np.allclose(demean_twoway(panel, "x").values, 0.0, atol=1e-12)
+        assert np.allclose(demean_twoway_values([[1, 2], [3, 4]]), 0.0, atol=1e-12)
 
     def test_constant_grid(self):
-        panel = make_panel(np.full((3, 4), 7.25))
-        assert np.allclose(demean_twoway(panel, "x").values, 0.0, atol=1e-12)
+        assert np.allclose(demean_twoway_values(np.full((3, 4), 7.25)), 0.0, atol=1e-12)
 
     def test_matches_dummy_regression_oracle(self):
         rng = np.random.default_rng(1234)
@@ -189,10 +192,6 @@ class TestDemeanTwoway:
         twice = demean_twoway_values(once)
         assert np.abs(once - twice).max() < 1e-12
 
-    def test_unknown_variable(self):
-        with pytest.raises(PanelError):
-            demean_twoway(make_panel([[1, 2]]), "nope")
-
 
 class TestLagDiff:
     def test_lag_shift(self):
@@ -205,22 +204,6 @@ class TestLagDiff:
     def test_lag_too_long(self):
         with pytest.raises(PanelError):
             lag(make_panel([[1, 2, 3]]), "x", 3)
-
-    def test_diff_constant(self):
-        grid = first_difference(make_panel([[5, 5, 5]]), "x")
-        assert not grid.available[0, 0]
-        assert np.allclose(grid.values[0, 1:], 0.0)
-
-    def test_diff_squares(self):
-        grid = first_difference(make_panel([[1, 4, 9, 16]]), "x")
-        assert grid.values[0, 1:].tolist() == [3.0, 5.0, 7.0]
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12))
-    def test_diff_of_cumsum_recovers_series(self, series):
-        values = np.cumsum(np.array([series]), axis=1)
-        panel = make_panel(values)
-        grid = first_difference(panel, "x")
-        assert np.allclose(grid.values[0, 1:], series[1:], atol=1e-6)
 
 
 class TestInteract:
