@@ -3,7 +3,8 @@
 Every run writes a manifest with the fully resolved configuration and seed;
 rerunning from the same manifest reproduces output files byte for byte. A flag
 that no fit of a run reads must stay at its default, so the manifest records
-only settings that were applied.
+only settings that were applied. A run creates its output directory only after
+every check and fit has passed, so a rejected run writes nothing.
 """
 
 from __future__ import annotations
@@ -184,8 +185,6 @@ def cmd_ingest(args) -> int:
         raise LoadError("ingest takes --panel or --pixels with --events, not both")
     if args.panel and (unread := _unread_flags(args, _PIXEL_FLAGS)):
         raise LoadError(f"{unread}: read only with --pixels and --events, not with --panel")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.panel:
         panel, dropped = load_panel_csv(args.panel)
     elif args.pixels and args.events:
@@ -198,6 +197,8 @@ def cmd_ingest(args) -> int:
         dropped = []
     else:
         raise LoadError("ingest needs --panel or both --pixels and --events")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_panel_csv(panel, out / "panel.csv")
     _write_json(
         out / "summary.json",
@@ -228,8 +229,6 @@ def _write_scatter(path: Path, panel: PanelDataset, x: str, y: str) -> None:
 def cmd_estimate(args) -> int:
     names = ESTIMATORS if args.estimator == "all" else (args.estimator,)
     _check_gmm_flags(args, names)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     panel, _ = load_panel_csv(args.panel)
     panel, x, y = _log_variables(panel, args.levels)
     fits = {name: _fit(name, panel, x, y, args, gmm_year_dummies=True) for name in names}
@@ -239,6 +238,8 @@ def cmd_estimate(args) -> int:
         "diagnostics": {tag: diagnostic_bundle(fit) for tag, fit in fits.items()},
         "elasticity": [{"estimator": tag, **row} for tag, row in elasticity.items()],
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report)
     _write_csv(
         out / "elasticity.csv",
@@ -284,8 +285,6 @@ def _subset_regions(panel: PanelDataset, keep: list[str]) -> PanelDataset:
 
 def cmd_robustness(args) -> int:
     _check_gmm_flags(args, (args.estimator,))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     excluded = set(args.exclude_years or [])
     regions = args.regions or []
     if not excluded and not regions and not args.levels:
@@ -318,6 +317,8 @@ def cmd_robustness(args) -> int:
                 "coefficients": fit.coefficient_table(),
             }
         )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", {"robustness": table})
     _write_manifest(out, "robustness", args)
     for entry in table:
@@ -380,8 +381,6 @@ def cmd_montecarlo(args) -> int:
     if repeated:
         raise EstimationError(f"estimators listed more than once: {repeated}")
     _check_gmm_flags(args, estimators)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     estimands = {}
     for name in estimators:
         truth = {"l": dgp.beta}
@@ -397,6 +396,8 @@ def cmd_montecarlo(args) -> int:
         for name, study in run.studies.items()
         for row in study.per_rep_rows()
     ]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "montecarlo.json", {"dgp": sorted(dgp_fields.items()), "results": results})
     value_fields = sorted({k for r in all_rows for k in r} - {"estimator", "rep"})
     fieldnames = ["estimator", "rep"] + value_fields
@@ -497,6 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.verbose:  # no subcommand reads it yet, so no manifest may record it as applied
+        print("error: --verbose: read by no subcommand yet", file=sys.stderr)
+        return 1
     # input and numerical errors only (UnicodeDecodeError: an input file that is
     # not UTF-8); any other exception is a bug and propagates
     try:

@@ -12,12 +12,12 @@ simulator pass one list or array per attribute, and ``filter_canopy`` and
 constructor and for the loader's line-numbered errors alike.
 
 Both CSV loaders read a file in blocks of a few thousand rows. Each block's
-numeric fields become float64 or int64 arrays at once, years get one
-vectorised 1000-9999 check, and the block's text is dropped before the next
-block is read, except the fields kept as text: pixel ids and region labels.
-The first bad row of a file still names its line: a file is read a second
-time, only after it failed, to find that line. The panel writer formats one
-region's rows at a time.
+fields become float64, int64 or object arrays at once, and the block's text
+is dropped before the next block is read, except the fields kept as text:
+pixel ids and region labels. The block pass only asks whether a file is
+valid. A file that is not is read a second time, row by row, by
+``_first_fault``, with the loader's per-row rule, to name its first bad row's
+``path:line``. The panel writer formats one region's rows at a time.
 """
 
 from __future__ import annotations
@@ -265,83 +265,33 @@ def _header(reader, path) -> list[str] | None:
         raise LoadError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
-class _Blocks:
-    """The non-blank rows of a ``csv.reader``, in lists of at most ``_BLOCK_ROWS``.
+def _blocks(reader) -> Iterator[list[list[str]]]:
+    """The non-blank rows of a ``csv.reader``, in lists of at most ``_BLOCK_ROWS``."""
+    rows = filter(None, reader)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        yield block
 
-    A row the reader cannot read, such as one with an oversize field, ends the
-    iteration: the rows before it come as a last, shorter block, and ``error``
-    then holds the ``LoadError`` naming that row's ``path:line`` (it stays None
-    otherwise). A caller reports a bad row it finds in the blocks first, since
-    that row lies above the unreadable one.
+
+def _first_fault(path, rule) -> LoadError:
+    """The error naming the ``path:line`` of the first data row that breaks ``rule``.
+
+    Only a file that a loader rejected is read this second time, row by row.
+    ``rule(row)`` returns the row's fault message, or None for a good row; a
+    row the csv module cannot read, such as one with an oversize field, is a
+    fault too. Blank lines are skipped as rows but counted as lines. A
+    rejected file in which every row passes is a bug, and raises.
     """
-
-    def __init__(self, reader, path):
-        self._reader, self._path = reader, path
-        self.error: LoadError | None = None
-
-    def __iter__(self) -> Iterator[list[list[str]]]:
-        rows = filter(None, self._reader)
-        while self.error is None:
-            block: list[list[str]] = []
-            try:
-                block.extend(islice(rows, _BLOCK_ROWS))  # keeps the rows read before a failure
-            except csv.Error as exc:
-                self.error = LoadError(f"{self._path}:{self._reader.line_num}: {exc}")
-            if not block:
-                return
-            yield block
-
-
-def _convert_prefix(texts: list[str], convert) -> tuple[list, ValueError | None]:
-    """Convert texts up to the first failure; return the values and that error."""
-    values: list = []
-    try:
-        values.extend(map(convert, texts))  # keeps the items converted before a failure
-    except ValueError as exc:
-        return values, exc
-    return values, None
-
-
-def _texts(texts: list[str]) -> tuple[np.ndarray, None]:
-    """A column of fields kept as text."""
-    return np.array(texts, dtype=object), None
-
-
-def _floats(texts: list[str]) -> tuple[np.ndarray, ValueError | None]:
-    """float64 values of ``texts`` up to the first that ``float`` rejects, and that error."""
-    try:
-        return np.fromiter(map(float, texts), dtype=float, count=len(texts)), None
-    except ValueError:
-        values, exc = _convert_prefix(texts, float)  # only a block that fails converts twice
-        return np.array(values, dtype=float), exc
-
-
-def _first_outside(years: list[int]) -> int | None:
-    """Index of the first year outside 1000-9999; None if every one lies inside."""
-    # int64, or float64 or object when a year is beyond int64: compared alike
-    years = np.array(years)
-    outside = (years < 1000) | (years > 9999)
-    return int(np.argmax(outside)) if outside.any() else None
-
-
-def _event_years(texts: list[str]) -> tuple[np.ndarray, ValueError | None]:
-    """int64 event years up to the first field that is no integer in 1000-9999, and its error."""
-    years, exc = _convert_prefix(texts, int)
-    k = _first_outside(years)
-    if k is not None:
-        exc = ValueError(f"event year {years[k]} outside 1000-9999")
-        del years[k:]
-    return np.array(years, dtype=np.int64), exc
-
-
-def _file_line(path, row: int) -> int:
-    """The file line of data row ``row`` (0-based, blank lines not rows)."""
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        next(reader)  # the header
-        for _ in islice(filter(None, reader), row + 1):
-            pass
-        return reader.line_num
+        try:
+            next(reader)  # the header
+            for row in filter(None, reader):
+                message = rule(row)
+                if message is not None:
+                    return LoadError(f"{path}:{reader.line_num}: {message}")
+        except csv.Error as exc:
+            return LoadError(f"{path}:{reader.line_num}: {exc}")
+    raise RuntimeError(f"{path}: rejected, but no row breaks the loader's rule")
 
 
 def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
@@ -351,10 +301,11 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
     header must name each variable once. A row fails for, in this order, its
     field count, a year that is no integer or lies outside 1000-9999, a
     (region, year) pair seen before, and a malformed number, checked in header
-    order; the first row that fails names its ``path:line``. A row the csv
-    module cannot read, such as one with an oversize field, fails after every
-    row above it passed these checks. The file is read in blocks of rows, so
-    only one block of text is held at a time.
+    order; the first row that fails, or that the csv module cannot read, names
+    its ``path:line``. The file is read in blocks of rows, so only one block
+    of text is held at a time; each block becomes int64 and float64 columns at
+    once, and a file that fails anywhere is read again, row by row, to find
+    its first bad row.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -371,51 +322,51 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
         code: dict[str, int] = {}  # region -> index, in first-seen order
         codes, years = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int64)]
         columns = [[np.empty(0)] for _ in names]
-        done, fault, keyed_rows = 0, None, None
-        blocks = _Blocks(reader, path)
-        for block in blocks:
-            stop, message = len(block), None
-            lengths = list(map(len, block))
-            if lengths.count(len(header)) < len(block):
-                stop = next(i for i, n in enumerate(lengths) if n != len(header))
-                message = f"expected {len(header)} fields"
-            ints, exc = _convert_prefix(list(map(itemgetter(1), block[:stop])), int)
-            if exc is not None:
-                stop, message = len(ints), f"bad year {block[len(ints)][1]!r}"
-            k = _first_outside(ints)
-            if k is not None:
-                stop, message = k, f"year {ints[k]} outside 1000-9999"
-            keyed = stop  # rows whose region and year parsed
-            regions = list(map(itemgetter(0), block[:keyed]))
-            for region in dict.fromkeys(regions):
-                code.setdefault(region, len(code))
-            codes.append(np.fromiter(map(code.__getitem__, regions), dtype=np.intp, count=keyed))
-            years.append(np.array(ints[:keyed], dtype=np.int64))
-            for j, (name, column) in enumerate(zip(names, columns), start=2):
-                # a later variable takes over only at an earlier row
-                values, exc = _floats(list(map(itemgetter(j), block[:stop])))
-                if exc is not None:
-                    stop = len(values)
-                    message = f"malformed number {block[stop][j]!r} for {name}"
-                column.append(values)
-            if message is not None:
-                # the duplicate check precedes the numbers within a row
-                fault, keyed_rows = (done + stop, message), done + min(stop + 1, keyed)
-                break
-            done += stop
-    region_code, year = np.concatenate(codes), np.concatenate(years)
-    key = region_code[:keyed_rows] * 10000 + year[:keyed_rows]
-    _, first = np.unique(key, return_index=True)
-    if first.size != key.size:
-        seen_before = np.ones(key.size, dtype=bool)
-        seen_before[first] = False
-        row = int(np.argmax(seen_before))
-        fault = row, f"duplicate row for ({list(code)[region_code[row]]}, {year[row]})"
-    if fault is not None:
-        row, message = fault
-        raise LoadError(f"{path}:{_file_line(path, row)}: {message}")
-    if blocks.error is not None:
-        raise blocks.error
+        valid = False  # until every block converts and no (region, year) repeats
+        try:
+            for block in _blocks(reader):
+                n = len(block)
+                if set(map(len, block)) != {len(header)}:
+                    break
+                years.append(np.fromiter(map(int, map(itemgetter(1), block)), np.int64, n))
+                if ((years[-1] < 1000) | (years[-1] > 9999)).any():
+                    break
+                regions = list(map(itemgetter(0), block))
+                for region in dict.fromkeys(regions):
+                    code.setdefault(region, len(code))
+                codes.append(np.fromiter(map(code.__getitem__, regions), np.intp, n))
+                for j, column in enumerate(columns, start=2):
+                    column.append(np.fromiter(map(float, map(itemgetter(j), block)), float, n))
+            else:
+                region_code, year = np.concatenate(codes), np.concatenate(years)
+                # return_index keeps np.unique on its sort path, several times faster here
+                _, first = np.unique(region_code * 10000 + year, return_index=True)
+                valid = first.size == year.size
+        except (ValueError, OverflowError, csv.Error):  # OverflowError: a year beyond int64
+            pass
+    if not valid:
+        seen: set[tuple[str, int]] = set()
+
+        def rule(row):
+            if len(row) != len(header):
+                return f"expected {len(header)} fields"
+            try:
+                year = int(row[1])
+            except ValueError:
+                return f"bad year {row[1]!r}"
+            if not 1000 <= year <= 9999:
+                return f"year {year} outside 1000-9999"
+            if (row[0], year) in seen:
+                return f"duplicate row for ({row[0]}, {year})"
+            seen.add((row[0], year))
+            for name, text in zip(names, row[2:]):
+                try:
+                    float(text)
+                except ValueError:
+                    return f"malformed number {text!r} for {name}"
+            return None
+
+        raise _first_fault(path, rule)
     values = np.column_stack([np.concatenate(column) for column in columns])  # rows x names
     V = len(names)
     try:
@@ -443,73 +394,80 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
         handle.writelines(region_year_rows(panel.regions, panel.years, [g.values for g in grids]))
 
 
-def _read_columns(path, parsers: dict) -> tuple[list[np.ndarray], LoadError | None]:
-    """Parse the named columns of a CSV file, one array per column.
+def _event_year(text: str) -> int:
+    """An event year field as an int; a ValueError unless it lies in 1000-9999."""
+    year = int(text)
+    if not 1000 <= year <= 9999:
+        raise ValueError(f"event year {year} outside 1000-9999")
+    return year
 
-    ``parsers`` maps each required header name to the function that parses a
-    list of its fields: it returns their values as an array, up to the first
-    field it rejects, and the ValueError naming that field (None if it rejects
-    none). The file is read in blocks of rows, so only one block of text is
-    held at a time. Rows are read up to the first one that is too short or
-    that a parser rejects; the columns returned all stop there, together with
-    the error naming that row's ``path:line`` (None if every row parsed). A
-    row the csv module cannot read stops the rows too, unless a row above it
-    failed first. The caller raises the error unless it finds an earlier bad
-    row. Blank lines are skipped as rows but counted as lines, and a repeated
-    header name means its last column, as with ``csv.DictReader``.
+
+# required columns of the pixel and event files: header name -> (convert, dtype)
+_PIXEL_COLUMNS = {"pixel": (str, object), "region": (str, object), "biomass": (float, float),
+                  "area": (float, float), "canopy": (float, float)}
+_EVENT_COLUMNS = {"pixel": (str, object), "year": (_event_year, np.int64)}
+
+
+def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[np.ndarray]:
+    """The named columns of a CSV file, one array per column.
+
+    ``converters`` maps each required header name to a (convert, dtype) pair:
+    ``convert`` turns one field into its value or raises ValueError, and a
+    column's values form one ``dtype`` array. ``check(*columns)`` finds the
+    first row whose values break a rule, as ``_first_bad_pixel`` does, or
+    returns None. The file is read in blocks of rows, so only one block of
+    text is held at a time, and each block's fields are converted at once.
+    A file that fails anywhere is read again, row by row, and raises the
+    ``LoadError`` naming the ``path:line`` of its first row that is too short
+    for the columns, that a converter rejects (in ``converters`` order), that
+    ``check`` rejects, or that the csv module cannot read. Blank lines are
+    skipped as rows but counted as lines, and a repeated header name means its
+    last column, as with ``csv.DictReader``.
     """
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = _header(reader, path)
-        if header is None or not set(parsers) <= set(header):
-            raise LoadError(f"{path}: header must contain {sorted(parsers)}")
+        if header is None or not set(converters) <= set(header):
+            raise LoadError(f"{path}: header must contain {sorted(converters)}")
         position = {name: i for i, name in enumerate(header)}
-        index = [position[name] for name in parsers]
+        index = [position[name] for name in converters]
         width = max(index) + 1
-        # an empty first chunk gives a file without rows its column types
-        chunks = [[parse([])[0]] for parse in parsers.values()]
-        done, message = 0, None
-        blocks = _Blocks(reader, path)
-        for block in blocks:
-            stop = len(block)
-            lengths = list(map(len, block))
-            if min(lengths) < width:
-                stop = next(i for i, n in enumerate(lengths) if n < width)
-                message = f"expected at least {width} fields, got {lengths[stop]}"
-            for i, parse, chunk in zip(index, parsers.values(), chunks):
-                # a later column takes over only at an earlier row, as fields parse left to right
-                values, exc = parse(list(map(itemgetter(i), block[:stop])))
-                if exc is not None:
-                    stop, message = len(values), str(exc)
-                chunk.append(values)
-            if message is not None:
-                for chunk in chunks:
-                    chunk[-1] = chunk[-1][:stop]
-                break
-            done += stop
-    error = blocks.error
-    if message is not None:  # only a file that failed is read again, to find its bad row's line
-        error = LoadError(f"{path}:{_file_line(path, done + stop)}: {message}")
-    return [np.concatenate(chunk) for chunk in chunks], error
+        chunks = [[np.empty(0, dtype)] for _, dtype in converters.values()]
+        columns = None  # until every block converts
+        try:
+            for block in _blocks(reader):
+                if min(map(len, block)) < width:
+                    break
+                for i, (convert, dtype), chunk in zip(index, converters.values(), chunks):
+                    texts = map(itemgetter(i), block)
+                    chunk.append(np.fromiter(map(convert, texts), dtype, len(block)))
+            else:
+                columns = [np.concatenate(chunk) for chunk in chunks]
+        except (ValueError, csv.Error):
+            pass
+    if columns is not None and check(*columns) is None:
+        return columns
+
+    def rule(row):
+        if len(row) < width:
+            return f"expected at least {width} fields, got {len(row)}"
+        try:  # one-value columns, so that check reads the row as the block pass read it
+            values = [np.array([convert(row[i])], dtype)
+                      for i, (convert, dtype) in zip(index, converters.values())]
+        except ValueError as exc:
+            return str(exc)
+        fault = check(*values)
+        return None if fault is None else fault[1]
+
+    raise _first_fault(path, rule)
 
 
 def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
     """Load the `pixels.csv` / `loss_events.csv` pair."""
-    (ids, regions, biomass, area, canopy), error = _read_columns(
-        pixels_path,
-        {"pixel": _texts, "region": _texts, "biomass": _floats, "area": _floats, "canopy": _floats},
+    ids, regions, biomass, area, canopy = _read_columns(
+        pixels_path, _PIXEL_COLUMNS, lambda ids, _, *values: _first_bad_pixel(ids, *values)
     )
-    fault = _first_bad_pixel(ids, biomass, area, canopy)
-    if fault is not None:  # checked first: a bad value may sit above the row that failed to parse
-        row, message = fault
-        raise LoadError(f"{pixels_path}:{_file_line(pixels_path, row)}: {message}")
-    if error is not None:
-        raise error
-    (event_ids, event_years), error = _read_columns(
-        events_path, {"pixel": _texts, "year": _event_years}
-    )
-    if error is not None:
-        raise error
+    event_ids, event_years = _read_columns(events_path, _EVENT_COLUMNS)
     return PixelGrid(ids, regions, biomass, area, canopy, zip(event_ids, event_years))
 
 

@@ -373,6 +373,38 @@ class TestErrorHandling:
         assert main(["estimate", "--panel", str(src), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
+    @pytest.mark.parametrize("command, message", [
+        (["robustness", "--panel", "{good}"], "robustness needs a filter"),
+        (["estimate", "--panel", "{bad}"], "bad.csv:3: duplicate row for (A, 2001)"),
+        (["ingest", "--panel", "{bad}"], "bad.csv:3: duplicate row for (A, 2001)"),
+        (["montecarlo", "--preset", "nickell-demo", "--reps", "1"],
+         "need at least 2 replications"),
+        (["estimate", "--estimator", "lsdv", "--panel", "{one}"],
+         "regressor 'e_l1' has no within variation"),
+    ], ids=["robustness-filter", "estimate-load", "ingest-load", "montecarlo-reps", "lsdv-fit"])
+    def test_rejected_run_leaves_no_output_directory(self, tmp_path, capsys, command, message):
+        write_log_panel(tmp_path / "good.csv", seed=92)
+        write_log_panel(tmp_path / "one.csv", N=1, seed=93)
+        (tmp_path / "bad.csv").write_text("region,year,l,e\nA,2001,1,1\nA,2001,2,2\n")
+        inputs = {name: tmp_path / f"{name}.csv" for name in ("good", "bad", "one")}
+        out = tmp_path / "out"
+        assert main([arg.format(**inputs) for arg in command] + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["-v", "-vv", "--verbose"])
+    def test_verbose_is_an_error_until_a_run_reads_it(self, tmp_path, capsys, flag):
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, seed=94)
+        out = tmp_path / "out"
+        command = ["estimate", "--estimator", "fe2w", "--panel", str(src), "--out", str(out)]
+        assert main([*command, flag]) == 1
+        assert capsys.readouterr().err == "error: --verbose: read by no subcommand yet\n"
+        assert not out.exists()
+        assert main(command) == 0  # left at its default, the flag is accepted and recorded
+        assert json.loads((out / "manifest.json").read_text())["config"]["verbose"] == 0
+
 
 class TestMonteCarloCommand:
     def test_smoke_run_two_reps(self, tmp_path):

@@ -3,11 +3,13 @@
 Each oracle below is the earlier implementation, kept verbatim: the panel
 loader parsed the file row by row into (region, year, variable, value) tuples
 and assembled them with the tuple-based ``build_panel``; ``_read_columns``
-held every row of the file as a list before converting each column; the
+held every row of the file as a list before converting each column, and
+returned the columns up to the first bad row with that row's error; the pixel
+loader checked the values of those columns before raising the error; the
 ``PixelGrid`` constructor sorted its events as tuples and found their pixels
 with a dict; the panel and scatter writers formatted one cell at a time. The
-loaders must give an equal panel or grid, or raise the same ``LoadError``
-text, and the writers must write the same bytes.
+loaders must give an equal panel, grid or columns, or raise the same
+``LoadError`` text, and the writers must write the same bytes.
 """
 
 from __future__ import annotations
@@ -291,10 +293,7 @@ def panel_files(draw):
 
 PIXEL_COLUMNS = ["pixel", "region", "biomass", "area", "canopy"]
 OLD_PIXELS = {"pixel": str, "region": str, "biomass": float, "area": float, "canopy": float}
-NEW_PIXELS = {"pixel": ingest._texts, "region": ingest._texts, "biomass": ingest._floats,
-              "area": ingest._floats, "canopy": ingest._floats}
 OLD_EVENTS = {"pixel": str, "year": _event_year}
-NEW_EVENTS = {"pixel": ingest._texts, "year": ingest._event_years}
 
 
 @st.composite
@@ -328,11 +327,18 @@ def panel_key(result):
 
 
 def columns_key(result):
+    """A read's error text if it reports one, else its columns as reprs.
+
+    The oracle returns (prefix columns, error); the loader raises that error
+    and returns the columns only of a file that reads whole.
+    """
     if isinstance(result, str):
         return result
-    columns, error = result
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    return [list(map(repr, column)) for column in values], str(error)
+    if isinstance(result, tuple):
+        result, error = result
+        if error is not None:
+            return f"LoadError: {error}"
+    return [list(map(repr, c.tolist() if isinstance(c, np.ndarray) else c)) for c in result]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +365,8 @@ def test_read_columns_matches_whole_file_read(work, file, block):
     events, text = file
     path = work / "columns.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    old, new = (OLD_EVENTS, NEW_EVENTS) if events else (OLD_PIXELS, NEW_PIXELS)
+    old, new = ((OLD_EVENTS, ingest._EVENT_COLUMNS) if events
+                else (OLD_PIXELS, ingest._PIXEL_COLUMNS))
     expected = columns_key(outcome(old_read_columns, path, old))
     with mock.patch.object(ingest, "_BLOCK_ROWS", block):
         assert columns_key(outcome(ingest._read_columns, path, new)) == expected
@@ -388,8 +395,56 @@ def test_first_bad_row_beside_a_block_boundary(work, first_bad, fault):
             f"p{i},{row}" for i, row in enumerate(rows)) + "\n")
         columns = {"pixel": str, "region": str, "biomass": float}
         expected = columns_key(outcome(old_read_columns, pixel_path, columns))
-        columns = {"pixel": ingest._texts, "region": ingest._texts, "biomass": ingest._floats}
+        columns = {"pixel": (str, object), "region": (str, object), "biomass": (float, float)}
         assert columns_key(outcome(ingest._read_columns, pixel_path, columns)) == expected
+
+
+def test_rejected_file_without_a_bad_row_is_a_bug(work):
+    # the block pass and the row rule disagreeing must not load the file or
+    # pass for an input error
+    path = work / "good.csv"
+    path.write_text("region,year,L\nA,2001,1\n")
+    with pytest.raises(RuntimeError, match="no row breaks"):
+        ingest._first_fault(path, lambda row: None)
+
+
+def old_load_pixels(path):
+    """The pixel file as the loader read it: the value rule on the oracle's
+    prefix columns first, then the oracle's parse error."""
+    (ids, regions, *columns), error = old_read_columns(path, OLD_PIXELS)
+    values = [np.array(column, dtype=float) for column in columns]
+    fault = ingest._first_bad_pixel(ids, *values)
+    if fault is not None:
+        row, message = fault
+        raise LoadError(f"{path}:{_file_line(path, row)}: {message}")
+    if error is not None:
+        raise error
+    return PixelGrid(ids, regions, *values, ())
+
+
+PIXEL_FIELDS = st.sampled_from(["1.5", "0", "-1", "100", "101", "nan", "inf", "abc", ""])
+
+
+@st.composite
+def pixel_files(draw):
+    """A pixel file whose numbers may break a value rule, fail to parse, or both."""
+    header = draw(st.permutations(PIXEL_COLUMNS))
+    fields = {"region": st.sampled_from(REGIONS), "biomass": PIXEL_FIELDS,
+              "area": PIXEL_FIELDS, "canopy": PIXEL_FIELDS}
+    rows = [[f"p{i}" if name == "pixel" else draw(fields[name]) for name in header]
+            for i in range(draw(st.integers(0, 10)))]
+    return draw(csv_text(header, draw(mutated(rows))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=pixel_files(), block=st.sampled_from([1, 3, ingest._BLOCK_ROWS]))
+def test_pixel_loader_matches_prefix_then_value_rule(work, text, block):
+    pixels, events = work / "pixels.csv", work / "events.csv"
+    pixels.write_text(text, encoding="utf-8", newline="")
+    events.write_text("pixel,year\n")
+    expected = outcome(old_load_pixels, pixels)
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+        assert outcome(ingest.load_pixel_grid_csv, pixels, events) == expected
 
 
 @settings(max_examples=300, deadline=None)
