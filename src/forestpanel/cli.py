@@ -101,19 +101,15 @@ def _log_variables(panel: PanelDataset, use_levels: bool) -> tuple[PanelDataset,
 
 class Estimator(NamedTuple):
     dynamic: bool  # also fits the lagged response, whose Monte Carlo truth is rho
-    fit: Callable[..., FitResult]  # (panel, x, y, args, gmm_year_dummies) -> FitResult
-    gmm: bool = False  # reads the GMM flags
-
-
-def _gmm_options(args, year_dummies: bool) -> GmmOptions:
-    return GmmOptions(args.min_lag, args.max_lag, args.collapse, 2 if args.two_step else 1,
-                      year_dummies)
+    fit: Callable[..., FitResult]  # (panel, x, y, options: GmmOptions | None) -> FitResult
+    gmm: bool = False  # reads the GMM options; the other fits ignore them
 
 
 # Flags that only some runs read, by argparse destination, with their defaults.
 # A run that reads none of a group rejects any of them set off its default.
 _PIXEL_FLAGS = {"canopy_threshold": 30.0, "theta": DEFAULT_THETA}
-_GMM_FLAGS = {"min_lag": 2, "max_lag": None, "collapse": False, "two_step": False}
+_GMM_FLAGS = {name: getattr(GmmOptions, name)
+              for name in ("min_lag", "max_lag", "collapse", "two_step")}
 
 
 def _unread_flags(args, defaults: dict) -> str:
@@ -122,44 +118,35 @@ def _unread_flags(args, defaults: dict) -> str:
                      if getattr(args, dest) != default)
 
 
-def _check_gmm_flags(args, names) -> None:
-    """Validate the GMM flags when a GMM estimator is among ``names``; reject
-    any that is set when none is."""
+def _gmm_options(args, names, year_dummies: bool) -> GmmOptions | None:
+    """The GMM options of a run that fits the estimators ``names``, built
+    before any fit so that a bad GMM flag fails the run. None when no GMM
+    estimator runs; then a GMM flag set off its default is an error."""
     if any(ESTIMATORS[name].gmm for name in names):
-        _gmm_options(args, year_dummies=False)  # a bad GMM flag fails the run, not a fit
-    elif unread := _unread_flags(args, _GMM_FLAGS):
+        return GmmOptions(**{name: getattr(args, name) for name in _GMM_FLAGS},
+                          year_dummies=year_dummies)
+    if unread := _unread_flags(args, _GMM_FLAGS):
         raise EstimationError(f"{unread}: read only by the GMM estimators, and none runs")
-
-
-def _gmm(level: bool):
-    def fit(panel, x, y, args, gmm_year_dummies):
-        spec, options = RegressionSpec(y, (x,)), _gmm_options(args, gmm_year_dummies)
-        return fit_sys_gmm(panel, spec, options) if level else fit_diff_gmm(panel, spec, options)
-
-    return fit
+    return None
 
 
 # The estimator ladder, in fit order. Each fit owns its effects; whether GMM
-# fits carry year dummies is the caller's explicit choice. The entries look
-# their fit function up by module-global name at call time, so rebinding a
-# module attribute (as a tracer does) reaches every fit.
+# fits carry year dummies is the caller's choice, made in its GMM options. The
+# entries look their fit function up by module-global name at call time, so
+# rebinding a module attribute (as a tracer does) reaches every fit.
 ESTIMATORS = {
-    "pooled": Estimator(False, lambda panel, x, y, *_:
+    "pooled": Estimator(False, lambda panel, x, y, options:
                         fit_pooled_ols(panel, RegressionSpec(y, (CONST, x)))),
-    "fe2w": Estimator(False, lambda panel, x, y, *_:
+    "fe2w": Estimator(False, lambda panel, x, y, options:
                       fit_twoway_fe(panel, RegressionSpec(y, (x,)))),
-    "lsdv": Estimator(True, lambda panel, x, y, *_:
+    "lsdv": Estimator(True, lambda panel, x, y, options:
                       fit_dynamic_lsdv(panel, RegressionSpec(y, (x,)))),
-    "diffgmm": Estimator(True, _gmm(level=False), gmm=True),
-    "sysgmm": Estimator(True, _gmm(level=True), gmm=True),
+    "diffgmm": Estimator(True, lambda panel, x, y, options:
+                         fit_diff_gmm(panel, RegressionSpec(y, (x,)), options), gmm=True),
+    "sysgmm": Estimator(True, lambda panel, x, y, options:
+                        fit_sys_gmm(panel, RegressionSpec(y, (x,)), options), gmm=True),
 }
 ESTIMATOR_CHOICES = (*ESTIMATORS, "all")
-
-
-def _fit(name: str, panel: PanelDataset, x: str, y: str, args, *,
-         gmm_year_dummies: bool) -> FitResult:
-    """Fit registry estimator ``name`` of y on x."""
-    return ESTIMATORS[name].fit(panel, x, y, args, gmm_year_dummies)
 
 
 def _elasticity(fit: FitResult, x: str, y: str) -> ElasticityReport:
@@ -228,10 +215,10 @@ def _write_scatter(path: Path, panel: PanelDataset, x: str, y: str) -> None:
 
 def cmd_estimate(args) -> int:
     names = ESTIMATORS if args.estimator == "all" else (args.estimator,)
-    _check_gmm_flags(args, names)
+    options = _gmm_options(args, names, year_dummies=True)
     panel, _ = load_panel_csv(args.panel)
     panel, x, y = _log_variables(panel, args.levels)
-    fits = {name: _fit(name, panel, x, y, args, gmm_year_dummies=True) for name in names}
+    fits = {name: ESTIMATORS[name].fit(panel, x, y, options) for name in names}
     elasticity = {tag: _elasticity(fit, x, y).to_json_dict() for tag, fit in fits.items()}
     report = {
         "fits": {tag: fit.to_json_dict() for tag, fit in fits.items()},
@@ -284,18 +271,18 @@ def _subset_regions(panel: PanelDataset, keep: list[str]) -> PanelDataset:
 
 
 def cmd_robustness(args) -> int:
-    _check_gmm_flags(args, (args.estimator,))
+    options = _gmm_options(args, (args.estimator,), year_dummies=True)
     excluded = set(args.exclude_years or [])
     regions = args.regions or []
     if not excluded and not regions and not args.levels:
         raise PanelError("robustness needs a filter (--exclude-years, --regions) or --levels")
-    base_panel, _ = load_panel_csv(args.panel)
-    if ESTIMATORS[args.estimator].gmm and excluded:
+    if options is not None and excluded:
         raise EstimationError("year exclusion breaks the GMM lag chain; use fe2w or lsdv")
+    base_panel, _ = load_panel_csv(args.panel)
 
     def run(panel, use_levels):
         panel, x, y = _log_variables(panel, use_levels)
-        return _fit(args.estimator, panel, x, y, args, gmm_year_dummies=True)
+        return ESTIMATORS[args.estimator].fit(panel, x, y, options)
 
     columns = [("base", run(base_panel, False))]
     if excluded:
@@ -380,15 +367,14 @@ def cmd_montecarlo(args) -> int:
     repeated = sorted({name for name in estimators if estimators.count(name) > 1})
     if repeated:
         raise EstimationError(f"estimators listed more than once: {repeated}")
-    _check_gmm_flags(args, estimators)
+    # unlike estimate and robustness, GMM replications fit no year dummies
+    options = _gmm_options(args, estimators, year_dummies=False)
     estimands = {}
     for name in estimators:
         truth = {"l": dgp.beta}
         if ESTIMATORS[name].dynamic:
             truth[lagged_name("e")] = dgp.rho
-        # unlike estimate and robustness, GMM replications fit no year dummies
-        fit = partial(_fit, name, x="l", y="e", args=args, gmm_year_dummies=False)
-        estimands[name] = (fit, truth)
+        estimands[name] = (partial(ESTIMATORS[name].fit, x="l", y="e", options=options), truth)
     run = monte_carlo(dgp, estimands, reps)
     results = {name: study.to_json_dict() for name, study in run.studies.items()}
     all_rows = [
@@ -462,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def gmm_flags(p):
         p.add_argument("--min-lag", type=int, default=_GMM_FLAGS["min_lag"])
-        p.add_argument("--max-lag", type=int, default=None)
-        p.add_argument("--collapse", action="store_true")
-        p.add_argument("--two-step", action="store_true")
+        p.add_argument("--max-lag", type=int, default=_GMM_FLAGS["max_lag"])
+        p.add_argument("--collapse", action="store_true", default=_GMM_FLAGS["collapse"])
+        p.add_argument("--two-step", action="store_true", default=_GMM_FLAGS["two_step"])
 
     p_est = sub.add_parser("estimate", help="run estimators, diagnostics, elasticities")
     p_est.add_argument("--panel", required=True)

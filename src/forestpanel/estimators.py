@@ -257,7 +257,6 @@ def _within_fit(
     y = y_til.ravel()
     beta = qr_lstsq(X, y, spec.regressors)
     resid = y - X @ beta
-    k = len(spec.regressors)
     tss = float(y @ y)
     rss = float(resid @ resid)
     region_ids = np.repeat(np.arange(N), Ts)

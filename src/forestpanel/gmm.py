@@ -48,13 +48,14 @@ class GmmOptions:
 
     Differencing removes the region effects. With ``year_dummies`` each year
     that has a differenced equation gets a dummy, which instruments itself;
-    without them, system GMM fits a level-equation ``const``.
+    without them, system GMM fits a level-equation ``const``. The other
+    fields are the command line's GMM flags, with the same names and defaults.
     """
 
     min_lag: int = 2
     max_lag: int | None = None
     collapse: bool = False
-    steps: int = 1
+    two_step: bool = False
     year_dummies: bool = False
 
     def __post_init__(self):
@@ -62,8 +63,6 @@ class GmmOptions:
             raise EstimationError("min_lag must be >= 2 for valid moment conditions")
         if self.max_lag is not None and self.max_lag < self.min_lag:
             raise EstimationError("max_lag must be >= min_lag")
-        if self.steps not in (1, 2):
-            raise EstimationError("steps must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def build_ab_instruments(
     if not grid.available.all():
         raise EstimationError(f"response {response!r} must be fully available")
     y = grid.values
-    N, T = y.shape
+    T = y.shape[1]
     periods = _diff_periods(T)
     if not periods:
         raise EstimationError(f"T={T} too small: no period has a lag s >= 2")
@@ -313,7 +312,7 @@ def _fit_gmm(
 
     theta, WM, Ainv = solve_theta(*weight_factor(Z.gram(H)))
     u = y_all - X_all @ theta
-    if options.steps == 2:
+    if options.two_step:
         zu = Z.scores(u)
         S1 = zu.T @ zu
         if np.trace(S1) <= 1e-12 * max(1.0, float(np.abs(Z.values).max()) ** 2):

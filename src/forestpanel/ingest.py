@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -420,7 +420,8 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
     A file that fails anywhere is read again, row by row, and raises the
     ``LoadError`` naming the ``path:line`` of its first row that is too short
     for the columns, that a converter rejects (in ``converters`` order), that
-    ``check`` rejects, or that the csv module cannot read. Blank lines are
+    ``check`` rejects, or that the csv module cannot read; ``check`` runs once,
+    on the rows before the first that fails in any other way. Blank lines are
     skipped as rows but counted as lines, and a repeated header name means its
     last column, as with ``csv.DictReader``.
     """
@@ -445,21 +446,32 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
                 columns = [np.concatenate(chunk) for chunk in chunks]
         except (ValueError, csv.Error):
             pass
-    if columns is not None and check(*columns) is None:
-        return columns
+    parse_fault = None
+    if columns is None:
+        # the rows before the first one that is short, unconvertible or
+        # unreadable; a value fault among them comes before that row's fault
+        rows = []
 
-    def rule(row):
-        if len(row) < width:
-            return f"expected at least {width} fields, got {len(row)}"
-        try:  # one-value columns, so that check reads the row as the block pass read it
-            values = [np.array([convert(row[i])], dtype)
-                      for i, (convert, dtype) in zip(index, converters.values())]
-        except ValueError as exc:
-            return str(exc)
-        fault = check(*values)
-        return None if fault is None else fault[1]
+        def convert_row(row):
+            if len(row) < width:
+                return f"expected at least {width} fields, got {len(row)}"
+            try:
+                rows.append([convert(row[i])
+                             for i, (convert, _) in zip(index, converters.values())])
+            except ValueError as exc:
+                return str(exc)
+            return None
 
-    raise _first_fault(path, rule)
+        parse_fault = _first_fault(path, convert_row)
+        columns = [np.fromiter(map(itemgetter(j), rows), dtype, len(rows))
+                   for j, (_, dtype) in enumerate(converters.values())]
+    fault = check(*columns)
+    if fault is not None:  # the value rule's row index names the line
+        row_numbers = count()
+        raise _first_fault(path, lambda row: fault[1] if next(row_numbers) == fault[0] else None)
+    if parse_fault is not None:
+        raise parse_fault
+    return columns
 
 
 def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:

@@ -114,7 +114,7 @@ def test_criterion_4_nickell_bias_demonstration():
         panel, _ = fp.simulate_dynamic_panel(sub)
         lsdv_rhos.append(fp.fit_dynamic_lsdv(panel, SPEC).coefficients["e_l1"])
         gmm_rhos.append(
-            fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions(steps=1)).coefficients["e_l1"]
+            fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions()).coefficients["e_l1"]
         )
     m_lsdv, m_gmm = np.mean(lsdv_rhos), np.mean(gmm_rhos)
     ok = m_lsdv < 0.45 and 0.45 <= m_gmm <= 0.55
@@ -152,12 +152,12 @@ def test_criterion_5_noise_free_exactness():
 
     diff_cfg = dataclasses.replace(dyn, sigma_gamma=0.0, seed=906)
     panel, _ = fp.simulate_dynamic_panel(diff_cfg)
-    check(fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions(steps=2)),
+    check(fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions(two_step=True)),
           {"l": 1.5, "e_l1": 0.3})
 
     sys_cfg = dataclasses.replace(diff_cfg, sigma_alpha=0.0, seed=907)
     panel, _ = fp.simulate_dynamic_panel(sys_cfg)
-    check(fp.fit_sys_gmm(panel, SPEC, fp.GmmOptions(steps=2)),
+    check(fp.fit_sys_gmm(panel, SPEC, fp.GmmOptions(two_step=True)),
           {"l": 1.5, "e_l1": 0.3})
 
     report("5 noise-free exactness for all five estimators",
@@ -172,7 +172,7 @@ def test_criterion_6_diagnostic_calibration():
     for r in range(R):
         sub = dataclasses.replace(cfg, seed=fp.replication_seed(cfg.seed, r))
         panel, _ = fp.simulate_dynamic_panel(sub)
-        fit = fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions(steps=2))
+        fit = fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions(two_step=True))
         ar1_rej += fp.ar_test(fit, 1).p_value < 0.05
         ar2_rej += fp.ar_test(fit, 2).p_value < 0.05
         hansen_rej += fp.hansen_j(fit).p_value < 0.05

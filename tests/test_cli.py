@@ -19,6 +19,7 @@ from forestpanel import (
 )
 from forestpanel import cli
 from forestpanel.cli import ESTIMATORS, main
+from forestpanel.gmm import GmmOptions
 
 
 def write_log_panel(path, N=30, T=10, rho=0.3, beta=1.0, sigma_u=0.5, seed=80):
@@ -271,6 +272,44 @@ class TestEstimate:
                      "--levels", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: {named}: read only by the GMM estimators, and none runs\n")
+        assert not out.exists()
+
+
+class TestGmmOptions:
+    """``GmmOptions`` is the one home of the GMM settings: the CLI flags are its
+    fields, and each run builds it once, before it loads a panel or fits."""
+
+    REQUIRED = {"estimate": ["--panel", "p.csv"], "robustness": ["--panel", "p.csv"],
+                "montecarlo": ["--preset", "nickell-demo"]}
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_gmm_flags_are_option_fields_with_their_defaults(self, command):
+        args = cli.build_parser().parse_args([command, *self.REQUIRED[command], "--out", "o"])
+        dests = ("min_lag", "max_lag", "collapse", "two_step")  # --min-lag ... --two-step
+        assert sorted(cli._GMM_FLAGS) == sorted(dests)
+        for dest in dests:
+            assert getattr(args, dest) == getattr(GmmOptions(), dest), dest
+
+    def test_montecarlo_builds_options_once(self, tmp_path, monkeypatch):
+        built = []
+        post_init = GmmOptions.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(GmmOptions, "__post_init__", counted)
+        assert main(["montecarlo", "--preset", "nickell-demo", "--reps", "20", "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 1
+
+    def test_lag_chain_error_comes_before_the_panel_load(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["robustness", "--panel", str(tmp_path / "missing.csv"),
+                     "--estimator", "sysgmm", "--exclude-years", "2005",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: year exclusion breaks the GMM lag chain; use fe2w or lsdv\n")
         assert not out.exists()
 
 

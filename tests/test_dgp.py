@@ -296,7 +296,7 @@ class TestSharedDraw:
         return {
             "fe2w": (lambda p: fit_twoway_fe(p, self.SPEC), {"l": 1.0}),
             "lsdv": (lambda p: fit_dynamic_lsdv(p, self.SPEC), self.DYNAMIC),
-            "diffgmm": (lambda p: fit_diff_gmm(p, self.SPEC, GmmOptions(steps=2)),
+            "diffgmm": (lambda p: fit_diff_gmm(p, self.SPEC, GmmOptions(two_step=True)),
                         self.DYNAMIC),
         }
 

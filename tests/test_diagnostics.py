@@ -42,11 +42,11 @@ def gmm_stub(diff_residuals):
     )
 
 
-def simulated_gmm_fit(seed=50, rho=0.4, N=200, T=7, steps=2, collapse=False):
+def simulated_gmm_fit(seed=50, rho=0.4, N=200, T=7, two_step=True, collapse=False):
     cfg = DGPConfig(n_regions=N, n_years=T, rho=rho, beta=1.0,
                     sigma_alpha=1.0, sigma_u=1.0, seed=seed)
     panel, _ = simulate_dynamic_panel(cfg)
-    return fit_diff_gmm(panel, SPEC, GmmOptions(steps=steps, collapse=collapse))
+    return fit_diff_gmm(panel, SPEC, GmmOptions(two_step=two_step, collapse=collapse))
 
 
 class TestArTest:
@@ -131,7 +131,7 @@ class TestHansenJ:
                 tuple(range(2001, 2001 + T)),
                 {"e": Grid.full(e[:, 1:]), "l": Grid.full(x[:, 1:])},
             )
-            fit = fit_diff_gmm(panel, SPEC, GmmOptions(steps=2))
+            fit = fit_diff_gmm(panel, SPEC, GmmOptions(two_step=True))
             if hansen_j(fit).p_value < 0.05:
                 rejections += 1
         assert rejections / R > 0.5

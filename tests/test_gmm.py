@@ -83,8 +83,6 @@ class TestInstrumentLayout:
             GmmOptions(min_lag=1)
         with pytest.raises(EstimationError):
             GmmOptions(min_lag=3, max_lag=2)
-        with pytest.raises(EstimationError):
-            GmmOptions(steps=3)
 
 
 def noise_free_panel(rho=0.3, beta=1.0, sigma_alpha=1.0, seed=21, N=40, T=8):
@@ -96,7 +94,7 @@ def noise_free_panel(rho=0.3, beta=1.0, sigma_alpha=1.0, seed=21, N=40, T=8):
 
 class TestDiffGmm:
     def test_noise_free_exact(self):
-        fit = fit_diff_gmm(noise_free_panel(), SPEC, GmmOptions(steps=2))
+        fit = fit_diff_gmm(noise_free_panel(), SPEC, GmmOptions(two_step=True))
         assert fit.coefficients["e_l1"] == pytest.approx(0.3, abs=1e-6)
         assert fit.coefficients["l"] == pytest.approx(1.0, abs=1e-6)
 
@@ -127,7 +125,7 @@ class TestDiffGmm:
         for r in range(40):
             sub = dataclasses.replace(cfg, seed=replication_seed(cfg.seed, r))
             panel, _ = simulate_dynamic_panel(sub)
-            fit = fit_diff_gmm(panel, SPEC, GmmOptions(steps=1))
+            fit = fit_diff_gmm(panel, SPEC, GmmOptions())
             rhos.append(fit.coefficients["e_l1"])
             betas.append(fit.coefficients["l"])
         assert abs(np.mean(rhos) - 0.5) < 0.05
@@ -141,7 +139,7 @@ class TestDiffGmm:
             for r in range(30):
                 sub = dataclasses.replace(cfg, seed=replication_seed(cfg.seed, r))
                 panel, _ = simulate_dynamic_panel(sub)
-                fit = fit_diff_gmm(panel, SPEC, GmmOptions(steps=1))
+                fit = fit_diff_gmm(panel, SPEC, GmmOptions())
                 errs.append(fit.coefficients["e_l1"] - 0.5)
             return np.sqrt(np.mean(np.square(errs)))
 
@@ -165,8 +163,8 @@ class TestDiffGmm:
         cfg = DGPConfig(n_regions=120, n_years=7, rho=0.3, beta=1.0,
                         sigma_alpha=1.0, sigma_u=1.0, seed=27)
         panel, _ = simulate_dynamic_panel(cfg)
-        for steps in (1, 2):
-            fit = fit_diff_gmm(panel, SPEC, GmmOptions(steps=steps))
+        for two_step in (False, True):
+            fit = fit_diff_gmm(panel, SPEC, GmmOptions(two_step=two_step))
             assert np.abs(fit.vcov - fit.vcov.T).max() < 1e-12
             assert np.linalg.eigvalsh(fit.vcov).min() > -1e-10
 
@@ -174,7 +172,7 @@ class TestDiffGmm:
 class TestSysGmm:
     def test_noise_free_exact(self):
         panel = noise_free_panel(sigma_alpha=0.0, seed=28)
-        fit = fit_sys_gmm(panel, SPEC, GmmOptions(steps=2))
+        fit = fit_sys_gmm(panel, SPEC, GmmOptions(two_step=True))
         assert fit.coefficients["e_l1"] == pytest.approx(0.3, abs=1e-6)
         assert fit.coefficients["l"] == pytest.approx(1.0, abs=1e-6)
 
@@ -196,10 +194,10 @@ class TestSysGmm:
             sub = dataclasses.replace(cfg, seed=replication_seed(cfg.seed, r))
             panel, _ = simulate_dynamic_panel(sub)
             diff_bias.append(
-                fit_diff_gmm(panel, SPEC, GmmOptions(steps=1)).coefficients["e_l1"] - 0.9
+                fit_diff_gmm(panel, SPEC, GmmOptions()).coefficients["e_l1"] - 0.9
             )
             sys_bias.append(
-                fit_sys_gmm(panel, SPEC, GmmOptions(steps=1)).coefficients["e_l1"] - 0.9
+                fit_sys_gmm(panel, SPEC, GmmOptions()).coefficients["e_l1"] - 0.9
             )
         assert abs(np.mean(sys_bias)) < abs(np.mean(diff_bias))
 
@@ -322,7 +320,7 @@ def dense_gmm_oracle(panel, spec, options, level):
     W = weight_inverse(np.einsum("nsK,nsJ->KJ", ZH, Z))
     theta = solve_theta(W)
     u = yv - np.einsum("nrk,k->nr", X, theta)
-    if options.steps == 2:
+    if options.two_step:
         zu = np.einsum("nrK,nr->nK", Z, u)
         W = weight_inverse(zu.T @ zu)
         theta = solve_theta(W)
@@ -366,7 +364,7 @@ class TestMomentEngine:
     @pytest.mark.parametrize("level,collapse,steps,dummies", CONFIGS)
     def test_matches_dense_oracle(self, level, collapse, steps, dummies):
         panel = gmm_panel()
-        options = GmmOptions(collapse=collapse, steps=steps, year_dummies=dummies)
+        options = GmmOptions(collapse=collapse, two_step=steps == 2, year_dummies=dummies)
         fit = (fit_sys_gmm if level else fit_diff_gmm)(panel, SPEC, options)
         assert_matches_oracle(fit, panel, SPEC, options, level)
         N, K = panel.N, fit.gmm.n_instruments
@@ -409,7 +407,7 @@ class TestMomentEngine:
     @pytest.mark.parametrize("level", [False, True])
     def test_max_lag_matches_dense_oracle(self, level):
         panel = gmm_panel(T=9, seed=41)
-        options = GmmOptions(min_lag=2, max_lag=3, steps=2)
+        options = GmmOptions(min_lag=2, max_lag=3, two_step=True)
         fit = (fit_sys_gmm if level else fit_diff_gmm)(panel, SPEC, options)
         assert_matches_oracle(fit, panel, SPEC, options, level)
 
@@ -417,7 +415,7 @@ class TestMomentEngine:
         # with year dummies the differenced residuals are differences of the
         # level residuals, so the two-step sys-GMM score covariance is singular
         panel = gmm_panel(N=200, T=8, seed=42)
-        options = GmmOptions(steps=2, year_dummies=True)
+        options = GmmOptions(two_step=True, year_dummies=True)
         fit = fit_sys_gmm(panel, SPEC, options)
         assert "singular weighting matrix: pseudo-inverse fallback" in fit.warnings
         assert_matches_oracle(fit, panel, SPEC, options, level=True)
@@ -489,7 +487,7 @@ class TestSymmetricFactor:
             monkeypatch.setattr(np.linalg, name, refuse)
             monkeypatch.setattr(impl, name, refuse)
         panel = gmm_panel(N=200, T=8, seed=42)
-        options = GmmOptions(steps=2, year_dummies=True)
+        options = GmmOptions(two_step=True, year_dummies=True)
         fit = fit_sys_gmm(panel, SPEC, options)
         assert "singular weighting matrix: pseudo-inverse fallback" in fit.warnings
         assert hansen_j(fit).statistic > 0

@@ -371,6 +371,31 @@ class TestPanelCsv:
         with pytest.raises(LoadError, match=f"pixels.csv:{line}: .*{message}"):
             load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv")
 
+    @pytest.mark.parametrize("last, message", [
+        ("101", "pixel p999: canopy density outside [0, 100]"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ], ids=["value-fault", "parse-fault"])
+    def test_rejected_pixel_file_checks_values_at_most_twice(self, tmp_path, monkeypatch,
+                                                            last, message):
+        # the re-read that names the bad line checks the rows' values at once,
+        # not one row at a time
+        rows = [f"p{i},A,1,1,{last if i == 999 else 50}" for i in range(1000)]
+        (tmp_path / "pixels.csv").write_text(
+            "pixel,region,biomass,area,canopy\n" + "\n".join(rows) + "\n"
+        )
+        (tmp_path / "events.csv").write_text("pixel,year\n")
+        calls = []
+        first_bad_pixel = ingest._first_bad_pixel
+
+        def counted(*columns):
+            calls.append(len(columns[0]))
+            return first_bad_pixel(*columns)
+
+        monkeypatch.setattr(ingest, "_first_bad_pixel", counted)
+        with pytest.raises(LoadError, match=re.escape(f"pixels.csv:1001: {message}")):
+            load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv")
+        assert 1 <= len(calls) <= 2
+
     def test_event_file_checks(self, tmp_path):
         (tmp_path / "pixels.csv").write_text(
             "pixel,region,biomass,area,canopy\np1,A,1,1,50\np2,A,1,1,50\n"
