@@ -204,7 +204,7 @@ def cmd_ingest(args) -> int:
 def _write_scatter(path: Path, panel: PanelDataset, x: str, y: str) -> None:
     """``scatter.csv``: x and y two-way demeaned over the years where both are complete."""
     gx, gy = panel.var(x), panel.var(y)
-    mask = (gx.available & gy.available).all(axis=0)
+    mask = gx.available & gy.available
     dx = demean_twoway_values(gx.values[:, mask])
     dy = demean_twoway_values(gy.values[:, mask])
     years = [panel.years[j] for j in range(panel.T) if mask[j]]
@@ -246,12 +246,8 @@ def _mask_years(panel: PanelDataset, excluded: set[int]) -> PanelDataset:
     bad = excluded - set(panel.years)
     if bad:
         raise PanelError(f"excluded years not in panel: {sorted(bad)}")
-    cols = [j for j, year in enumerate(panel.years) if year in excluded]
-    variables = {}
-    for name, grid in panel.variables.items():
-        avail = grid.available.copy()
-        avail[:, cols] = False
-        variables[name] = Grid(grid.values, avail)
+    kept = np.array([year not in excluded for year in panel.years])
+    variables = {name: Grid(g.values, g.available & kept) for name, g in panel.variables.items()}
     return PanelDataset(panel.regions, panel.years, variables)
 
 
@@ -263,10 +259,7 @@ def _subset_regions(panel: PanelDataset, keep: list[str]) -> PanelDataset:
     if not keep:
         raise PanelError("region subset is empty")
     idx = [position[r] for r in keep]
-    variables = {
-        name: Grid(grid.values[idx], grid.available[idx])
-        for name, grid in panel.variables.items()
-    }
+    variables = {name: Grid(g.values[idx], g.available) for name, g in panel.variables.items()}
     return PanelDataset(tuple(keep), panel.years, variables)
 
 

@@ -58,8 +58,8 @@ def _verdict(p: float, what: str) -> str:
 def ar_test(gmm_fit: FitResult, order: int) -> TestResult:
     """Serial-correlation z-test of order m on the differenced residuals.
 
-    Reads the fully available years of the fit's ``residual_grid``, which for
-    a GMM fit are its differenced periods. Per-region covariance contributions
+    Reads the available years of the fit's ``residual_grid``, which for a GMM
+    fit are its differenced periods. Per-region covariance contributions
     are summed and self-normalized; the reference distribution is standard
     normal. Order-1 correlation is expected by construction of differencing;
     order-2 correlation signals invalid instruments.
@@ -69,7 +69,7 @@ def ar_test(gmm_fit: FitResult, order: int) -> TestResult:
     grid = gmm_fit.residual_grid
     if gmm_fit.gmm is None or grid is None:
         raise DiagnosticError("AR test needs a GMM fit with retained residuals")
-    d = grid.values[:, grid.available.all(axis=0)]
+    d = grid.values[:, grid.available]
     P = d.shape[1]
     if P <= order:
         raise DiagnosticError(f"too few differenced periods ({P}) for AR({order})")
@@ -106,17 +106,16 @@ def durbin_watson(residuals: Grid) -> float:
     """Pooled panel Durbin-Watson: within-region squared-difference sums over
     the pooled squared-residual sum.
 
-    Each region's available residuals form its series in year order, so a
-    masked year is bridged: the years on either side of it are differenced.
+    A region's series is its residuals in the available years, so a masked
+    year is bridged: the years on either side of it are differenced.
     """
-    rows = np.nonzero(residuals.available)[0]
-    r = residuals.values[residuals.available]
+    r = residuals.values[:, residuals.available]
     if r.size < 2:
         raise DiagnosticError("need at least 2 residuals")
-    den = float(r @ r)
+    den = float(r.ravel() @ r.ravel())
     if den == 0.0:
         raise DiagnosticError("all residuals are zero: statistic undefined")
-    d = np.diff(r)[rows[1:] == rows[:-1]]  # drop the pairs that span two regions
+    d = np.diff(r, axis=1).ravel()
     return float(d @ d) / den
 
 
@@ -158,7 +157,7 @@ def diagnostic_bundle(fit: FitResult) -> dict:
         except DiagnosticError as exc:
             out["durbin_watson_error"] = str(exc)
         try:
-            out["jarque_bera"] = jarque_bera(grid.values[grid.available]).to_json_dict()
+            out["jarque_bera"] = jarque_bera(grid.values[:, grid.available]).to_json_dict()
         except DiagnosticError as exc:
             out["jarque_bera_error"] = str(exc)
     if fit.gmm is not None:

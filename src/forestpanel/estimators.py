@@ -179,7 +179,8 @@ def cluster_robust_vcov(
     return 0.5 * (vcov + vcov.T)
 
 
-def _gather(panel: PanelDataset, names: Sequence[str]) -> dict[str, Grid]:
+def _gather(panel: PanelDataset, names: Sequence[str]) -> tuple[dict[str, Grid], np.ndarray]:
+    """The grids of ``names`` and the mask of the years where all are available."""
     ones = None
     grids = {}
     for name in names:
@@ -189,7 +190,7 @@ def _gather(panel: PanelDataset, names: Sequence[str]) -> dict[str, Grid]:
             grids[name] = ones
         else:
             grids[name] = panel.var(name)
-    return grids
+    return grids, np.logical_and.reduce([grid.available for grid in grids.values()])
 
 
 def fit_pooled_ols(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
@@ -198,36 +199,23 @@ def fit_pooled_ols(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
     Use the reserved regressor name ``const`` for an intercept column.
     """
     names = [spec.response, *spec.regressors]
-    grids = _gather(panel, names)
-    avail = np.logical_and.reduce([grids[n].available for n in names])
-    if avail.sum() <= len(spec.regressors):
+    grids, year_mask = _gather(panel, names)
+    N, Ts = panel.N, int(year_mask.sum())
+    if N * Ts <= len(spec.regressors):
         raise EstimationError("not enough complete observations for pooled OLS")
-    y = grids[spec.response].values[avail]
-    X = np.column_stack([grids[n].values[avail] for n in spec.regressors])
+    y = grids[spec.response].values[:, year_mask].ravel()
+    X = np.column_stack([grids[n].values[:, year_mask].ravel() for n in spec.regressors])
     beta = qr_lstsq(X, y, spec.regressors)
     resid = y - X @ beta
-    region_ids = np.broadcast_to(
-        np.arange(panel.N)[:, None], (panel.N, panel.T)
-    )[avail]
-    vcov = cluster_robust_vcov(X, resid, region_ids)
-    res_values = np.zeros((panel.N, panel.T))
-    res_values[avail] = resid
+    vcov = cluster_robust_vcov(X, resid, np.repeat(np.arange(N), Ts))
     return FitResult(
         estimator_tag="pooled",
         coef_names=tuple(spec.regressors),
         coefficients=dict(zip(spec.regressors, beta.tolist())),
         vcov=vcov,
-        n_obs=int(avail.sum()),
-        residual_grid=Grid(res_values, avail),
+        n_obs=N * Ts,
+        residual_grid=Grid.at_years(resid.reshape(N, Ts), year_mask),
     )
-
-
-def _complete_years(panel: PanelDataset, grids: dict[str, Grid]) -> np.ndarray:
-    """Boolean mask of years where every variable is available for every region."""
-    mask = np.ones(panel.T, dtype=bool)
-    for grid in grids.values():
-        mask &= grid.available.all(axis=0)
-    return mask
 
 
 def _within_fit(
@@ -239,8 +227,7 @@ def _within_fit(
     if CONST in spec.regressors:
         raise EstimationError("const is absorbed by the fixed effects")
     names = [spec.response, *spec.regressors]
-    grids = _gather(panel, names)
-    year_mask = _complete_years(panel, grids)
+    grids, year_mask = _gather(panel, names)
     Ts = int(year_mask.sum())
     if Ts < 2:
         raise EstimationError("need at least 2 complete years for the within fit")
@@ -259,19 +246,14 @@ def _within_fit(
     resid = y - X @ beta
     tss = float(y @ y)
     rss = float(resid @ resid)
-    region_ids = np.repeat(np.arange(N), Ts)
-    vcov = cluster_robust_vcov(X, resid, region_ids, dof_absorbed=N + Ts - 1)
-    avail = np.zeros((N, panel.T), dtype=bool)
-    avail[:, year_mask] = True
-    res_values = np.zeros((N, panel.T))
-    res_values[:, year_mask] = resid.reshape(N, Ts)
+    vcov = cluster_robust_vcov(X, resid, np.repeat(np.arange(N), Ts), dof_absorbed=N + Ts - 1)
     return FitResult(
         estimator_tag=tag,
         coef_names=tuple(spec.regressors),
         coefficients=dict(zip(spec.regressors, beta.tolist())),
         vcov=vcov,
         n_obs=N * Ts,
-        residual_grid=Grid(res_values, avail),
+        residual_grid=Grid.at_years(resid.reshape(N, Ts), year_mask),
         within_r2=1.0 - rss / tss if tss > 0 else None,
         warnings=extra_warnings,
     )

@@ -238,7 +238,7 @@ def _fit_gmm(
     for j, name in enumerate(exog, start=1):
         g = panel.var(name)
         # the first differenced equation also reads the year before it
-        if not g.available[:, before.start:].all():
+        if not g.available[before.start:].all():
             raise EstimationError(f"regressor {name!r} unavailable in estimation years")
         Xlev[:, :, j] = g.values
     for d, t in enumerate(dummy_years, start=1 + len(exog)):
@@ -329,18 +329,14 @@ def _fit_gmm(
     vcov = (N / (N - 1)) * C.T @ C
     vcov = 0.5 * (vcov + vcov.T)
 
-    # the differenced-equation residuals, at their periods
-    res_values = np.zeros((N, T))
-    avail = np.zeros((N, T), dtype=bool)
-    res_values[:, now] = u[:, :P]
-    avail[:, now] = True
     return FitResult(
         estimator_tag="sys_gmm" if level else "diff_gmm",
         coef_names=tuple(coef_names),
         coefficients=dict(zip(coef_names, theta.tolist())),
         vcov=vcov,
         n_obs=N * rows,
-        residual_grid=Grid(res_values, avail),
+        # the differenced-equation residuals, at their periods
+        residual_grid=Grid.at_years(u[:, :P], np.arange(T) >= periods[0]),
         warnings=tuple(warnings),
         gmm=GmmInternals(zu),
     )

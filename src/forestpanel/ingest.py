@@ -382,12 +382,13 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
     """Write a fully available panel back to the `region,year,...` layout."""
     names = list(panel.variables)
     grids = [panel.variables[name] for name in names]
-    # the first unavailable cell in row order, then in variable order
+    # the first unavailable cell in row order (the first region at the earliest
+    # masked year), then in variable order
     missing = [(int(np.argmax(~g.available)), k)
                for k, g in enumerate(grids) if not g.available.all()]
     if missing:
-        cell, k = min(missing)
-        region, year = panel.regions[cell // panel.T], panel.years[cell % panel.T]
+        j, k = min(missing)
+        region, year = panel.regions[0], panel.years[j]
         raise LoadError(f"variable {names[k]!r} unavailable at ({region}, {year})")
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(["region", "year"] + names)
@@ -434,7 +435,7 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
         index = [position[name] for name in converters]
         width = max(index) + 1
         chunks = [[np.empty(0, dtype)] for _, dtype in converters.values()]
-        columns = None  # until every block converts
+        converted = False  # until every block converts
         try:
             for block in _blocks(reader):
                 if min(map(len, block)) < width:
@@ -443,14 +444,22 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
                     texts = map(itemgetter(i), block)
                     chunk.append(np.fromiter(map(convert, texts), dtype, len(block)))
             else:
-                columns = [np.concatenate(chunk) for chunk in chunks]
+                converted = True
         except (ValueError, csv.Error):
             pass
     parse_fault = None
-    if columns is None:
+    if not converted:
         # the rows before the first one that is short, unconvertible or
-        # unreadable; a value fault among them comes before that row's fault
+        # unreadable; a value fault among them comes before that row's fault.
+        # Each _BLOCK_ROWS of them become one array per column, so at most one
+        # block of rows is held as lists
+        chunks = [[np.empty(0, dtype)] for _, dtype in converters.values()]
         rows = []
+
+        def flush():
+            for j, ((_, dtype), chunk) in enumerate(zip(converters.values(), chunks)):
+                chunk.append(np.fromiter(map(itemgetter(j), rows), dtype, len(rows)))
+            rows.clear()
 
         def convert_row(row):
             if len(row) < width:
@@ -460,11 +469,13 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
                              for i, (convert, _) in zip(index, converters.values())])
             except ValueError as exc:
                 return str(exc)
+            if len(rows) == _BLOCK_ROWS:
+                flush()
             return None
 
         parse_fault = _first_fault(path, convert_row)
-        columns = [np.fromiter(map(itemgetter(j), rows), dtype, len(rows))
-                   for j, (_, dtype) in enumerate(converters.values())]
+        flush()
+    columns = [np.concatenate(chunk) for chunk in chunks]
     fault = check(*columns)
     if fault is not None:  # the value rule's row index names the line
         row_numbers = count()
@@ -506,7 +517,7 @@ def write_pixel_grid_csv(grid: PixelGrid, pixels_path, events_path) -> None:
 def summary_stats(panel: PanelDataset, var: str) -> dict[str, float]:
     """Mean/std/min/median/max over all available cells of one variable."""
     grid = panel.var(var)
-    x = grid.values[grid.available]
+    x = grid.values[:, grid.available].ravel()
     return {
         "mean": float(np.mean(x)),
         "std": float(np.std(x, ddof=1)) if x.size > 1 else 0.0,

@@ -2,8 +2,9 @@
 
 The panel is the currency every other module trades in: a set of named
 N x T variable grids over the same ordered regions and consecutive years.
-Derived grids (lags, interactions) carry an explicit availability mask so
-invalid cells can never leak into an estimation sample.
+A balanced panel can only lack whole years, so each grid flags its available
+years. Derived grids (lags, interactions) clear the years they cannot fill,
+and invalid cells can never leak into an estimation sample.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ class PanelError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """An N x T grid of values with an availability mask.
+    """An N x T grid of values with one availability flag per year column.
 
-    Cells with ``available == False`` hold a placeholder value and must be
-    dropped (never imputed) by any consumer.
+    The years with ``available == False`` hold placeholder values in every
+    region and must be dropped (never imputed) by any consumer.
     """
 
     values: np.ndarray
@@ -38,9 +39,9 @@ class Grid:
         available = np.asarray(self.available, dtype=bool)
         if values.ndim != 2:
             raise PanelError("grid values must be a 2-D (region x year) array")
-        if values.shape != available.shape:
-            raise PanelError("grid values and availability mask shapes differ")
-        if not np.all(np.isfinite(values[available])):
+        if available.shape != values.shape[1:]:
+            raise PanelError("grid availability needs one flag per year column")
+        if not np.all(np.isfinite(values[:, available])):
             raise PanelError("grid contains non-finite values in available cells")
         values = values.copy()
         available = available.copy()
@@ -52,7 +53,15 @@ class Grid:
     @classmethod
     def full(cls, values) -> "Grid":
         values = np.asarray(values, dtype=float)
-        return cls(values, np.ones(values.shape, dtype=bool))
+        return cls(values, np.ones(values.shape[1:], dtype=bool))
+
+    @classmethod
+    def at_years(cls, columns, available) -> "Grid":
+        """The grid holding the N x Ts ``columns`` at the Ts years flagged in
+        ``available``; the other years hold zeros."""
+        values = np.zeros((len(columns), len(available)))
+        values[:, available] = columns
+        return cls(values, available)
 
     @property
     def shape(self):
@@ -228,7 +237,7 @@ def log1(x):
 def log1_grid(panel: PanelDataset, var: str) -> Grid:
     grid = panel.var(var)
     values = grid.values.copy()
-    values[grid.available] = log1(values[grid.available])
+    values[:, grid.available] = log1(values[:, grid.available])
     return Grid(values, grid.available)
 
 
@@ -253,7 +262,7 @@ def lag(panel: PanelDataset, var: str, k: int = 1) -> Grid:
     values = np.zeros_like(grid.values)
     available = np.zeros_like(grid.available)
     values[:, k:] = grid.values[:, :-k]
-    available[:, k:] = grid.available[:, :-k]
+    available[k:] = grid.available[:-k]
     return Grid(values, available)
 
 

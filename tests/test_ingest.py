@@ -488,6 +488,30 @@ def test_pixel_load_peak_memory_per_pixel(tmp_path):
     assert peak / len(grid.pixel_ids) < 400
 
 
+def test_rejected_pixel_file_peaks_near_a_good_one(tmp_path):
+    # A file rejected at its last row is read again row by row to name that
+    # row; the re-read converts each block of rows to columns, so it never
+    # holds every row as a list. Holding them all peaked 2.3x a good read.
+    rows = [f"p{i},R{i % 7},{1.5 + i!r},0.09,{i % 101}\n" for i in range(10 * ingest._BLOCK_ROWS)]
+    header = "pixel,region,biomass,area,canopy\n"
+    (tmp_path / "good.csv").write_text(header + "".join(rows))
+    (tmp_path / "bad.csv").write_text(header + "".join(rows[:-1]) + "p,R0,1.0,0.09,abc\n")
+
+    def peak(name):
+        tracemalloc.start()
+        try:
+            ingest._read_columns(tmp_path / name, ingest._PIXEL_COLUMNS)
+        except LoadError as exc:
+            assert str(exc).startswith(f"{tmp_path / name}:{len(rows) + 1}: ")
+        finally:
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return top
+
+    good = peak("good.csv")
+    assert peak("bad.csv") <= 1.25 * good
+
+
 class TestSummaryStats:
     def make(self, values):
         from forestpanel import Grid, PanelDataset

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from forestpanel import (
+    DGPConfig,
+    GmmOptions,
     Grid,
     PanelDataset,
     PanelError,
@@ -13,7 +15,9 @@ from forestpanel import (
     interact,
     lag,
     log1,
+    simulate_dynamic_panel,
 )
+from forestpanel.cli import ESTIMATORS
 
 # ln(651812), frozen from a 30-digit evaluation (paper's max loss plus one)
 LOG_651812 = 13.3875114557715111
@@ -197,8 +201,8 @@ class TestLagDiff:
     def test_lag_shift(self):
         panel = make_panel([[1, 2, 3]])
         grid = lag(panel, "x", 1)
-        assert not grid.available[0, 0]
-        assert grid.available[0, 1:].all()
+        assert not grid.available[0]
+        assert grid.available[1:].all()
         assert grid.values[0, 1] == 1 and grid.values[0, 2] == 2
 
     def test_lag_too_long(self):
@@ -225,7 +229,42 @@ class TestInteract:
         panel = make_panel([[1, 2, 3]], extra={"z": [[2, 2, 2]]})
         lagged = panel.with_variable("x_l1", lag(panel, "x", 1))
         out = interact(lagged, "x_l1", "z")
-        assert not out.available[0, 0] and out.available[0, 1:].all()
+        assert not out.available[0] and out.available[1:].all()
+
+
+class TestYearMask:
+    """A grid flags its years, not its cells: a balanced panel can only lack whole years."""
+
+    def test_cell_mask_rejected(self):
+        values = np.ones((2, 3))
+        with pytest.raises(PanelError, match="one flag per year"):
+            Grid(values, np.ones(values.shape, dtype=bool))
+
+    @pytest.mark.parametrize("length", [0, 2, 4])
+    def test_wrong_length_rejected(self, length):
+        with pytest.raises(PanelError, match="one flag per year"):
+            Grid(np.ones((2, 3)), np.ones(length, dtype=bool))
+
+    def test_full_flags_every_year(self):
+        assert Grid.full(np.ones((2, 3))).available.shape == (3,)
+
+    def test_non_finite_only_in_masked_years(self):
+        values = np.ones((2, 3))
+        values[1, 1] = np.nan
+        Grid(values, np.array([True, False, True]))
+        with pytest.raises(PanelError, match="non-finite"):
+            Grid(values, np.array([False, True, True]))
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_fit_residuals_flag_years(self, name):
+        panel, _ = simulate_dynamic_panel(
+            DGPConfig(n_regions=30, n_years=7, rho=0.4, beta=1.0, sigma_alpha=1.0, seed=5)
+        )
+        fit = ESTIMATORS[name].fit(panel, "l", "e", GmmOptions())
+        available = fit.residual_grid.available
+        assert available.shape == (panel.T,)
+        if name in ("pooled", "fe2w", "lsdv"):
+            assert fit.n_obs == panel.N * available.sum()
 
 
 class TestDatasetInvariants:
