@@ -12,9 +12,16 @@ of system GMM is diagonal (one column when collapsed), and the exogenous
 regressors and year dummies instrument themselves in their own rows. So Z is
 kept as that shared list of (row, column) cells plus an (N, cells) array of
 values, and Z'X, Z'y, Z'HZ and the per-region scores Z_i'u_i are formed from
-it. No (N, rows, K) array is built: beyond the (N, rows, k) regressors, the
-fit holds O(N * cells + cells^2 + N * K) numbers, where cells is about K plus
-rows times the number of exogenous regressors.
+it. No (N, rows, K) array is built.
+
+Nor is the (N, rows, k) design. The regressors X_i come in two parts: the m
+columns that vary by region (the lagged response and the exogenous
+regressors), an (N, rows, m) array, and the year-dummy and ``const`` columns,
+one (rows, k - m) matrix that every region shares. Z'X is formed one equation
+row at a time and the residual y - X theta one block of ``_BLOCK_REGIONS``
+regions at a time, so the fit holds O(N * (cells + rows * m + K) + cells^2 +
+_BLOCK_REGIONS * rows * k) numbers, where cells is about K plus rows times the
+number of exogenous regressors.
 
 Each symmetric matrix of the fit is decomposed once, by ``np.linalg.eigh`` in
 ``symmetric_factor``: the one-step weight sum_i Z_i'H Z_i, the two-step score
@@ -113,6 +120,38 @@ def symmetric_factor(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return rank, V[:, kept], lam[kept]
 
 
+# regions per block of the residual y - X theta, whose dense (regions, rows, k)
+# design is built one block at a time
+_BLOCK_REGIONS = 256
+
+
+@dataclass(frozen=True)
+class _Design:
+    """The regressors X_i (rows x k) of every region, in two parts: the first
+    m columns vary by region, the other k - m are the same in every region.
+
+    Matmul of a C-ordered (regions, rows, k) stack by a vector runs one product
+    per region, so the residual of each block of regions has the bits of the
+    product over the whole dense design.
+    """
+
+    varying: np.ndarray  # (N, rows, m)
+    shared: np.ndarray   # (rows, k - m)
+
+    def residual(self, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """y - X theta for y of shape (N, rows), one block of regions at a time."""
+        N, rows, m = self.varying.shape
+        dense = np.empty((min(N, _BLOCK_REGIONS), rows, m + self.shared.shape[1]))
+        dense[:, :, m:] = self.shared
+        u = np.empty((N, rows))
+        for lo in range(0, N, _BLOCK_REGIONS):
+            hi = min(lo + _BLOCK_REGIONS, N)
+            block = dense[:hi - lo]
+            block[:, :, :m] = self.varying[lo:hi]
+            u[lo:hi] = y[lo:hi] - block @ theta
+        return u
+
+
 def _diff_periods(T: int) -> list[int]:
     # 0-based year indices where a differenced equation has s >= 2 instruments
     return list(range(2, T))
@@ -190,13 +229,23 @@ class _Instruments:
 
     def scores(self, u: np.ndarray) -> np.ndarray:
         """(N, K) per-region Z_i'u_i for residuals u of shape (N, rows)."""
-        return self._to_columns(self.values * u[:, self.rows])
+        W = u[:, self.rows]
+        W *= self.values
+        return self._to_columns(W)
 
-    def cross(self, X: np.ndarray) -> np.ndarray:
-        """sum_i Z_i'X_i for X of shape (N, rows, m): one product per row."""
-        G = np.empty((self.values.shape[1], X.shape[2]))
+    def cross(self, X: _Design) -> np.ndarray:
+        """sum_i Z_i'X_i: one product per row, with that row's (N, k)
+        regressors filled from both parts of the design."""
+        (N, rows, m), k = X.varying.shape, X.varying.shape[2] + X.shared.shape[1]
+        # the buffer is strided like a row of the dense (N, rows, k) design,
+        # and contiguous like it when rows == 1: for a row of one cell matmul
+        # runs a BLAS dot or gemv, whose bits depend on that contiguity
+        row = np.empty((N, k + (rows > 1)))[:, :k]
+        G = np.empty((self.values.shape[1], k))
         for r, cells in enumerate(self._row_cells):
-            G[cells] = self.values[:, cells].T @ X[:, r]
+            row[:, :m] = X.varying[:, r]
+            row[:, m:] = X.shared[r]
+            G[cells] = self.values[:, cells].T @ row
         return self._to_columns(G.T).T
 
     def gram(self, H: np.ndarray) -> np.ndarray:
@@ -232,21 +281,25 @@ def _fit_gmm(
         coef_names.append("const")
     k = len(coef_names)
 
-    # level regressors in coefficient order; year 0 is never read
-    Xlev = np.zeros((N, T, k))
-    Xlev[:, 1:, 0] = y[:, :-1]
+    # level regressors in coefficient order, year 0 never read: the lagged
+    # response and the exogenous regressors vary by region, the year dummies
+    # and const do not
+    m = 1 + len(exog)
+    varying = np.zeros((N, T, m))
+    varying[:, 1:, 0] = y[:, :-1]
     for j, name in enumerate(exog, start=1):
         g = panel.var(name)
         # the first differenced equation also reads the year before it
         if not g.available[before.start:].all():
             raise EstimationError(f"regressor {name!r} unavailable in estimation years")
-        Xlev[:, :, j] = g.values
-    for d, t in enumerate(dummy_years, start=1 + len(exog)):
-        Xlev[:, t, d] = 1.0
+        varying[:, :, j] = g.values
+    shared = np.zeros((T, k - m))
+    for d, t in enumerate(dummy_years):
+        shared[t, d] = 1.0
     if include_const:
-        Xlev[:, :, k - 1] = 1.0
-    # differenced equations at the periods, from the same design
-    Xd = Xlev[:, now] - Xlev[:, before]
+        shared[:, -1] = 1.0
+    # differenced equations at the periods, from the same regressors
+    Xd = _Design(varying[:, now] - varying[:, before], shared[now] - shared[before])
     yd = y[:, now] - y[:, before]
 
     ab = build_ab_instruments(panel, response, options)
@@ -256,28 +309,36 @@ def _fit_gmm(
     if not level:
         rows = P
         K = K_ab + m_exo_d
-        X_all, y_all = Xd, yd
+        X, y_all = Xd, yd
     else:
         K_lev = 1 if options.collapse else P
         rows = 2 * P
         # exogenous regressors, dummies and const instrument themselves
         K = K_ab + m_exo_d + K_lev + (k - 1)
         # level-equation rows share the coefficient vector
-        X_all = np.concatenate([Xd, Xlev[:, now]], axis=1)
+        X = _Design(np.concatenate([Xd.varying, varying[:, now]], axis=1),
+                    np.concatenate([Xd.shared, shared[now]]))
         y_all = np.concatenate([yd, y[:, now]], axis=1)
 
-    def own_rows(lo, hi, j_lo, j_hi, col0):
-        # regressors j_lo..j_hi-1 as instruments of rows lo..hi-1, at their non-zero cells
-        r, j = np.nonzero(np.any(X_all[:, lo:hi, j_lo:j_hi] != 0, axis=0))
-        return lo + r, col0 + j, X_all[:, lo + r, j_lo + j]
+    def own_rows(lo, hi, n_shared, col0):
+        # the exogenous regressors and the first n_shared shared columns as
+        # instruments of rows lo..hi-1, at their non-zero cells
+        exo = X.varying[:, lo:hi, 1:]
+        r, j = np.nonzero(np.any(exo != 0, axis=0))
+        r_s, j_s = np.nonzero(X.shared[lo:hi, :n_shared])
+        return [(lo + r, col0 + j, exo[:, r, j]),
+                (lo + r_s, col0 + m - 1 + j_s,
+                 np.broadcast_to(X.shared[lo + r_s, j_s], (N, r_s.size)))]
 
     # column order: lag levels, differenced exogenous, [lagged differences, level exogenous]
-    blocks = [(ab.rows, ab.cols, ab.values), own_rows(0, P, 1, 1 + m_exo_d, K_ab)]
+    blocks = [(ab.rows, ab.cols, ab.values), *own_rows(0, P, len(dummy_years), K_ab)]
+    del ab
     if level:
         lev_cols = np.zeros(P, dtype=np.intp) if options.collapse else np.arange(P)
-        blocks.append((P + np.arange(P), K_ab + m_exo_d + lev_cols, Xd[:, :, 0]))
-        blocks.append(own_rows(P, rows, 1, k, K_ab + m_exo_d + K_lev))
+        blocks.append((P + np.arange(P), K_ab + m_exo_d + lev_cols, Xd.varying[:, :, 0]))
+        blocks += own_rows(P, rows, k - m, K_ab + m_exo_d + K_lev)
     Z = _Instruments(blocks, rows, K)
+    del blocks
 
     warnings: list[str] = []
     if K >= N:
@@ -292,8 +353,8 @@ def _fit_gmm(
     if level:
         H[P:, P:] = np.eye(P)
 
-    Mzx = Z.cross(X_all)
-    mzy = Z.cross(y_all[:, :, None])[:, 0]
+    Mzx = Z.cross(X)
+    mzy = Z.cross(_Design(y_all[:, :, None], np.empty((rows, 0))))[:, 0]
 
     def weight_factor(M):
         rank, V, lam = symmetric_factor(M)
@@ -311,17 +372,18 @@ def _fit_gmm(
         return Ainv @ (WM.T @ mzy), WM, Ainv
 
     theta, WM, Ainv = solve_theta(*weight_factor(Z.gram(H)))
-    u = y_all - X_all @ theta
+    u = X.residual(y_all, theta)
     if options.two_step:
         zu = Z.scores(u)
         S1 = zu.T @ zu
+        del zu
         if np.trace(S1) <= 1e-12 * max(1.0, float(np.abs(Z.values).max()) ** 2):
             warnings.append(
                 "degenerate first-step residuals: kept one-step weighting"
             )
         else:
             theta, WM, Ainv = solve_theta(*weight_factor(S1))
-            u = y_all - X_all @ theta
+            u = X.residual(y_all, theta)
 
     # clustered GMM sandwich A^-1 B A^-1, with B = (W Mzx)' S (W Mzx) and S = zu'zu
     zu = Z.scores(u)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -113,29 +113,33 @@ class PixelGrid:
         if fault is not None:
             raise LoadError(fault[1])
         pixel_ids = np.asarray(pixel_ids, dtype=object)
-        by_id = np.argsort(pixel_ids, kind="stable")
-        sorted_ids = pixel_ids[by_id]
-        if (sorted_ids[1:] == sorted_ids[:-1]).any():
+        ids = pixel_ids.tolist()
+        row_of = dict(zip(ids, range(len(ids))))
+        if len(row_of) != len(ids):
             raise LoadError("duplicate pixel ids")
         events = np.fromiter(loss_events, dtype=_EVENT)
-        events = events[np.lexsort((events["year"], events["pixel"]))]
-        event_ids, event_year = events["pixel"], events["year"]
+        event_pixel = np.fromiter(map(row_of.get, events["pixel"], repeat(-1)),
+                                  dtype=np.intp, count=len(events))
+        del row_of
+        unknown = event_pixel < 0
+        event_pixel, event_year = event_pixel[~unknown], events["year"][~unknown]
+        # the rank of each lost pixel's id among the lost pixels' ids
+        lost = np.unique(event_pixel)
+        id_rank = np.empty(len(ids), dtype=np.intp)
+        id_rank[sorted(lost.tolist(), key=ids.__getitem__)] = np.arange(len(lost))
         # sorted by (pixel_id, year), with exact repeats dropped as from a set
-        new = np.ones(len(events), dtype=bool)
-        new[1:] = (event_ids[1:] != event_ids[:-1]) | (event_year[1:] != event_year[:-1])
-        event_ids, event_year = event_ids[new], event_year[new]
-        at = np.searchsorted(sorted_ids, event_ids)
-        known = at < len(sorted_ids)
-        known[known] = sorted_ids[at[known]] == event_ids[known]
-        event_pixel = np.full(len(event_ids), -1, dtype=np.intp)
-        event_pixel[known] = by_id[at[known]]
-        bad = ~known
-        bad[1:] |= event_pixel[1:] == event_pixel[:-1]
-        if bad.any():
-            i = int(np.argmax(bad))
-            if not known[i]:
-                raise LoadError(f"loss event references unknown pixel {event_ids[i]!r}")
-            raise LoadError(f"pixel {event_ids[i]!r} lost more than once")
+        order = np.lexsort((event_year, id_rank[event_pixel]))
+        event_pixel, event_year = event_pixel[order], event_year[order]
+        new = np.ones(len(event_pixel), dtype=bool)
+        new[1:] = (event_pixel[1:] != event_pixel[:-1]) | (event_year[1:] != event_year[:-1])
+        event_pixel, event_year = event_pixel[new], event_year[new]
+        twice = event_pixel[1:][event_pixel[1:] == event_pixel[:-1]]
+        if unknown.any() or twice.size:
+            # the fault of the smallest offending pixel id
+            stranger = min(events["pixel"][unknown], default=None)
+            if stranger is not None and (not twice.size or stranger < ids[twice[0]]):
+                raise LoadError(f"loss event references unknown pixel {stranger!r}")
+            raise LoadError(f"pixel {ids[twice[0]]!r} lost more than once")
         code_of = {r: i for i, r in enumerate(dict.fromkeys(regions))}
         self._store(
             pixel_ids,

@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 
 from forestpanel import Grid, LoadError, PanelDataset, PanelError, PixelGrid, write_panel_csv
 from forestpanel import cli, ingest
+from forestpanel.dgp import GridDGPConfig, simulate_disturbance_grid
+from forestpanel.ingest import write_pixel_grid_csv
 from forestpanel.panel import demean_twoway_values
 
 
@@ -461,6 +463,31 @@ def test_grid_events_match_dict_and_sort(pixel_ids, events):
     else:
         assert grid.event_pixel.tolist() == expected[0].tolist()
         assert grid.event_year.tolist() == expected[1].tolist()
+
+
+def test_ingest_ignores_pixel_order_within_regions(tmp_path):
+    # the events are summed in (pixel_id, year) order whatever the row order of
+    # the pixels, so ids that arrive unsorted give the same bytes, as long as
+    # the regions are first seen in the same order
+    grid = simulate_disturbance_grid(GridDGPConfig(n_regions=8, pixels_per_region=60,
+                                                   n_years=9, seed=4))
+    write_pixel_grid_csv(grid, tmp_path / "pixels.csv", tmp_path / "events.csv")
+    header, *rows = (tmp_path / "pixels.csv").read_text(encoding="utf-8").splitlines(True)
+    by_region: dict[str, list[str]] = {}
+    for row in rows:
+        by_region.setdefault(row.split(",")[1], []).append(row)
+    rng = np.random.default_rng(4)
+    permuted = [row for group in by_region.values() for row in rng.permutation(group)]
+    ids = [row.split(",")[0] for row in permuted]
+    assert ids != sorted(ids)
+    (tmp_path / "permuted.csv").write_text(header + "".join(permuted), encoding="utf-8")
+    for name in ("pixels", "permuted"):
+        assert cli.main(["ingest", "--pixels", str(tmp_path / f"{name}.csv"),
+                         "--events", str(tmp_path / "events.csv"),
+                         "--out", str(tmp_path / f"out-{name}")]) == 0
+    for output in ("panel.csv", "summary.json"):
+        assert ((tmp_path / "out-permuted" / output).read_bytes()
+                == (tmp_path / "out-pixels" / output).read_bytes())
 
 
 PANEL_VALUES = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1 / 3])

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from forestpanel import (
     replication_seed,
     simulate_dynamic_panel,
 )
-from forestpanel.gmm import symmetric_factor
+from forestpanel.gmm import _BLOCK_REGIONS as BLOCK, symmetric_factor
 
 
 def make_panel(y, x=None):
@@ -403,6 +404,73 @@ class TestMomentEngine:
         G = rng.normal(size=(Z.cols.size, Z.cols.size))
         assert np.array_equal(Z._to_columns(W), reference(W))
         assert np.array_equal(Z._to_columns(Z._to_columns(G).T), reference(reference(G).T))
+
+    @pytest.mark.parametrize("n_regions", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("level,collapse,dummies",
+                             sorted({(lv, c, d) for lv, c, _, d in CONFIGS}))
+    @pytest.mark.parametrize("spec", [SPEC, RegressionSpec("e", ("e_l1",))])
+    def test_split_design_gives_the_dense_bits(self, monkeypatch, n_regions, level, collapse,
+                                               dummies, spec):
+        # the residual, blocked by regions, and Z'X, one row at a time from a
+        # buffer, against the same products on the dense (N, rows, k) design.
+        # Without exogenous regressors k can be 1 and a row can hold one cell
+        from forestpanel import gmm
+
+        designs, made = [], []
+        design_init, init = gmm._Design.__init__, gmm._Instruments.__init__
+
+        def record_design(self, *args):
+            design_init(self, *args)
+            designs.append(self)
+
+        class Built(Exception):
+            pass
+
+        def record_and_stop(self, *args):
+            init(self, *args)
+            made.append(self)
+            raise Built
+
+        monkeypatch.setattr(gmm._Design, "__init__", record_design)
+        monkeypatch.setattr(gmm._Instruments, "__init__", record_and_stop)
+        panel = gmm_panel(N=n_regions, seed=44)
+        options = GmmOptions(collapse=collapse, year_dummies=dummies)
+        with pytest.raises(Built):
+            (fit_sys_gmm if level else fit_diff_gmm)(panel, spec, options)
+        (Z,), X = made, designs[-1]  # the design the instruments were built from
+        N, rows, _ = X.varying.shape
+        dense = np.concatenate(
+            [X.varying, np.broadcast_to(X.shared, (N, rows, X.shared.shape[1]))], axis=2)
+        rng = np.random.default_rng(45)
+        theta, y = rng.normal(size=dense.shape[2]), rng.normal(size=(N, rows))
+        assert np.array_equal(X.residual(y, theta), y - dense @ theta)
+
+        def per_row(dense):
+            G = np.empty((Z.values.shape[1], dense.shape[2]))
+            for r, cells in enumerate(Z._row_cells):
+                G[cells] = Z.values[:, cells].T @ dense[:, r]
+            return Z._to_columns(G.T).T
+
+        assert np.array_equal(Z.cross(X), per_row(dense))
+        Y = gmm._Design(y[:, :, None], np.empty((rows, 0)))
+        assert np.array_equal(Z.cross(Y), per_row(y[:, :, None]))
+
+    @pytest.mark.parametrize("fit,bound_mb", [(fit_diff_gmm, 12), (fit_sys_gmm, 16)])
+    def test_uncollapsed_fit_peak_memory(self, fit, bound_mb):
+        # N = 1000, T = 23, two-step, year dummies: the dense (N, rows, k)
+        # design alone held 8 MB (diff) and 16 MB (sys) before the fit returned
+        cfg = DGPConfig(n_regions=1000, n_years=23, rho=0.5, beta=1.0, sigma_alpha=1.0,
+                        sigma_u=1.0, seed=1)
+        panel = simulate_dynamic_panel(cfg)[0]
+        options = GmmOptions(two_step=True, year_dummies=True)
+        tracemalloc.start()
+        try:
+            result = fit(panel, SPEC, options)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.gmm.n_instruments == (296 if fit is fit_sys_gmm else 253)
+        assert peak <= bound_mb * 1e6
 
     @pytest.mark.parametrize("level", [False, True])
     def test_max_lag_matches_dense_oracle(self, level):
