@@ -1,5 +1,6 @@
 """Specification tests: serial-correlation z-tests on differenced residuals,
-the overidentification J test, pooled Durbin-Watson, Jarque-Bera, within R2.
+the overidentification J test, pooled Durbin-Watson and Jarque-Bera, bundled
+with a within fit's R2.
 
 P-values come from the ``scipy.special`` ufuncs that ``scipy.stats`` itself
 evaluates, bit for bit: ``ndtr(-|z|)`` is the normal tail ``norm.sf(|z|)``
@@ -134,15 +135,6 @@ def jarque_bera(residuals) -> TestResult:
     jb = n / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
     p = _chi2_sf(jb, 2)
     return TestResult(jb, p, 2, _verdict(p, "normality"))
-
-
-def within_r2(fit: FitResult) -> float:
-    """1 - RSS/TSS of the demeaned response, from a within-transformed fit."""
-    if fit.within_r2 is None:
-        raise DiagnosticError(
-            "no within R2: fit not on within-transformed data, or zero total sum of squares"
-        )
-    return fit.within_r2
 
 
 def diagnostic_bundle(fit: FitResult) -> dict:

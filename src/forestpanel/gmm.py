@@ -386,6 +386,8 @@ def _fit_gmm(
             u = X.residual(y_all, theta)
 
     # clustered GMM sandwich A^-1 B A^-1, with B = (W Mzx)' S (W Mzx) and S = zu'zu
+    if N < 2:
+        raise EstimationError("clustered GMM covariance needs at least 2 regions")
     zu = Z.scores(u)
     C = (zu @ WM) @ Ainv
     vcov = (N / (N - 1)) * C.T @ C

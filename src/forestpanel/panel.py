@@ -230,8 +230,7 @@ def log1(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise PanelError("log1 requires nonnegative input")
-    out = np.log1p(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return np.log1p(arr)
 
 
 def log1_grid(panel: PanelDataset, var: str) -> Grid:

@@ -11,8 +11,27 @@ import json
 import numpy as np
 import pytest
 
-import forestpanel as fp
 from forestpanel.cli import main as cli_main
+from forestpanel.dgp import DGPConfig, replication_seed, simulate_dynamic_panel
+from forestpanel.diagnostics import ar_test, durbin_watson, hansen_j, jarque_bera
+from forestpanel.estimators import (
+    CONST,
+    FitResult,
+    RegressionSpec,
+    fit_dynamic_lsdv,
+    fit_pooled_ols,
+    fit_twoway_fe,
+    long_run_elasticity,
+)
+from forestpanel.gmm import GmmOptions, fit_diff_gmm, fit_sys_gmm
+from forestpanel.ingest import (
+    EmissionFactors,
+    Pixel,
+    PixelGrid,
+    pixel_panel,
+    write_panel_csv,
+)
+from forestpanel.panel import Grid, PanelDataset
 
 
 def report(name, ok, detail=""):
@@ -23,7 +42,7 @@ def report(name, ok, detail=""):
 
 
 def stub_fit(beta, rho, vcov):
-    return fp.FitResult(
+    return FitResult(
         estimator_tag="stub",
         coef_names=("l", "e_l1"),
         coefficients={"l": beta, "e_l1": rho},
@@ -32,12 +51,12 @@ def stub_fit(beta, rho, vcov):
     )
 
 
-SPEC = fp.RegressionSpec("e", ("l",))
+SPEC = RegressionSpec("e", ("l",))
 
 
 def test_criterion_1_long_run_elasticity():
     fit = stub_fit(1.3210, -0.0110, np.diag([0.1**2, 0.05**2]))
-    result = fp.long_run_elasticity(fit, "l", "e_l1")
+    result = long_run_elasticity(fit, "l", "e_l1")
     ok = abs(result.long_run - 1.3066) < 5e-4
     report("1 long-run elasticity 1.3066",
            ok, f"got {result.long_run:.4f}")
@@ -46,15 +65,15 @@ def test_criterion_1_long_run_elasticity():
 def test_criterion_2_calibrated_lsdv_recovery():
     beta, rho = 1.32, -0.01
     sigma_u = np.sqrt(0.15 * beta**2 / (1 - rho**2 - 0.15))
-    cfg = fp.DGPConfig(n_regions=200, n_years=23, rho=rho, beta=beta,
-                       sigma_alpha=1.0, sigma_u=sigma_u, seed=900)
+    cfg = DGPConfig(n_regions=200, n_years=23, rho=rho, beta=beta,
+                    sigma_alpha=1.0, sigma_u=sigma_u, seed=900)
     betas, r2s = [], []
     for r in range(100):
-        sub = dataclasses.replace(cfg, seed=fp.replication_seed(cfg.seed, r))
-        panel, _ = fp.simulate_dynamic_panel(sub)
-        fit = fp.fit_dynamic_lsdv(panel, SPEC)
+        sub = dataclasses.replace(cfg, seed=replication_seed(cfg.seed, r))
+        panel, _ = simulate_dynamic_panel(sub)
+        fit = fit_dynamic_lsdv(panel, SPEC)
         betas.append(fit.coefficients["l"])
-        r2s.append(fp.within_r2(fit))
+        r2s.append(fit.within_r2)
     mean_beta, mean_r2 = np.mean(betas), np.mean(r2s)
     ok = abs(mean_beta - beta) < 0.03 and abs(mean_r2 - 0.85) < 0.03
     report("2 calibrated LSDV beta and within-R2",
@@ -88,16 +107,16 @@ def test_criterion_3_fe_matches_dummy_ols():
         T = int(rng.integers(3, 9))
         k = int(rng.integers(1, 3))
         names = [f"x{j}" for j in range(k)]
-        variables = {n: fp.Grid.full(rng.normal(size=(N, T))) for n in names}
+        variables = {n: Grid.full(rng.normal(size=(N, T))) for n in names}
         y = rng.normal(size=(N, 1)) + rng.normal(size=(1, T)) + rng.normal(size=(N, T))
         for j, n in enumerate(names):
             y = y + (0.5 + j) * variables[n].values
-        variables["y"] = fp.Grid.full(y)
-        panel = fp.PanelDataset(
+        variables["y"] = Grid.full(y)
+        panel = PanelDataset(
             tuple(f"r{i}" for i in range(N)), tuple(range(2001, 2001 + T)), variables
         )
-        spec = fp.RegressionSpec("y", tuple(names))
-        fit = fp.fit_twoway_fe(panel, spec)
+        spec = RegressionSpec("y", tuple(names))
+        fit = fit_twoway_fe(panel, spec)
         oracle = dummy_ols_coefficients(panel, spec)
         got = np.array([fit.coefficients[n] for n in names])
         worst = max(worst, float(np.abs(got - oracle).max()))
@@ -106,15 +125,15 @@ def test_criterion_3_fe_matches_dummy_ols():
 
 
 def test_criterion_4_nickell_bias_demonstration():
-    cfg = fp.DGPConfig(n_regions=500, n_years=6, rho=0.5, beta=1.0,
-                       sigma_alpha=1.0, sigma_u=1.0, seed=902)
+    cfg = DGPConfig(n_regions=500, n_years=6, rho=0.5, beta=1.0,
+                    sigma_alpha=1.0, sigma_u=1.0, seed=902)
     lsdv_rhos, gmm_rhos = [], []
     for r in range(200):
-        sub = dataclasses.replace(cfg, seed=fp.replication_seed(cfg.seed, r))
-        panel, _ = fp.simulate_dynamic_panel(sub)
-        lsdv_rhos.append(fp.fit_dynamic_lsdv(panel, SPEC).coefficients["e_l1"])
+        sub = dataclasses.replace(cfg, seed=replication_seed(cfg.seed, r))
+        panel, _ = simulate_dynamic_panel(sub)
+        lsdv_rhos.append(fit_dynamic_lsdv(panel, SPEC).coefficients["e_l1"])
         gmm_rhos.append(
-            fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions()).coefficients["e_l1"]
+            fit_diff_gmm(panel, SPEC, GmmOptions()).coefficients["e_l1"]
         )
     m_lsdv, m_gmm = np.mean(lsdv_rhos), np.mean(gmm_rhos)
     ok = m_lsdv < 0.45 and 0.45 <= m_gmm <= 0.55
@@ -130,34 +149,34 @@ def test_criterion_5_noise_free_exactness():
         for name, value in expected.items():
             worst = max(worst, abs(fit.coefficients[name] - value))
 
-    static = fp.DGPConfig(n_regions=40, n_years=8, rho=0.0, beta=1.5,
-                          sigma_alpha=0.0, sigma_gamma=0.0, sigma_u=0.0, seed=903)
-    panel, _ = fp.simulate_dynamic_panel(static)
+    static = DGPConfig(n_regions=40, n_years=8, rho=0.0, beta=1.5,
+                       sigma_alpha=0.0, sigma_gamma=0.0, sigma_u=0.0, seed=903)
+    panel, _ = simulate_dynamic_panel(static)
     check(
-        fp.fit_pooled_ols(panel, fp.RegressionSpec("e", (fp.CONST, "l"))),
-        {"l": 1.5, fp.CONST: 0.0},
+        fit_pooled_ols(panel, RegressionSpec("e", (CONST, "l"))),
+        {"l": 1.5, CONST: 0.0},
     )
 
     fe_cfg = dataclasses.replace(static, sigma_alpha=1.0, sigma_gamma=0.5, seed=904)
-    panel, _ = fp.simulate_dynamic_panel(fe_cfg)
+    panel, _ = simulate_dynamic_panel(fe_cfg)
     check(
-        fp.fit_twoway_fe(panel, SPEC),
+        fit_twoway_fe(panel, SPEC),
         {"l": 1.5},
     )
 
-    dyn = fp.DGPConfig(n_regions=40, n_years=8, rho=0.3, beta=1.5,
-                       sigma_alpha=1.0, sigma_gamma=0.5, sigma_u=0.0, seed=905)
-    panel, _ = fp.simulate_dynamic_panel(dyn)
-    check(fp.fit_dynamic_lsdv(panel, SPEC), {"l": 1.5, "e_l1": 0.3})
+    dyn = DGPConfig(n_regions=40, n_years=8, rho=0.3, beta=1.5,
+                    sigma_alpha=1.0, sigma_gamma=0.5, sigma_u=0.0, seed=905)
+    panel, _ = simulate_dynamic_panel(dyn)
+    check(fit_dynamic_lsdv(panel, SPEC), {"l": 1.5, "e_l1": 0.3})
 
     diff_cfg = dataclasses.replace(dyn, sigma_gamma=0.0, seed=906)
-    panel, _ = fp.simulate_dynamic_panel(diff_cfg)
-    check(fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions(two_step=True)),
+    panel, _ = simulate_dynamic_panel(diff_cfg)
+    check(fit_diff_gmm(panel, SPEC, GmmOptions(two_step=True)),
           {"l": 1.5, "e_l1": 0.3})
 
     sys_cfg = dataclasses.replace(diff_cfg, sigma_alpha=0.0, seed=907)
-    panel, _ = fp.simulate_dynamic_panel(sys_cfg)
-    check(fp.fit_sys_gmm(panel, SPEC, fp.GmmOptions(two_step=True)),
+    panel, _ = simulate_dynamic_panel(sys_cfg)
+    check(fit_sys_gmm(panel, SPEC, GmmOptions(two_step=True)),
           {"l": 1.5, "e_l1": 0.3})
 
     report("5 noise-free exactness for all five estimators",
@@ -165,17 +184,17 @@ def test_criterion_5_noise_free_exactness():
 
 
 def test_criterion_6_diagnostic_calibration():
-    cfg = fp.DGPConfig(n_regions=500, n_years=7, rho=0.4, beta=1.0,
-                       sigma_alpha=1.0, sigma_u=1.0, seed=908)
+    cfg = DGPConfig(n_regions=500, n_years=7, rho=0.4, beta=1.0,
+                    sigma_alpha=1.0, sigma_u=1.0, seed=908)
     ar1_rej = ar2_rej = hansen_rej = 0
     R = 200
     for r in range(R):
-        sub = dataclasses.replace(cfg, seed=fp.replication_seed(cfg.seed, r))
-        panel, _ = fp.simulate_dynamic_panel(sub)
-        fit = fp.fit_diff_gmm(panel, SPEC, fp.GmmOptions(two_step=True))
-        ar1_rej += fp.ar_test(fit, 1).p_value < 0.05
-        ar2_rej += fp.ar_test(fit, 2).p_value < 0.05
-        hansen_rej += fp.hansen_j(fit).p_value < 0.05
+        sub = dataclasses.replace(cfg, seed=replication_seed(cfg.seed, r))
+        panel, _ = simulate_dynamic_panel(sub)
+        fit = fit_diff_gmm(panel, SPEC, GmmOptions(two_step=True))
+        ar1_rej += ar_test(fit, 1).p_value < 0.05
+        ar2_rej += ar_test(fit, 2).p_value < 0.05
+        hansen_rej += hansen_j(fit).p_value < 0.05
     ar1, ar2, hansen = ar1_rej / R, ar2_rej / R, hansen_rej / R
     ok = ar1 > 0.90 and 0.02 <= ar2 <= 0.09 and 0.02 <= hansen <= 0.10
     report("6 AR(1)/AR(2)/Hansen rejection rates",
@@ -184,21 +203,21 @@ def test_criterion_6_diagnostic_calibration():
 
 def test_criterion_7_diagnostic_fixtures():
     checks = []
-    checks.append(fp.durbin_watson(fp.Grid.full([[2.0, 2.0, 2.0, 2.0]])) == 0.0)
-    dw = fp.durbin_watson(fp.Grid.full([[1.0, -1.0, 1.0, -1.0]]))
+    checks.append(durbin_watson(Grid.full([[2.0, 2.0, 2.0, 2.0]])) == 0.0)
+    dw = durbin_watson(Grid.full([[1.0, -1.0, 1.0, -1.0]]))
     checks.append(abs(dw - 3.0) < 1e-12)
 
     c = np.sqrt(6 + np.sqrt(50))
     sample = np.array([1.0] * 4 + [-1.0] * 4 + [c, -c])
-    checks.append(abs(fp.jarque_bera(sample).statistic) < 1e-10)
+    checks.append(abs(jarque_bera(sample).statistic) < 1e-10)
 
-    cfg = fp.DGPConfig(n_regions=100, n_years=5, rho=0.4, beta=1.0,
-                       sigma_alpha=1.0, sigma_u=0.8, seed=909)
-    panel, _ = fp.simulate_dynamic_panel(cfg)
-    fit = fp.fit_diff_gmm(panel, SPEC,
-                          fp.GmmOptions(min_lag=2, max_lag=2, collapse=True))
+    cfg = DGPConfig(n_regions=100, n_years=5, rho=0.4, beta=1.0,
+                    sigma_alpha=1.0, sigma_u=0.8, seed=909)
+    panel, _ = simulate_dynamic_panel(cfg)
+    fit = fit_diff_gmm(panel, SPEC,
+                       GmmOptions(min_lag=2, max_lag=2, collapse=True))
     just_identified = fit.gmm.n_instruments == len(fit.coef_names)
-    checks.append(just_identified and fp.hansen_j(fit).statistic <= 1e-8)
+    checks.append(just_identified and hansen_j(fit).statistic <= 1e-8)
 
     report("7 DW/JB/Hansen fixtures",
            all(checks), f"checks {['ok' if c else 'BAD' for c in checks]}")
@@ -208,7 +227,7 @@ def test_criterion_8_aggregation_oracle_and_properties():
     rng = np.random.default_rng(910)
     pixels = []
     for i in range(300):
-        pixels.append(fp.Pixel(
+        pixels.append(Pixel(
             pixel_id=f"p{i}",
             region=f"reg{int(rng.integers(0, 8))}",
             biomass_density=float(rng.uniform(0, 400)),
@@ -220,9 +239,9 @@ def test_criterion_8_aggregation_oracle_and_properties():
         (p.pixel_id, int(rng.choice(years)))
         for p in pixels if rng.random() < 0.6
     )
-    grid = fp.PixelGrid(*zip(*pixels), events)
+    grid = PixelGrid(*zip(*pixels), events)
     theta = 44.0 / 12.0
-    panel = fp.pixel_panel(grid, fp.EmissionFactors(theta), years)
+    panel = pixel_panel(grid, EmissionFactors(theta), years)
 
     # independent brute-force tally over (pixel, year) pairs
     by_pixel = {p.pixel_id: p for p in pixels}
@@ -239,16 +258,16 @@ def test_criterion_8_aggregation_oracle_and_properties():
             ok &= panel.var("E").values[gi, gj] == pytest.approx(emis, abs=1e-10)
 
     # theta-scaling: emissions scale linearly in theta
-    doubled = fp.pixel_panel(grid, fp.EmissionFactors(2 * theta), years)
+    doubled = pixel_panel(grid, EmissionFactors(2 * theta), years)
     scale_err = np.abs(doubled.var("E").values - 2 * panel.var("E").values).max()
 
     # partition-additivity: splitting the grid and summing matches the whole
     half_ids = {p.pixel_id for p in pixels[:150]}
-    first = fp.PixelGrid(*zip(*pixels[:150]), [e for e in events if e[0] in half_ids])
-    second = fp.PixelGrid(*zip(*pixels[150:]), [e for e in events if e[0] not in half_ids])
+    first = PixelGrid(*zip(*pixels[:150]), [e for e in events if e[0] in half_ids])
+    second = PixelGrid(*zip(*pixels[150:]), [e for e in events if e[0] not in half_ids])
     total = np.zeros((len(panel.regions), len(years)))
     for part in (first, second):
-        sub = fp.pixel_panel(part, fp.EmissionFactors(theta), years)
+        sub = pixel_panel(part, EmissionFactors(theta), years)
         for gi, region in enumerate(sub.regions):
             total[panel.regions.index(region)] += sub.var("L").values[gi]
     part_err = np.abs(total - panel.var("L").values).max()
@@ -259,11 +278,11 @@ def test_criterion_8_aggregation_oracle_and_properties():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    cfg = fp.DGPConfig(n_regions=25, n_years=10, rho=0.3, beta=1.0,
-                       sigma_alpha=1.0, sigma_u=0.5, seed=911)
-    panel, _ = fp.simulate_dynamic_panel(cfg)
+    cfg = DGPConfig(n_regions=25, n_years=10, rho=0.3, beta=1.0,
+                    sigma_alpha=1.0, sigma_u=0.5, seed=911)
+    panel, _ = simulate_dynamic_panel(cfg)
     src = tmp_path / "panel.csv"
-    fp.write_panel_csv(panel, src)
+    write_panel_csv(panel, src)
     mc_config = {
         "dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0,
                 "sigma_alpha": 1.0, "sigma_u": 1.0},

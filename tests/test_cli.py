@@ -7,19 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forestpanel import (
-    DGPConfig,
-    DGPError,
-    DiagnosticError,
-    EstimationError,
-    Grid,
-    PanelDataset,
-    simulate_dynamic_panel,
-    write_panel_csv,
-)
 from forestpanel import cli
 from forestpanel.cli import ESTIMATORS, main
+from forestpanel.dgp import DGPConfig, DGPError, simulate_dynamic_panel
+from forestpanel.diagnostics import DiagnosticError
+from forestpanel.estimators import EstimationError
 from forestpanel.gmm import GmmOptions
+from forestpanel.ingest import write_panel_csv
+from forestpanel.panel import Grid, PanelDataset
 
 
 def write_log_panel(path, N=30, T=10, rho=0.3, beta=1.0, sigma_u=0.5, seed=80):
@@ -156,7 +151,7 @@ class TestIngest:
         assert capsys.readouterr().err == f"error: theta must be finite, got {theta}\n"
 
     def test_simulated_grid_skewness(self, tmp_path):
-        from forestpanel import GridDGPConfig, simulate_disturbance_grid
+        from forestpanel.dgp import GridDGPConfig, simulate_disturbance_grid
         from forestpanel.ingest import write_pixel_grid_csv
 
         grid = simulate_disturbance_grid(
@@ -546,6 +541,19 @@ class TestMonteCarloCommand:
         for agg in results["diffgmm"]["aggregates"].values():
             assert agg["mean"] is agg["bias"] is agg["rmse"] is agg["coverage"] is None
         assert results["lsdv"]["completed"] == 2
+        captured = capsys.readouterr()
+        assert "diffgmm: no replication completed (2 failed)" in captured.out
+        assert captured.err == "diffgmm: 2 failed (EstimationError: 2)\n"
+
+    def test_one_region_gmm_replications_fail_by_name(self, tmp_path, capsys):
+        config = {"dgp": {"n_regions": 1, "n_years": 6, "rho": 0.5, "beta": 1.0},
+                  "estimators": ["diffgmm"], "replications": 2}
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
+                     "--out", str(out)]) == 0
+        results = json.loads((out / "montecarlo.json").read_text())["results"]
+        assert (results["diffgmm"]["completed"], results["diffgmm"]["failed"]) == (0, 2)
         captured = capsys.readouterr()
         assert "diffgmm: no replication completed (2 failed)" in captured.out
         assert captured.err == "diffgmm: 2 failed (EstimationError: 2)\n"

@@ -26,11 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestpanel import Grid, LoadError, PanelDataset, PanelError, PixelGrid, write_panel_csv
 from forestpanel import cli, ingest
 from forestpanel.dgp import GridDGPConfig, simulate_disturbance_grid
-from forestpanel.ingest import write_pixel_grid_csv
-from forestpanel.panel import demean_twoway_values
+from forestpanel.ingest import LoadError, PixelGrid, write_panel_csv, write_pixel_grid_csv
+from forestpanel.panel import Grid, PanelDataset, PanelError, demean_twoway_values
 
 
 # ---------------------------------------------------------------------------

@@ -4,26 +4,26 @@ import hashlib
 import numpy as np
 import pytest
 
-from forestpanel import (
+from forestpanel import dgp
+from forestpanel.dgp import (
     DGPConfig,
     DGPError,
-    EmissionFactors,
-    EstimationError,
-    FitResult,
-    GmmOptions,
     GridDGPConfig,
-    RegressionSpec,
-    fit_diff_gmm,
-    fit_dynamic_lsdv,
-    fit_twoway_fe,
-    lagged_name,
     monte_carlo,
-    pixel_panel,
     replication_seed,
     simulate_disturbance_grid,
     simulate_dynamic_panel,
 )
-from forestpanel import dgp
+from forestpanel.estimators import (
+    EstimationError,
+    FitResult,
+    RegressionSpec,
+    fit_dynamic_lsdv,
+    fit_twoway_fe,
+    lagged_name,
+)
+from forestpanel.gmm import GmmOptions, fit_diff_gmm
+from forestpanel.ingest import EmissionFactors, pixel_panel
 
 
 class TestDGPConfigValidation:
@@ -85,7 +85,7 @@ class TestSimulateDynamicPanel:
 
     def test_regressor_correlated_with_alpha_biases_pooled(self):
         # the omitted-heterogeneity demo: FE ignores alpha, pooled cannot
-        from forestpanel import CONST, fit_pooled_ols
+        from forestpanel.estimators import CONST, fit_pooled_ols
 
         cfg = DGPConfig(n_regions=400, n_years=10, rho=0.0, beta=1.0,
                         sigma_alpha=2.0, sigma_u=0.5,

@@ -5,25 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestpanel import (
-    DGPConfig,
+from forestpanel.dgp import DGPConfig, replication_seed, simulate_dynamic_panel
+from forestpanel.diagnostics import (
     DiagnosticError,
-    GmmOptions,
-    Grid,
-    RegressionSpec,
     ar_test,
     diagnostic_bundle,
     durbin_watson,
-    fit_diff_gmm,
-    fit_twoway_fe,
     hansen_j,
     jarque_bera,
-    replication_seed,
-    simulate_dynamic_panel,
-    within_r2,
 )
-from forestpanel.estimators import FitResult
-from forestpanel.gmm import GmmInternals
+from forestpanel.estimators import FitResult, RegressionSpec, fit_twoway_fe
+from forestpanel.gmm import GmmInternals, GmmOptions, fit_diff_gmm
+from forestpanel.panel import Grid
 
 SPEC = RegressionSpec("e", ("l",))
 
@@ -124,7 +117,7 @@ class TestHansenJ:
             for t in range(T + 1):
                 prev = alpha + 0.4 * prev + x[:, t] + u[:, t]
                 e[:, t] = prev
-            from forestpanel import Grid, PanelDataset
+            from forestpanel.panel import Grid, PanelDataset
 
             panel = PanelDataset(
                 tuple(f"r{i}" for i in range(N)),
@@ -269,7 +262,7 @@ class TestJarqueBera:
 class TestWithinR2:
     @staticmethod
     def fe_fit(x, y):
-        from forestpanel import Grid, PanelDataset
+        from forestpanel.panel import Grid, PanelDataset
 
         panel = PanelDataset(
             tuple(f"r{i}" for i in range(x.shape[0])),
@@ -284,18 +277,13 @@ class TestWithinR2:
         x = rng.normal(size=(5, 6))
         alpha = rng.normal(size=(5, 1))
         fit = self.fe_fit(x, alpha + 2.0 * x)
-        assert within_r2(fit) == pytest.approx(1.0, abs=1e-10)
+        assert fit.within_r2 == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_regressor(self):
         rng = np.random.default_rng(69)
         x = rng.normal(size=(40, 20))
         y = rng.normal(size=(40, 20))
-        assert within_r2(self.fe_fit(x, y)) < 0.05
-
-    def test_requires_within_fit(self):
-        fit = gmm_stub(np.ones((3, 4)))
-        with pytest.raises(DiagnosticError):
-            within_r2(fit)
+        assert self.fe_fit(x, y).within_r2 < 0.05
 
 
 class TestDiagnosticBundle:

@@ -3,21 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from forestpanel import (
+from forestpanel.dgp import DGPConfig, simulate_dynamic_panel
+from forestpanel.estimators import (
     CONST,
-    DGPConfig,
     EstimationError,
     FitResult,
-    Grid,
-    PanelDataset,
     RegressionSpec,
     cluster_robust_vcov,
     fit_dynamic_lsdv,
     fit_pooled_ols,
     fit_twoway_fe,
     long_run_elasticity,
-    simulate_dynamic_panel,
 )
+from forestpanel.panel import Grid, PanelDataset
 
 
 def panel_from(**variables):

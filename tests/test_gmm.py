@@ -5,22 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from forestpanel import (
-    DGPConfig,
-    EstimationError,
-    Grid,
+from forestpanel.dgp import DGPConfig, replication_seed, simulate_dynamic_panel
+from forestpanel.diagnostics import hansen_j
+from forestpanel.estimators import EstimationError, RegressionSpec
+from forestpanel.gmm import (
+    _BLOCK_REGIONS as BLOCK,
     GmmOptions,
-    PanelDataset,
-    RegressionSpec,
     build_ab_instruments,
     fit_diff_gmm,
     fit_sys_gmm,
-    hansen_j,
-    lag,
-    replication_seed,
-    simulate_dynamic_panel,
+    symmetric_factor,
 )
-from forestpanel.gmm import _BLOCK_REGIONS as BLOCK, symmetric_factor
+from forestpanel.panel import Grid, PanelDataset, lag
 
 
 def make_panel(y, x=None):
@@ -226,6 +222,27 @@ class TestRegressorAvailability:
         panel = panel.with_variable("l_l1", lag(panel, "l", 1))
         spec = dataclasses.replace(SPEC, regressors=("l_l1",))
         assert np.isfinite(fit(panel, spec, GmmOptions()).coefficients["l_l1"])
+
+
+class TestOneRegion:
+    @staticmethod
+    def one_region_panel():
+        cfg = DGPConfig(n_regions=1, n_years=6, rho=0.5, beta=1.0, seed=33)
+        return simulate_dynamic_panel(cfg)[0]
+
+    @pytest.mark.parametrize("fit", [fit_diff_gmm, fit_sys_gmm])
+    def test_one_step_vcov_needs_two_regions(self, fit):
+        # the clustered sandwich scales by N / (N - 1)
+        with pytest.raises(EstimationError,
+                           match="^clustered GMM covariance needs at least 2 regions$"):
+            fit(self.one_region_panel(), SPEC, GmmOptions())
+
+    @pytest.mark.parametrize("fit", [fit_diff_gmm, fit_sys_gmm])
+    @pytest.mark.parametrize("options", [GmmOptions(two_step=True),
+                                         GmmOptions(year_dummies=True)])
+    def test_singular_one_region_system_keeps_its_error(self, fit, options):
+        with pytest.raises(EstimationError, match="^GMM system matrix is singular$"):
+            fit(self.one_region_panel(), SPEC, options)
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from forestpanel import (
+from forestpanel import ingest
+from forestpanel.dgp import GridDGPConfig, simulate_disturbance_grid
+from forestpanel.ingest import (
     EmissionFactors,
     LoadError,
     Pixel,
     PixelGrid,
     filter_canopy,
     load_panel_csv,
+    load_pixel_grid_csv,
     pixel_panel,
     summary_stats,
     write_panel_csv,
+    write_pixel_grid_csv,
 )
-from forestpanel import ingest
-from forestpanel.dgp import GridDGPConfig, simulate_disturbance_grid
-from forestpanel.ingest import load_pixel_grid_csv, write_pixel_grid_csv
 
 
 def grid_of(pixel_specs, events):
@@ -514,7 +515,7 @@ def test_rejected_pixel_file_peaks_near_a_good_one(tmp_path):
 
 class TestSummaryStats:
     def make(self, values):
-        from forestpanel import Grid, PanelDataset
+        from forestpanel.panel import Grid, PanelDataset
 
         arr = np.asarray(values, float).reshape(1, -1)
         return PanelDataset(("A",), tuple(range(2001, 2001 + arr.shape[1])),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from forestpanel import (
-    DGPConfig,
-    GmmOptions,
+from forestpanel.cli import ESTIMATORS
+from forestpanel.dgp import DGPConfig, simulate_dynamic_panel
+from forestpanel.gmm import GmmOptions
+from forestpanel.panel import (
     Grid,
     PanelDataset,
     PanelError,
@@ -15,9 +16,7 @@ from forestpanel import (
     interact,
     lag,
     log1,
-    simulate_dynamic_panel,
 )
-from forestpanel.cli import ESTIMATORS
 
 # ln(651812), frozen from a 30-digit evaluation (paper's max loss plus one)
 LOG_651812 = 13.3875114557715111

@@ -1,15 +1,13 @@
-"""The README's library example runs as written against the current API."""
+"""The README's library example runs as written against the current API, and
+the package namespace holds only the modules that define that API."""
 
 import re
+import types
 from pathlib import Path
 
-from forestpanel import (
-    EmissionFactors,
-    GridDGPConfig,
-    pixel_panel,
-    simulate_disturbance_grid,
-    write_panel_csv,
-)
+import forestpanel
+from forestpanel.dgp import GridDGPConfig, simulate_disturbance_grid
+from forestpanel.ingest import EmissionFactors, pixel_panel, write_panel_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +32,10 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     assert scope["fit"].estimator_tag == "lsdv_dynamic"
     assert scope["gmm"].estimator_tag == "sys_gmm"
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_package_holds_only_modules():
+    # each public name has one home, its module; the package re-exports none
+    public = {n: v for n, v in vars(forestpanel).items() if not n.startswith("_")}
+    assert {n for n, v in public.items() if not isinstance(v, types.ModuleType)} == set()
+    assert {"dgp", "diagnostics", "estimators", "gmm", "ingest", "panel"} <= set(public)
