@@ -373,7 +373,7 @@ def cmd_montecarlo(args) -> int:
     all_rows = [
         {"estimator": name, **row}
         for name, study in run.studies.items()
-        for row in study.per_rep_rows()
+        for row in study.rows
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -242,15 +242,19 @@ def replication_seed(seed: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class MonteCarloStudy:
-    """Per-replication estimates plus aggregate bias/RMSE/coverage."""
+    """One estimator's replications, and their bias, RMSE and coverage.
 
-    param_names: tuple[str, ...]
+    ``rows`` holds one row per completed replication, in order of r, as
+    ``montecarlo.csv`` writes it: ``rep`` (the replication r), then
+    ``{name}_estimate`` and ``{name}_se`` for each parameter name of
+    ``truth``, in its order. ``failures`` holds one (r, exception type name,
+    message) triple per failed replication.
+    """
+
     truth: dict[str, float]
-    reps: list[int]  # the replication r of each entry of estimates and std_errors
-    estimates: list[dict[str, float]]
-    std_errors: list[dict[str, float]]
-    failures: list[tuple[int, str]]
     replications: int
+    rows: list[dict]
+    failures: list[tuple[int, str, str]]
 
     @property
     def n_failed(self) -> int:
@@ -258,19 +262,18 @@ class MonteCarloStudy:
 
     def failure_counts(self) -> Counter:
         """Failed replications counted by exception type name."""
-        return Counter(message.split(":", 1)[0] for _, message in self.failures)
+        return Counter(kind for _, kind, _ in self.failures)
 
     def aggregates(self) -> dict[str, dict[str, float | None]]:
         """Per-parameter summaries; ``None`` when no replication completed."""
         out = {}
-        for name in self.param_names:
-            true = self.truth[name]
-            if not self.estimates:
+        for name, true in self.truth.items():
+            if not self.rows:
                 out[name] = {"truth": true, "mean": None, "bias": None,
                              "rmse": None, "coverage": None}
                 continue
-            est = np.array([rep[name] for rep in self.estimates])
-            ses = np.array([rep[name] for rep in self.std_errors])
+            est = np.array([row[f"{name}_estimate"] for row in self.rows])
+            ses = np.array([row[f"{name}_se"] for row in self.rows])
             covered = np.abs(est - true) <= 1.96 * ses
             out[name] = {
                 "truth": true,
@@ -284,20 +287,10 @@ class MonteCarloStudy:
     def to_json_dict(self) -> dict:
         return {
             "replications": self.replications,
-            "completed": len(self.estimates),
+            "completed": len(self.rows),
             "failed": self.n_failed,
             "aggregates": self.aggregates(),
         }
-
-    def per_rep_rows(self) -> list[dict]:
-        rows = []
-        for r, est, ses in zip(self.reps, self.estimates, self.std_errors):
-            row: dict = {"rep": r}
-            for name in self.param_names:
-                row[f"{name}_estimate"] = est[name]
-                row[f"{name}_se"] = ses[name]
-            rows.append(row)
-        return rows
 
 
 # (fit, truth): fit takes a panel; truth maps fit coefficient names to true values
@@ -334,15 +327,7 @@ def monte_carlo(
     if not estimators:
         raise DGPError("need at least one estimator")
     studies = {
-        name: MonteCarloStudy(
-            param_names=tuple(truth),
-            truth={n: float(v) for n, v in truth.items()},
-            reps=[],
-            estimates=[],
-            std_errors=[],
-            failures=[],
-            replications=replications,
-        )
+        name: MonteCarloStudy({n: float(v) for n, v in truth.items()}, replications, [], [])
         for name, (_, truth) in estimators.items()
     }
     for r in range(replications):
@@ -353,9 +338,12 @@ def monte_carlo(
             try:
                 fit = estimator(panel)
                 ses = fit.std_errors()
-                study.estimates.append({n: fit.coefficients[n] for n in study.param_names})
-                study.std_errors.append({n: ses[n] for n in study.param_names})
-                study.reps.append(r)
             except (EstimationError, PanelError, np.linalg.LinAlgError) as exc:
-                study.failures.append((r, f"{type(exc).__name__}: {exc}"))
+                study.failures.append((r, type(exc).__name__, str(exc)))
+                continue
+            row: dict = {"rep": r}
+            for n in study.truth:
+                row[f"{n}_estimate"] = fit.coefficients[n]
+                row[f"{n}_se"] = ses[n]
+            study.rows.append(row)
     return MonteCarloRun(studies)

@@ -269,13 +269,6 @@ def lagged_name(response: str) -> str:
     return f"{response}_l1"
 
 
-def _with_lagged_response(panel: PanelDataset, response: str) -> tuple[PanelDataset, str]:
-    name = lagged_name(response)
-    if name not in panel.variables:
-        panel = panel.with_variable(name, lag(panel, response, 1))
-    return panel, name
-
-
 def fit_dynamic_lsdv(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
     """Within fit of the dynamic model (lagged response added as a regressor).
 
@@ -285,7 +278,10 @@ def fit_dynamic_lsdv(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
     """
     if panel.T < 3:
         raise EstimationError("dynamic LSDV needs T >= 3")
-    panel, lag_name = _with_lagged_response(panel, spec.response)
+    # derived here, never read from the panel: GMM derives its own lag the
+    # same way, so a panel's own column of that name is rejected (write-once)
+    lag_name = lagged_name(spec.response)
+    panel = panel.with_variable(lag_name, lag(panel, spec.response, 1))
     regressors = (lag_name, *(r for r in spec.regressors if r != lag_name))
     return _within_fit(
         panel,

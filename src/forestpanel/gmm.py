@@ -74,17 +74,18 @@ class GmmOptions:
 
 @dataclass(frozen=True)
 class InstrumentSet:
-    """Lagged-level instruments for the differenced equation, as one cell
-    pattern shared by every region.
+    """Any block of a fit's instruments, as one cell pattern shared by every
+    region, with block-local columns and its own width ``n_columns``.
 
-    Cell e holds ``values[:, e]`` at (period ``rows[e]``, column ``cols[e]``)
-    of each region's (periods, ``n_columns``) block; every other entry is
-    zero. Row p is the p-th differenced period, year index p + 2.
+    Cell e holds ``values[:, e]`` at (equation row ``rows[e]``, column
+    ``cols[e]``) of each region's block; every other entry is zero, and a
+    column may hold no cell. Row p is the p-th differenced period, year index
+    p + 2, and row P + p the level equation of that year in system GMM.
     """
 
-    values: np.ndarray  # (N, cells) lagged levels
+    values: np.ndarray  # (N, cells)
     rows: np.ndarray    # (cells,)
-    cols: np.ndarray    # (cells,)
+    cols: np.ndarray    # (cells,) in [0, n_columns)
     n_columns: int
 
 
@@ -152,15 +153,12 @@ class _Design:
         return u
 
 
-def _diff_periods(T: int) -> list[int]:
-    # 0-based year indices where a differenced equation has s >= 2 instruments
-    return list(range(2, T))
-
-
 def build_ab_instruments(
     panel: PanelDataset, response: str, options: GmmOptions
 ) -> InstrumentSet:
-    """Lagged-level instrument blocks for the differenced equation.
+    """Lagged-level instrument blocks for the differenced equation, whose
+    periods are the years 2..T-1 (0-based), and the one place that checks the
+    response is available in every year, T >= 3 and the lag range is not empty.
 
     Uncollapsed: one column per (period, lag distance), zero outside its
     period block. Collapsed: one column per lag distance across all periods.
@@ -170,9 +168,9 @@ def build_ab_instruments(
         raise EstimationError(f"response {response!r} must be fully available")
     y = grid.values
     T = y.shape[1]
-    periods = _diff_periods(T)
-    if not periods:
-        raise EstimationError(f"T={T} too small: no period has a lag s >= 2")
+    if T < 3:
+        raise EstimationError("GMM needs T >= 3")
+    periods = range(2, T)
     s_max_global = (T - 1) if options.max_lag is None else min(options.max_lag, T - 1)
     if options.collapse:
         lags = [s for s in range(options.min_lag, s_max_global + 1)]
@@ -197,15 +195,17 @@ def build_ab_instruments(
 
 class _Instruments:
     """The stacked instrument matrices Z_i of one fit, as cells shared by
-    every region: cell e holds ``values[:, e]`` at (``rows[e]``, ``cols[e]``)."""
+    every region: cell e holds ``values[:, e]`` at (``rows[e]``, ``cols[e]``).
+    The blocks' columns are placed side by side in block order."""
 
-    def __init__(self, blocks, n_rows: int, n_columns: int):
-        rows = np.concatenate([b[0] for b in blocks])
-        cols = np.concatenate([b[1] for b in blocks])
-        values = np.concatenate([b[2] for b in blocks], axis=1)
+    def __init__(self, blocks: list[InstrumentSet], n_rows: int):
+        col0 = np.cumsum([0, *(b.n_columns for b in blocks)])
+        rows = np.concatenate([b.rows for b in blocks])
+        cols = np.concatenate([b.cols + c for b, c in zip(blocks, col0)])
+        values = np.concatenate([b.values for b in blocks], axis=1)
         order = np.lexsort((rows, cols))  # each column contiguous, for reduceat
         self.rows, self.cols, self.values = rows[order], cols[order], values[:, order]
-        self.n_columns = n_columns
+        self.n_columns = int(col0[-1])
         self._row_cells = [np.flatnonzero(self.rows == r) for r in range(n_rows)]
         # a column of one cell is a copy of it (every uncollapsed lag column);
         # the cells of the others are gathered and summed as reduceat segments
@@ -260,20 +260,13 @@ def _fit_gmm(
     response = spec.response
     lag_name = lagged_name(response)
     exog = tuple(r for r in spec.regressors if r != lag_name)
-    y_grid = panel.var(response)
-    if not y_grid.available.all():
-        raise EstimationError(f"response {response!r} must be fully available")
-    y = y_grid.values
+    ab = build_ab_instruments(panel, response, options)
+    y = panel.var(response).values
     N, T = y.shape
-    if T < 3:
-        raise EstimationError("GMM needs T >= 3")
-    periods = _diff_periods(T)
-    P = len(periods)
-    # the periods and the years one before them, as slices of the year axis
-    now, before = slice(periods[0], T), slice(periods[0] - 1, T - 1)
+    P = T - 2  # the differenced periods are the years 2..T-1
 
     coef_names = [lag_name, *exog]
-    dummy_years = periods if options.year_dummies else []
+    dummy_years = range(2, T) if options.year_dummies else []
     coef_names += [f"year_{panel.years[t]}" for t in dummy_years]
     # with year dummies the level-equation intercepts are already spanned
     include_const = level and not options.year_dummies
@@ -290,7 +283,7 @@ def _fit_gmm(
     for j, name in enumerate(exog, start=1):
         g = panel.var(name)
         # the first differenced equation also reads the year before it
-        if not g.available[before.start:].all():
+        if not g.available[1:].all():
             raise EstimationError(f"regressor {name!r} unavailable in estimation years")
         varying[:, :, j] = g.values
     shared = np.zeros((T, k - m))
@@ -299,46 +292,41 @@ def _fit_gmm(
     if include_const:
         shared[:, -1] = 1.0
     # differenced equations at the periods, from the same regressors
-    Xd = _Design(varying[:, now] - varying[:, before], shared[now] - shared[before])
-    yd = y[:, now] - y[:, before]
-
-    ab = build_ab_instruments(panel, response, options)
-    K_ab = ab.n_columns
-    m_exo_d = len(exog) + len(dummy_years)
+    Xd = _Design(varying[:, 2:] - varying[:, 1:-1], shared[2:] - shared[1:-1])
+    yd = y[:, 2:] - y[:, 1:-1]
 
     if not level:
         rows = P
-        K = K_ab + m_exo_d
         X, y_all = Xd, yd
     else:
-        K_lev = 1 if options.collapse else P
         rows = 2 * P
-        # exogenous regressors, dummies and const instrument themselves
-        K = K_ab + m_exo_d + K_lev + (k - 1)
         # level-equation rows share the coefficient vector
-        X = _Design(np.concatenate([Xd.varying, varying[:, now]], axis=1),
-                    np.concatenate([Xd.shared, shared[now]]))
-        y_all = np.concatenate([yd, y[:, now]], axis=1)
+        X = _Design(np.concatenate([Xd.varying, varying[:, 2:]], axis=1),
+                    np.concatenate([Xd.shared, shared[2:]]))
+        y_all = np.concatenate([yd, y[:, 2:]], axis=1)
 
-    def own_rows(lo, hi, n_shared, col0):
+    def own_rows(lo, hi, n_shared):
         # the exogenous regressors and the first n_shared shared columns as
         # instruments of rows lo..hi-1, at their non-zero cells
         exo = X.varying[:, lo:hi, 1:]
         r, j = np.nonzero(np.any(exo != 0, axis=0))
         r_s, j_s = np.nonzero(X.shared[lo:hi, :n_shared])
-        return [(lo + r, col0 + j, exo[:, r, j]),
-                (lo + r_s, col0 + m - 1 + j_s,
-                 np.broadcast_to(X.shared[lo + r_s, j_s], (N, r_s.size)))]
+        return [InstrumentSet(exo[:, r, j], lo + r, j, m - 1),
+                InstrumentSet(np.broadcast_to(X.shared[lo + r_s, j_s], (N, r_s.size)),
+                              lo + r_s, j_s, n_shared)]
 
     # column order: lag levels, differenced exogenous, [lagged differences, level exogenous]
-    blocks = [(ab.rows, ab.cols, ab.values), *own_rows(0, P, len(dummy_years), K_ab)]
+    blocks = [ab, *own_rows(0, P, len(dummy_years))]
     del ab
     if level:
         lev_cols = np.zeros(P, dtype=np.intp) if options.collapse else np.arange(P)
-        blocks.append((P + np.arange(P), K_ab + m_exo_d + lev_cols, Xd.varying[:, :, 0]))
-        blocks += own_rows(P, rows, k - m, K_ab + m_exo_d + K_lev)
-    Z = _Instruments(blocks, rows, K)
+        blocks.append(InstrumentSet(Xd.varying[:, :, 0], P + np.arange(P), lev_cols,
+                                    1 if options.collapse else P))
+        # exogenous regressors, dummies and const instrument themselves
+        blocks += own_rows(P, rows, k - m)
+    Z = _Instruments(blocks, rows)
     del blocks
+    K = Z.n_columns
 
     warnings: list[str] = []
     if K >= N:
@@ -400,7 +388,7 @@ def _fit_gmm(
         vcov=vcov,
         n_obs=N * rows,
         # the differenced-equation residuals, at their periods
-        residual_grid=Grid.at_years(u[:, :P], np.arange(T) >= periods[0]),
+        residual_grid=Grid.at_years(u[:, :P], np.arange(T) >= 2),
         warnings=tuple(warnings),
         gmm=GmmInternals(zu),
     )

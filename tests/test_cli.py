@@ -427,6 +427,23 @@ class TestErrorHandling:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    def test_panel_column_named_like_the_lag_is_rejected_by_lsdv(self, tmp_path, capsys):
+        # lsdv derives e_l1 from e, as GMM does, and never fits the panel's
+        # own e_l1 column under that name
+        rng = np.random.default_rng(95)
+        levels = {"L": rng.uniform(1, 2, (40, 8)), "E": rng.uniform(1, 2, (40, 8)),
+                  "e_l1": rng.normal(size=(40, 8))}
+        panel = PanelDataset(tuple(f"r{i:02d}" for i in range(40)), tuple(range(2001, 2009)),
+                             {name: Grid.full(v) for name, v in levels.items()})
+        src = tmp_path / "panel.csv"
+        write_panel_csv(panel, src)
+        out = tmp_path / "out"
+        command = ["estimate", "--panel", str(src), "--out", str(out)]
+        assert main([*command, "--estimator", "lsdv"]) == 1
+        assert capsys.readouterr().err == "error: variable 'e_l1' already exists (write-once)\n"
+        assert not out.exists()
+        assert main([*command, "--estimator", "diffgmm"]) == 0
+
     @pytest.mark.parametrize("flag", ["-v", "-vv", "--verbose"])
     def test_verbose_is_an_error_until_a_run_reads_it(self, tmp_path, capsys, flag):
         src = tmp_path / "panel.csv"

@@ -208,8 +208,8 @@ class TestMonteCarlo:
         study = monte_carlo(self.CFG, {"flaky": (flaky, {"l": 1.0})},
                             replications=6).studies["flaky"]
         assert study.n_failed == 3
-        assert len(study.estimates) == 3
-        assert all("boom" in msg for _, msg in study.failures)
+        assert len(study.rows) == 3
+        assert all(msg == "boom" for _, _, msg in study.failures)
 
     def test_unexpected_exception_propagates(self):
         def buggy(panel):
@@ -238,7 +238,7 @@ class TestMonteCarlo:
 
         study = monte_carlo(self.CFG, {"noisy": (noisy, {"l": 1.0})},
                             replications=8).studies["noisy"]
-        est = np.array([rep["l"] for rep in study.estimates])
+        est = np.array([row["l_estimate"] for row in study.rows])
         agg = study.aggregates()["l"]
         assert agg["mean"] == pytest.approx(est.mean(), abs=1e-15)
         assert agg["bias"] == pytest.approx(est.mean() - 1.0, abs=1e-15)
@@ -262,7 +262,7 @@ class TestMonteCarlo:
 
         study = monte_carlo(self.CFG, {"stub": (stub, {"l": 1.0})},
                             replications=3).studies["stub"]
-        rows = study.per_rep_rows()
+        rows = study.rows
         assert len(rows) == 3
         assert set(rows[0]) == {"rep", "l_estimate", "l_se"}
         assert [row["rep"] for row in rows] == [0, 1, 2]
@@ -312,20 +312,19 @@ class TestSharedDraw:
         run = monte_carlo(self.CFG, self.estimands(), replications=5)
         assert calls == [replication_seed(self.CFG.seed, r) for r in range(5)]
         assert list(run.studies) == ["fe2w", "lsdv", "diffgmm"]
-        assert all(len(study.estimates) == 5 for study in run.studies.values())
+        assert all(len(study.rows) == 5 for study in run.studies.values())
 
     def test_failure_stays_with_its_estimator(self):
         run = monte_carlo(self.CFG, {"flaky": (fails_on_even_replications(), {"l": 1.0}),
                                      "steady": (stub_fit, {"l": 1.0})},
                           replications=5)
         flaky, steady = run.studies["flaky"], run.studies["steady"]
-        assert flaky.failures == [(0, "EstimationError: even 0"),
-                                  (2, "EstimationError: even 2"),
-                                  (4, "EstimationError: even 4")]
-        assert len(flaky.estimates) == 2
-        assert [row["rep"] for row in flaky.per_rep_rows()] == flaky.reps == [1, 3]
-        assert steady.failures == [] and len(steady.estimates) == 5
-        assert [row["rep"] for row in steady.per_rep_rows()] == [0, 1, 2, 3, 4]
+        assert flaky.failures == [(0, "EstimationError", "even 0"),
+                                  (2, "EstimationError", "even 2"),
+                                  (4, "EstimationError", "even 4")]
+        assert [row["rep"] for row in flaky.rows] == [1, 3]
+        assert steady.failures == []
+        assert [row["rep"] for row in steady.rows] == [0, 1, 2, 3, 4]
         assert run.n_failed == 3
         assert flaky.failure_counts() == {"EstimationError": 3}
 
@@ -338,10 +337,9 @@ class TestSharedDraw:
         for name, estimand in solo_estimands.items():
             solo = monte_carlo(self.CFG, {name: estimand}, replications=4).studies[name]
             study = shared.studies[name]
-            assert study.estimates == solo.estimates, name
-            assert study.std_errors == solo.std_errors, name
+            assert study.rows == solo.rows, name
             assert study.failures == solo.failures, name
-            assert study.truth == solo.truth and study.param_names == solo.param_names
+            assert study.truth == solo.truth and list(study.truth) == list(solo.truth)
 
     def test_no_estimator_is_an_error(self):
         with pytest.raises(DGPError, match="at least one estimator"):

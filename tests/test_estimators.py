@@ -15,7 +15,7 @@ from forestpanel.estimators import (
     fit_twoway_fe,
     long_run_elasticity,
 )
-from forestpanel.panel import Grid, PanelDataset
+from forestpanel.panel import Grid, PanelDataset, PanelError
 
 
 def panel_from(**variables):
@@ -148,6 +148,15 @@ class TestDynamicLsdv:
         spec = RegressionSpec("y", ("x",))
         with pytest.raises(EstimationError):
             fit_dynamic_lsdv(panel, spec)
+
+    def test_panel_column_named_like_the_lag_is_rejected(self):
+        # the lag is always derived from the response, as GMM derives it, so
+        # a panel's own e_l1 column is never fitted in its place
+        cfg = DGPConfig(n_regions=20, n_years=6, rho=0.3, beta=1.0, seed=11)
+        panel, _ = simulate_dynamic_panel(cfg)
+        panel = panel.with_variable("e_l1", Grid.full(np.ones((panel.N, panel.T))))
+        with pytest.raises(PanelError, match=r"^variable 'e_l1' already exists \(write-once\)$"):
+            fit_dynamic_lsdv(panel, RegressionSpec("e", ("l",)))
 
     def test_downward_bias_direction(self):
         # small paired check; the full-scale version runs in the acceptance suite

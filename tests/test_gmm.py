@@ -60,6 +60,16 @@ class TestInstrumentLayout:
         with pytest.raises(EstimationError):
             build_ab_instruments(panel, "e", GmmOptions())
 
+    @pytest.mark.parametrize("build", [
+        lambda panel: build_ab_instruments(panel, "e", GmmOptions()),
+        lambda panel: fit_diff_gmm(panel, SPEC, GmmOptions()),
+        lambda panel: fit_sys_gmm(panel, SPEC, GmmOptions()),
+    ], ids=["instruments", "diffgmm", "sysgmm"])
+    def test_one_T_error_for_gmm(self, build):
+        panel = make_panel(np.arange(4.0).reshape(2, 2), np.ones((2, 2)))
+        with pytest.raises(EstimationError, match=r"^GMM needs T >= 3$"):
+            build(panel)
+
     def test_values_are_lagged_levels(self):
         y = np.array([[10.0, 20.0, 30.0, 40.0]])
         panel = make_panel(y)
@@ -388,6 +398,21 @@ class TestMomentEngine:
         N, K = panel.N, fit.gmm.n_instruments
         for value in vars(fit.gmm).values():
             assert np.size(value) <= N * K
+
+    @pytest.mark.parametrize("level,collapse,steps,dummies", CONFIGS)
+    def test_dropped_self_instrument_cell_keeps_its_column(self, level, collapse, steps,
+                                                           dummies):
+        # l is flat from year 3 to 4, so its differenced self-instrument cell
+        # at year 4 is zero in every region and is not kept; its column still
+        # counts in K, as in the dense oracle
+        panel = gmm_panel()
+        x = panel.var("l").values.copy()
+        x[:, 4] = x[:, 3]
+        panel = PanelDataset(panel.regions, panel.years,
+                             {"e": panel.var("e"), "l": Grid.full(x)})
+        options = GmmOptions(collapse=collapse, two_step=steps == 2, year_dummies=dummies)
+        fit = (fit_sys_gmm if level else fit_diff_gmm)(panel, SPEC, options)
+        assert_matches_oracle(fit, panel, SPEC, options, level)
 
     @pytest.mark.parametrize("level,collapse,dummies",
                              sorted({(lv, c, d) for lv, c, _, d in CONFIGS}))
