@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -368,7 +369,10 @@ def cmd_montecarlo(args) -> int:
         if ESTIMATORS[name].dynamic:
             truth[lagged_name("e")] = dgp.rho
         estimands[name] = (partial(ESTIMATORS[name].fit, x="l", y="e", options=options), truth)
-    run = monte_carlo(dgp, estimands, reps)
+    # registry fits are functions of their panel, so replications may run in
+    # one forked worker per CPU this process may use; outputs do not change
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    run = monte_carlo(dgp, estimands, reps, workers)
     results = {name: study.to_json_dict() for name, study in run.studies.items()}
     all_rows = [
         {"estimator": name, **row}

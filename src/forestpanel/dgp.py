@@ -3,14 +3,19 @@ disturbance grids, and the Monte Carlo harness used to validate estimators.
 
 Every draw is reproducible from the config seed. Replication r of a Monte
 Carlo study draws one panel from the sub-seed of (seed, r), so replications
-are independent of execution order and thread count, and every estimator of
-the study is fitted on that same panel.
+are independent of execution order and worker count, and every estimator of
+the study is fitted on that same panel. A study run in worker processes
+returns what a serial run returns, provided each estimand is a function of
+its panel alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import multiprocessing
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -146,15 +151,24 @@ def simulate_dynamic_panel(config: DGPConfig) -> tuple[PanelDataset, PanelTruth]
         x = config.regressor_param * alpha[:, None] + noise
 
     u = config.sigma_u * _draw_errors(rng, config.error_law, config.tail_index, (N, total))
-    e = np.zeros((N, total))
+    # time-major: row t of e starts as alpha + gamma_t and takes the other
+    # terms in place, in the order (((alpha + gamma_t) + rho * e_{t-1})
+    # + beta * x_t) + u_t; the first row adds rho * 0, a zero signed as rho is
+    e = alpha + gamma_all[:, None]
+    beta_x = np.ascontiguousarray((config.beta * x).T)
+    u = np.ascontiguousarray(u.T)
     prev = np.zeros(N)
     for t in range(total):
-        prev = alpha + gamma_all[t] + config.rho * prev + config.beta * x[:, t] + u[:, t]
-        e[:, t] = prev
+        row = e[t]
+        row += config.rho * prev
+        row += beta_x[t]
+        row += u[t]
+        prev = row
 
     years = tuple(range(config.start_year, config.start_year + T))
     panel = PanelDataset(
-        _region_labels(N), years, {"l": Grid.full(x[:, B:]), "e": Grid.full(e[:, B:])}
+        _region_labels(N), years,
+        {"l": Grid.full(x[:, B:]), "e": Grid.full(np.ascontiguousarray(e[B:].T))},
     )
     return panel, PanelTruth(config.rho, config.beta, alpha, gamma_all[B:], config)
 
@@ -312,6 +326,7 @@ def monte_carlo(
     config: DGPConfig,
     estimators: Mapping[str, Estimand],
     replications: int,
+    workers: int = 1,
 ) -> MonteCarloRun:
     """Fit every estimator on fresh draws and aggregate bias, RMSE, coverage.
 
@@ -321,6 +336,11 @@ def monte_carlo(
     estimator's failure at r and excluded from its aggregates, never silently
     dropped; the other estimators still fit r. Any other exception is a bug
     and propagates.
+
+    With ``workers`` > 1 (capped at ``replications``) the replications run in
+    that many forked processes and are collected in order of r, so the run
+    equals the serial one only if each estimand is a function of its panel:
+    state an estimand keeps between calls stays in the worker that made it.
     """
     if replications < 2:
         raise DGPError("need at least 2 replications")
@@ -330,20 +350,79 @@ def monte_carlo(
         name: MonteCarloStudy({n: float(v) for n, v in truth.items()}, replications, [], [])
         for name, (_, truth) in estimators.items()
     }
-    for r in range(replications):
-        sub = dataclasses.replace(config, seed=replication_seed(config.seed, r))
-        panel, _ = simulate_dynamic_panel(sub)
-        for name, (estimator, _) in estimators.items():
-            study = studies[name]
-            try:
-                fit = estimator(panel)
-                ses = fit.std_errors()
-            except (EstimationError, PanelError, np.linalg.LinAlgError) as exc:
-                study.failures.append((r, type(exc).__name__, str(exc)))
-                continue
-            row: dict = {"rep": r}
-            for n in study.truth:
-                row[f"{n}_estimate"] = fit.coefficients[n]
-                row[f"{n}_se"] = ses[n]
-            study.rows.append(row)
+    workers = min(workers, replications)
+    if workers == 1:
+        outcomes = [_replicate(config, estimators, r) for r in range(replications)]
+    else:
+        # fork hands the config and the estimands to each worker as they are
+        # in memory, so closures are never pickled; the indices go out in
+        # chunks, about four per worker, and the outcomes come back in order
+        # of r. Leaving the block joins the workers, also when one raised (map
+        # then cancels the chunks not yet started) or died.
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_start_worker,
+                                 initargs=(config, estimators)) as pool:
+            chunk = -(-replications // (4 * workers))
+            outcomes = list(pool.map(_replicate_in_worker, range(replications), chunksize=chunk))
+    for outcome in outcomes:
+        for study, result in zip(studies.values(), outcome):
+            (study.rows if isinstance(result, dict) else study.failures).append(result)
     return MonteCarloRun(studies)
+
+
+def _replicate(
+    config: DGPConfig, estimators: Mapping[str, Estimand], r: int
+) -> list[dict | tuple[int, str, str]]:
+    """Replication r of a study: per estimator, in order, its row or its
+    (r, exception type name, message) failure."""
+    sub = dataclasses.replace(config, seed=replication_seed(config.seed, r))
+    panel, _ = simulate_dynamic_panel(sub)
+    outcome = []
+    for estimator, truth in estimators.values():
+        try:
+            fit = estimator(panel)
+            ses = fit.std_errors()
+        except (EstimationError, PanelError, np.linalg.LinAlgError) as exc:
+            outcome.append((r, type(exc).__name__, str(exc)))
+            continue
+        row: dict = {"rep": r}
+        for n in truth:
+            row[f"{n}_estimate"] = fit.coefficients[n]
+            row[f"{n}_se"] = ses[n]
+        outcome.append(row)
+    return outcome
+
+
+# the entry points by which an OpenBLAS build sets its thread count
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+# a worker's study: the (config, estimands) its pool initializer was given
+_worker_study: tuple = ()
+
+
+def _start_worker(config: DGPConfig, estimators: Mapping[str, Estimand]) -> None:
+    """Pool initializer: the study, and one thread for each OpenBLAS the
+    worker has loaded. The workers already fill the CPUs; BLAS threads of
+    their own would contend with them, and cost more than they save on the
+    small products of one replication."""
+    global _worker_study
+    _worker_study = (config, estimators)
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    except OSError:  # no /proc: BLAS keeps its threads
+        paths = set()
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:  # e.g. a library file replaced since it was mapped
+            continue
+        for symbol in _BLAS_THREAD_SETTERS:
+            if hasattr(library, symbol):
+                getattr(library, symbol)(1)
+                break
+
+
+def _replicate_in_worker(r: int) -> list[dict | tuple[int, str, str]]:
+    return _replicate(*_worker_study, r)

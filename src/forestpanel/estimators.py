@@ -167,9 +167,11 @@ def cluster_robust_vcov(
     _, R = np.linalg.qr(X)
     Rinv = solve_triangular(R, np.eye(k))
     xtx_inv = Rinv @ Rinv.T
-    # per-cluster scores X_g' u_g in one scatter-add over the cluster index
-    scores = np.zeros((G, k))
-    np.add.at(scores, inverse, X * residuals[:, None])
+    # per-cluster scores X_g' u_g: each column summed by cluster from 0.0,
+    # in input order
+    scores = np.column_stack([
+        np.bincount(inverse, weights=X[:, j] * residuals, minlength=G) for j in range(k)
+    ])
     meat = scores.T @ scores
     df = n - k - dof_absorbed
     if df <= 0:

@@ -9,7 +9,7 @@ import pytest
 
 from forestpanel import cli
 from forestpanel.cli import ESTIMATORS, main
-from forestpanel.dgp import DGPConfig, DGPError, simulate_dynamic_panel
+from forestpanel.dgp import DGPConfig, DGPError, replication_seed, simulate_dynamic_panel
 from forestpanel.diagnostics import DiagnosticError
 from forestpanel.estimators import EstimationError
 from forestpanel.gmm import GmmOptions
@@ -576,18 +576,18 @@ class TestMonteCarloCommand:
         assert captured.err == "diffgmm: 2 failed (EstimationError: 2)\n"
 
     def test_rep_column_names_the_replication(self, tmp_path, monkeypatch):
+        # the stub fails on the replication-0 panel, whichever worker fits it
         fit_diff_gmm = cli.fit_diff_gmm
-        calls = []
+        dgp = {"n_regions": 30, "n_years": 6, "rho": 0.3, "beta": 1.0}
+        first, _ = simulate_dynamic_panel(DGPConfig(**dgp, seed=replication_seed(1, 0)))
 
-        def fails_first(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 1:
+        def fails_at_zero(panel, *args, **kwargs):
+            if np.array_equal(panel.var("e").values, first.var("e").values):
                 raise EstimationError("stub failure at r=0")
-            return fit_diff_gmm(*args, **kwargs)
+            return fit_diff_gmm(panel, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "fit_diff_gmm", fails_first)
-        config = {"dgp": {"n_regions": 30, "n_years": 6, "rho": 0.3, "beta": 1.0},
-                  "estimators": ["lsdv", "diffgmm"], "replications": 3}
+        monkeypatch.setattr(cli, "fit_diff_gmm", fails_at_zero)
+        config = {"dgp": dgp, "estimators": ["lsdv", "diffgmm"], "replications": 3}
         (tmp_path / "mc.json").write_text(json.dumps(config))
         out = tmp_path / "out"
         assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),

@@ -1,10 +1,16 @@
+import ctypes
 import dataclasses
+import functools
 import hashlib
+import itertools
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from forestpanel import dgp
+from forestpanel.cli import ESTIMATORS
 from forestpanel.dgp import (
     DGPConfig,
     DGPError,
@@ -106,6 +112,55 @@ class TestSimulateDynamicPanel:
         x = panel.var("l").values
         corr = np.corrcoef(x[:, 1:].ravel(), x[:, :-1].ravel())[0, 1]
         assert abs(corr - 0.7) < 0.02
+
+    @pytest.mark.parametrize("rho", [-0.7, -0.2, 0.0, 0.6])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (6, 1), (9, 4)], ids=str)
+    def test_bit_identical_to_region_major_loop(self, rho, shape):
+        # the time-major recursion keeps the operation order and the signed
+        # zeros of the loop over (N, total) columns that it replaced
+        def region_major(config):
+            rng = np.random.default_rng(config.seed)
+            N, T, B = config.n_regions, config.n_years, config.burn_in
+            total = B + T
+            alpha = config.sigma_alpha * rng.standard_normal(N)
+            gamma_all = config.sigma_gamma * rng.standard_normal(total)
+            if config.regressor_process == "iid_normal":
+                x = config.sigma_x * rng.standard_normal((N, total))
+            elif config.regressor_process == "ar1":
+                phi = config.regressor_param
+                innov = config.sigma_x * rng.standard_normal((N, total))
+                x = np.zeros((N, total))
+                x[:, 0] = innov[:, 0] / np.sqrt(1 - phi**2)
+                for t in range(1, total):
+                    x[:, t] = phi * x[:, t - 1] + innov[:, t]
+            else:
+                noise = config.sigma_x * rng.standard_normal((N, total))
+                x = config.regressor_param * alpha[:, None] + noise
+            u = config.sigma_u * dgp._draw_errors(rng, config.error_law, config.tail_index,
+                                                  (N, total))
+            e = np.zeros((N, total))
+            prev = np.zeros(N)
+            for t in range(total):
+                prev = alpha + gamma_all[t] + config.rho * prev + config.beta * x[:, t] + u[:, t]
+                e[:, t] = prev
+            return x[:, B:], e[:, B:]
+
+        N, T = shape
+        sigmas = [dict(sigma_alpha=1.0, sigma_gamma=0.5, sigma_u=1.0),
+                  dict(sigma_alpha=0.0, sigma_gamma=0.0, sigma_u=0.0),
+                  dict(sigma_alpha=0.0, sigma_gamma=0.0, sigma_u=0.0, sigma_x=0.0, beta=-1.0),
+                  dict(sigma_alpha=2.0, sigma_gamma=0.0, sigma_u=0.0)]
+        laws = [dict(), dict(regressor_process="ar1", regressor_param=-0.5),
+                dict(regressor_process="correlated_with_alpha", regressor_param=0.8),
+                dict(error_law="heavy_tail", tail_index=1.2)]
+        for seed, (sigma, law) in enumerate(itertools.product(sigmas, laws)):
+            fields = {"n_regions": N, "n_years": T, "rho": rho, "beta": 0.7, "seed": seed,
+                      **sigma, **law}
+            config = DGPConfig(**fields)
+            panel, _ = simulate_dynamic_panel(config)
+            x, e = region_major(config)
+            assert panel.var("l").values.tobytes() == x.tobytes(), fields
+            assert panel.var("e").values.tobytes() == e.tobytes(), fields
 
 
 class TestDisturbanceGrid:
@@ -344,3 +399,59 @@ class TestSharedDraw:
     def test_no_estimator_is_an_error(self):
         with pytest.raises(DGPError, match="at least one estimator"):
             monte_carlo(self.CFG, {}, replications=2)
+
+
+class TestWorkers:
+    # heavy tails make some GMM system matrices singular: 11 of 12 diff-GMM
+    # and 8 of 12 sys-GMM replications complete
+    CFG = DGPConfig(n_regions=12, n_years=7, rho=0.5, beta=1.0, sigma_alpha=1.0,
+                    sigma_gamma=1.0, error_law="heavy_tail", tail_index=0.4, seed=3)
+
+    def registry_estimands(self):
+        options = GmmOptions(collapse=True, two_step=True, year_dummies=False)
+        estimands = {}
+        for name, estimator in ESTIMATORS.items():
+            truth = {"l": 1.0, lagged_name("e"): 0.5} if estimator.dynamic else {"l": 1.0}
+            estimands[name] = (functools.partial(estimator.fit, x="l", y="e", options=options),
+                               truth)
+        return estimands
+
+    def test_two_workers_equal_one(self):
+        serial = monte_carlo(self.CFG, self.registry_estimands(), replications=12)
+        forked = monte_carlo(self.CFG, self.registry_estimands(), replications=12, workers=2)
+        assert multiprocessing.active_children() == []
+        assert {name: len(study.rows) for name, study in serial.studies.items()} == {
+            "pooled": 12, "fe2w": 12, "lsdv": 12, "diffgmm": 11, "sysgmm": 8}
+        assert list(forked.studies) == list(serial.studies)
+        for name, study in serial.studies.items():
+            twin = forked.studies[name]
+            assert twin.rows == study.rows, name
+            assert twin.failures == study.failures, name
+            assert twin.truth == study.truth and list(twin.truth) == list(study.truth)
+            assert twin.to_json_dict() == study.to_json_dict(), name
+
+    def test_worker_exception_reaches_the_caller(self):
+        def buggy(panel):
+            raise RuntimeError("bug in the estimator")
+
+        with pytest.raises(RuntimeError, match="bug in the estimator"):
+            monte_carlo(self.CFG, {"buggy": (buggy, {"l": 1.0})}, replications=4, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_each_worker_runs_one_blas_thread(self):
+        libs = sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*"))
+        if not libs:
+            pytest.skip("numpy bundles no OpenBLAS")
+        library = ctypes.CDLL(str(libs[0]))
+        getter = next(getattr(library, name) for name in
+                      ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads")
+                      if hasattr(library, name))
+        getter.restype = ctypes.c_int
+
+        def blas_threads(panel):
+            return FitResult("stub", ("l",), {"l": float(getter())}, np.array([[1.0]]), 1)
+
+        run = monte_carlo(self.CFG, {"threads": (blas_threads, {"l": 1.0})}, replications=4,
+                          workers=2)
+        assert [row["l_estimate"] for row in run.studies["threads"].rows] == [1.0] * 4

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from forestpanel.dgp import DGPConfig, simulate_dynamic_panel
 from forestpanel.estimators import (
@@ -253,6 +254,37 @@ class TestClusterRobustVcov:
 
         vcov = cluster_robust_vcov(X, resid, clusters, dof_absorbed=dof_absorbed)
         assert np.abs(vcov - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_bit_identical_to_scatter_add_form(self):
+        # the per-column bincount sums each cluster from 0.0 in input order,
+        # as the np.add.at scatter over the full score matrix did
+        def scatter_add_vcov(X, residuals, clusters, dof_absorbed):
+            n, k = X.shape
+            labels, inverse = np.unique(clusters, return_inverse=True)
+            G = labels.size
+            _, R = np.linalg.qr(X)
+            Rinv = solve_triangular(R, np.eye(k))
+            xtx_inv = Rinv @ Rinv.T
+            scores = np.zeros((G, k))
+            np.add.at(scores, inverse, X * residuals[:, None])
+            meat = scores.T @ scores
+            factor = (G / (G - 1)) * ((n - 1) / (n - k - dof_absorbed))
+            vcov = factor * xtx_inv @ meat @ xtx_inv
+            return 0.5 * (vcov + vcov.T)
+
+        rng = np.random.default_rng(45)
+        for _ in range(100):
+            n, k = int(rng.integers(8, 400)), int(rng.integers(1, 6))
+            G = int(rng.integers(2, n // 2 + 2))
+            clusters = rng.integers(0, G, size=n)
+            if rng.random() < 0.5:
+                clusters = np.sort(clusters)
+            X = rng.normal(size=(n, k)) * rng.lognormal(0.0, 2.0, size=k)
+            resid = rng.standard_t(3, size=n)
+            if np.unique(clusters).size < 2 or n - k - 1 <= 0:
+                continue
+            got = cluster_robust_vcov(X, resid, clusters, dof_absorbed=1)
+            assert got.tobytes() == scatter_add_vcov(X, resid, clusters, 1).tobytes()
 
 
 def stub_fit(beta, rho, vcov=None):
