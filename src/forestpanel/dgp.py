@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import multiprocessing
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -70,6 +71,14 @@ class DGPConfig:
             raise DGPError("burn_in must be >= 50")
         if self.seed < 0:
             raise DGPError("seed must be nonnegative")
+        if self.regressor_process == "ar1" and not abs(self.regressor_param) < 1:
+            raise DGPError("|ar1 coefficient| must be < 1")
+        for f in dataclasses.fields(self):
+            # NaN fails the comparison, and so does an int too large for a float
+            if f.type == "float" and not abs(getattr(self, f.name)) <= sys.float_info.max:
+                raise DGPError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        if self.error_law == "heavy_tail" and self.tail_index <= 0:
+            raise DGPError("tail_index must be > 0 for heavy-tailed errors")
 
     @classmethod
     def from_mapping(cls, fields: Mapping) -> "DGPConfig":
@@ -139,8 +148,6 @@ def simulate_dynamic_panel(config: DGPConfig) -> tuple[PanelDataset, PanelTruth]
         x = config.sigma_x * rng.standard_normal((N, total))
     elif config.regressor_process == "ar1":
         phi = config.regressor_param
-        if not abs(phi) < 1:
-            raise DGPError("|ar1 coefficient| must be < 1")
         innov = config.sigma_x * rng.standard_normal((N, total))
         x = np.zeros((N, total))
         x[:, 0] = innov[:, 0] / np.sqrt(1 - phi**2)

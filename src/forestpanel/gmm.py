@@ -160,8 +160,9 @@ def build_ab_instruments(
     periods are the years 2..T-1 (0-based), and the one place that checks the
     response is available in every year, T >= 3 and the lag range is not empty.
 
-    Uncollapsed: one column per (period, lag distance), zero outside its
-    period block. Collapsed: one column per lag distance across all periods.
+    Period p (year p + 2) holds the levels of years p + 2 - s for s from
+    ``min_lag`` to the cap, at most p + 2. Collapsing keeps these cells and
+    only numbers them by lag distance, one column per s, not one per cell.
     """
     grid = panel.var(response)
     if not grid.available.all():
@@ -170,27 +171,17 @@ def build_ab_instruments(
     T = y.shape[1]
     if T < 3:
         raise EstimationError("GMM needs T >= 3")
-    periods = range(2, T)
-    s_max_global = (T - 1) if options.max_lag is None else min(options.max_lag, T - 1)
+    s_max = (T - 1) if options.max_lag is None else min(options.max_lag, T - 1)
+    cells = [(p, s) for p in range(T - 2)
+             for s in range(options.min_lag, min(s_max, p + 2) + 1)]
+    if not cells:
+        raise EstimationError("no usable instruments for the given lag range")
+    rows, lags = np.array(cells, dtype=np.intp).T
     if options.collapse:
-        lags = [s for s in range(options.min_lag, s_max_global + 1)]
-        if not lags:
-            raise EstimationError("no usable instruments for the given lag range")
-        # (period index, column, source year index) of every cell
-        cells = [(p, c, t - s) for c, s in enumerate(lags)
-                 for p, t in enumerate(periods) if t - s >= 0]
-        n_columns = len(lags)
+        cols, n_columns = lags - options.min_lag, s_max - options.min_lag + 1
     else:
-        cols: list[tuple[int, int]] = []  # (period index, lag distance)
-        for p, t in enumerate(periods):
-            s_hi = min(s_max_global, t)
-            cols.extend((p, s) for s in range(options.min_lag, s_hi + 1))
-        if not cols:
-            raise EstimationError("no usable instruments for the given lag range")
-        cells = [(p, c, periods[p] - s) for c, (p, s) in enumerate(cols)]
-        n_columns = len(cols)
-    rows, columns, source = np.array(cells, dtype=np.intp).T
-    return InstrumentSet(y[:, source], rows, columns, n_columns)
+        cols, n_columns = np.arange(len(cells)), len(cells)
+    return InstrumentSet(y[:, rows + 2 - lags], rows, cols, n_columns)
 
 
 class _Instruments:

@@ -522,12 +522,24 @@ class TestMonteCarloCommand:
         ({"dgp": {"n_regions": 20, "n_years": 6, "beta": 1.0}},
          "dgp block lacks required keys: ['rho']"),
         ({"estimators": ["lsdv"]}, "montecarlo config needs a 'dgp' object"),
-    ], ids=["unknown-key", "missing-rho", "missing-dgp"])
+        # json writes these as the NaN and Infinity its reader accepts
+        ({"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0,
+                  "sigma_u": float("nan")}, "estimators": ["lsdv"]},
+         "sigma_u must be finite, got nan"),
+        ({"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": float("inf")},
+          "estimators": ["lsdv"]}, "beta must be finite, got inf"),
+        # a design no replication can draw is named before any worker starts
+        ({"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0,
+                  "error_law": "heavy_tail", "tail_index": 0.0}, "estimators": ["lsdv"]},
+         "tail_index must be > 0 for heavy-tailed errors"),
+    ], ids=["unknown-key", "missing-rho", "missing-dgp", "sigma-u-nan", "beta-inf",
+            "heavy-tail-index-zero"])
     def test_malformed_dgp_block_is_an_error(self, tmp_path, capsys, config, message):
         (tmp_path / "mc.json").write_text(json.dumps({**config, "replications": 2}))
         assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
                      "--seed", "1", "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, message", [
         ("--min-lag", "min_lag must be >= 2 for valid moment conditions"),

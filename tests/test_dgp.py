@@ -54,6 +54,29 @@ class TestDGPConfigValidation:
         with pytest.raises(DGPError, match="seed must be nonnegative"):
             DGPConfig(n_regions=5, n_years=5, rho=0.0, beta=1.0, seed=-1)
 
+    @pytest.mark.parametrize("tail_index", [0.0, -1.5])
+    def test_heavy_tail_needs_positive_tail_index(self, tail_index):
+        with pytest.raises(DGPError, match=r"^tail_index must be > 0 for heavy-tailed errors$"):
+            DGPConfig(n_regions=5, n_years=5, rho=0.0, beta=1.0,
+                      error_law="heavy_tail", tail_index=tail_index)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_u", float("nan")), ("beta", float("inf")), ("sigma_x", float("nan")),
+        # fields the default processes never read are checked too
+        ("regressor_param", float("nan")), ("tail_index", float("-inf")),
+        ("beta", 10 ** 400),
+    ], ids=["sigma-u-nan", "beta-inf", "sigma-x-nan", "unread-param-nan",
+            "unread-tail-index-inf", "beta-beyond-float"])
+    def test_non_finite_float_is_named(self, field, value):
+        with pytest.raises(DGPError, match=rf"^{field} must be finite, got "):
+            DGPConfig(n_regions=5, n_years=5, **{"rho": 0.0, "beta": 1.0, field: value})
+
+    @pytest.mark.parametrize("phi", [1.0, -1.2, float("nan")])
+    def test_ar1_coefficient_checked_at_construction(self, phi):
+        with pytest.raises(DGPError, match=r"^\|ar1 coefficient\| must be < 1$"):
+            DGPConfig(n_regions=5, n_years=5, rho=0.0, beta=1.0,
+                      regressor_process="ar1", regressor_param=phi)
+
 
 class TestSimulateDynamicPanel:
     def test_recursion_collapses_without_noise(self):

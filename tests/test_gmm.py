@@ -11,6 +11,7 @@ from forestpanel.estimators import EstimationError, RegressionSpec
 from forestpanel.gmm import (
     _BLOCK_REGIONS as BLOCK,
     GmmOptions,
+    InstrumentSet,
     build_ab_instruments,
     fit_diff_gmm,
     fit_sys_gmm,
@@ -90,6 +91,59 @@ class TestInstrumentLayout:
             GmmOptions(min_lag=1)
         with pytest.raises(EstimationError):
             GmmOptions(min_lag=3, max_lag=2)
+
+    @pytest.mark.parametrize("T", range(3, 10))
+    def test_equals_two_branch_builder(self, T):
+        # every lag range, reachable or empty, collapsed or not: the same
+        # width, the same dense blocks, the same error text
+        panel = make_panel(np.random.default_rng(T).standard_normal((3, T)))
+        for min_lag in range(2, T + 2):
+            for max_lag in [None, *range(min_lag, T + 1)]:
+                for collapse in (False, True):
+                    options = GmmOptions(min_lag=min_lag, max_lag=max_lag, collapse=collapse)
+                    try:
+                        expected = two_branch_ab_instruments(panel, "e", options)
+                    except EstimationError as exc:
+                        with pytest.raises(EstimationError, match=f"^{exc}$"):
+                            build_ab_instruments(panel, "e", options)
+                        continue
+                    got = build_ab_instruments(panel, "e", options)
+                    assert got.n_columns == expected.n_columns, options
+                    assert np.array_equal(dense_instruments(got, T - 2),
+                                          dense_instruments(expected, T - 2)), options
+
+
+def two_branch_ab_instruments(panel, response, options):
+    """The lagged-level builder as it was written with one branch per
+    layout, each working out its own cells: the oracle of the one-list rule."""
+    grid = panel.var(response)
+    if not grid.available.all():
+        raise EstimationError(f"response {response!r} must be fully available")
+    y = grid.values
+    T = y.shape[1]
+    if T < 3:
+        raise EstimationError("GMM needs T >= 3")
+    periods = range(2, T)
+    s_max_global = (T - 1) if options.max_lag is None else min(options.max_lag, T - 1)
+    if options.collapse:
+        lags = [s for s in range(options.min_lag, s_max_global + 1)]
+        if not lags:
+            raise EstimationError("no usable instruments for the given lag range")
+        # (period index, column, source year index) of every cell
+        cells = [(p, c, t - s) for c, s in enumerate(lags)
+                 for p, t in enumerate(periods) if t - s >= 0]
+        n_columns = len(lags)
+    else:
+        cols: list[tuple[int, int]] = []  # (period index, lag distance)
+        for p, t in enumerate(periods):
+            s_hi = min(s_max_global, t)
+            cols.extend((p, s) for s in range(options.min_lag, s_hi + 1))
+        if not cols:
+            raise EstimationError("no usable instruments for the given lag range")
+        cells = [(p, c, periods[p] - s) for c, (p, s) in enumerate(cols)]
+        n_columns = len(cols)
+    rows, columns, source = np.array(cells, dtype=np.intp).T
+    return InstrumentSet(y[:, source], rows, columns, n_columns)
 
 
 def noise_free_panel(rho=0.3, beta=1.0, sigma_alpha=1.0, seed=21, N=40, T=8):
