@@ -273,29 +273,26 @@ def cmd_robustness(args) -> int:
     if options is not None and excluded:
         raise EstimationError("year exclusion breaks the GMM lag chain; use fe2w or lsdv")
     base_panel, _ = load_panel_csv(args.panel)
-
-    def run(panel, use_levels):
-        panel, x, y = _log_variables(panel, use_levels)
-        return ESTIMATORS[args.estimator].fit(panel, x, y, options)
-
-    columns = [("base", run(base_panel, False))]
+    fit = ESTIMATORS[args.estimator].fit
+    # masked years keep values, logged or not, that no fit reads
+    panel, x, y = _log_variables(base_panel, False)
+    columns = [("base", fit(panel, x, y, options))]
     if excluded:
-        columns.append(
-            (f"exclude_years={sorted(excluded)}", run(_mask_years(base_panel, excluded), False))
-        )
+        columns.append((f"exclude_years={sorted(excluded)}",
+                        fit(_mask_years(panel, excluded), x, y, options)))
     if regions:
-        columns.append((f"regions={regions}", run(_subset_regions(base_panel, regions), False)))
+        columns.append((f"regions={regions}", fit(_subset_regions(panel, regions), x, y, options)))
     if args.levels:
-        columns.append(("levels", run(base_panel, True)))
+        columns.append(("levels", fit(*_log_variables(base_panel, True), options)))
 
     table = []
-    for label, fit in columns:
+    for label, result in columns:
         table.append(
             {
                 "variation": label,
-                "estimator": fit.estimator_tag,
-                "n_obs": fit.n_obs,
-                "coefficients": fit.coefficient_table(),
+                "estimator": result.estimator_tag,
+                "n_obs": result.n_obs,
+                "coefficients": result.coefficient_table(),
             }
         )
     out = Path(args.out)

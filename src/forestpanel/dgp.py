@@ -34,6 +34,10 @@ class DGPError(ValueError):
 
 REGRESSOR_PROCESSES = ("iid_normal", "ar1", "correlated_with_alpha")
 ERROR_LAWS = ("normal", "heavy_tail")
+BIOMASS_LOG_MEAN = 4.0    # disturbance grid landscape: lognormal biomass, Mg C / ha
+BIOMASS_LOG_SIGMA = 0.75
+EVENT_TAIL_INDEX = 1.5    # Pareto tail of event size (pixels)
+PIXEL_AREA = 0.09         # hectares; one 30 m pixel
 
 
 @dataclass(frozen=True)
@@ -185,27 +189,25 @@ def simulate_dynamic_panel(config: DGPConfig) -> tuple[PanelDataset, PanelTruth]
 
 @dataclass(frozen=True)
 class GridDGPConfig:
-    """Synthetic pixel landscape with episodic, heavy-tailed loss events."""
+    """Synthetic pixel landscape, on the module's landscape constants, with
+    episodic, heavy-tailed loss events; every field is checked before any draw."""
 
     n_regions: int = 200
     pixels_per_region: int = 400
     n_years: int = 23
-    biomass_log_mean: float = 4.0    # lognormal parameters, Mg C / ha
-    biomass_log_sigma: float = 0.75
     ignition_rate: float = 0.8       # expected events per region-year
-    event_tail_index: float = 1.5    # Pareto tail of event size (pixels)
     event_min_pixels: float = 1.0
-    pixel_area: float = 0.09         # hectares; one 30 m pixel
     seed: int = 0
     start_year: int = 2001
 
     def __post_init__(self):
         if min(self.n_regions, self.pixels_per_region, self.n_years) < 1:
             raise DGPError("counts must be positive")
-        if self.ignition_rate < 0 or self.event_tail_index <= 0:
-            raise DGPError("bad event process parameters")
-        if self.pixel_area <= 0:
-            raise DGPError("pixel area must be positive")
+        for name in ("ignition_rate", "event_min_pixels"):
+            if not 0 <= getattr(self, name) <= sys.float_info.max:
+                raise DGPError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise DGPError("seed must be nonnegative")
 
 
 def simulate_disturbance_grid(config: GridDGPConfig) -> PixelGrid:
@@ -221,7 +223,7 @@ def simulate_disturbance_grid(config: GridDGPConfig) -> PixelGrid:
     n = config.pixels_per_region
     regions = [f"R{i:04d}" for i in range(config.n_regions)]
     draws = [
-        (rng.lognormal(config.biomass_log_mean, config.biomass_log_sigma, n),
+        (rng.lognormal(BIOMASS_LOG_MEAN, BIOMASS_LOG_SIGMA, n),
          rng.uniform(0.0, 100.0, n))
         for _ in regions
     ]
@@ -234,10 +236,8 @@ def simulate_disturbance_grid(config: GridDGPConfig) -> PixelGrid:
         for year in years:
             n_events = rng.poisson(config.ignition_rate)
             for _ in range(n_events):
-                want = int(np.ceil(
-                    config.event_min_pixels * (rng.pareto(config.event_tail_index) + 1.0)
-                ))
-                take = min(want, len(pool))
+                want = np.ceil(config.event_min_pixels * (rng.pareto(EVENT_TAIL_INDEX) + 1.0))
+                take = int(min(want, len(pool)))  # want is infinite past the float range
                 if take == 0:
                     break
                 chosen = rng.choice(len(pool), size=take, replace=False)
@@ -247,7 +247,7 @@ def simulate_disturbance_grid(config: GridDGPConfig) -> PixelGrid:
         pixel_ids,
         [region for region in regions for _ in range(n)],
         np.concatenate([biomass for biomass, _ in draws]),
-        np.full(len(pixel_ids), config.pixel_area),
+        np.full(len(pixel_ids), PIXEL_AREA),
         np.concatenate([canopy for _, canopy in draws]),
         events,
     )

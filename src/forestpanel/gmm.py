@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
+    CONST,
     EstimationError,
     FitResult,
     RegressionSpec,
@@ -248,6 +249,8 @@ class _Instruments:
 def _fit_gmm(
     panel: PanelDataset, spec: RegressionSpec, options: GmmOptions, level: bool
 ) -> FitResult:
+    if CONST in spec.regressors:
+        raise EstimationError("const is absorbed by the fixed effects")
     response = spec.response
     lag_name = lagged_name(response)
     exog = tuple(r for r in spec.regressors if r != lag_name)
@@ -262,7 +265,7 @@ def _fit_gmm(
     # with year dummies the level-equation intercepts are already spanned
     include_const = level and not options.year_dummies
     if include_const:
-        coef_names.append("const")
+        coef_names.append(CONST)
     k = len(coef_names)
 
     # level regressors in coefficient order, year 0 never read: the lagged

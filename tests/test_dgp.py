@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import multiprocessing
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,25 @@ class TestSimulateDynamicPanel:
             assert panel.var("e").values.tobytes() == e.tobytes(), fields
 
 
+class TestGridDGPConfigValidation:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -5.0])
+    @pytest.mark.parametrize("field", ["ignition_rate", "event_min_pixels"])
+    def test_rate_and_event_size_finite_nonnegative(self, field, value):
+        with pytest.raises(DGPError, match=rf"^{field} must be finite and >= 0, got "):
+            GridDGPConfig(**{field: value})
+
+    def test_negative_seed(self):
+        with pytest.raises(DGPError, match=r"^seed must be nonnegative$"):
+            GridDGPConfig(seed=-1)
+
+    @pytest.mark.parametrize("field", ["biomass_log_mean", "biomass_log_sigma",
+                                       "event_tail_index", "pixel_area"])
+    def test_landscape_is_no_field(self, field):
+        assert len(dataclasses.fields(GridDGPConfig)) == 7
+        with pytest.raises(TypeError):
+            GridDGPConfig(**{field: 1.0})
+
+
 class TestDisturbanceGrid:
     def test_no_ignitions_no_events(self):
         cfg = GridDGPConfig(n_regions=5, pixels_per_region=10, n_years=5,
@@ -205,6 +225,17 @@ class TestDisturbanceGrid:
         grid = simulate_disturbance_grid(cfg)
         assert len(grid.loss_events) <= 15
 
+    def test_event_size_beyond_float_range_takes_the_region(self):
+        # the event size event_min_pixels * (pareto + 1) overflows to infinity
+        cfg = GridDGPConfig(n_regions=3, pixels_per_region=5, n_years=2,
+                            ignition_rate=4.0, event_min_pixels=sys.float_info.max, seed=9)
+        assert len(simulate_disturbance_grid(cfg).event_pixel) == 15
+
+    def test_zero_event_size_loses_nothing(self):
+        cfg = GridDGPConfig(n_regions=3, pixels_per_region=5, n_years=4,
+                            ignition_rate=4.0, event_min_pixels=0.0, seed=9)
+        assert len(simulate_disturbance_grid(cfg).event_pixel) == 0
+
     def test_loss_conservation(self):
         cfg = GridDGPConfig(n_regions=10, pixels_per_region=50, n_years=23,
                             ignition_rate=2.0, seed=10)
@@ -212,7 +243,7 @@ class TestDisturbanceGrid:
         years = range(cfg.start_year, cfg.start_year + cfg.n_years)
         panel = pixel_panel(grid, EmissionFactors(), years)
         per_region_loss = panel.var("L").values.sum(axis=1)
-        assert np.all(per_region_loss <= cfg.pixels_per_region * cfg.pixel_area + 1e-9)
+        assert np.all(per_region_loss <= cfg.pixels_per_region * dgp.PIXEL_AREA + 1e-9)
 
     def test_heavy_tail_shape_at_defaults(self):
         cfg = GridDGPConfig(seed=11)

@@ -1,13 +1,14 @@
 import dataclasses
+import itertools
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from forestpanel.dgp import DGPConfig, replication_seed, simulate_dynamic_panel
+from forestpanel.dgp import DGPConfig, monte_carlo, replication_seed, simulate_dynamic_panel
 from forestpanel.diagnostics import hansen_j
-from forestpanel.estimators import EstimationError, RegressionSpec
+from forestpanel.estimators import CONST, EstimationError, RegressionSpec
 from forestpanel.gmm import (
     _BLOCK_REGIONS as BLOCK,
     GmmOptions,
@@ -270,6 +271,44 @@ class TestSysGmm:
         assert system.estimator_tag == "sys_gmm"
 
 
+class TestSysGmmConsistency:
+    """Designs on which system GMM should recover the truth and, as fitted
+    today, does not (strict xfail: a fix must remove the marker). Difference
+    GMM on the same design is the control."""
+
+    @pytest.mark.parametrize("fit", [
+        fit_diff_gmm,
+        pytest.param(fit_sys_gmm, marks=pytest.mark.xfail(
+            reason="with year dummies the level equations fit no const, so their "
+                   "residual keeps gamma_1 + mean(alpha)")),
+    ])
+    def test_noise_free_with_year_dummies(self, fit):
+        for seed, two_step, collapse in itertools.product((26, 27), (False, True), (False, True)):
+            cfg = DGPConfig(n_regions=50, n_years=7, rho=0.2, beta=1.0, sigma_alpha=0.0,
+                            sigma_gamma=0.8, sigma_u=0.0, seed=seed)
+            options = GmmOptions(two_step=two_step, collapse=collapse, year_dummies=True)
+            coefs = fit(simulate_dynamic_panel(cfg)[0], SPEC, options).coefficients
+            assert coefs["e_l1"] == pytest.approx(0.2, abs=1e-6), (seed, options)
+            assert coefs["l"] == pytest.approx(1.0, abs=1e-6), (seed, options)
+
+    @pytest.mark.parametrize("fit", [
+        fit_diff_gmm,
+        pytest.param(fit_sys_gmm, marks=pytest.mark.xfail(
+            reason="the level rows instrument the regressor with its level, "
+                   "which is correlated with the region effect")),
+    ])
+    def test_regressor_correlated_with_region_effect(self, fit):
+        cfg = DGPConfig(n_regions=200, n_years=10, rho=0.5, beta=1.0, sigma_alpha=1.0,
+                        sigma_u=1.0, regressor_process="correlated_with_alpha",
+                        regressor_param=1.0, seed=1)
+        options = GmmOptions(collapse=True)
+        run = monte_carlo(cfg, {"gmm": (lambda panel: fit(panel, SPEC, options),
+                                        {"e_l1": 0.5})}, 200)
+        rho = run.studies["gmm"].aggregates()["e_l1"]
+        assert abs(rho["mean"] - 0.5) < 0.02
+        assert 0.90 <= rho["coverage"] <= 0.985
+
+
 class TestRegressorAvailability:
     # the first differenced equation (0-based year 2) also reads year 1
     @pytest.mark.parametrize("fit", [fit_diff_gmm, fit_sys_gmm])
@@ -278,6 +317,15 @@ class TestRegressorAvailability:
         panel = panel.with_variable("l_l2", lag(panel, "l", 2))
         spec = dataclasses.replace(SPEC, regressors=("l_l2",))
         with pytest.raises(EstimationError, match="regressor 'l_l2' unavailable in estimation years"):
+            fit(panel, spec, GmmOptions())
+
+    @pytest.mark.parametrize("fit", [fit_diff_gmm, fit_sys_gmm])
+    def test_const_is_reserved(self, fit):
+        panel = noise_free_panel(N=20, T=6, seed=32)
+        rng = np.random.default_rng(32)
+        panel = panel.with_variable(CONST, Grid.full(rng.standard_normal((20, 6))))
+        spec = dataclasses.replace(SPEC, regressors=("l", CONST))
+        with pytest.raises(EstimationError, match=r"^const is absorbed by the fixed effects$"):
             fit(panel, spec, GmmOptions())
 
     @pytest.mark.parametrize("fit", [fit_diff_gmm, fit_sys_gmm])
