@@ -38,6 +38,9 @@ BIOMASS_LOG_MEAN = 4.0    # disturbance grid landscape: lognormal biomass, Mg C 
 BIOMASS_LOG_SIGMA = 0.75
 EVENT_TAIL_INDEX = 1.5    # Pareto tail of event size (pixels)
 PIXEL_AREA = 0.09         # hectares; one 30 m pixel
+# the largest Poisson mean numpy's generators draw from; a larger one raises
+# a bare ValueError ("lam value too large")
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass(frozen=True)
@@ -206,6 +209,9 @@ class GridDGPConfig:
         for name in ("ignition_rate", "event_min_pixels"):
             if not 0 <= getattr(self, name) <= sys.float_info.max:
                 raise DGPError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        if self.ignition_rate > POISSON_LAM_MAX:
+            raise DGPError(f"ignition_rate must be at most {POISSON_LAM_MAX!r}, "
+                           f"got {self.ignition_rate!r}")
         if self.seed < 0:
             raise DGPError("seed must be nonnegative")
 

@@ -11,13 +11,19 @@ simulator pass one list or array per attribute, and ``filter_canopy`` and
 ``_first_bad_pixel``, decides which pixel values are valid, for the
 constructor and for the loader's line-numbered errors alike.
 
-Both CSV loaders read a file in blocks of a few thousand rows. Each block's
-fields become float64, int64 or object arrays at once, and the block's text
-is dropped before the next block is read, except the fields kept as text:
-pixel ids and region labels. The block pass only asks whether a file is
-valid. A file that is not is read a second time, row by row, by
-``_first_fault``, with the loader's per-row rule, to name its first bad row's
-``path:line``. The panel writer formats one region's rows at a time.
+Both CSV loaders read a file in blocks of a few thousand lines, through one
+block reader, ``_column_blocks``. Each block's fields become float64, int64
+or object arrays at once, and the block's text is dropped before the next
+block is read, except the fields kept as text: pixel ids and region labels.
+A block is parsed by numpy's C reader, ``np.loadtxt``, when it is ASCII and
+holds no quote, no U+001C-U+001F separator and no line longer than the csv
+module's field limit. A block that fails those screens, or that numpy
+rejects, and the rest of the file go through ``csv.reader`` and Python's
+``float`` and ``int``, which alone decide whether the file converts. The
+block pass only asks whether a file is valid. A file that is not is read a
+second time, row by row, by ``_first_fault``, with the loader's per-row
+rule, to name its first bad row's ``path:line``. The panel writer formats
+one region's rows at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -256,8 +262,9 @@ def pixel_panel(grid: PixelGrid, factors: EmissionFactors, years: Sequence[int])
 # ---------------------------------------------------------------------------
 # CSV interfaces
 
-# Rows parsed at a time. Each block's fields are converted to columns before
-# the next block is read, so a load holds one block of text, never the file.
+# Lines (or, once a file falls back to the csv module, rows) parsed at a time.
+# Each block's fields are converted to columns before the next block is read,
+# so a load holds one block of text, never the file.
 _BLOCK_ROWS = 4096
 
 
@@ -269,11 +276,80 @@ def _header(reader, path) -> list[str] | None:
         raise LoadError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
-def _blocks(reader) -> Iterator[list[list[str]]]:
-    """The non-blank rows of a ``csv.reader``, in lists of at most ``_BLOCK_ROWS``."""
-    rows = filter(None, reader)
+def _outside_years(year):
+    """Where ``year``, an int or an int64 array, lies outside 1000-9999."""
+    return (year < 1000) | (year > 9999)
+
+
+# A quote, which numpy would keep in a quoted field, and the separators
+# \x1c-\x1f, which numpy's number parsers skip as whitespace and float() and
+# int() reject.
+_NOT_FOR_NUMPY = '"\x1c\x1d\x1e\x1f'
+
+
+def _column_blocks(handle, fields, usecols=None) -> Iterator[list[np.ndarray]]:
+    """The rest of ``handle``, block by block, as one array per entry of ``fields``.
+
+    ``fields`` lists a (convert, dtype) pair per column: a column's values form
+    one ``dtype`` array (object for text, int64 for a year, float64 for
+    numbers), and ``convert`` turns one field into its value or raises
+    ValueError. With ``usecols`` None a row has exactly one field per column;
+    otherwise column j is field ``usecols[j]``, and a row may hold more fields
+    but none fewer than it needs. An int64 column holds years, each in
+    1000-9999. A block that breaks any of these rules raises ValueError,
+    OverflowError or csv.Error; the blocks before it were yielded.
+
+    Each block of ``_BLOCK_ROWS`` lines is parsed by one ``np.loadtxt`` call,
+    numpy's C reader, if it passes three screens. It is ASCII: numpy's integer
+    parser calls C's ``isdigit`` on each character, which is undefined beyond
+    ASCII, and a year field holding U+E0001 crashed the interpreter (numpy
+    2.4). It holds no character of ``_NOT_FOR_NUMPY``. No line is longer than
+    ``csv.field_size_limit()``, which numpy does not enforce. On such a block,
+    whatever numpy accepts ``convert`` accepts with the same value, but numpy
+    rejects some fields ``convert`` takes, such as ``1_0``. So a block that
+    fails a screen, or that numpy rejects, and every block after it are read
+    by ``csv.reader`` and ``convert`` instead, ``_BLOCK_ROWS`` rows at a time
+    with blank lines skipped, and only those decide whether the file converts.
+    """
+    dtype = np.dtype([(f"f{j}", d) for j, (_, d) in enumerate(fields)])
+    years = [j for j, (_, d) in enumerate(fields) if np.dtype(d) == np.int64]
+    limit = csv.field_size_limit()
+    while lines := list(islice(handle, _BLOCK_ROWS)):
+        text = "".join(lines)
+        if not text.strip("\r\n"):
+            continue  # blank lines only, which numpy would warn about
+        screened = (text.isascii() and not any(c in text for c in _NOT_FOR_NUMPY)
+                    and max(map(len, lines)) <= limit)
+        del text
+        if not screened:
+            break
+        try:
+            block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                               quotechar=None, ndmin=1, usecols=usecols)
+        except ValueError:
+            break
+        del lines
+        # copies: a field's view would keep the whole block and its text alive
+        columns = [block[name].copy() for name in dtype.names]
+        del block
+        if any(_outside_years(columns[j]).any() for j in years):
+            raise ValueError("year outside 1000-9999")
+        yield columns
+    else:
+        return
+    rows = filter(None, csv.reader(chain(lines, handle)))
+    index = range(len(fields)) if usecols is None else usecols
+    width = len(fields) if usecols is None else max(usecols) + 1
     while block := list(islice(rows, _BLOCK_ROWS)):
-        yield block
+        lengths = set(map(len, block))
+        if min(lengths) < width or usecols is None and lengths != {width}:
+            raise ValueError(f"expected {width} fields")
+        columns = [np.fromiter(map(convert, map(itemgetter(i), block)), d, len(block))
+                   for i, (convert, d) in zip(index, fields)]
+        del block
+        if any(_outside_years(columns[j]).any() for j in years):
+            raise ValueError("year outside 1000-9999")
+        yield columns
 
 
 def _first_fault(path, rule) -> LoadError:
@@ -306,10 +382,12 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
     field count, a year that is no integer or lies outside 1000-9999, a
     (region, year) pair seen before, and a malformed number, checked in header
     order; the first row that fails, or that the csv module cannot read, names
-    its ``path:line``. The file is read in blocks of rows, so only one block
-    of text is held at a time; each block becomes int64 and float64 columns at
-    once, and a file that fails anywhere is read again, row by row, to find
-    its first bad row.
+    its ``path:line``. The file is read in blocks by ``_column_blocks``, so
+    only one block of text is held at a time; each block becomes object, int64
+    and float64 columns at once, by numpy's C reader where the block passes
+    its screens and by ``csv.reader`` from the first block that does not. A
+    file that fails anywhere is read again, row by row, to find its first bad
+    row.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -327,25 +405,19 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
         codes, years = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int64)]
         columns = [[np.empty(0)] for _ in names]
         valid = False  # until every block converts and no (region, year) repeats
+        fields = [(str, object), (int, np.int64)] + [(float, float)] * len(names)
         try:
-            for block in _blocks(reader):
-                n = len(block)
-                if set(map(len, block)) != {len(header)}:
-                    break
-                years.append(np.fromiter(map(int, map(itemgetter(1), block)), np.int64, n))
-                if ((years[-1] < 1000) | (years[-1] > 9999)).any():
-                    break
-                regions = list(map(itemgetter(0), block))
-                for region in dict.fromkeys(regions):
+            for regions, block_years, *values in _column_blocks(handle, fields):
+                for region in dict.fromkeys(regions.tolist()):
                     code.setdefault(region, len(code))
-                codes.append(np.fromiter(map(code.__getitem__, regions), np.intp, n))
-                for j, column in enumerate(columns, start=2):
-                    column.append(np.fromiter(map(float, map(itemgetter(j), block)), float, n))
-            else:
-                region_code, year = np.concatenate(codes), np.concatenate(years)
-                # return_index keeps np.unique on its sort path, several times faster here
-                _, first = np.unique(region_code * 10000 + year, return_index=True)
-                valid = first.size == year.size
+                codes.append(np.fromiter(map(code.__getitem__, regions), np.intp, len(regions)))
+                years.append(block_years)
+                for column, value in zip(columns, values):
+                    column.append(value)
+            region_code, year = np.concatenate(codes), np.concatenate(years)
+            # return_index keeps np.unique on its sort path, several times faster here
+            _, first = np.unique(region_code * 10000 + year, return_index=True)
+            valid = first.size == year.size
         except (ValueError, OverflowError, csv.Error):  # OverflowError: a year beyond int64
             pass
     if not valid:
@@ -358,7 +430,7 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
                 year = int(row[1])
             except ValueError:
                 return f"bad year {row[1]!r}"
-            if not 1000 <= year <= 9999:
+            if _outside_years(year):
                 return f"year {year} outside 1000-9999"
             if (row[0], year) in seen:
                 return f"duplicate row for ({row[0]}, {year})"
@@ -402,7 +474,7 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
 def _event_year(text: str) -> int:
     """An event year field as an int; a ValueError unless it lies in 1000-9999."""
     year = int(text)
-    if not 1000 <= year <= 9999:
+    if _outside_years(year):
         raise ValueError(f"event year {year} outside 1000-9999")
     return year
 
@@ -420,15 +492,17 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
     ``convert`` turns one field into its value or raises ValueError, and a
     column's values form one ``dtype`` array. ``check(*columns)`` finds the
     first row whose values break a rule, as ``_first_bad_pixel`` does, or
-    returns None. The file is read in blocks of rows, so only one block of
-    text is held at a time, and each block's fields are converted at once.
-    A file that fails anywhere is read again, row by row, and raises the
-    ``LoadError`` naming the ``path:line`` of its first row that is too short
-    for the columns, that a converter rejects (in ``converters`` order), that
-    ``check`` rejects, or that the csv module cannot read; ``check`` runs once,
-    on the rows before the first that fails in any other way. Blank lines are
-    skipped as rows but counted as lines, and a repeated header name means its
-    last column, as with ``csv.DictReader``.
+    returns None. The file is read in blocks by ``_column_blocks``, so only
+    one block of text is held at a time, and each block's fields are
+    converted at once: by numpy's C reader where the block passes its
+    screens, and by ``csv.reader`` and ``convert`` from the first block that
+    does not. A file that fails anywhere is read again, row by row, and
+    raises the ``LoadError`` naming the ``path:line`` of its first row that is
+    too short for the columns, that a converter rejects (in ``converters``
+    order), that ``check`` rejects, or that the csv module cannot read;
+    ``check`` runs once, on the rows before the first that fails in any other
+    way. Blank lines are skipped as rows but counted as lines, and a repeated
+    header name means its last column, as with ``csv.DictReader``.
     """
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -441,14 +515,10 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
         chunks = [[np.empty(0, dtype)] for _, dtype in converters.values()]
         converted = False  # until every block converts
         try:
-            for block in _blocks(reader):
-                if min(map(len, block)) < width:
-                    break
-                for i, (convert, dtype), chunk in zip(index, converters.values(), chunks):
-                    texts = map(itemgetter(i), block)
-                    chunk.append(np.fromiter(map(convert, texts), dtype, len(block)))
-            else:
-                converted = True
+            for block in _column_blocks(handle, list(converters.values()), index):
+                for chunk, column in zip(chunks, block):
+                    chunk.append(column)
+            converted = True
         except (ValueError, csv.Error):
             pass
     parse_fault = None

@@ -9,13 +9,18 @@ loader checked the values of those columns before raising the error; the
 ``PixelGrid`` constructor sorted its events as tuples and found their pixels
 with a dict; the panel and scatter writers formatted one cell at a time. The
 loaders must give an equal panel, grid or columns, or raise the same
-``LoadError`` text, and the writers must write the same bytes.
+``LoadError`` text, and the writers must write the same bytes. The two CSV
+oracles read with ``csv.reader`` and Python's ``float`` and ``int`` only, so
+they also stand for the fallback of the loaders' numpy pass; a row the csv
+module cannot read ends either oracle's file with the error naming its line.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
+from functools import partial
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -82,6 +87,14 @@ def _bounded_year(year, what):
     return year
 
 
+def _readable(reader, path):
+    """``reader``'s rows; a row the csv module cannot read is the LoadError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise LoadError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def old_load_panel_csv(path):
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -95,7 +108,7 @@ def old_load_panel_csv(path):
         var_names = header[2:]
         rows = []
         seen = set()
-        for record in reader:
+        for record in _readable(reader, path):
             if not record:
                 continue
             lineno = reader.line_num
@@ -151,7 +164,12 @@ def old_read_columns(path, converters):
         header = next(reader, None)
         if header is None or not set(converters) <= set(header):
             raise LoadError(f"{path}: header must contain {sorted(converters)}")
-        rows = list(filter(None, reader))
+        rows, unreadable = [], None
+        try:
+            for row in filter(None, reader):
+                rows.append(row)
+        except csv.Error as exc:  # the file ends, for the oracle, before this row
+            unreadable = LoadError(f"{path}:{reader.line_num}: {exc}")
     position = {name: i for i, name in enumerate(header)}
     index = [position[name] for name in converters]
     width = max(index) + 1
@@ -166,7 +184,8 @@ def old_read_columns(path, converters):
         if exc is not None:
             stop, message = len(values), str(exc)
         columns.append(values)
-    error = None if message is None else LoadError(f"{path}:{_file_line(path, stop)}: {message}")
+    error = unreadable if message is None else LoadError(
+        f"{path}:{_file_line(path, stop)}: {message}")
     return [column[:stop] for column in columns], error
 
 
@@ -236,13 +255,16 @@ def old_write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 # generated files
 
-REGIONS = ["A", "B", "C", "a,b", 'q"t', "x\ny"]
+REGIONS = ["A", "B", "C", "a,b", 'q"t', "x\ny", " A "]
 VARIABLES = ["L", "E", "x,y", "v\nw"]
 # fields that parse differently or not at all: digit separators, non-ASCII
-# digits, padding, years out of range or beyond int64, empty and non-finite
-ODD_FIELDS = ["2_002", "٢٠٠١", " 2002 ", "999", "10000",
+# digits, padding, years out of range or beyond int64, empty and non-finite,
+# a mid-field quote, the U+001C separator that numpy's number parsers skip as
+# whitespace, and a plane-14 character in a year
+ODD_FIELDS = ["2_002", "٢٠٠١", " 2002 ", "\t2002\t", "999", "10000",
               "300000000000000000", "99999999999999999999", "", "abc", "nan", "inf",
-              "1_0", "1e400", "-0.0", "2001.0"]
+              "infinity", " -Inf ", "NaN", "\t2.5\t", "1_0", "1e400", "-0.0", "2001.0",
+              'a"b', "1\x1c", "\U000e0001"]
 # a whitespace-only line is a one-field row, so it is drawn rarely
 BLANK_LINES = ["\n", "\r\n"] * 4 + ["  \n", " \t\r\n"]
 NUMBERS = st.floats(-1e6, 1e6).map(repr)
@@ -250,13 +272,36 @@ NUMBERS = st.floats(-1e6, 1e6).map(repr)
 
 @st.composite
 def csv_text(draw, header, rows):
-    """``rows`` written as CSV with random line ends and blank lines between them."""
+    """``rows`` written as CSV with random line ends and blank lines between them.
+
+    One data row in four is written raw, its fields joined by commas, so a
+    quote or a comma inside a field reaches the file unquoted.
+    """
     out = io.StringIO()
-    for row in [header, *rows]:
-        csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerow(row)
+    for i, row in enumerate([header, *rows]):
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        if i and draw(st.integers(0, 3)) == 0:
+            out.write(",".join(row) + end)
+        else:
+            csv.writer(out, lineterminator=end).writerow(row)
         if draw(st.integers(0, 5)) == 0:
             out.write(draw(st.sampled_from(BLANK_LINES)))
     return out.getvalue()
+
+
+# the field size limit a test lowers: 20 characters passes short fields and
+# rejects long numbers, while most lines exceed it
+LIMITS = st.sampled_from([None, 20])
+
+
+@contextmanager
+def field_size_limit(limit):
+    """The csv module's field size limit set to ``limit`` (None: left as it is)."""
+    old = csv.field_size_limit() if limit is None else csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
 
 
 @st.composite
@@ -351,26 +396,28 @@ def work(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=panel_files(), block=st.sampled_from([1, 3, ingest._BLOCK_ROWS]))
-def test_panel_loader_matches_row_by_row(work, text, block):
+@given(text=panel_files(), block=st.sampled_from([1, 3, ingest._BLOCK_ROWS]), limit=LIMITS)
+def test_panel_loader_matches_row_by_row(work, text, block, limit):
     path = work / "panel.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    expected = panel_key(outcome(old_load_panel_csv, path))
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
-        assert panel_key(outcome(ingest.load_panel_csv, path)) == expected
+    with field_size_limit(limit):
+        expected = panel_key(outcome(old_load_panel_csv, path))
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+            assert panel_key(outcome(ingest.load_panel_csv, path)) == expected
 
 
 @settings(max_examples=300, deadline=None)
-@given(file=column_files(), block=st.sampled_from([1, 3, ingest._BLOCK_ROWS]))
-def test_read_columns_matches_whole_file_read(work, file, block):
+@given(file=column_files(), block=st.sampled_from([1, 3, ingest._BLOCK_ROWS]), limit=LIMITS)
+def test_read_columns_matches_whole_file_read(work, file, block, limit):
     events, text = file
     path = work / "columns.csv"
     path.write_text(text, encoding="utf-8", newline="")
     old, new = ((OLD_EVENTS, ingest._EVENT_COLUMNS) if events
                 else (OLD_PIXELS, ingest._PIXEL_COLUMNS))
-    expected = columns_key(outcome(old_read_columns, path, old))
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
-        assert columns_key(outcome(ingest._read_columns, path, new)) == expected
+    with field_size_limit(limit):
+        expected = columns_key(outcome(old_read_columns, path, old))
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+            assert columns_key(outcome(ingest._read_columns, path, new)) == expected
 
 
 GOOD_ROWS = [f"R,{2001 + i},1" for i in range(7)]
@@ -398,6 +445,87 @@ def test_first_bad_row_beside_a_block_boundary(work, first_bad, fault):
         expected = columns_key(outcome(old_read_columns, pixel_path, columns))
         columns = {"pixel": (str, object), "region": (str, object), "biomass": (float, float)}
         assert columns_key(outcome(ingest._read_columns, pixel_path, columns)) == expected
+
+
+@pytest.mark.parametrize("field", ODD_FIELDS)
+def test_odd_field_in_each_column_matches_row_by_row(work, field):
+    # an otherwise good file of three two-line blocks, written raw, with
+    # ``field`` as every region label or pixel id, or as one year or number
+    # in the middle block: numpy must not read a field that float() or int()
+    # reads otherwise
+    def write(name, header, rows):
+        (work / name).write_text(header + "".join(",".join(row) + "\n" for row in rows),
+                                 encoding="utf-8", newline="")
+        return work / name
+
+    panel_rows = [["R", str(2001 + i), f"{i}.5"] for i in range(6)]
+    pixel_rows = [[f"p{i}", "R", f"{i}.5", "1", "50"] for i in range(6)]
+    event_rows = [[f"p{i}", str(2001 + i)] for i in range(6)]
+    cases = []
+    for column in range(3):
+        rows = [list(row) for row in panel_rows]
+        for row in rows if column == 0 else rows[3:4]:
+            row[column] = field
+        cases.append((old_load_panel_csv, ingest.load_panel_csv, panel_key,
+                      write("odd_panel.csv", "region,year,L\n", rows)))
+    for rows, column in ((pixel_rows, 0), (pixel_rows, 1), (pixel_rows, 2), (event_rows, 1)):
+        rows = [list(row) for row in rows]
+        for row in rows if column < 2 else rows[3:4]:
+            row[column] = field
+        header, old, new = (("pixel,year\n", OLD_EVENTS, ingest._EVENT_COLUMNS) if len(rows[0]) == 2
+                            else (",".join(PIXEL_COLUMNS) + "\n", OLD_PIXELS,
+                                  ingest._PIXEL_COLUMNS))
+        cases.append((partial(old_read_columns, converters=old),
+                      partial(ingest._read_columns, converters=new), columns_key,
+                      write("odd_columns.csv", header, rows)))
+    with mock.patch.object(ingest, "_BLOCK_ROWS", 2):
+        for old_load, load, key, path in cases:
+            expected = key(outcome(old_load, path))
+            assert key(outcome(load, path)) == expected, path.read_text(encoding="utf-8")
+
+
+class RowPath:
+    """``csv.reader`` that records the rows each reader it makes has yielded."""
+
+    def __init__(self, monkeypatch):
+        self.readers = []
+        real = csv.reader
+
+        def reader(lines):
+            rows = []
+            self.readers.append(rows)
+            for row in real(lines):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(csv, "reader", reader)
+
+
+@pytest.mark.parametrize("loader", ["panel", "pixels"])
+def test_numpy_reads_each_block_before_the_first_quote(work, monkeypatch, loader):
+    # three blocks of three lines. A plain file is read by numpy alone: the
+    # only csv.reader reads the header. A quoted field in the middle of the
+    # second block sends that whole block, and the third, to the csv module
+    if loader == "panel":
+        header, load = "region,year,L\n", ingest.load_panel_csv
+        rows = [[f"R{i // 3}", str(2001 + i % 3), f"{i}.5"] for i in range(9)]
+    else:
+        header = "pixel,region,biomass,area,canopy\n"
+        load = partial(ingest._read_columns, converters=ingest._PIXEL_COLUMNS)
+        rows = [[f"p{i}", f"R{i // 3}", f"{i}.5", "0.09", "50"] for i in range(9)]
+    plain, quoted = work / "plain.csv", work / "quoted.csv"
+    lines = [",".join(row) + "\n" for row in rows]
+    plain.write_text(header + "".join(lines))
+    lines[4] = lines[4].replace(rows[4][1], f'"{rows[4][1]}"', 1)
+    quoted.write_text(header + "".join(lines))
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 3)
+    row_path = RowPath(monkeypatch)
+    key = panel_key if loader == "panel" else columns_key
+    expected = key(load(plain))
+    assert row_path.readers == [[header.strip().split(",")]]
+    row_path.readers.clear()
+    assert key(load(quoted)) == expected
+    assert row_path.readers == [[header.strip().split(",")], rows[3:]]
 
 
 def test_rejected_file_without_a_bad_row_is_a_bug(work):
@@ -438,14 +566,15 @@ def pixel_files(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=pixel_files(), block=st.sampled_from([1, 3, ingest._BLOCK_ROWS]))
-def test_pixel_loader_matches_prefix_then_value_rule(work, text, block):
+@given(text=pixel_files(), block=st.sampled_from([1, 3, ingest._BLOCK_ROWS]), limit=LIMITS)
+def test_pixel_loader_matches_prefix_then_value_rule(work, text, block, limit):
     pixels, events = work / "pixels.csv", work / "events.csv"
     pixels.write_text(text, encoding="utf-8", newline="")
     events.write_text("pixel,year\n")
-    expected = outcome(old_load_pixels, pixels)
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
-        assert outcome(ingest.load_pixel_grid_csv, pixels, events) == expected
+    with field_size_limit(limit):
+        expected = outcome(old_load_pixels, pixels)
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+            assert outcome(ingest.load_pixel_grid_csv, pixels, events) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -194,6 +194,20 @@ class TestGridDGPConfigValidation:
         with pytest.raises(DGPError, match=rf"^{field} must be finite and >= 0, got "):
             GridDGPConfig(**{field: value})
 
+    def test_rate_at_most_numpy_poisson_limit(self):
+        # built only: no grid is simulated at these rates
+        above = float(np.nextafter(dgp.POISSON_LAM_MAX, np.inf))
+        limit = GridDGPConfig(ignition_rate=dgp.POISSON_LAM_MAX).ignition_rate
+        assert limit == 9.223372006484771e18
+        with pytest.raises(DGPError, match=r"^ignition_rate must be at most "
+                                           r"9\.223372006484771e\+18, got 9\.223372006484772e\+18$"):
+            GridDGPConfig(ignition_rate=above)
+        # the limit is numpy's: one draw at it works, one just above it fails
+        rng = np.random.default_rng(0)
+        assert rng.poisson(dgp.POISSON_LAM_MAX) >= 0
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(above)
+
     def test_negative_seed(self):
         with pytest.raises(DGPError, match=r"^seed must be nonnegative$"):
             GridDGPConfig(seed=-1)

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from forestpanel import ingest
-from forestpanel.dgp import GridDGPConfig, simulate_disturbance_grid
+from forestpanel.dgp import (
+    DGPConfig,
+    GridDGPConfig,
+    simulate_disturbance_grid,
+    simulate_dynamic_panel,
+)
 from forestpanel.ingest import (
     EmissionFactors,
     LoadError,
@@ -504,6 +509,47 @@ def test_rejected_pixel_file_peaks_near_a_good_one(tmp_path):
             ingest._read_columns(tmp_path / name, ingest._PIXEL_COLUMNS)
         except LoadError as exc:
             assert str(exc).startswith(f"{tmp_path / name}:{len(rows) + 1}: ")
+        finally:
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return top
+
+    good = peak("good.csv")
+    assert peak("bad.csv") <= 1.25 * good
+
+
+def test_panel_load_peak_memory_per_row(tmp_path):
+    # Each block becomes columns before the next is read. The row-by-row
+    # loader that built (region, year, variable, value) tuples peaked at
+    # 702 B/row on this file; reading in blocks peaks near 290.
+    panel, _ = simulate_dynamic_panel(DGPConfig(n_regions=1000, n_years=23, rho=0.5, beta=1.0,
+                                                seed=3))
+    write_panel_csv(panel, tmp_path / "panel.csv")
+    tracemalloc.start()
+    try:
+        loaded, dropped = load_panel_csv(tmp_path / "panel.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dropped == [] and loaded.regions == panel.regions
+    assert peak / (panel.N * panel.T) < 400
+
+
+def test_rejected_panel_file_peaks_near_a_good_one(tmp_path):
+    # A file rejected at its last row is read again row by row, keeping only
+    # the (region, year) pairs seen, so its peak stays near a good load's
+    rows = [f"R{i // 23},{2001 + i % 23},{1.5 + i!r},{0.25 * i!r}\n"
+            for i in range(10 * ingest._BLOCK_ROWS)]
+    header = "region,year,l,e\n"
+    (tmp_path / "good.csv").write_text(header + "".join(rows))
+    (tmp_path / "bad.csv").write_text(header + "".join(rows[:-1]) + rows[-1][:-3] + "abc\n")
+
+    def peak(name):
+        tracemalloc.start()
+        try:
+            load_panel_csv(tmp_path / name)
+        except LoadError as exc:
+            assert str(exc).startswith(f"{tmp_path / name}:{len(rows) + 1}: malformed number")
         finally:
             top = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
