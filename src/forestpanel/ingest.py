@@ -16,10 +16,11 @@ block reader, ``_column_blocks``. Each block's fields become float64, int64
 or object arrays at once, and the block's text is dropped before the next
 block is read, except the fields kept as text: pixel ids and region labels.
 A block is parsed by numpy's C reader, ``np.loadtxt``, when it is ASCII and
-holds no quote, no U+001C-U+001F separator and no line longer than the csv
-module's field limit. A block that fails those screens, or that numpy
-rejects, and the rest of the file go through ``csv.reader`` and Python's
-``float`` and ``int``, which alone decide whether the file converts. The
+holds no quote, no U+001C-U+001F separator, no NUL and no line longer than
+the csv module's field limit. A block that fails those screens, or that
+numpy rejects or warns about, and the rest of the file go through
+``csv.reader`` and Python's ``float`` and ``int``, which alone decide whether
+the file converts. A year column's range rule is checked on each block. The
 block pass only asks whether a file is valid. A file that is not is read a
 second time, row by row, by ``_first_fault``, with the loader's per-row
 rule, to name its first bad row's ``path:line``. The panel writer formats
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
@@ -281,23 +283,33 @@ def _outside_years(year):
     return (year < 1000) | (year > 9999)
 
 
-# A quote, which numpy would keep in a quoted field, and the separators
+# A quote, which numpy would keep in a quoted field; the separators
 # \x1c-\x1f, which numpy's number parsers skip as whitespace and float() and
-# int() reject.
-_NOT_FOR_NUMPY = '"\x1c\x1d\x1e\x1f'
+# int() reject; and NUL, which the csv module of Python 3.10 rejects.
+_NOT_FOR_NUMPY = '"\x1c\x1d\x1e\x1f\x00'
+# how the csv path converts a field of each column dtype kind
+_CONVERT = {"O": str, "i": int, "f": float}
 
 
-def _column_blocks(handle, fields, usecols=None) -> Iterator[list[np.ndarray]]:
-    """The rest of ``handle``, block by block, as one array per entry of ``fields``.
+def _column_blocks(handle, dtypes, usecols=None, years=()) -> Iterator[list[np.ndarray]]:
+    """The rest of ``handle``, block by block, as one array per entry of ``dtypes``.
 
-    ``fields`` lists a (convert, dtype) pair per column: a column's values form
-    one ``dtype`` array (object for text, int64 for a year, float64 for
-    numbers), and ``convert`` turns one field into its value or raises
-    ValueError. With ``usecols`` None a row has exactly one field per column;
-    otherwise column j is field ``usecols[j]``, and a row may hold more fields
-    but none fewer than it needs. An int64 column holds years, each in
-    1000-9999. A block that breaks any of these rules raises ValueError,
-    OverflowError or csv.Error; the blocks before it were yielded.
+    A column of dtype object holds its fields as text, one of int64 or
+    float64 their values as ``int`` or ``float`` reads them. With ``usecols``
+    None a row has exactly one field per column; otherwise column j is field
+    ``usecols[j]``, and a row may hold more fields but none fewer than it
+    needs. Each value of a column listed in ``years`` lies in 1000-9999. A
+    block that breaks any of these rules raises ValueError, OverflowError or
+    csv.Error; the blocks before it were yielded.
+    """
+    for columns in _parsed_blocks(handle, dtypes, usecols):
+        if any(_outside_years(columns[j]).any() for j in years):
+            raise ValueError("year outside 1000-9999")
+        yield columns
+
+
+def _parsed_blocks(handle, dtypes, usecols) -> Iterator[list[np.ndarray]]:
+    """``_column_blocks`` without its year rule.
 
     Each block of ``_BLOCK_ROWS`` lines is parsed by one ``np.loadtxt`` call,
     numpy's C reader, if it passes three screens. It is ASCII: numpy's integer
@@ -305,14 +317,16 @@ def _column_blocks(handle, fields, usecols=None) -> Iterator[list[np.ndarray]]:
     ASCII, and a year field holding U+E0001 crashed the interpreter (numpy
     2.4). It holds no character of ``_NOT_FOR_NUMPY``. No line is longer than
     ``csv.field_size_limit()``, which numpy does not enforce. On such a block,
-    whatever numpy accepts ``convert`` accepts with the same value, but numpy
-    rejects some fields ``convert`` takes, such as ``1_0``. So a block that
-    fails a screen, or that numpy rejects, and every block after it are read
-    by ``csv.reader`` and ``convert`` instead, ``_BLOCK_ROWS`` rows at a time
-    with blank lines skipped, and only those decide whether the file converts.
+    whatever numpy accepts ``int``, ``float`` and ``str`` accept with the same
+    value, but numpy rejects some fields they take, such as ``1_0``. Older
+    numpy releases, from 1.23, read an int field such as ``2001.5`` through
+    float with only a DeprecationWarning; that warning is a rejection. So a
+    block that fails a screen, or that numpy rejects, and every block after it
+    are read by ``csv.reader`` and ``int``, ``float`` and ``str`` instead,
+    ``_BLOCK_ROWS`` rows at a time with blank lines skipped, and only those
+    decide whether the file converts.
     """
-    dtype = np.dtype([(f"f{j}", d) for j, (_, d) in enumerate(fields)])
-    years = [j for j, (_, d) in enumerate(fields) if np.dtype(d) == np.int64]
+    dtype = np.dtype([(f"f{j}", d) for j, d in enumerate(dtypes)])
     limit = csv.field_size_limit()
     while lines := list(islice(handle, _BLOCK_ROWS)):
         text = "".join(lines)
@@ -324,31 +338,30 @@ def _column_blocks(handle, fields, usecols=None) -> Iterator[list[np.ndarray]]:
         if not screened:
             break
         try:
-            block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                               quotechar=None, ndmin=1, usecols=usecols)
-        except ValueError:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                   quotechar=None, ndmin=1, usecols=usecols)
+        except (ValueError, DeprecationWarning):
             break
         del lines
         # copies: a field's view would keep the whole block and its text alive
         columns = [block[name].copy() for name in dtype.names]
         del block
-        if any(_outside_years(columns[j]).any() for j in years):
-            raise ValueError("year outside 1000-9999")
         yield columns
     else:
         return
     rows = filter(None, csv.reader(chain(lines, handle)))
-    index = range(len(fields)) if usecols is None else usecols
-    width = len(fields) if usecols is None else max(usecols) + 1
+    index = range(len(dtypes)) if usecols is None else usecols
+    width = len(dtypes) if usecols is None else max(usecols) + 1
+    converts = [_CONVERT[np.dtype(d).kind] for d in dtypes]
     while block := list(islice(rows, _BLOCK_ROWS)):
         lengths = set(map(len, block))
         if min(lengths) < width or usecols is None and lengths != {width}:
             raise ValueError(f"expected {width} fields")
         columns = [np.fromiter(map(convert, map(itemgetter(i), block)), d, len(block))
-                   for i, (convert, d) in zip(index, fields)]
+                   for i, convert, d in zip(index, converts, dtypes)]
         del block
-        if any(_outside_years(columns[j]).any() for j in years):
-            raise ValueError("year outside 1000-9999")
         yield columns
 
 
@@ -405,9 +418,9 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
         codes, years = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int64)]
         columns = [[np.empty(0)] for _ in names]
         valid = False  # until every block converts and no (region, year) repeats
-        fields = [(str, object), (int, np.int64)] + [(float, float)] * len(names)
+        dtypes = [object, np.int64] + [float] * len(names)
         try:
-            for regions, block_years, *values in _column_blocks(handle, fields):
+            for regions, block_years, *values in _column_blocks(handle, dtypes, years=[1]):
                 for region in dict.fromkeys(regions.tolist()):
                     code.setdefault(region, len(code))
                 codes.append(np.fromiter(map(code.__getitem__, regions), np.intp, len(regions)))
@@ -489,14 +502,17 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
     """The named columns of a CSV file, one array per column.
 
     ``converters`` maps each required header name to a (convert, dtype) pair:
-    ``convert`` turns one field into its value or raises ValueError, and a
-    column's values form one ``dtype`` array. ``check(*columns)`` finds the
-    first row whose values break a rule, as ``_first_bad_pixel`` does, or
-    returns None. The file is read in blocks by ``_column_blocks``, so only
-    one block of text is held at a time, and each block's fields are
-    converted at once: by numpy's C reader where the block passes its
-    screens, and by ``csv.reader`` and ``convert`` from the first block that
-    does not. A file that fails anywhere is read again, row by row, and
+    a column's values form one ``dtype`` array (object, int64 or float64),
+    and ``convert`` turns one field into its value or raises ValueError. A
+    column named ``year`` holds years, each in 1000-9999, and ``convert``
+    accepts just the fields that ``str``, ``int`` or ``float`` reads for the
+    dtype, within that rule. ``check(*columns)`` finds the first row whose
+    values break a rule, as ``_first_bad_pixel`` does, or returns None. The
+    file is read in blocks by ``_column_blocks``, so only one block of text
+    is held at a time, and each block's fields are converted at once: by
+    numpy's C reader where the block passes its screens, and by
+    ``csv.reader`` from the first block that does not. A file that fails
+    anywhere is read again, row by row, with ``convert``, and
     raises the ``LoadError`` naming the ``path:line`` of its first row that is
     too short for the columns, that a converter rejects (in ``converters``
     order), that ``check`` rejects, or that the csv module cannot read;
@@ -515,11 +531,13 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
         chunks = [[np.empty(0, dtype)] for _, dtype in converters.values()]
         converted = False  # until every block converts
         try:
-            for block in _column_blocks(handle, list(converters.values()), index):
+            dtypes = [dtype for _, dtype in converters.values()]
+            years = [j for j, name in enumerate(converters) if name == "year"]
+            for block in _column_blocks(handle, dtypes, index, years):
                 for chunk, column in zip(chunks, block):
                     chunk.append(column)
             converted = True
-        except (ValueError, csv.Error):
+        except (ValueError, OverflowError, csv.Error):  # OverflowError: a year beyond int64
             pass
     parse_fault = None
     if not converted:

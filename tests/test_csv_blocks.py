@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from contextlib import contextmanager
 from functools import partial
 from itertools import islice, repeat
@@ -259,12 +260,13 @@ REGIONS = ["A", "B", "C", "a,b", 'q"t', "x\ny", " A "]
 VARIABLES = ["L", "E", "x,y", "v\nw"]
 # fields that parse differently or not at all: digit separators, non-ASCII
 # digits, padding, years out of range or beyond int64, empty and non-finite,
-# a mid-field quote, the U+001C separator that numpy's number parsers skip as
-# whitespace, and a plane-14 character in a year
+# years written as floats, a mid-field quote, the U+001C separator that
+# numpy's number parsers skip as whitespace, a NUL, and a plane-14 character
+# in a year
 ODD_FIELDS = ["2_002", "٢٠٠١", " 2002 ", "\t2002\t", "999", "10000",
               "300000000000000000", "99999999999999999999", "", "abc", "nan", "inf",
               "infinity", " -Inf ", "NaN", "\t2.5\t", "1_0", "1e400", "-0.0", "2001.0",
-              'a"b', "1\x1c", "\U000e0001"]
+              "2001.5", "2e3", 'a"b', "1\x1c", "1\x00", "\U000e0001"]
 # a whitespace-only line is a one-field row, so it is drawn rarely
 BLANK_LINES = ["\n", "\r\n"] * 4 + ["  \n", " \t\r\n"]
 NUMBERS = st.floats(-1e6, 1e6).map(repr)
@@ -526,6 +528,55 @@ def test_numpy_reads_each_block_before_the_first_quote(work, monkeypatch, loader
     row_path.readers.clear()
     assert key(load(quoted)) == expected
     assert row_path.readers == [[header.strip().split(",")], rows[3:]]
+
+
+def test_nul_sends_its_block_to_the_csv_module(work, monkeypatch):
+    # numpy reads a NUL in a text field, which the csv module of Python 3.10
+    # rejects, so from the block holding one the csv module decides
+    rows = [[f"R{i // 3}", str(2001 + i % 3), f"{i}.5"] for i in range(9)]
+    rows[4][0] = "R1\x00"
+    path = work / "nul.csv"
+    path.write_text("region,year,L\n" + "".join(",".join(row) + "\n" for row in rows))
+    expected = panel_key(outcome(old_load_panel_csv, path))
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 3)
+    row_path = RowPath(monkeypatch)
+    assert panel_key(outcome(ingest.load_panel_csv, path)) == expected
+    assert row_path.readers[1] == rows[3:]
+
+
+@pytest.mark.parametrize("year", ["2004", "2004.5", "2004.0", "2e3"])
+def test_int_read_through_float_with_a_warning_is_a_rejection(work, monkeypatch, year):
+    # numpy from 1.23 until its deprecation expired read an int field that
+    # only float() reads, such as 2004.5, as the truncated float, with only a
+    # DeprecationWarning, which Python ignores by default outside __main__.
+    # Emulated here, the warning must send the block to the csv module, which
+    # rejects the field
+    real = np.loadtxt
+
+    def loadtxt(lines, dtype, **kwargs):
+        as_float = np.dtype([(name, float if dtype[name] == np.int64 else dtype[name])
+                             for name in dtype.names])
+        block = real(lines, dtype=as_float, **kwargs)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return block.astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    rows = [["R", str(2001 + i), f"{i}.5"] for i in range(6)]
+    rows[3][1] = year
+    panel = work / "float_year.csv"
+    panel.write_text("region,year,L\n" + "".join(",".join(row) + "\n" for row in rows))
+    events = work / "float_year_events.csv"
+    events.write_text("pixel,year\n" + "".join(f"p{i},{row[1]}\n" for i, row in enumerate(rows)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        assert panel_key(outcome(ingest.load_panel_csv, panel)) == panel_key(
+            outcome(old_load_panel_csv, panel))
+        assert columns_key(outcome(ingest._read_columns, events, ingest._EVENT_COLUMNS)) == (
+            columns_key(outcome(old_read_columns, events, OLD_EVENTS)))
+        if year != "2004":
+            with pytest.raises(LoadError, match="float_year.csv:5: bad year"):
+                ingest.load_panel_csv(panel)
 
 
 def test_rejected_file_without_a_bad_row_is_a_bug(work):
