@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -176,13 +177,18 @@ def cmd_ingest(args) -> int:
     if args.panel:
         panel, dropped = load_panel_csv(args.panel)
     elif args.pixels and args.events:
-        grid = load_pixel_grid_csv(args.pixels, args.events)
-        grid = filter_canopy(grid, args.canopy_threshold)
+        loaded = load_pixel_grid_csv(args.pixels, args.events)
+        grid = filter_canopy(loaded, args.canopy_threshold)
         if grid.event_year.size == 0:
             raise LoadError("pixel grid has no loss events")
-        years = range(int(grid.event_year.min()), int(grid.event_year.max()) + 1)
+        # the loaded grid's span, so a year whose every loss falls below the
+        # threshold is a zero at every threshold, never dropped
+        years = range(int(loaded.event_year.min()), int(loaded.event_year.max()) + 1)
+        # the regions that keep no pixel, in the grid's order
+        kept = set(grid.regions)
+        dropped = [region for region in loaded.regions if region not in kept]
+        del loaded
         panel = pixel_panel(grid, EmissionFactors(args.theta), years)
-        dropped = []
     else:
         raise LoadError("ingest needs --panel or both --pixels and --events")
     out = Path(args.out)
@@ -219,11 +225,22 @@ def cmd_estimate(args) -> int:
     options = _gmm_options(args, names, year_dummies=True)
     panel, _ = load_panel_csv(args.panel)
     panel, x, y = _log_variables(panel, args.levels)
-    fits = {name: ESTIMATORS[name].fit(panel, x, y, options) for name in names}
-    elasticity = {tag: _elasticity(fit, x, y).to_json_dict() for tag, fit in fits.items()}
+    # each fit is reduced to its report entries as soon as it returns, so no
+    # earlier fit's scores or residuals are held while a later one runs; the
+    # elasticities, which may fail, are taken once every fit has run
+    fits, diagnostics, estimates, lines = {}, {}, {}, []
+    for tag in names:
+        fit = ESTIMATORS[tag].fit(panel, x, y, options)
+        fits[tag] = fit.to_json_dict()
+        diagnostics[tag] = diagnostic_bundle(fit)
+        estimates[tag] = replace(fit, residual_grid=None, gmm=None)
+        coefs = ", ".join(f"{n}={v:.4f}" for n, v in list(fit.coefficients.items())[:3])
+        lines.append(f"{tag}: {coefs} (n={fit.n_obs})")
+        del fit
+    elasticity = {tag: _elasticity(fit, x, y).to_json_dict() for tag, fit in estimates.items()}
     report = {
-        "fits": {tag: fit.to_json_dict() for tag, fit in fits.items()},
-        "diagnostics": {tag: diagnostic_bundle(fit) for tag, fit in fits.items()},
+        "fits": fits,
+        "diagnostics": diagnostics,
         "elasticity": [{"estimator": tag, **row} for tag, row in elasticity.items()],
     }
     out = Path(args.out)
@@ -237,9 +254,7 @@ def cmd_estimate(args) -> int:
     if "fe2w" in fits:
         _write_scatter(out / "scatter.csv", panel, x, y)
     _write_manifest(out, "estimate", args)
-    for tag, fit in fits.items():
-        coefs = ", ".join(f"{n}={v:.4f}" for n, v in list(fit.coefficients.items())[:3])
-        print(f"{tag}: {coefs} (n={fit.n_obs})")
+    print(*lines, sep="\n")
     return 0
 
 
@@ -274,27 +289,22 @@ def cmd_robustness(args) -> int:
         raise EstimationError("year exclusion breaks the GMM lag chain; use fe2w or lsdv")
     base_panel, _ = load_panel_csv(args.panel)
     fit = ESTIMATORS[args.estimator].fit
+    table = []
+
+    def add(label: str, result: FitResult) -> None:
+        # only the table entry is kept, so no earlier fit is held by a later one
+        table.append({"variation": label, "estimator": result.estimator_tag,
+                      "n_obs": result.n_obs, "coefficients": result.coefficient_table()})
+
     # masked years keep values, logged or not, that no fit reads
     panel, x, y = _log_variables(base_panel, False)
-    columns = [("base", fit(panel, x, y, options))]
+    add("base", fit(panel, x, y, options))
     if excluded:
-        columns.append((f"exclude_years={sorted(excluded)}",
-                        fit(_mask_years(panel, excluded), x, y, options)))
+        add(f"exclude_years={sorted(excluded)}", fit(_mask_years(panel, excluded), x, y, options))
     if regions:
-        columns.append((f"regions={regions}", fit(_subset_regions(panel, regions), x, y, options)))
+        add(f"regions={regions}", fit(_subset_regions(panel, regions), x, y, options))
     if args.levels:
-        columns.append(("levels", fit(*_log_variables(base_panel, True), options)))
-
-    table = []
-    for label, result in columns:
-        table.append(
-            {
-                "variation": label,
-                "estimator": result.estimator_tag,
-                "n_obs": result.n_obs,
-                "coefficients": result.coefficient_table(),
-            }
-        )
+        add("levels", fit(*_log_variables(base_panel, True), options))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", {"robustness": table})

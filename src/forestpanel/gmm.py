@@ -18,10 +18,13 @@ Nor is the (N, rows, k) design. The regressors X_i come in two parts: the m
 columns that vary by region (the lagged response and the exogenous
 regressors), an (N, rows, m) array, and the year-dummy and ``const`` columns,
 one (rows, k - m) matrix that every region shares. Z'X is formed one equation
-row at a time and the residual y - X theta one block of ``_BLOCK_REGIONS``
-regions at a time, so the fit holds O(N * (cells + rows * m + K) + cells^2 +
-_BLOCK_REGIONS * rows * k) numbers, where cells is about K plus rows times the
-number of exogenous regressors.
+row at a time, and the residual y - X theta and the scores Z_i'u_i one block
+of ``_BLOCK_REGIONS`` regions at a time. Each instrument block's values are
+written once, straight to their columns of the (N, cells) array. So the fit
+holds O(N * (cells + rows * m + K) + cells^2 + _BLOCK_REGIONS * (rows * k +
+cells)) numbers, where cells is about K plus rows times the number of
+exogenous regressors, and the (N, cells) values are held at most twice: as
+the blocks and as the array they are written to.
 
 Each symmetric matrix of the fit is decomposed once, by ``np.linalg.eigh`` in
 ``symmetric_factor``: the one-step weight sum_i Z_i'H Z_i, the two-step score
@@ -194,9 +197,15 @@ class _Instruments:
         col0 = np.cumsum([0, *(b.n_columns for b in blocks)])
         rows = np.concatenate([b.rows for b in blocks])
         cols = np.concatenate([b.cols + c for b, c in zip(blocks, col0)])
-        values = np.concatenate([b.values for b in blocks], axis=1)
         order = np.lexsort((rows, cols))  # each column contiguous, for reduceat
-        self.rows, self.cols, self.values = rows[order], cols[order], values[:, order]
+        self.rows, self.cols = rows[order], cols[order]
+        # each block's cells go straight to their places in column order; each
+        # cell's values are contiguous (Fortran order), as a column gather's are
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        self.values = np.empty((blocks[0].values.shape[0], order.size), order="F")
+        for b, lo in zip(blocks, np.cumsum([0, *(b.rows.size for b in blocks)])):
+            self.values[:, place[lo:lo + b.rows.size]] = b.values
         self.n_columns = int(col0[-1])
         self._row_cells = [np.flatnonzero(self.rows == r) for r in range(n_rows)]
         # a column of one cell is a copy of it (every uncollapsed lag column);
@@ -210,9 +219,11 @@ class _Instruments:
         self._multi_starts = np.cumsum(sizes[~one]) - sizes[~one]
         self._multi_cols = self.cols[starts[~one]]
 
-    def _to_columns(self, W: np.ndarray) -> np.ndarray:
-        """Sum the last (cell) axis of W into instrument columns."""
-        out = np.zeros(W.shape[:-1] + (self.n_columns,))
+    def _to_columns(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Sum the last (cell) axis of W into instrument columns, written to
+        ``out`` if given, whose columns that hold no cell must be zero."""
+        if out is None:
+            out = np.zeros(W.shape[:-1] + (self.n_columns,))
         out[..., self._single_cols] = W[..., self._single_cells]
         out[..., self._multi_cols] = np.add.reduceat(
             W[..., self._multi_cells], self._multi_starts, axis=-1
@@ -220,10 +231,16 @@ class _Instruments:
         return out
 
     def scores(self, u: np.ndarray) -> np.ndarray:
-        """(N, K) per-region Z_i'u_i for residuals u of shape (N, rows)."""
-        W = u[:, self.rows]
-        W *= self.values
-        return self._to_columns(W)
+        """(N, K) per-region Z_i'u_i for residuals u of shape (N, rows), one
+        block of ``_BLOCK_REGIONS`` regions at a time; a region's sums do not
+        depend on the block it is in."""
+        out = np.zeros((u.shape[0], self.n_columns))
+        for lo in range(0, u.shape[0], _BLOCK_REGIONS):
+            block = slice(lo, lo + _BLOCK_REGIONS)
+            W = u[block, self.rows]
+            W *= self.values[block]
+            self._to_columns(W, out[block])
+        return out
 
     def cross(self, X: _Design) -> np.ndarray:
         """sum_i Z_i'X_i: one product per row, with that row's (N, k)
@@ -359,7 +376,9 @@ def _fit_gmm(
         zu = Z.scores(u)
         S1 = zu.T @ zu
         del zu
-        if np.trace(S1) <= 1e-12 * max(1.0, float(np.abs(Z.values).max()) ** 2):
+        # the largest |value|, without an (N, cells) array of sizes
+        top = max(float(Z.values.max()), -float(Z.values.min()))
+        if np.trace(S1) <= 1e-12 * max(1.0, top) ** 2:
             warnings.append(
                 "degenerate first-step residuals: kept one-step weighting"
             )

@@ -398,9 +398,12 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
     its ``path:line``. The file is read in blocks by ``_column_blocks``, so
     only one block of text is held at a time; each block becomes object, int64
     and float64 columns at once, by numpy's C reader where the block passes
-    its screens and by ``csv.reader`` from the first block that does not. A
-    file that fails anywhere is read again, row by row, to find its first bad
-    row.
+    its screens and by ``csv.reader`` from the first block that does not. The
+    rows' region codes, years and (rows, V) block of values are what
+    ``panel_from_cells`` takes, and the repeated (region, year) check here is
+    the only one. A file that fails anywhere is read again, row by row, to
+    find its first bad row; the block pass's columns are gone by then, and the
+    re-read keeps each (region, year) pair seen as one int.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -414,27 +417,10 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
         repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
         if repeated:
             raise LoadError(f"{path}: header repeats column {repeated[0]!r}")
+        columns = _panel_columns(handle, len(names))
+    if columns is None:
         code: dict[str, int] = {}  # region -> index, in first-seen order
-        codes, years = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int64)]
-        columns = [[np.empty(0)] for _ in names]
-        valid = False  # until every block converts and no (region, year) repeats
-        dtypes = [object, np.int64] + [float] * len(names)
-        try:
-            for regions, block_years, *values in _column_blocks(handle, dtypes, years=[1]):
-                for region in dict.fromkeys(regions.tolist()):
-                    code.setdefault(region, len(code))
-                codes.append(np.fromiter(map(code.__getitem__, regions), np.intp, len(regions)))
-                years.append(block_years)
-                for column, value in zip(columns, values):
-                    column.append(value)
-            region_code, year = np.concatenate(codes), np.concatenate(years)
-            # return_index keeps np.unique on its sort path, several times faster here
-            _, first = np.unique(region_code * 10000 + year, return_index=True)
-            valid = first.size == year.size
-        except (ValueError, OverflowError, csv.Error):  # OverflowError: a year beyond int64
-            pass
-    if not valid:
-        seen: set[tuple[str, int]] = set()
+        seen: set[int] = set()  # each (region, year) pair as index * 10000 + year
 
         def rule(row):
             if len(row) != len(header):
@@ -445,9 +431,10 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
                 return f"bad year {row[1]!r}"
             if _outside_years(year):
                 return f"year {year} outside 1000-9999"
-            if (row[0], year) in seen:
+            key = code.setdefault(row[0], len(code)) * 10000 + year
+            if key in seen:
                 return f"duplicate row for ({row[0]}, {year})"
-            seen.add((row[0], year))
+            seen.add(key)
             for name, text in zip(names, row[2:]):
                 try:
                     float(text)
@@ -456,15 +443,45 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
             return None
 
         raise _first_fault(path, rule)
-    values = np.column_stack([np.concatenate(column) for column in columns])  # rows x names
-    V = len(names)
     try:
-        return panel_from_cells(
-            tuple(code), tuple(names), region_code.repeat(V), year.repeat(V),
-            np.tile(np.arange(V), len(year)), values.ravel(),
-        )
+        return panel_from_cells(columns[0], tuple(names), *columns[1:])
     except PanelError as exc:
         raise LoadError(f"{path}: {exc}") from exc
+
+
+def _panel_columns(
+    handle, n_names: int
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray] | None:
+    """The data rows of a panel file as the regions in first-seen order, each
+    row's region code and year, and the (rows, n_names) block of its values;
+    None if a block does not convert or a (region, year) pair repeats.
+
+    The blocks' columns are joined one at a time, each list of chunks dropped
+    once joined, and all of them are gone when this returns.
+    """
+    code: dict[str, int] = {}  # region -> index, in first-seen order
+    codes, years = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int64)]
+    blocks = [np.empty((0, n_names))]
+    try:
+        dtypes = [object, np.int64] + [float] * n_names
+        for regions, block_years, *values in _column_blocks(handle, dtypes, years=[1]):
+            for region in dict.fromkeys(regions.tolist()):
+                code.setdefault(region, len(code))
+            codes.append(np.fromiter(map(code.__getitem__, regions), np.intp, len(regions)))
+            years.append(block_years)
+            blocks.append(np.column_stack(values))
+    except (ValueError, OverflowError, csv.Error):  # OverflowError: a year beyond int64
+        return None
+    region_code = np.concatenate(codes)
+    del codes
+    year = np.concatenate(years)
+    del years
+    # return_index keeps np.unique on its sort path, several times faster here
+    if np.unique(region_code * 10000 + year, return_index=True)[1].size != year.size:
+        return None
+    values = np.concatenate(blocks)
+    del blocks
+    return tuple(code), region_code, year, values
 
 
 def write_panel_csv(panel: PanelDataset, path) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -41,7 +40,9 @@ class Grid:
             raise PanelError("grid values must be a 2-D (region x year) array")
         if available.shape != values.shape[1:]:
             raise PanelError("grid availability needs one flag per year column")
-        if not np.all(np.isfinite(values[:, available])):
+        # a full grid is checked in place: indexing by an all-True mask copies it
+        finite = np.isfinite(values if available.all() else values[:, available])
+        if not finite.all():
             raise PanelError("grid contains non-finite values in available cells")
         values = values.copy()
         available = available.copy()
@@ -125,22 +126,30 @@ def build_panel(
     """Assemble a balanced panel from (region, year, variable, value) rows.
 
     Regions missing any (year, variable) cell over the observed year span are
-    dropped. Returns the panel together with the list of dropped regions.
+    dropped, and a (region, year, variable) cell given twice is an error.
+    Returns the panel together with the list of dropped regions. The cells are
+    gathered into the block ``panel_from_cells`` takes: one row per (region,
+    year) pair, in first-seen order, with a column per variable; a row that
+    lacks a variable is marked unfilled.
     """
-    rows = list(rows)
-    n = len(rows)
-    regions = list(map(str, map(itemgetter(0), rows)))
-    names = list(map(str, map(itemgetter(2), rows)))
-    # first-seen order of regions and variables, kept by dict insertion order
-    region_index = {r: i for i, r in enumerate(dict.fromkeys(regions))}
-    var_index = {v: k for k, v in enumerate(dict.fromkeys(names))}
+    cells: dict[tuple[str, int], dict[str, float]] = {}
+    names: dict[str, None] = {}  # the variables in first-seen order
+    for region, year, name, value in rows:
+        region, year, name = str(region), int(year), str(name)
+        row = cells.setdefault((region, year), {})
+        if name in row:
+            raise PanelError(f"duplicate cell for region={region} year={year} variable={name}")
+        row[name] = float(value)
+        names.setdefault(name)
+    if not cells:
+        raise PanelError("no input rows")
+    region_index = {r: i for i, r in enumerate(dict.fromkeys(r for r, _ in cells))}
     return panel_from_cells(
-        tuple(region_index),
-        tuple(var_index),
-        np.fromiter(map(region_index.__getitem__, regions), dtype=np.intp, count=n),
-        np.fromiter(map(int, map(itemgetter(1), rows)), dtype=np.int64, count=n),
-        np.fromiter(map(var_index.__getitem__, names), dtype=np.intp, count=n),
-        np.fromiter(map(float, map(itemgetter(3), rows)), dtype=float, count=n),
+        tuple(region_index), tuple(names),
+        np.array([region_index[r] for r, _ in cells], dtype=np.intp),
+        np.array([y for _, y in cells], dtype=np.int64),
+        np.array([[row.get(name, np.nan) for name in names] for row in cells.values()]),
+        np.array([len(row) == len(names) for row in cells.values()]),
     )
 
 
@@ -149,48 +158,49 @@ def panel_from_cells(
     names: tuple[str, ...],
     region_code: np.ndarray,
     years: np.ndarray,
-    var_code: np.ndarray,
     values: np.ndarray,
+    filled: np.ndarray | None = None,
 ) -> tuple[PanelDataset, list[str]]:
-    """The balanced panel of cells given as four parallel columns.
+    """The balanced panel of a block of (region, year) rows.
 
-    Entry c sets variable ``names[var_code[c]]`` of region
-    ``regions[region_code[c]]`` in year ``years[c]`` to ``values[c]``; regions
-    and variables keep the order given. Regions missing any (year, variable)
-    cell over the observed year span are dropped. Returns the panel together
-    with the list of dropped regions. ``build_panel`` and the panel CSV loader
-    both fill their grids here.
+    Row c of the (rows, V) block ``values`` holds the variables ``names`` of
+    region ``regions[region_code[c]]`` in year ``years[c]``. No (region, year)
+    pair may repeat; the caller checks that. ``filled``, if given, flags the
+    rows that hold every variable, and the other rows are never read. Regions
+    and variables keep the order given. The panel spans the observed years,
+    and a region without a filled row in every year of the span is dropped.
+    Returns the panel together with the list of dropped regions. Each
+    variable's grid is filled straight from its column of the block, one
+    variable at a time. ``build_panel`` and the panel CSV loader both build
+    their panels here.
     """
-    n = len(values)
-    if not n:
+    if not len(years):
         raise PanelError("no input rows")
     first_year = int(years.min())
     span = tuple(range(first_year, int(years.max()) + 1))
-    R, T, V = len(regions), len(span), len(names)
-    yi = years - first_year
-
-    cell = (region_code * T + yi) * V + var_code
-    _, first_row = np.unique(cell, return_index=True)
-    if first_row.size != n:
-        seen_before = np.ones(n, dtype=bool)
-        seen_before[first_row] = False
-        i = int(np.argmax(seen_before))  # the first entry whose cell was seen before
-        raise PanelError(
-            f"duplicate cell for region={regions[region_code[i]]} year={int(years[i])} "
-            f"variable={names[var_code[i]]}"
-        )
-    # cells are distinct and inside the span, so a region is complete iff it has all T * V
-    complete = np.bincount(region_code, minlength=R) == T * V
+    T = len(span)
+    # rows are distinct and inside the span, so a region is complete iff it has T filled rows
+    counted = region_code if filled is None else region_code[filled]
+    complete = np.bincount(counted, minlength=len(regions)) == T
     kept = [r for r, ok in zip(regions, complete.tolist()) if ok]
     dropped = [r for r, ok in zip(regions, complete.tolist()) if not ok]
     if not kept:
         raise PanelError("no region has a complete year series over the observed span")
 
-    take = complete[region_code]
+    # each row's position in the flat (kept region, year) order
     kept_row = np.cumsum(complete) - 1
-    grids = np.empty((V, len(kept), T))
-    grids[var_code[take], kept_row[region_code[take]], yi[take]] = values[take]
-    variables = {v: Grid.full(grids[k]) for k, v in enumerate(names)}
+    cell = kept_row[region_code]
+    cell *= T
+    cell += years
+    cell -= first_year
+    if len(kept) < len(regions):
+        take = complete[region_code]
+        cell, values = cell[take], values[take]
+    variables = {}
+    for k, name in enumerate(names):
+        grid = np.empty((len(kept), T))
+        grid.ravel()[cell] = values[:, k]
+        variables[name] = Grid.full(grid)
     return PanelDataset(tuple(kept), span, variables), dropped
 
 

@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +169,40 @@ class TestIngest:
         stats = json.loads((out / "summary.json").read_text())["variables"]["L"]
         assert stats["max"] > 10 * stats["median"]
 
+    def ingest_toy(self, tmp_path, pixels, events, threshold):
+        (tmp_path / "pixels.csv").write_text("pixel,region,biomass,area,canopy\n" + pixels)
+        (tmp_path / "events.csv").write_text("pixel,year\n" + events)
+        out = tmp_path / f"out-{threshold}"
+        assert main(["ingest", "--pixels", str(tmp_path / "pixels.csv"),
+                     "--events", str(tmp_path / "events.csv"),
+                     "--canopy-threshold", threshold, "--theta", "1", "--out", str(out)]) == 0
+        return out
+
+    def test_canopy_threshold_keeps_the_year_span(self, tmp_path, capsys):
+        # the threshold drops the only losses of 2001 and 2004; those years
+        # stay in the panel as zeros, as 2002 and 2003 do where a region
+        # lost nothing it kept
+        pixels = "p1,A,1,1,90\np2,A,1,1,10\np3,B,1,1,90\np4,B,1,1,10\n"
+        events = "p2,2001\np1,2002\np3,2003\np4,2004\n"
+        out = self.ingest_toy(tmp_path, pixels, events, "30")
+        assert (out / "panel.csv").read_bytes().decode() == (
+            "region,year,L,E\r\n"
+            "A,2001,0.0,0.0\r\nA,2002,1.0,1.0\r\nA,2003,0.0,0.0\r\nA,2004,0.0,0.0\r\n"
+            "B,2001,0.0,0.0\r\nB,2002,0.0,0.0\r\nB,2003,1.0,1.0\r\nB,2004,0.0,0.0\r\n"
+        )
+        self.ingest_toy(tmp_path, pixels, events, "0")
+        assert capsys.readouterr().out == (
+            "ingest: 2 regions x 4 years, 0 dropped\ningest: 2 regions x 4 years, 0 dropped\n")
+
+    def test_region_without_kept_pixels_is_reported_dropped(self, tmp_path, capsys):
+        # C and A keep no pixel at threshold 50: named in the grid's region
+        # order and counted, while panel.csv holds B alone
+        pixels = "c1,C,1,1,5\nb1,B,1,1,90\na1,A,1,1,40\na2,A,1,1,10\n"
+        out = self.ingest_toy(tmp_path, pixels, "c1,2001\nb1,2001\na1,2001\n", "50")
+        assert json.loads((out / "summary.json").read_text())["dropped_regions"] == ["C", "A"]
+        assert capsys.readouterr().out == "ingest: 1 regions x 1 years, 2 dropped\n"
+        assert (out / "panel.csv").read_bytes() == b"region,year,L,E\r\nB,2001,1.0,1.0\r\n"
+
 
 class TestEstimate:
     def test_noise_free_fe2w(self, tmp_path):
@@ -200,6 +237,54 @@ class TestEstimate:
         assert "within_r2" in report["diagnostics"]["fe2w"]
         tags = {row["estimator"] for row in report["elasticity"]}
         assert {"lsdv", "diffgmm", "sysgmm", "fe2w"} <= tags
+
+    def test_uncollapsed_estimate_peak_memory(self, tmp_path, capsys):
+        # N = 1000, T = 23, two-step: the five fits, their diagnostics and the
+        # panel load, traced end to end. Keeping all five fits, each GMM fit
+        # with its (N, K) scores, until the report was written peaked at 16.6 MB
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, N=1000, T=23, seed=1)
+        tracemalloc.start()
+        try:
+            code = main(["estimate", "--panel", str(src), "--two-step",
+                         "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out.count("\n") == len(ESTIMATORS)
+        assert peak <= 13e6
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--two-step"],
+        ["robustness", "--estimator", "sysgmm", "--regions", "R0000,R0003,R0004"],
+    ], ids=["estimate", "robustness"])
+    def test_no_earlier_fit_is_held_while_a_later_one_runs(self, tmp_path, monkeypatch,
+                                                           command):
+        # the scores and residuals of each fit are released once the fit is
+        # reduced to its report entries
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, N=30, T=8, seed=96)
+        earlier, fits = [], 0
+
+        def tracked(fit):
+            def run(*args, **kwargs):
+                nonlocal fits
+                assert all(ref() is None for ref in earlier)
+                result = fit(*args, **kwargs)
+                fits += 1
+                earlier.extend(weakref.ref(part) for part in (result.residual_grid, result.gmm)
+                               if part is not None)
+                return result
+            return run
+
+        for name in ("fit_pooled_ols", "fit_twoway_fe", "fit_dynamic_lsdv",
+                     "fit_diff_gmm", "fit_sys_gmm"):
+            monkeypatch.setattr(cli, name, tracked(getattr(cli, name)))
+        out = tmp_path / "out"
+        assert main([command[0], "--panel", str(src), *command[1:], "--out", str(out)]) == 0
+        assert fits == (5 if command[0] == "estimate" else 2)
+        assert earlier and all(ref() is None for ref in earlier)
 
     def test_scatter_rows_equal_n_obs(self, tmp_path):
         src = tmp_path / "panel.csv"
@@ -400,6 +485,33 @@ class TestErrorHandling:
         assert main(["estimate", "--panel", str(src), "--estimator", "fe2w",
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: typed failure\n"
+
+    @pytest.mark.parametrize("later_fails", [True, False])
+    def test_every_fit_runs_before_an_elasticity_fails(self, tmp_path, capsys, monkeypatch,
+                                                       later_fails):
+        # lsdv returns a unit root, whose long-run elasticity is undefined; a
+        # later fit that fails names its own error first
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, seed=97)
+        lsdv, diffgmm = cli.fit_dynamic_lsdv, cli.fit_diff_gmm
+
+        def unit_root(*args, **kwargs):
+            fit = lsdv(*args, **kwargs)
+            return replace(fit, coefficients={**fit.coefficients, "e_l1": 1.0})
+
+        def failing(*args, **kwargs):
+            if later_fails:
+                raise EstimationError("later fit failed")
+            return diffgmm(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_dynamic_lsdv", unit_root)
+        monkeypatch.setattr(cli, "fit_diff_gmm", failing)
+        out = tmp_path / "out"
+        assert main(["estimate", "--panel", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: later fit failed\n" if later_fails
+            else "error: unit root: long-run elasticity undefined\n")
+        assert not out.exists()
 
     def test_input_not_utf8_exits_one(self, tmp_path, capsys):
         src = tmp_path / "panel.csv"

@@ -519,9 +519,11 @@ def test_rejected_pixel_file_peaks_near_a_good_one(tmp_path):
 
 
 def test_panel_load_peak_memory_per_row(tmp_path):
-    # Each block becomes columns before the next is read. The row-by-row
+    # Each block becomes columns before the next is read, and each variable's
+    # grid is filled straight from the (rows, V) value block. The row-by-row
     # loader that built (region, year, variable, value) tuples peaked at
-    # 702 B/row on this file; reading in blocks peaks near 290.
+    # 702 B/row on this file; reading in blocks but passing N*T*V-long cell
+    # columns to the panel builder peaked near 290; now near 100.
     panel, _ = simulate_dynamic_panel(DGPConfig(n_regions=1000, n_years=23, rho=0.5, beta=1.0,
                                                 seed=3))
     write_panel_csv(panel, tmp_path / "panel.csv")
@@ -532,7 +534,7 @@ def test_panel_load_peak_memory_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert dropped == [] and loaded.regions == panel.regions
-    assert peak / (panel.N * panel.T) < 400
+    assert peak / (panel.N * panel.T) < 200
 
 
 def test_rejected_panel_file_peaks_near_a_good_one(tmp_path):
