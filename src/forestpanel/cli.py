@@ -179,8 +179,11 @@ def cmd_ingest(args) -> int:
     elif args.pixels and args.events:
         loaded = load_pixel_grid_csv(args.pixels, args.events)
         grid = filter_canopy(loaded, args.canopy_threshold)
-        if grid.event_year.size == 0:
+        if loaded.event_year.size == 0:
             raise LoadError("pixel grid has no loss events")
+        if grid.event_year.size == 0:
+            raise LoadError(f"canopy threshold {args.canopy_threshold:g} keeps none of the "
+                            f"pixel grid's {loaded.event_year.size} loss events")
         # the loaded grid's span, so a year whose every loss falls below the
         # threshold is a zero at every threshold, never dropped
         years = range(int(loaded.event_year.min()), int(loaded.event_year.max()) + 1)

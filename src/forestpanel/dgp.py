@@ -138,8 +138,16 @@ def _draw_errors(rng, law: str, tail_index: float, size) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _region_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"R{i:04d}" for i in range(n))
+def _empty_panel(n: int, years: tuple[int, ...]) -> PanelDataset:
+    """The panel of regions R0000.. over ``years`` without variables, checked
+    once per shape; ``with_variable`` adds the grids without checking again."""
+    return PanelDataset(tuple(f"R{i:04d}" for i in range(n)), years)
+
+
+def _time_major(values: np.ndarray, scale: float) -> np.ndarray:
+    """scale * values, as the C-ordered transpose: one pass, where scaling and
+    then copying the transpose took two, the second strided."""
+    return np.multiply(values.T, scale, out=np.empty(values.shape[::-1]))
 
 
 def simulate_dynamic_panel(config: DGPConfig) -> tuple[PanelDataset, PanelTruth]:
@@ -164,13 +172,13 @@ def simulate_dynamic_panel(config: DGPConfig) -> tuple[PanelDataset, PanelTruth]
         noise = config.sigma_x * rng.standard_normal((N, total))
         x = config.regressor_param * alpha[:, None] + noise
 
-    u = config.sigma_u * _draw_errors(rng, config.error_law, config.tail_index, (N, total))
+    u = _time_major(_draw_errors(rng, config.error_law, config.tail_index, (N, total)),
+                    config.sigma_u)
     # time-major: row t of e starts as alpha + gamma_t and takes the other
     # terms in place, in the order (((alpha + gamma_t) + rho * e_{t-1})
     # + beta * x_t) + u_t; the first row adds rho * 0, a zero signed as rho is
     e = alpha + gamma_all[:, None]
-    beta_x = np.ascontiguousarray((config.beta * x).T)
-    u = np.ascontiguousarray(u.T)
+    beta_x = _time_major(x, config.beta)
     prev = np.zeros(N)
     for t in range(total):
         row = e[t]
@@ -180,10 +188,10 @@ def simulate_dynamic_panel(config: DGPConfig) -> tuple[PanelDataset, PanelTruth]
         prev = row
 
     years = tuple(range(config.start_year, config.start_year + T))
-    panel = PanelDataset(
-        _region_labels(N), years,
-        {"l": Grid.full(x[:, B:]), "e": Grid.full(np.ascontiguousarray(e[B:].T))},
-    )
+    # Grid.full copies each grid once, in C order
+    panel = (_empty_panel(N, years)
+             .with_variable("l", Grid.full(x[:, B:]))
+             .with_variable("e", Grid.full(e[B:].T)))
     return panel, PanelTruth(config.rho, config.beta, alpha, gamma_all[B:], config)
 
 

@@ -134,15 +134,21 @@ class ElasticityReport:
 # ---------------------------------------------------------------------------
 # numerical core
 
-def qr_lstsq(X: np.ndarray, y: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """Least squares through a QR factorization, never the normal equations."""
+def qr_lstsq(
+    X: np.ndarray, y: np.ndarray, names: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares through a QR factorization, never the normal equations.
+
+    Returns the coefficients and the R factor, which ``cluster_robust_vcov``
+    takes so that a fit factors its design once.
+    """
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
     scale = diag.max() if diag.size else 0.0
     bad = [names[i] for i in range(len(names)) if diag[i] <= scale * 1e-10]
     if scale == 0.0 or bad:
         raise EstimationError(f"rank-deficient design; collinear columns: {bad or names}")
-    return solve_triangular(R, Q.T @ y)
+    return solve_triangular(R, Q.T @ y), R
 
 
 def cluster_robust_vcov(
@@ -150,21 +156,29 @@ def cluster_robust_vcov(
     residuals: np.ndarray,
     clusters: Sequence,
     dof_absorbed: int = 0,
+    factored: tuple[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Clustered sandwich covariance with the standard small-sample factor.
 
     ``dof_absorbed`` counts effects removed before X was formed (e.g. the
-    N + T - 1 absorbed fixed effects of a two-way within fit).
+    N + T - 1 absorbed fixed effects of a two-way within fit). A fit that
+    has factored X passes ``factored = (G, R)``: its ``clusters`` are the
+    codes 0 .. G - 1, each used, and R is the factor ``qr_lstsq`` returned.
+    That skips the sort that labels the clusters and a second QR, and gives
+    the bits of the call without it.
     """
     X = np.asarray(X, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
-    clusters = np.asarray(clusters)
     n, k = X.shape
-    labels, inverse = np.unique(clusters, return_inverse=True)
-    G = labels.size
+    if factored is None:
+        labels, inverse = np.unique(np.asarray(clusters), return_inverse=True)
+        G = labels.size
+    else:
+        inverse, (G, R) = clusters, factored
     if G < 2:
         raise EstimationError("cluster-robust covariance needs at least 2 clusters")
-    _, R = np.linalg.qr(X)
+    if factored is None:
+        _, R = np.linalg.qr(X)
     Rinv = solve_triangular(R, np.eye(k))
     xtx_inv = Rinv @ Rinv.T
     # per-cluster scores X_g' u_g: each column summed by cluster from 0.0,
@@ -207,9 +221,9 @@ def fit_pooled_ols(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
         raise EstimationError("not enough complete observations for pooled OLS")
     y = grids[spec.response].values[:, year_mask].ravel()
     X = np.column_stack([grids[n].values[:, year_mask].ravel() for n in spec.regressors])
-    beta = qr_lstsq(X, y, spec.regressors)
+    beta, R = qr_lstsq(X, y, spec.regressors)
     resid = y - X @ beta
-    vcov = cluster_robust_vcov(X, resid, np.repeat(np.arange(N), Ts))
+    vcov = cluster_robust_vcov(X, resid, np.repeat(np.arange(N), Ts), factored=(N, R))
     return FitResult(
         estimator_tag="pooled",
         coef_names=tuple(spec.regressors),
@@ -244,11 +258,12 @@ def _within_fit(
         cols.append(col.ravel())
     X = np.column_stack(cols)
     y = y_til.ravel()
-    beta = qr_lstsq(X, y, spec.regressors)
+    beta, R = qr_lstsq(X, y, spec.regressors)
     resid = y - X @ beta
     tss = float(y @ y)
     rss = float(resid @ resid)
-    vcov = cluster_robust_vcov(X, resid, np.repeat(np.arange(N), Ts), dof_absorbed=N + Ts - 1)
+    vcov = cluster_robust_vcov(X, resid, np.repeat(np.arange(N), Ts), dof_absorbed=N + Ts - 1,
+                               factored=(N, R))
     return FitResult(
         estimator_tag=tag,
         coef_names=tuple(spec.regressors),

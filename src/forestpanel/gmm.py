@@ -19,12 +19,13 @@ columns that vary by region (the lagged response and the exogenous
 regressors), an (N, rows, m) array, and the year-dummy and ``const`` columns,
 one (rows, k - m) matrix that every region shares. Z'X is formed one equation
 row at a time, and the residual y - X theta and the scores Z_i'u_i one block
-of ``_BLOCK_REGIONS`` regions at a time. Each instrument block's values are
-written once, straight to their columns of the (N, cells) array. So the fit
-holds O(N * (cells + rows * m + K) + cells^2 + _BLOCK_REGIONS * (rows * k +
-cells)) numbers, where cells is about K plus rows times the number of
-exogenous regressors, and the (N, cells) values are held at most twice: as
-the blocks and as the array they are written to.
+of ``_BLOCK_REGIONS`` regions at a time; a design without shared columns is
+read as it is, for Z'X and the residual alike. Each instrument block's
+values are written once, straight to their columns of the (N, cells) array.
+So the fit holds O(N * (cells + rows * m + K) + cells^2 + _BLOCK_REGIONS *
+(rows * k + cells)) numbers, where cells is about K plus rows times the
+number of exogenous regressors, and the (N, cells) values are held at most
+twice: as the blocks and as the array they are written to.
 
 Each symmetric matrix of the fit is decomposed once, by ``np.linalg.eigh`` in
 ``symmetric_factor``: the one-step weight sum_i Z_i'H Z_i, the two-step score
@@ -106,6 +107,9 @@ class GmmInternals:
         return self.scores.shape[1]
 
 
+_EPS = np.finfo(float).eps
+
+
 def symmetric_factor(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """One eigendecomposition of the symmetric matrix M, read two ways.
 
@@ -120,7 +124,7 @@ def symmetric_factor(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     lam, V = np.linalg.eigh(M)
     size = np.abs(lam)
     top = size.max(initial=0.0)
-    rank = int(np.count_nonzero(size > top * M.shape[0] * np.finfo(float).eps))
+    rank = int(np.count_nonzero(size > top * M.shape[0] * _EPS))
     kept = size > 1e-15 * top
     return rank, V[:, kept], lam[kept]
 
@@ -144,8 +148,11 @@ class _Design:
     shared: np.ndarray   # (rows, k - m)
 
     def residual(self, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """y - X theta for y of shape (N, rows), one block of regions at a time."""
+        """y - X theta for y of shape (N, rows): from ``varying`` alone when
+        there are no shared columns, else one block of regions at a time."""
         N, rows, m = self.varying.shape
+        if not self.shared.shape[1]:
+            return y - self.varying @ theta
         dense = np.empty((min(N, _BLOCK_REGIONS), rows, m + self.shared.shape[1]))
         dense[:, :, m:] = self.shared
         u = np.empty((N, rows))
@@ -244,17 +251,23 @@ class _Instruments:
 
     def cross(self, X: _Design) -> np.ndarray:
         """sum_i Z_i'X_i: one product per row, with that row's (N, k)
-        regressors filled from both parts of the design."""
+        regressors read from ``varying`` when the design has no shared
+        columns, and otherwise filled from both parts of the design."""
         (N, rows, m), k = X.varying.shape, X.varying.shape[2] + X.shared.shape[1]
-        # the buffer is strided like a row of the dense (N, rows, k) design,
-        # and contiguous like it when rows == 1: for a row of one cell matmul
-        # runs a BLAS dot or gemv, whose bits depend on that contiguity
-        row = np.empty((N, k + (rows > 1)))[:, :k]
         G = np.empty((self.values.shape[1], k))
+        if k > m:
+            # the buffer is strided like a row of the dense (N, rows, k)
+            # design, and contiguous like it when rows == 1: for a row of one
+            # cell matmul runs a BLAS dot or gemv, whose bits depend on that
+            # contiguity
+            row = np.empty((N, k + (rows > 1)))[:, :k]
         for r, cells in enumerate(self._row_cells):
-            row[:, :m] = X.varying[:, r]
-            row[:, m:] = X.shared[r]
-            G[cells] = self.values[:, cells].T @ row
+            operand = X.varying[:, r]
+            if k > m:
+                row[:, :m] = operand
+                row[:, m:] = X.shared[r]
+                operand = row
+            G[cells] = self.values[:, cells].T @ operand
         return self._to_columns(G.T).T
 
     def gram(self, H: np.ndarray) -> np.ndarray:
@@ -318,13 +331,18 @@ def _fit_gmm(
 
     def own_rows(lo, hi, n_shared):
         # the exogenous regressors and the first n_shared shared columns as
-        # instruments of rows lo..hi-1, at their non-zero cells
-        exo = X.varying[:, lo:hi, 1:]
-        r, j = np.nonzero(np.any(exo != 0, axis=0))
-        r_s, j_s = np.nonzero(X.shared[lo:hi, :n_shared])
-        return [InstrumentSet(exo[:, r, j], lo + r, j, m - 1),
-                InstrumentSet(np.broadcast_to(X.shared[lo + r_s, j_s], (N, r_s.size)),
-                              lo + r_s, j_s, n_shared)]
+        # instruments of rows lo..hi-1, at their non-zero cells; a part
+        # without columns adds no block
+        blocks = []
+        if m > 1:
+            exo = X.varying[:, lo:hi, 1:]
+            r, j = np.nonzero(np.any(exo != 0, axis=0))
+            blocks.append(InstrumentSet(exo[:, r, j], lo + r, j, m - 1))
+        if n_shared:
+            r, j = np.nonzero(X.shared[lo:hi, :n_shared])
+            blocks.append(InstrumentSet(np.broadcast_to(X.shared[lo + r, j], (N, r.size)),
+                                        lo + r, j, n_shared))
+        return blocks
 
     # column order: lag levels, differenced exogenous, [lagged differences, level exogenous]
     blocks = [ab, *own_rows(0, P, len(dummy_years))]

@@ -88,11 +88,7 @@ class PanelDataset:
             raise PanelError("years must be strictly consecutive integers")
         variables = dict(self.variables)
         for name, grid in variables.items():
-            if grid.shape != (len(regions), len(years)):
-                raise PanelError(
-                    f"variable {name!r} has shape {grid.shape}, "
-                    f"expected {(len(regions), len(years))}"
-                )
+            _check_shape(name, grid, (len(regions), len(years)))
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "variables", MappingProxyType(variables))
@@ -112,12 +108,24 @@ class PanelDataset:
             raise PanelError(f"unknown variable {name!r}") from None
 
     def with_variable(self, name: str, grid: Grid) -> "PanelDataset":
-        """Return a new panel with one extra variable. Names are write-once."""
+        """Return a new panel with one extra variable. Names are write-once.
+
+        The regions, years and grids it inherits were checked when this panel
+        was made, so only the new grid's shape is checked.
+        """
         if name in self.variables:
             raise PanelError(f"variable {name!r} already exists (write-once)")
-        merged = dict(self.variables)
-        merged[name] = grid
-        return PanelDataset(self.regions, self.years, merged)
+        _check_shape(name, grid, (self.N, self.T))
+        panel = object.__new__(PanelDataset)
+        object.__setattr__(panel, "regions", self.regions)
+        object.__setattr__(panel, "years", self.years)
+        object.__setattr__(panel, "variables", MappingProxyType({**self.variables, name: grid}))
+        return panel
+
+
+def _check_shape(name: str, grid: Grid, shape: tuple[int, int]) -> None:
+    if grid.shape != shape:
+        raise PanelError(f"variable {name!r} has shape {grid.shape}, expected {shape}")
 
 
 def build_panel(

@@ -203,6 +203,22 @@ class TestIngest:
         assert capsys.readouterr().out == "ingest: 1 regions x 1 years, 2 dropped\n"
         assert (out / "panel.csv").read_bytes() == b"region,year,L,E\r\nB,2001,1.0,1.0\r\n"
 
+    @pytest.mark.parametrize("events, message", [
+        ("p2,2001\n", "canopy threshold 30 keeps none of the pixel grid's 1 loss events"),
+        ("", "pixel grid has no loss events"),
+    ], ids=["threshold-keeps-none", "grid-has-none"])
+    def test_no_kept_loss_event_names_its_cause(self, tmp_path, capsys, events, message):
+        # the one loss falls on p2, below the default threshold 30: the
+        # threshold is named, not the grid; a grid without events is the grid's
+        (tmp_path / "pixels.csv").write_text(
+            "pixel,region,biomass,area,canopy\np1,A,1,1,90\np2,A,1,1,10\n")
+        (tmp_path / "events.csv").write_text("pixel,year\n" + events)
+        out = tmp_path / "out"
+        assert main(["ingest", "--pixels", str(tmp_path / "pixels.csv"),
+                     "--events", str(tmp_path / "events.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_noise_free_fe2w(self, tmp_path):

@@ -16,7 +16,7 @@ from forestpanel.estimators import (
     fit_twoway_fe,
     long_run_elasticity,
 )
-from forestpanel.panel import Grid, PanelDataset, PanelError
+from forestpanel.panel import Grid, PanelDataset, PanelError, demean_twoway_values, lag
 
 
 def panel_from(**variables):
@@ -285,6 +285,55 @@ class TestClusterRobustVcov:
                 continue
             got = cluster_robust_vcov(X, resid, clusters, dof_absorbed=1)
             assert got.tobytes() == scatter_add_vcov(X, resid, clusters, 1).tobytes()
+
+
+def masked_year_panel():
+    # "m" lacks the years 2001 and 2004, so every fit that reads it uses 5 of
+    # its 7 years; "e_l1" lacks 2001, as dynamic LSDV's lag does
+    panel, _ = simulate_dynamic_panel(
+        DGPConfig(n_regions=30, n_years=7, rho=0.4, beta=1.0, sigma_alpha=1.0, seed=46))
+    available = np.ones(panel.T, dtype=bool)
+    available[[0, 3]] = False
+    values = np.random.default_rng(46).normal(size=(panel.N, panel.T))
+    return panel.with_variable("m", Grid(np.where(available, values, 0.0), available))
+
+
+def mc_nickell_panel():
+    return simulate_dynamic_panel(
+        DGPConfig(n_regions=500, n_years=6, rho=0.5, beta=1.0, sigma_alpha=1.0, seed=47))[0]
+
+
+class TestSharedFactor:
+    """Each least-squares fit hands its QR factor and region codes to
+    ``cluster_robust_vcov``; the vcov must keep the bits of the public call."""
+
+    @pytest.mark.parametrize("make_panel", [masked_year_panel, mc_nickell_panel])
+    @pytest.mark.parametrize("tag", ["pooled", "fe2w", "lsdv"])
+    def test_vcov_is_the_public_routines(self, make_panel, tag):
+        panel = make_panel()
+        regressors = ("l", "m") if "m" in panel.variables else ("l",)
+        if tag == "pooled":
+            fit = fit_pooled_ols(panel, RegressionSpec("e", (CONST, *regressors)))
+        elif tag == "fe2w":
+            fit = fit_twoway_fe(panel, RegressionSpec("e", regressors))
+        else:
+            fit = fit_dynamic_lsdv(panel, RegressionSpec("e", regressors))
+            panel = panel.with_variable("e_l1", lag(panel, "e", 1))
+        # X and the residuals as the fit builds them
+        grids = [Grid.full(np.ones((panel.N, panel.T))) if n == CONST else panel.var(n)
+                 for n in ("e", *fit.coef_names)]
+        mask = np.logical_and.reduce([g.available for g in grids])
+        cols = [g.values[:, mask] for g in grids]
+        if tag != "pooled":
+            cols = [demean_twoway_values(c) for c in cols]
+        y, X = cols[0].ravel(), np.column_stack([c.ravel() for c in cols[1:]])
+        resid = y - X @ np.array([fit.coefficients[n] for n in fit.coef_names])
+        N, Ts = panel.N, int(mask.sum())
+        assert np.array_equal(fit.residual_grid.values[:, mask].ravel(), resid)
+        dof_absorbed = 0 if tag == "pooled" else N + Ts - 1
+        want = cluster_robust_vcov(X, resid, np.repeat(np.arange(N), Ts), dof_absorbed)
+        assert np.array_equal(fit.vcov, want)
+        assert Ts == (5 if "m" in panel.variables else 6 - (tag == "lsdv"))
 
 
 def stub_fit(beta, rho, vcov=None):

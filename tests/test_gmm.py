@@ -557,7 +557,9 @@ class TestMomentEngine:
                                                dummies, spec):
         # the residual, blocked by regions, and Z'X, one row at a time from a
         # buffer, against the same products on the dense (N, rows, k) design.
-        # Without exogenous regressors k can be 1 and a row can hold one cell.
+        # Without exogenous regressors k can be 1 and a row can hold one cell;
+        # diff-GMM without dummies has no shared column, so its residual and
+        # Z'X read the varying part directly, as Z'y always does.
         # The instrument values, written block by block in column order, and
         # the scores, formed one block of regions at a time, against the
         # concatenated and reordered values and every region's product at once

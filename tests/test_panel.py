@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,8 +278,28 @@ class TestDatasetInvariants:
 
     def test_write_once(self):
         panel = make_panel([[1, 2]])
-        with pytest.raises(PanelError):
+        with pytest.raises(PanelError, match=r"^variable 'x' already exists \(write-once\)$"):
             panel.with_variable("x", Grid.full([[0, 0]]))
+        # a repeated name is named first, whatever the grid's shape
+        with pytest.raises(PanelError, match=r"^variable 'x' already exists \(write-once\)$"):
+            panel.with_variable("x", Grid.full([[0, 0, 0]]))
+
+    @pytest.mark.parametrize("values", [[[0, 0, 0]], [[0, 0], [0, 0]], [[0]]])
+    def test_with_variable_checks_the_new_grid_shape(self, values):
+        # the inherited regions, years and grids are not checked again, the
+        # new grid is
+        panel = make_panel([[1, 2]])
+        shape = np.shape(values)
+        message = f"variable 'y' has shape {shape}, expected (1, 2)"
+        with pytest.raises(PanelError, match=f"^{re.escape(message)}$"):
+            panel.with_variable("y", Grid.full(values))
+
+    def test_with_variable_equals_a_checked_panel(self):
+        panel = make_panel([[1, 2]])
+        grid = Grid.full([[3, 4]])
+        added = panel.with_variable("y", grid)
+        assert added == PanelDataset(panel.regions, panel.years, {"x": panel.var("x"), "y": grid})
+        assert list(added.variables) == ["x", "y"] and list(panel.variables) == ["x"]
 
     def test_grids_immutable(self):
         panel = make_panel([[1, 2]])
