@@ -1,10 +1,14 @@
 """Command-line entry point: ingest, estimate, robustness, montecarlo.
 
-Every run writes a manifest with the fully resolved configuration and seed;
-rerunning from the same manifest reproduces output files byte for byte. A flag
-that no fit of a run reads must stay at its default, so the manifest records
-only settings that were applied. A run creates its output directory only after
-every check and fit has passed, so a rejected run writes nothing.
+Each subcommand returns its files by name, each a JSON payload or a writer
+that takes the file's path, and the lines it prints; ``main`` alone writes
+them. It adds ``manifest.json``, the fully resolved configuration and seed,
+renders every JSON payload, and only then creates the output directory,
+writes the files and prints the lines, so a rejected run (a failed check or
+fit, or a NaN or infinity, which JSON cannot hold) writes nothing. Rerunning
+from the same manifest reproduces output files byte for byte. A flag that no
+fit of a run reads must stay at its default, so the manifest records only
+settings that were applied.
 """
 
 from __future__ import annotations
@@ -58,26 +62,19 @@ from .panel import (
 )
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+class OutputError(Exception):
+    """An output that its file format cannot hold."""
 
 
-def _write_manifest(out: Path, subcommand: str, args: argparse.Namespace) -> None:
-    # the output directory is where files land, not part of the run
-    # configuration, so it stays out of the manifest
-    config = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")
-    }
-    _write_json(
-        out / "manifest.json",
-        {
-            "tool": "forestpanel",
-            "version": __version__,
-            "subcommand": subcommand,
-            "config": config,
-            "seed": getattr(args, "seed", None),
-        },
-    )
+def _json_writer(name: str, payload: dict) -> Callable[[Path], None]:
+    """A writer of ``payload`` as JSON text, rendered now, so that a payload
+    JSON cannot hold fails the run before any file is written."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a NaN or an infinity, which allow_nan=False rejects
+        raise OutputError(f"{name}: a number is NaN or infinite, "
+                          "which JSON cannot hold") from None
+    return partial(Path.write_text, data=text, encoding="utf-8")
 
 
 def _log_variables(panel: PanelDataset, use_levels: bool) -> tuple[PanelDataset, str, str]:
@@ -151,9 +148,9 @@ ESTIMATORS = {
 ESTIMATOR_CHOICES = (*ESTIMATORS, "all")
 
 
-def _elasticity(fit: FitResult, x: str, y: str) -> ElasticityReport:
+def _elasticity(tag: str, fit: FitResult, x: str, y: str) -> ElasticityReport:
     """A dynamic fit's long-run elasticity; a static fit's is its short-run one."""
-    if lagged_name(y) in fit.coefficients:
+    if ESTIMATORS[tag].dynamic:
         return long_run_elasticity(fit, x, lagged_name(y))
     beta = fit.coefficients[x]
     return ElasticityReport(beta, 0.0, beta, fit.std_errors()[x])
@@ -169,7 +166,7 @@ def _write_csv(path: Path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> tuple[dict, list[str]]:
     if args.panel and (args.pixels or args.events):
         raise LoadError("ingest takes --panel or --pixels with --events, not both")
     if args.panel and (unread := _unread_flags(args, _PIXEL_FLAGS)):
@@ -194,21 +191,14 @@ def cmd_ingest(args) -> int:
         panel = pixel_panel(grid, EmissionFactors(args.theta), years)
     else:
         raise LoadError("ingest needs --panel or both --pixels and --events")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_panel_csv(panel, out / "panel.csv")
-    _write_json(
-        out / "summary.json",
-        {
-            "n_regions": panel.N,
-            "n_years": panel.T,
-            "dropped_regions": dropped,
-            "variables": {name: summary_stats(panel, name) for name in panel.variables},
-        },
-    )
-    _write_manifest(out, "ingest", args)
-    print(f"ingest: {panel.N} regions x {panel.T} years, {len(dropped)} dropped")
-    return 0
+    summary = {
+        "n_regions": panel.N,
+        "n_years": panel.T,
+        "dropped_regions": dropped,
+        "variables": {name: summary_stats(panel, name) for name in panel.variables},
+    }
+    return ({"panel.csv": partial(write_panel_csv, panel), "summary.json": summary},
+            [f"ingest: {panel.N} regions x {panel.T} years, {len(dropped)} dropped"])
 
 
 def _write_scatter(path: Path, panel: PanelDataset, x: str, y: str) -> None:
@@ -223,7 +213,7 @@ def _write_scatter(path: Path, panel: PanelDataset, x: str, y: str) -> None:
         handle.writelines(region_year_rows(panel.regions, years, (dx, dy)))
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> tuple[dict, list[str]]:
     names = ESTIMATORS if args.estimator == "all" else (args.estimator,)
     options = _gmm_options(args, names, year_dummies=True)
     panel, _ = load_panel_csv(args.panel)
@@ -240,25 +230,24 @@ def cmd_estimate(args) -> int:
         coefs = ", ".join(f"{n}={v:.4f}" for n, v in list(fit.coefficients.items())[:3])
         lines.append(f"{tag}: {coefs} (n={fit.n_obs})")
         del fit
-    elasticity = {tag: _elasticity(fit, x, y).to_json_dict() for tag, fit in estimates.items()}
-    report = {
-        "fits": fits,
-        "diagnostics": diagnostics,
-        "elasticity": [{"estimator": tag, **row} for tag, row in elasticity.items()],
+    elasticity = {tag: _elasticity(tag, fit, x, y).to_json_dict()
+                  for tag, fit in estimates.items()}
+    files = {
+        "report.json": {
+            "fits": fits,
+            "diagnostics": diagnostics,
+            "elasticity": [{"estimator": tag, **row} for tag, row in elasticity.items()],
+        },
+        "elasticity.csv": partial(
+            _write_csv,
+            header=["estimator", "short_run", "persistence", "long_run", "long_run_se"],
+            rows=[[tag, *(repr(float(v)) for v in row.values())]
+                  for tag, row in elasticity.items()],
+        ),
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report)
-    _write_csv(
-        out / "elasticity.csv",
-        ["estimator", "short_run", "persistence", "long_run", "long_run_se"],
-        [[tag, *(repr(float(v)) for v in row.values())] for tag, row in elasticity.items()],
-    )
     if "fe2w" in fits:
-        _write_scatter(out / "scatter.csv", panel, x, y)
-    _write_manifest(out, "estimate", args)
-    print(*lines, sep="\n")
-    return 0
+        files["scatter.csv"] = partial(_write_scatter, panel=panel, x=x, y=y)
+    return files, lines
 
 
 def _mask_years(panel: PanelDataset, excluded: set[int]) -> PanelDataset:
@@ -282,7 +271,7 @@ def _subset_regions(panel: PanelDataset, keep: list[str]) -> PanelDataset:
     return PanelDataset(tuple(keep), panel.years, variables)
 
 
-def cmd_robustness(args) -> int:
+def cmd_robustness(args) -> tuple[dict, list[str]]:
     options = _gmm_options(args, (args.estimator,), year_dummies=True)
     excluded = set(args.exclude_years or [])
     regions = args.regions or []
@@ -308,14 +297,11 @@ def cmd_robustness(args) -> int:
         add(f"regions={regions}", fit(_subset_regions(panel, regions), x, y, options))
     if args.levels:
         add("levels", fit(*_log_variables(base_panel, True), options))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", {"robustness": table})
-    _write_manifest(out, "robustness", args)
+    lines = []
     for entry in table:
         lead = entry["coefficients"][0]
-        print(f"{entry['variation']}: {lead['name']}={lead['estimate']:.4f}")
-    return 0
+        lines.append(f"{entry['variation']}: {lead['name']}={lead['estimate']:.4f}")
+    return {"report.json": {"robustness": table}}, lines
 
 
 _PRESETS = {
@@ -335,7 +321,7 @@ _PRESETS = {
 _CONFIG_KEYS = ("dgp", "estimators", "replications")
 
 
-def cmd_montecarlo(args) -> int:
+def cmd_montecarlo(args) -> tuple[dict, list[str]]:
     if args.preset:
         config = _PRESETS[args.preset]
     else:
@@ -384,40 +370,29 @@ def cmd_montecarlo(args) -> int:
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     run = monte_carlo(dgp, estimands, reps, workers)
     results = {name: study.to_json_dict() for name, study in run.studies.items()}
-    all_rows = [
-        {"estimator": name, **row}
-        for name, study in run.studies.items()
-        for row in study.rows
-    ]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "montecarlo.json", {"dgp": sorted(dgp_fields.items()), "results": results})
+    all_rows = [{"estimator": name, **row}
+                for name, study in run.studies.items() for row in study.rows]
     value_fields = sorted({k for r in all_rows for k in r} - {"estimator", "rep"})
     fieldnames = ["estimator", "rep"] + value_fields
-    _write_csv(
-        out / "montecarlo.csv",
-        fieldnames,
-        [
-            [
-                repr(float(r[f])) if isinstance(r.get(f), float) else r.get(f, "")
-                for f in fieldnames
-            ]
-            for r in all_rows
-        ],
-    )
-    _write_manifest(out, "montecarlo", args)
+    csv_rows = [
+        [repr(float(r[f])) if isinstance(r.get(f), float) else r.get(f, "") for f in fieldnames]
+        for r in all_rows
+    ]
+    lines = []
     for name, res in results.items():
         if not res["completed"]:
-            print(f"{name}: no replication completed ({res['failed']} failed)")
+            lines.append(f"{name}: no replication completed ({res['failed']} failed)")
             continue
         agg = res["aggregates"]
-        lead = lagged_name("e") if lagged_name("e") in agg else "l"
-        print(f"{name}: mean {lead}_hat={agg[lead]['mean']:.4f} (truth {agg[lead]['truth']})")
+        lead = lagged_name("e") if ESTIMATORS[name].dynamic else "l"
+        lines.append(f"{name}: mean {lead}_hat={agg[lead]['mean']:.4f} "
+                     f"(truth {agg[lead]['truth']})")
     for name, study in run.studies.items():
         if study.failures:
             kinds = ", ".join(f"{kind}: {n}" for kind, n in sorted(study.failure_counts().items()))
             print(f"{name}: {study.n_failed} failed ({kinds})", file=sys.stderr)
-    return 0
+    return ({"montecarlo.json": {"dgp": sorted(dgp_fields.items()), "results": results},
+             "montecarlo.csv": partial(_write_csv, header=fieldnames, rows=csv_rows)}, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +469,29 @@ def main(argv=None) -> int:
     if args.verbose:  # no subcommand reads it yet, so no manifest may record it as applied
         print("error: --verbose: read by no subcommand yet", file=sys.stderr)
         return 1
-    # input and numerical errors only (UnicodeDecodeError: an input file that is
-    # not UTF-8); any other exception is a bug and propagates
+    # input, numerical and output errors only (UnicodeDecodeError: an input
+    # file that is not UTF-8); any other exception is a bug and propagates
     try:
-        return args.func(args)
-    except (PanelError, LoadError, EstimationError, DGPError, DiagnosticError,
+        files, lines = args.func(args)
+        # the output directory is where files land, not part of the run
+        # configuration, so it stays out of the manifest
+        config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
+        files["manifest.json"] = {"tool": "forestpanel", "version": __version__,
+                                  "subcommand": args.subcommand, "config": config,
+                                  "seed": getattr(args, "seed", None)}
+        writers = {name: _json_writer(name, payload) if isinstance(payload, dict) else payload
+                   for name, payload in files.items()}
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in writers.items():
+            write(out / name)
+    except (PanelError, LoadError, EstimationError, DGPError, DiagnosticError, OutputError,
             np.linalg.LinAlgError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for line in lines:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

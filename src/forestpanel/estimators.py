@@ -140,15 +140,20 @@ def qr_lstsq(
     """Least squares through a QR factorization, never the normal equations.
 
     Returns the coefficients and the R factor, which ``cluster_robust_vcov``
-    takes so that a fit factors its design once.
+    takes so that a fit factors its design once. A non-finite X or y, which
+    carries into R or Q'y, or an overflow in either, is an ``EstimationError``.
     """
     Q, R = np.linalg.qr(X)
+    Qty = Q.T @ y
+    if not (np.isfinite(R).all() and np.isfinite(Qty).all()):
+        raise EstimationError("least-squares design or response is not finite "
+                              "(inf, NaN or overflow)")
     diag = np.abs(np.diag(R))
     scale = diag.max() if diag.size else 0.0
     bad = [names[i] for i in range(len(names)) if diag[i] <= scale * 1e-10]
     if scale == 0.0 or bad:
         raise EstimationError(f"rank-deficient design; collinear columns: {bad or names}")
-    return solve_triangular(R, Q.T @ y), R
+    return solve_triangular(R, Qty), R
 
 
 def cluster_robust_vcov(

@@ -5,11 +5,12 @@ region id, biomass carbon density, area, and canopy density, plus a set of
 (pixel, year) loss events. Zonal aggregation, ``pixel_panel``, turns those
 into the panel's loss-area and emission variables ``L`` and ``E``.
 
-A ``PixelGrid`` is built one way, from columns: the CSV loader and the
-simulator pass one list or array per attribute, and ``filter_canopy`` and
-``pixel_panel`` work on those columns. One vectorised rule,
-``_first_bad_pixel``, decides which pixel values are valid, for the
-constructor and for the loader's line-numbered errors alike.
+A ``PixelGrid`` holds columns: the CSV loader and the simulator pass its
+constructor one list or array per attribute, ``filter_canopy`` takes rows of
+a built grid past the constructor (``_subset``), and ``pixel_panel`` works on
+the columns. One vectorised rule, ``_first_bad_pixel``, decides which pixel
+values are valid, for the constructor and for the loader's line-numbered
+errors alike.
 
 Both CSV loaders read a file in blocks of a few thousand lines, through one
 block reader, ``_column_blocks``. Each block's fields become float64, int64

@@ -28,6 +28,15 @@ def write_log_panel(path, N=30, T=10, rho=0.3, beta=1.0, sigma_u=0.5, seed=80):
     return panel
 
 
+def reject_constant(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+def read_json(path):
+    """An output file's JSON, read strictly: NaN and Infinity are not JSON."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
+
+
 def read_all_bytes(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
@@ -46,7 +55,7 @@ class TestIngest:
             "--theta", "1.0", "--out", str(out),
         ])
         assert code == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_json(out / "summary.json")
         # hand sums: L = 2 ha, E = 10 + 30 = 40
         assert summary["variables"]["L"]["max"] == 2.0
         assert summary["variables"]["E"]["max"] == 40.0
@@ -97,7 +106,7 @@ class TestIngest:
         out = tmp_path / "out"
         assert main(["ingest", "--panel", str(src), "--canopy-threshold", "30",
                      "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["config"]["canopy_threshold"] == 30
+        assert read_json(out / "manifest.json")["config"]["canopy_threshold"] == 30
 
     def test_bad_input_exits_nonzero(self, tmp_path):
         bad = tmp_path / "panel.csv"
@@ -166,7 +175,7 @@ class TestIngest:
             "ingest", "--pixels", str(tmp_path / "pixels.csv"),
             "--events", str(tmp_path / "events.csv"), "--out", str(out),
         ]) == 0
-        stats = json.loads((out / "summary.json").read_text())["variables"]["L"]
+        stats = read_json(out / "summary.json")["variables"]["L"]
         assert stats["max"] > 10 * stats["median"]
 
     def ingest_toy(self, tmp_path, pixels, events, threshold):
@@ -199,7 +208,7 @@ class TestIngest:
         # order and counted, while panel.csv holds B alone
         pixels = "c1,C,1,1,5\nb1,B,1,1,90\na1,A,1,1,40\na2,A,1,1,10\n"
         out = self.ingest_toy(tmp_path, pixels, "c1,2001\nb1,2001\na1,2001\n", "50")
-        assert json.loads((out / "summary.json").read_text())["dropped_regions"] == ["C", "A"]
+        assert read_json(out / "summary.json")["dropped_regions"] == ["C", "A"]
         assert capsys.readouterr().out == "ingest: 1 regions x 1 years, 2 dropped\n"
         assert (out / "panel.csv").read_bytes() == b"region,year,L,E\r\nB,2001,1.0,1.0\r\n"
 
@@ -235,7 +244,7 @@ class TestEstimate:
         code = main(["estimate", "--panel", str(src), "--estimator", "fe2w",
                      "--out", str(out)])
         assert code == 0
-        report = json.loads((out / "report.json").read_text())
+        report = read_json(out / "report.json")
         coef = report["fits"]["fe2w"]["coefficients"][0]
         assert coef["name"] == "l"
         assert coef["estimate"] == pytest.approx(2.0, abs=1e-8)
@@ -247,7 +256,7 @@ class TestEstimate:
         code = main(["estimate", "--panel", str(src), "--estimator", "all",
                      "--two-step", "--out", str(out)])
         assert code == 0
-        report = json.loads((out / "report.json").read_text())
+        report = read_json(out / "report.json")
         assert set(report["fits"]) == {"pooled", "fe2w", "lsdv", "diffgmm", "sysgmm"}
         assert "hansen_j" in report["diagnostics"]["diffgmm"]
         assert "within_r2" in report["diagnostics"]["fe2w"]
@@ -308,7 +317,7 @@ class TestEstimate:
         out = tmp_path / "out"
         assert main(["estimate", "--panel", str(src), "--estimator", "fe2w",
                      "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = read_json(out / "report.json")
         n_obs = report["fits"]["fe2w"]["n_obs"]
         lines = (out / "scatter.csv").read_text().strip().splitlines()
         assert len(lines) - 1 == n_obs
@@ -318,7 +327,7 @@ class TestEstimate:
         write_log_panel(src, N=40, T=8, seed=90)
         assert main(["estimate", "--panel", str(src), "--estimator", "all",
                      "--two-step", "--out", str(tmp_path / "all")]) == 0
-        fits = json.loads((tmp_path / "all" / "report.json").read_text())["fits"]
+        fits = read_json(tmp_path / "all" / "report.json")["fits"]
         assert set(fits) == set(ESTIMATORS)
         # elasticity rows follow the fit order of the registry
         rows = (tmp_path / "all" / "elasticity.csv").read_text().splitlines()[1:]
@@ -328,7 +337,7 @@ class TestEstimate:
             two_step = ["--two-step"] if ESTIMATORS[name].gmm else []
             assert main(["estimate", "--panel", str(src), "--estimator", name,
                          *two_step, "--out", str(out)]) == 0
-            single = json.loads((out / "report.json").read_text())["fits"]
+            single = read_json(out / "report.json")["fits"]
             assert single == {name: fits[name]}
 
     def test_levels_pathway(self, tmp_path):
@@ -345,8 +354,8 @@ class TestEstimate:
             out = tmp_path / out_name
             assert main(["estimate", "--panel", str(src), "--estimator", "fe2w",
                          *flag, "--out", str(out)]) == 0
-        lev = json.loads((tmp_path / "lev" / "report.json").read_text())
-        log = json.loads((tmp_path / "log" / "report.json").read_text())
+        lev = read_json(tmp_path / "lev" / "report.json")
+        log = read_json(tmp_path / "log" / "report.json")
         b_lev = lev["fits"]["fe2w"]["coefficients"][0]["estimate"]
         b_log = log["fits"]["fe2w"]["coefficients"][0]["estimate"]
         assert b_lev == pytest.approx(3.0, abs=0.05)
@@ -436,7 +445,7 @@ print(json.dumps(seen))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300, check=True)
         assert json.loads(done.stdout.splitlines()[-1]) == [False, False, []]
-        report = json.loads((tmp_path / "est" / "report.json").read_text())
+        report = read_json(tmp_path / "est" / "report.json")
         assert "hansen_j" in report["diagnostics"]["sysgmm"]
 
 
@@ -448,7 +457,7 @@ class TestRobustness:
         code = main(["robustness", "--panel", str(src), "--estimator", "fe2w",
                      "--regions", ",".join(panel.regions), "--out", str(out)])
         assert code == 0
-        table = json.loads((out / "report.json").read_text())["robustness"]
+        table = read_json(out / "report.json")["robustness"]
         base = table[0]["coefficients"][0]["estimate"]
         subset = table[1]["coefficients"][0]["estimate"]
         assert subset == pytest.approx(base, abs=1e-12)
@@ -460,7 +469,7 @@ class TestRobustness:
         code = main(["robustness", "--panel", str(src), "--estimator", "fe2w",
                      "--exclude-years", "2004,2007", "--out", str(out)])
         assert code == 0
-        table = json.loads((out / "report.json").read_text())["robustness"]
+        table = read_json(out / "report.json")["robustness"]
         assert table[0]["n_obs"] > table[1]["n_obs"]
 
     def test_no_filter_is_an_error(self, tmp_path):
@@ -582,7 +591,81 @@ class TestErrorHandling:
         assert capsys.readouterr().err == "error: --verbose: read by no subcommand yet\n"
         assert not out.exists()
         assert main(command) == 0  # left at its default, the flag is accepted and recorded
-        assert json.loads((out / "manifest.json").read_text())["config"]["verbose"] == 0
+        assert read_json(out / "manifest.json")["config"]["verbose"] == 0
+
+
+# region A loses 1e308 twice: a two-way demeaning of its levels overflows,
+# and so does the variance of L and of E
+OVERFLOWING_PANEL = ("region,year,L,E\nA,2001,1e308,1e308\nA,2002,0,2\nA,2003,1e308,1\n"
+                     "B,2001,0,2\nB,2002,1,1\nB,2003,3,3\n")
+NOT_JSON = "a number is NaN or infinite, which JSON cannot hold"
+
+
+class TestOutputStep:
+    """Each subcommand returns its files and stdout lines and writes nothing;
+    ``main`` renders every JSON payload strictly, and only then creates the
+    output directory, writes the files and a manifest, and prints the lines."""
+
+    @pytest.mark.parametrize("command, files", [
+        (["ingest", "--panel", "{panel}"], {"panel.csv", "summary.json"}),
+        (["estimate", "--panel", "{panel}", "--estimator", "fe2w"],
+         {"report.json", "elasticity.csv", "scatter.csv"}),
+        (["estimate", "--panel", "{panel}", "--estimator", "lsdv"],
+         {"report.json", "elasticity.csv"}),
+        (["estimate", "--panel", "{panel}", "--collapse"],
+         {"report.json", "elasticity.csv", "scatter.csv"}),
+        (["robustness", "--panel", "{panel}", "--exclude-years", "2004"], {"report.json"}),
+        (["montecarlo", "--preset", "nickell-demo", "--reps", "2"],
+         {"montecarlo.json", "montecarlo.csv"}),
+    ], ids=["ingest", "estimate-fe2w", "estimate-lsdv", "estimate-all", "robustness",
+            "montecarlo"])
+    def test_each_subcommand_leaves_exactly_its_files(self, tmp_path, capsys, command, files):
+        write_log_panel(tmp_path / "panel.csv", seed=98)
+        out = tmp_path / "out"
+        argv = [arg.format(panel=tmp_path / "panel.csv") for arg in command] + ["--out", str(out)]
+        args = cli.build_parser().parse_args(argv)
+        returned, lines = args.func(args)
+        assert set(returned) == files and lines
+        assert not out.exists()
+        assert main(argv) == 0
+        assert {path.name for path in out.iterdir()} == files | {"manifest.json"}
+        for name in files | {"manifest.json"}:
+            if name.endswith(".json"):
+                read_json(out / name)
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+    # each overflow warns where it happens; what is checked is what follows it
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command, message", [
+        (["estimate", "--levels", "--estimator", "fe2w"],
+         "least-squares design or response is not finite (inf, NaN or overflow)"),
+        (["robustness", "--estimator", "fe2w", "--levels"],
+         "least-squares design or response is not finite (inf, NaN or overflow)"),
+        (["ingest"], f"summary.json: {NOT_JSON}"),
+    ], ids=["estimate", "robustness", "ingest"])
+    def test_overflowing_panel_is_rejected(self, tmp_path, capsys, command, message):
+        (tmp_path / "pos.csv").write_text(OVERFLOWING_PANEL)
+        out = tmp_path / "out"
+        assert main([command[0], "--panel", str(tmp_path / "pos.csv"), *command[1:],
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("estimator", ["fe2w", "lsdv"])
+    def test_non_finite_report_is_rejected(self, tmp_path, capsys, estimator):
+        # levels near 1e160 fit, but their squares overflow, so the clustered
+        # covariance and the within R2 are not finite
+        rng = np.random.default_rng(99)
+        panel = PanelDataset(tuple(f"r{i:02d}" for i in range(30)), tuple(range(2001, 2007)),
+                             {name: Grid.full(rng.uniform(1, 2, (30, 6)) * 1e160)
+                              for name in ("L", "E")})
+        write_panel_csv(panel, tmp_path / "big.csv")
+        out = tmp_path / "out"
+        assert main(["estimate", "--panel", str(tmp_path / "big.csv"), "--levels",
+                     "--estimator", estimator, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: report.json: {NOT_JSON}\n")
+        assert not out.exists()
 
 
 class TestMonteCarloCommand:
@@ -606,7 +689,7 @@ class TestMonteCarloCommand:
         code = main(["montecarlo", "--preset", "nickell-demo", "--reps", "25",
                      "--seed", "2", "--out", str(out)])
         assert code == 0
-        results = json.loads((out / "montecarlo.json").read_text())["results"]
+        results = read_json(out / "montecarlo.json")["results"]
         lsdv_rho = results["lsdv"]["aggregates"]["e_l1"]["mean"]
         gmm_rho = results["diffgmm"]["aggregates"]["e_l1"]["mean"]
         assert lsdv_rho < 0.45
@@ -623,7 +706,7 @@ class TestMonteCarloCommand:
         out = tmp_path / "out"
         assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
                      "--seed", "3", "--out", str(out)]) == 0
-        results = json.loads((out / "montecarlo.json").read_text())["results"]
+        results = read_json(out / "montecarlo.json")["results"]
         assert set(results) == set(ESTIMATORS)
         for name, res in results.items():
             assert (res["failed"], res["completed"]) == (0, 2), name
@@ -689,11 +772,7 @@ class TestMonteCarloCommand:
         assert main(["montecarlo", "--preset", "nickell-demo", "--reps", "2",
                      "--seed", "1", "--out", str(out)]) == 0
 
-        def reject(constant):
-            raise ValueError(f"non-JSON constant {constant}")
-
-        results = json.loads((out / "montecarlo.json").read_text(),
-                             parse_constant=reject)["results"]
+        results = read_json(out / "montecarlo.json")["results"]
         assert (results["diffgmm"]["completed"], results["diffgmm"]["failed"]) == (0, 2)
         for agg in results["diffgmm"]["aggregates"].values():
             assert agg["mean"] is agg["bias"] is agg["rmse"] is agg["coverage"] is None
@@ -709,7 +788,7 @@ class TestMonteCarloCommand:
         out = tmp_path / "out"
         assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),
                      "--out", str(out)]) == 0
-        results = json.loads((out / "montecarlo.json").read_text())["results"]
+        results = read_json(out / "montecarlo.json")["results"]
         assert (results["diffgmm"]["completed"], results["diffgmm"]["failed"]) == (0, 2)
         captured = capsys.readouterr()
         assert "diffgmm: no replication completed (2 failed)" in captured.out
@@ -793,7 +872,7 @@ class TestMonteCarloCommand:
             two_step = ["--two-step"] if "diffgmm" in estimators else []
             assert main(["montecarlo", "--config", str(tmp_path / f"{tag}.json"),
                          *two_step, "--seed", "5", "--out", str(out)]) == 0
-            results = json.loads((out / "montecarlo.json").read_text())["results"]
+            results = read_json(out / "montecarlo.json")["results"]
             rows = (out / "montecarlo.csv").read_text().splitlines()
             runs[tag] = results, rows
         both_results, both_rows = runs["both"]

@@ -336,6 +336,30 @@ class TestSharedFactor:
         assert Ts == (5 if "m" in panel.variables else 6 - (tag == "lsdv"))
 
 
+class TestNonFiniteSystem:
+    """A least-squares system that holds or overflows to an infinity or a NaN
+    is a typed error, raised before any solve."""
+
+    @staticmethod
+    def overflowing_panel():
+        # region r0 loses 1e308 three times, so its sums over years overflow,
+        # and with r1's one the norm of each column does too
+        rng = np.random.default_rng(48)
+        L, E = rng.uniform(0, 3, (2, 3, 5))
+        L[0, [0, 2, 4]] = E[0, [0, 2, 4]] = L[1, 0] = E[1, 0] = 1e308
+        return panel_from(L=L, E=E)
+
+    # the overflow warns where it happens; what is checked is what follows it
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fit, regressors", [
+        (fit_pooled_ols, (CONST, "L")), (fit_twoway_fe, ("L",)), (fit_dynamic_lsdv, ("L",)),
+    ], ids=["pooled", "fe2w", "lsdv"])
+    def test_overflow_is_an_estimation_error(self, fit, regressors):
+        with pytest.raises(EstimationError, match=r"^least-squares design or response is not "
+                                                  r"finite \(inf, NaN or overflow\)$"):
+            fit(self.overflowing_panel(), RegressionSpec("E", regressors))
+
+
 def stub_fit(beta, rho, vcov=None):
     names = ("l", "e_l1")
     vcov = np.eye(2) * 1e-4 if vcov is None else vcov
