@@ -142,16 +142,19 @@ def qr_lstsq(
     Returns the coefficients and the R factor, which ``cluster_robust_vcov``
     takes so that a fit factors its design once. A non-finite X or y, which
     carries into R or Q'y, or an overflow in either, is an ``EstimationError``.
+    Column j is collinear with the columns before it when |R_jj| is at most
+    1e-10 of the norm of R's column j, which is the norm of X's column j, so
+    the rank does not depend on the columns' units. The norm is taken by
+    ``np.hypot``, which does not overflow where the squares would.
     """
     Q, R = np.linalg.qr(X)
     Qty = Q.T @ y
     if not (np.isfinite(R).all() and np.isfinite(Qty).all()):
         raise EstimationError("least-squares design or response is not finite "
                               "(inf, NaN or overflow)")
-    diag = np.abs(np.diag(R))
-    scale = diag.max() if diag.size else 0.0
-    bad = [names[i] for i in range(len(names)) if diag[i] <= scale * 1e-10]
-    if scale == 0.0 or bad:
+    collinear = np.abs(np.diag(R)) <= 1e-10 * np.hypot.reduce(R, axis=0)
+    if not collinear.size or collinear.any():
+        bad = [name for name, flag in zip(names, collinear.tolist()) if flag]
         raise EstimationError(f"rank-deficient design; collinear columns: {bad or names}")
     return solve_triangular(R, Qty), R
 

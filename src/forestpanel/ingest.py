@@ -24,8 +24,9 @@ numpy rejects or warns about, and the rest of the file go through
 the file converts. A year column's range rule is checked on each block. The
 block pass only asks whether a file is valid. A file that is not is read a
 second time, row by row, by ``_first_fault``, with the loader's per-row
-rule, to name its first bad row's ``path:line``. The panel writer formats
-one region's rows at a time.
+rule, to name its first bad row's ``path:line``. The panel loader hands
+its rows to ``panel.build_panel``, which balances them. The panel writer
+formats one region's rows at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import Grid, PanelDataset, PanelError, panel_from_cells, region_year_rows
+from .panel import Grid, PanelDataset, PanelError, build_panel, region_year_rows
 
 # CO2/C molecular mass ratio; the conventional carbon-to-CO2e factor.
 DEFAULT_THETA = 44.0 / 12.0
@@ -401,7 +402,7 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
     and float64 columns at once, by numpy's C reader where the block passes
     its screens and by ``csv.reader`` from the first block that does not. The
     rows' region codes, years and (rows, V) block of values are what
-    ``panel_from_cells`` takes, and the repeated (region, year) check here is
+    ``panel.build_panel`` takes, and the repeated (region, year) check here is
     the only one. A file that fails anywhere is read again, row by row, to
     find its first bad row; the block pass's columns are gone by then, and the
     re-read keeps each (region, year) pair seen as one int.
@@ -445,7 +446,7 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
 
         raise _first_fault(path, rule)
     try:
-        return panel_from_cells(columns[0], tuple(names), *columns[1:])
+        return build_panel(columns[0], tuple(names), *columns[1:])
     except PanelError as exc:
         raise LoadError(f"{path}: {exc}") from exc
 

@@ -4,7 +4,9 @@ The panel is the currency every other module trades in: a set of named
 N x T variable grids over the same ordered regions and consecutive years.
 A balanced panel can only lack whole years, so each grid flags its available
 years. Derived grids (lags, interactions) clear the years they cannot fill,
-and invalid cells can never leak into an estimation sample.
+and invalid cells can never leak into an estimation sample. ``build_panel``
+is the one panel builder: it balances a block of (region, year) rows, which
+the panel CSV loader reads and checks for repeated pairs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -129,67 +131,30 @@ def _check_shape(name: str, grid: Grid, shape: tuple[int, int]) -> None:
 
 
 def build_panel(
-    rows: Iterable[tuple[str, int, str, float]],
-) -> tuple[PanelDataset, list[str]]:
-    """Assemble a balanced panel from (region, year, variable, value) rows.
-
-    Regions missing any (year, variable) cell over the observed year span are
-    dropped, and a (region, year, variable) cell given twice is an error.
-    Returns the panel together with the list of dropped regions. The cells are
-    gathered into the block ``panel_from_cells`` takes: one row per (region,
-    year) pair, in first-seen order, with a column per variable; a row that
-    lacks a variable is marked unfilled.
-    """
-    cells: dict[tuple[str, int], dict[str, float]] = {}
-    names: dict[str, None] = {}  # the variables in first-seen order
-    for region, year, name, value in rows:
-        region, year, name = str(region), int(year), str(name)
-        row = cells.setdefault((region, year), {})
-        if name in row:
-            raise PanelError(f"duplicate cell for region={region} year={year} variable={name}")
-        row[name] = float(value)
-        names.setdefault(name)
-    if not cells:
-        raise PanelError("no input rows")
-    region_index = {r: i for i, r in enumerate(dict.fromkeys(r for r, _ in cells))}
-    return panel_from_cells(
-        tuple(region_index), tuple(names),
-        np.array([region_index[r] for r, _ in cells], dtype=np.intp),
-        np.array([y for _, y in cells], dtype=np.int64),
-        np.array([[row.get(name, np.nan) for name in names] for row in cells.values()]),
-        np.array([len(row) == len(names) for row in cells.values()]),
-    )
-
-
-def panel_from_cells(
     regions: tuple[str, ...],
     names: tuple[str, ...],
     region_code: np.ndarray,
     years: np.ndarray,
     values: np.ndarray,
-    filled: np.ndarray | None = None,
 ) -> tuple[PanelDataset, list[str]]:
     """The balanced panel of a block of (region, year) rows.
 
     Row c of the (rows, V) block ``values`` holds the variables ``names`` of
     region ``regions[region_code[c]]`` in year ``years[c]``. No (region, year)
-    pair may repeat; the caller checks that. ``filled``, if given, flags the
-    rows that hold every variable, and the other rows are never read. Regions
-    and variables keep the order given. The panel spans the observed years,
-    and a region without a filled row in every year of the span is dropped.
-    Returns the panel together with the list of dropped regions. Each
-    variable's grid is filled straight from its column of the block, one
-    variable at a time. ``build_panel`` and the panel CSV loader both build
-    their panels here.
+    pair may repeat; the caller checks that. Regions and variables keep the
+    order given. The panel spans the observed years, and a region without a
+    row in every year of the span is dropped. Returns the panel together with
+    the list of dropped regions. Each variable's grid is filled straight from
+    its column of the block, one variable at a time. The panel CSV loader
+    builds its panel here.
     """
     if not len(years):
         raise PanelError("no input rows")
     first_year = int(years.min())
     span = tuple(range(first_year, int(years.max()) + 1))
     T = len(span)
-    # rows are distinct and inside the span, so a region is complete iff it has T filled rows
-    counted = region_code if filled is None else region_code[filled]
-    complete = np.bincount(counted, minlength=len(regions)) == T
+    # rows are distinct and inside the span, so a region is complete iff it has T rows
+    complete = np.bincount(region_code, minlength=len(regions)) == T
     kept = [r for r, ok in zip(regions, complete.tolist()) if ok]
     dropped = [r for r, ok in zip(regions, complete.tolist()) if not ok]
     if not kept:

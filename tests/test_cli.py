@@ -380,6 +380,41 @@ class TestEstimate:
         assert not out.exists()
 
 
+# ROADMAP item 13: the elasticities should not depend on the units of L and
+# E. log(x + 1) is not log(x) + a constant, so today they do.
+ITEM_13 = "item 13: log(1 + x) of L and E makes the elasticities depend on their units"
+
+
+class TestUnitInvariance:
+    """Every registry estimator, fitted as ``estimate`` fits it on a panel
+    without zeros, gives the same short-run, persistence and long-run figures
+    whatever the units of L and E (strict xfail: the fix removes the markers)."""
+
+    @staticmethod
+    def figures(tag, scale):
+        levels, _ = simulate_dynamic_panel(DGPConfig(n_regions=40, n_years=10, rho=0.4,
+                                                     beta=0.8, sigma_alpha=1.0, seed=97))
+        panel = PanelDataset(levels.regions, levels.years, {
+            name: Grid.full(scale * np.exp(levels.var(name.lower()).values))
+            for name in ("L", "E")})
+        args = cli.build_parser().parse_args(["estimate", "--panel", "p.csv", "--out", "o"])
+        options = cli._gmm_options(args, ESTIMATORS, year_dummies=True)
+        panel, x, y = cli._log_variables(panel, False)
+        report = cli._elasticity(tag, ESTIMATORS[tag].fit(panel, x, y, options), x, y)
+        return report.short_run, report.persistence, report.long_run
+
+    @pytest.mark.parametrize("tag", [
+        pytest.param(tag, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason=ITEM_13 + ("; item 1: with year dummies the level equations fit no "
+                              "const to absorb a change of units" if tag == "sysgmm" else "")))
+        for tag in ESTIMATORS])
+    def test_elasticities_do_not_depend_on_units(self, tag):
+        base = self.figures(tag, 1.0)
+        for scale in (1e-3, 1e4):
+            assert self.figures(tag, scale) == pytest.approx(base, rel=1e-9), scale
+
+
 class TestGmmOptions:
     """``GmmOptions`` is the one home of the GMM settings: the CLI flags are its
     fields, and each run builds it once, before it loads a panel or fits."""
@@ -552,12 +587,19 @@ class TestErrorHandling:
          "need at least 2 replications"),
         (["estimate", "--estimator", "lsdv", "--panel", "{one}"],
          "regressor 'e_l1' has no within variation"),
-    ], ids=["robustness-filter", "estimate-load", "ingest-load", "montecarlo-reps", "lsdv-fit"])
+        (["estimate", "--levels", "--panel", "{good}"],
+         "levels pathway needs variables 'L' and 'E'"),
+        (["estimate", "--panel", "{other}"], "panel must contain variables L/E or l/e"),
+        (["robustness", "--panel", "{good}", "--exclude-years", "1999"],
+         "excluded years not in panel: [1999]"),
+    ], ids=["robustness-filter", "estimate-load", "ingest-load", "montecarlo-reps", "lsdv-fit",
+            "estimate-levels", "estimate-variables", "robustness-years"])
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, capsys, command, message):
         write_log_panel(tmp_path / "good.csv", seed=92)
         write_log_panel(tmp_path / "one.csv", N=1, seed=93)
         (tmp_path / "bad.csv").write_text("region,year,l,e\nA,2001,1,1\nA,2001,2,2\n")
-        inputs = {name: tmp_path / f"{name}.csv" for name in ("good", "bad", "one")}
+        (tmp_path / "other.csv").write_text("region,year,L,e\nA,2001,1,1\nA,2002,2,2\n")
+        inputs = {name: tmp_path / f"{name}.csv" for name in ("good", "bad", "one", "other")}
         out = tmp_path / "out"
         assert main([arg.format(**inputs) for arg in command] + ["--out", str(out)]) == 1
         err = capsys.readouterr().err

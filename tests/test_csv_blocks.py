@@ -2,7 +2,8 @@
 
 Each oracle below is the earlier implementation, kept verbatim: the panel
 loader parsed the file row by row into (region, year, variable, value) tuples
-and assembled them with the tuple-based ``build_panel``; ``_read_columns``
+and assembled them with the tuple-based builder that survives here only as
+``old_build_panel``; ``_read_columns``
 held every row of the file as a list before converting each column, and
 returned the columns up to the first bad row with that row's error; the pixel
 loader checked the values of those columns before raising the error; the
@@ -39,7 +40,6 @@ from forestpanel.panel import (
     Grid,
     PanelDataset,
     PanelError,
-    build_panel,
     demean_twoway_values,
 )
 
@@ -736,46 +736,3 @@ def test_writers_quote_odd_labels_like_csv_writer(work, label):
     old_write_csv(work / "old_scatter.csv", header, old_scatter_rows(panel, "l", "e"))
     cli._write_scatter(work / "new_scatter.csv", panel, "l", "e")
     assert (work / "new_scatter.csv").read_bytes() == (work / "old_scatter.csv").read_bytes()
-
-
-def build_outcome(build, rows):
-    try:
-        return panel_key(build(rows))
-    except PanelError as exc:
-        return f"PanelError: {exc}"
-
-
-# (region, year, variable, value) cells over a few regions, years and
-# variables: cells left out, repeated or non-finite, in any order
-CELLS = st.lists(
-    st.tuples(st.sampled_from("ABC"), st.integers(2000, 2003), st.sampled_from("xyz"),
-              st.sampled_from([0.5, -2.0, 1e300, float("nan"), float("inf")])),
-    max_size=40,
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(rows=CELLS)
-def test_build_panel_matches_the_cell_by_cell_builder(rows):
-    # build_panel gathers its cells into one (region, year) row per pair and
-    # marks the rows that lack a variable; the span, the drops, the first
-    # repeated cell and the non-finite check must stay the tuple builder's
-    assert build_outcome(build_panel, rows) == build_outcome(old_build_panel, rows)
-
-
-@pytest.mark.parametrize("rows, expected", [
-    # A lacks y in 2000, the first year: the span keeps 2000 and A is dropped
-    ([("A", 2000, "x", 1.0), ("A", 2001, "x", 1.0), ("A", 2001, "y", 1.0),
-      ("B", 2000, "x", 1.0), ("B", 2000, "y", 1.0), ("B", 2001, "x", 1.0),
-      ("B", 2001, "y", 1.0)], (("B",), (2000, 2001), ["A"])),
-    # no region has 2000 whole, so none is complete over 2000-2001
-    ([("A", 2000, "x", 1.0), ("A", 2001, "x", 1.0), ("A", 2001, "y", 1.0),
-      ("B", 2001, "x", 1.0), ("B", 2001, "y", 1.0)], None),
-])
-def test_build_panel_span_counts_rows_that_lack_a_variable(rows, expected):
-    if expected is None:
-        with pytest.raises(PanelError, match="no region has a complete year series"):
-            build_panel(rows)
-    else:
-        panel, dropped = build_panel(rows)
-        assert (panel.regions, panel.years, dropped) == expected

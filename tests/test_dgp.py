@@ -55,6 +55,15 @@ class TestDGPConfigValidation:
         with pytest.raises(DGPError, match="seed must be nonnegative"):
             DGPConfig(n_regions=5, n_years=5, rho=0.0, beta=1.0, seed=-1)
 
+    @pytest.mark.parametrize("n_regions, n_years", [(0, 5), (5, 0)])
+    def test_empty_panel(self, n_regions, n_years):
+        with pytest.raises(DGPError, match=r"^need at least one region and one year$"):
+            DGPConfig(n_regions=n_regions, n_years=n_years, rho=0.0, beta=1.0)
+
+    def test_unknown_error_law(self):
+        with pytest.raises(DGPError, match=r"^unknown error law 'cauchy'$"):
+            DGPConfig(n_regions=5, n_years=5, rho=0.0, beta=1.0, error_law="cauchy")
+
     @pytest.mark.parametrize("tail_index", [0.0, -1.5])
     def test_heavy_tail_needs_positive_tail_index(self, tail_index):
         with pytest.raises(DGPError, match=r"^tail_index must be > 0 for heavy-tailed errors$"):
@@ -211,6 +220,11 @@ class TestGridDGPConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(DGPError, match=r"^seed must be nonnegative$"):
             GridDGPConfig(seed=-1)
+
+    @pytest.mark.parametrize("field", ["n_regions", "pixels_per_region", "n_years"])
+    def test_counts_must_be_positive(self, field):
+        with pytest.raises(DGPError, match=r"^counts must be positive$"):
+            GridDGPConfig(**{field: 0})
 
     @pytest.mark.parametrize("field", ["biomass_log_mean", "biomass_log_sigma",
                                        "event_tail_index", "pixel_area"])

@@ -42,6 +42,11 @@ def simulated_gmm_fit(seed=50, rho=0.4, N=200, T=7, two_step=True, collapse=Fals
     return fit_diff_gmm(panel, SPEC, GmmOptions(two_step=two_step, collapse=collapse))
 
 
+def within_fit():
+    cfg = DGPConfig(n_regions=30, n_years=6, rho=0.0, beta=1.0, seed=49)
+    return fit_twoway_fe(simulate_dynamic_panel(cfg)[0], SPEC)
+
+
 class TestArTest:
     def test_zero_residuals_degenerate(self):
         with pytest.raises(DiagnosticError, match="degenerate"):
@@ -54,6 +59,11 @@ class TestArTest:
     def test_order_validation(self):
         with pytest.raises(DiagnosticError):
             ar_test(gmm_stub(np.ones((5, 4))), 3)
+
+    def test_within_fit_is_rejected(self):
+        with pytest.raises(DiagnosticError,
+                           match=r"^AR test needs a GMM fit with retained residuals$"):
+            ar_test(within_fit(), 2)
 
     def test_differencing_induces_negative_ar1(self):
         fit = simulated_gmm_fit(seed=51)
@@ -96,6 +106,11 @@ class TestHansenJ:
         result = hansen_j(fit)
         assert result.statistic <= 1e-8
         assert result.df == 0
+
+    def test_within_fit_is_rejected(self):
+        with pytest.raises(DiagnosticError,
+                           match=r"^J test needs a GMM fit with retained instruments$"):
+            hansen_j(within_fit())
 
     def test_nonnegative(self):
         for seed in range(56, 60):

@@ -77,6 +77,31 @@ class TestPooledOls:
         with pytest.raises(EstimationError, match="x_copy|x"):
             fit_pooled_ols(panel, RegressionSpec("y", ("x", "x_copy")))
 
+    @pytest.mark.parametrize("scale", [1e10, 1e11, 1e14])
+    def test_badly_scaled_full_rank_design_fits(self, scale):
+        # rank is judged column by column: const and L differ in scale by 1e11,
+        # yet each keeps its own norm in R's diagonal (ratios 1.0 and about 0.18)
+        rng = np.random.default_rng(35)
+        L = rng.uniform(1, 2, (30, 6)) * scale
+        panel = panel_from(L=L, E=2 * L + rng.normal(size=(30, 6)) * 1e-2 * scale)
+        fit = fit_pooled_ols(panel, RegressionSpec("E", (CONST, "L")))
+        assert fit.coefficients["L"] == pytest.approx(2.0, abs=0.05)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e11])
+    def test_duplicated_column_is_named(self, scale):
+        rng = np.random.default_rng(36)
+        L = rng.uniform(1, 2, (30, 6)) * scale
+        panel = panel_from(L=L, L_copy=L, E=2 * L + rng.normal(size=(30, 6)))
+        with pytest.raises(EstimationError,
+                           match=r"^rank-deficient design; collinear columns: \['L_copy'\]$"):
+            fit_pooled_ols(panel, RegressionSpec("E", (CONST, "L", "L_copy")))
+
+    def test_too_few_observations(self):
+        panel = panel_from(x=[[1.0, 2.0]], y=[[1.0, 3.0]])
+        with pytest.raises(EstimationError,
+                           match=r"^not enough complete observations for pooled OLS$"):
+            fit_pooled_ols(panel, RegressionSpec("y", (CONST, "x")))
+
 
 class TestTwowayFe:
     @staticmethod
@@ -95,6 +120,30 @@ class TestTwowayFe:
         x = np.tile(np.array([[1.0], [2.0], [3.0]]), (1, 5))
         panel = panel_from(x=x, y=np.random.default_rng(0).normal(size=(3, 5)))
         with pytest.raises(EstimationError, match="within variation"):
+            fit_twoway_fe(panel, self.spec("x"))
+
+    def test_two_by_two_panel_has_no_residual_dof(self):
+        # 4 cells less 1 slope and N + T - 1 = 3 absorbed effects leave none
+        rng = np.random.default_rng(37)
+        panel = panel_from(x=rng.normal(size=(2, 2)), y=rng.normal(size=(2, 2)))
+        with pytest.raises(EstimationError,
+                           match=r"^no residual degrees of freedom for the clustered vcov$"):
+            fit_twoway_fe(panel, self.spec("x"))
+
+    @pytest.mark.parametrize("fit", [fit_twoway_fe, fit_dynamic_lsdv])
+    def test_const_is_rejected(self, fit):
+        rng = np.random.default_rng(38)
+        panel = panel_from(x=rng.normal(size=(4, 5)), y=rng.normal(size=(4, 5)))
+        with pytest.raises(EstimationError, match=r"^const is absorbed by the fixed effects$"):
+            fit(panel, self.spec(CONST, "x"))
+
+    def test_one_available_year_is_rejected(self):
+        rng = np.random.default_rng(39)
+        available = np.array([False, True, False, False])
+        panel = panel_from(y=rng.normal(size=(4, 4))).with_variable(
+            "x", Grid(np.where(available, rng.normal(size=(4, 4)), 0.0), available))
+        with pytest.raises(EstimationError,
+                           match=r"^need at least 2 complete years for the within fit$"):
             fit_twoway_fe(panel, self.spec("x"))
 
     def test_matches_dummy_variable_oracle(self):
@@ -384,6 +433,12 @@ class TestLongRunElasticity:
     def test_hand_arithmetic(self):
         report = long_run_elasticity(stub_fit(0.5, 0.5), "l", "e_l1")
         assert report.long_run == pytest.approx(1.0, abs=1e-12)
+
+    def test_static_fit_has_no_persistence(self):
+        x = np.arange(1.0, 13.0).reshape(3, 4)
+        fit = fit_pooled_ols(panel_from(x=x, y=2.0 * x), RegressionSpec("y", ("x",)))
+        with pytest.raises(EstimationError, match=r"^coefficient 'y_l1' not in fit$"):
+            long_run_elasticity(fit, "x", "y_l1")
 
     def test_unit_root_rejected(self):
         with pytest.raises(EstimationError, match="unit root"):

@@ -221,6 +221,16 @@ class TestDiffGmm:
         assert fit.coefficients["l"] == pytest.approx(1.0, abs=1e-6)
         assert any(name.startswith("year_") for name in fit.coef_names)
 
+    def test_response_with_a_masked_year_is_rejected(self):
+        panel = noise_free_panel()
+        available = np.ones(panel.T, dtype=bool)
+        available[3] = False
+        e = panel.var("e")
+        panel = PanelDataset(panel.regions, panel.years, {
+            "e": Grid(np.where(available, e.values, 0.0), available), "l": panel.var("l")})
+        with pytest.raises(EstimationError, match=r"^response 'e' must be fully available$"):
+            fit_diff_gmm(panel, SPEC, GmmOptions())
+
     def test_vcov_symmetric_psd(self):
         cfg = DGPConfig(n_regions=120, n_years=7, rho=0.3, beta=1.0,
                         sigma_alpha=1.0, sigma_u=1.0, seed=27)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from forestpanel.cli import ESTIMATORS
 from forestpanel.dgp import DGPConfig, simulate_dynamic_panel
 from forestpanel.gmm import GmmOptions
+from forestpanel.ingest import load_panel_csv
 from forestpanel.panel import (
     Grid,
     PanelDataset,
@@ -23,13 +24,16 @@ from forestpanel.panel import (
 LOG_651812 = 13.3875114557715111
 
 
-def rows_for(regions, years, variables):
-    out = []
-    for r in regions:
-        for y in years:
-            for v, grids in variables.items():
-                out.append((r, y, v, grids[r][y]))
-    return out
+def build(rows):
+    """``build_panel`` of (region, year, x) rows, regions in first-seen order."""
+    regions = tuple(dict.fromkeys(r for r, _, _ in rows))
+    code = {r: i for i, r in enumerate(regions)}
+    return build_panel(
+        regions, ("x",),
+        np.array([code[r] for r, _, _ in rows], dtype=np.intp),
+        np.array([y for _, y, _ in rows], dtype=np.int64),
+        np.array([x for _, _, x in rows], dtype=float)[:, None],
+    )
 
 
 def make_panel(values, years_start=2001, extra=None):
@@ -47,55 +51,53 @@ def make_panel(values, years_start=2001, extra=None):
 
 class TestBuildPanel:
     def test_complete_input(self):
-        rows = [("A", 2001, "x", 1.0), ("A", 2002, "x", 2.0),
-                ("B", 2001, "x", 3.0), ("B", 2002, "x", 4.0)]
-        panel, dropped = build_panel(rows)
+        rows = [("A", 2001, 1.0), ("A", 2002, 2.0), ("B", 2001, 3.0), ("B", 2002, 4.0)]
+        panel, dropped = build(rows)
         assert (panel.N, panel.T) == (2, 2)
         assert dropped == []
 
     def test_incomplete_region_dropped(self):
-        rows = [("A", 2001, "x", 1.0), ("A", 2002, "x", 2.0),
-                ("B", 2001, "x", 3.0)]
-        panel, dropped = build_panel(rows)
+        rows = [("A", 2001, 1.0), ("A", 2002, 2.0), ("B", 2001, 3.0)]
+        panel, dropped = build(rows)
         assert panel.N == 1
         assert dropped == ["B"]
 
     def test_23_year_panel_with_one_gap(self):
-        # enumerate cells by hand: region C misses 2017, so C is dropped
+        # enumerate rows by hand: region C misses 2017, so C is dropped
         rows = []
         for region in ("A", "B", "C"):
             for year in range(2001, 2024):
                 if region == "C" and year == 2017:
                     continue
-                rows.append((region, year, "x", float(year)))
-        panel, dropped = build_panel(rows)
+                rows.append((region, year, float(year)))
+        panel, dropped = build(rows)
         assert (panel.N, panel.T) == (2, 23)
         assert dropped == ["C"]
 
     def test_empty_input(self):
         with pytest.raises(PanelError):
-            build_panel([])
+            build([])
 
     def test_zero_survivors(self):
-        rows = [("A", 2001, "x", 1.0), ("B", 2002, "x", 2.0)]
+        rows = [("A", 2001, 1.0), ("B", 2002, 2.0)]
         with pytest.raises(PanelError):
-            build_panel(rows)
+            build(rows)
 
-    def test_duplicate_cell(self):
-        with pytest.raises(PanelError, match="duplicate"):
-            build_panel([("A", 2001, "x", 1.0), ("A", 2001, "x", 2.0)])
-
-    def test_first_seen_order_and_drops_with_shuffled_rows(self):
+    def test_first_seen_order_and_drops_with_shuffled_rows(self, tmp_path):
+        # through the CSV loader, which numbers the regions in first-seen order
         rng = np.random.default_rng(12)
         names = [f"R{i}" for i in rng.permutation(2000)]
         incomplete = set(rng.choice(names, size=50, replace=False).tolist())
         rows = [
-            (r, y, v, float(rng.random()))
-            for r in names for y in range(2001, 2024) for v in ("L", "E")
-            if not (r in incomplete and y == 2010 and v == "E")
+            (r, y, float(rng.random()), float(rng.random()))
+            for r in names for y in range(2001, 2024)
+            if not (r in incomplete and y == 2010)
         ]
         rows = [rows[k] for k in rng.permutation(len(rows))]
-        panel, dropped = build_panel(rows)
+        path = tmp_path / "panel.csv"
+        path.write_text("region,year,L,E\n" + "".join(
+            f"{r},{y},{l!r},{e!r}\n" for r, y, l, e in rows))
+        panel, dropped = load_panel_csv(path)
 
         def first_seen(items):
             order, seen = [], set()
@@ -108,24 +110,23 @@ class TestBuildPanel:
         regions = first_seen(row[0] for row in rows)
         assert list(panel.regions) == [r for r in regions if r not in incomplete]
         assert dropped == [r for r in regions if r in incomplete]
-        assert list(panel.variables) == first_seen(row[2] for row in rows)
+        assert list(panel.variables) == ["L", "E"]
         assert panel.years == tuple(range(2001, 2024))
         index = {r: i for i, r in enumerate(panel.regions)}
-        for r, y, v, value in rows:
+        for r, y, *values in rows:
             if r in index:
-                assert panel.var(v).values[index[r], y - 2001] == value
+                for v, value in zip(("L", "E"), values):
+                    assert panel.var(v).values[index[r], y - 2001] == value
 
     def test_balancing_idempotent(self):
-        rows = rows_for(
-            ["A", "B"], [2001, 2002], {"x": {"A": {2001: 1, 2002: 2}, "B": {2001: 3, 2002: 4}}}
-        )
-        panel, dropped = build_panel(rows)
+        rows = [("A", 2001, 1.0), ("A", 2002, 2.0), ("B", 2001, 3.0), ("B", 2002, 4.0)]
+        panel, dropped = build(rows)
         rebuilt_rows = [
-            (r, y, "x", panel.var("x").values[i, j])
+            (r, y, panel.var("x").values[i, j])
             for i, r in enumerate(panel.regions)
             for j, y in enumerate(panel.years)
         ]
-        _, dropped2 = build_panel(rebuilt_rows)
+        _, dropped2 = build(rebuilt_rows)
         assert dropped2 == []
 
 
