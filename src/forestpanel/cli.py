@@ -14,7 +14,9 @@ settings that were applied.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -471,24 +473,28 @@ def main(argv=None) -> int:
         return 1
     # input, numerical and output errors only (UnicodeDecodeError: an input
     # file that is not UTF-8); any other exception is a bug and propagates
+    held = io.StringIO()  # the run's stderr: a rejected run's is its error line alone
     try:
-        files, lines = args.func(args)
-        # the output directory is where files land, not part of the run
-        # configuration, so it stays out of the manifest
-        config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
-        files["manifest.json"] = {"tool": "forestpanel", "version": __version__,
-                                  "subcommand": args.subcommand, "config": config,
-                                  "seed": getattr(args, "seed", None)}
-        writers = {name: _json_writer(name, payload) if isinstance(payload, dict) else payload
-                   for name, payload in files.items()}
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, write in writers.items():
-            write(out / name)
+        with contextlib.redirect_stderr(held):
+            files, lines = args.func(args)
+            # the output directory is where files land, not part of the run
+            # configuration, so it stays out of the manifest
+            config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
+            files["manifest.json"] = {"tool": "forestpanel", "version": __version__,
+                                      "subcommand": args.subcommand, "config": config,
+                                      "seed": getattr(args, "seed", None)}
+            writers = {name: _json_writer(name, payload) if isinstance(payload, dict)
+                       else payload for name, payload in files.items()}
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, write in writers.items():
+                write(out / name)
     except (PanelError, LoadError, EstimationError, DGPError, DiagnosticError, OutputError,
             np.linalg.LinAlgError, UnicodeDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        held = io.StringIO(f"error: {exc}\n")
         return 1
+    finally:
+        sys.stderr.write(held.getvalue())
     for line in lines:
         print(line)
     return 0

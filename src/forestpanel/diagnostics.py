@@ -5,8 +5,8 @@ with a within fit's R2.
 P-values come from the ``scipy.special`` ufuncs that ``scipy.stats`` itself
 evaluates, bit for bit: ``ndtr(-|z|)`` is the normal tail ``norm.sf(|z|)``
 (``estimators.normal_p_value``), and ``chdtrc(df, x)`` the chi-square tail
-``chi2.sf(x, df)`` (``_chi2_sf``). ``scipy.stats`` is never imported, because
-its import alone takes longer than an estimate run.
+``chi2.sf(x, df)`` (``_chi2_sf``). ``scipy.special`` is loaded at the first
+tail, and ``scipy.stats``, whose import alone outlasts an estimate run, never.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .estimators import FitResult, normal_p_value
+from .estimators import FitResult, normal_p_value, scipy_special
 from .gmm import symmetric_factor
 from .panel import Grid
 
@@ -47,7 +46,7 @@ def _chi2_sf(x: float, df: int) -> float:
     """Chi-square upper tail, as ``scipy.stats.chi2.sf`` evaluates it: the
     ``chdtrc`` ufunc on the support, and 1.0 below it, where ``chdtrc`` gives
     nan (a statistic that rounding pushed below zero keeps its p-value)."""
-    return 1.0 if x < 0 else float(special.chdtrc(df, x))
+    return 1.0 if x < 0 else float(scipy_special().chdtrc(df, x))
 
 
 def _verdict(p: float, what: str) -> str:

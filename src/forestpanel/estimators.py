@@ -9,9 +9,10 @@ for an intercept), the within fits absorb region and year effects, and GMM
 differences out the region effects. A ``RegressionSpec`` only names the
 response and the regressors.
 
-Coefficient p-values are two-sided normal tails from ``scipy.special.ndtr``,
-the ufunc behind ``scipy.stats.norm.sf``, so the package never pays the import
-of ``scipy.stats``; ``normal_p_value`` is the one place they are computed.
+Coefficient p-values are two-sided normal tails from ``scipy.special.ndtr``
+(``normal_p_value``), imported at the first one. The triangular solves are
+numpy's, a back-substitution by 1-D dots and ``np.linalg.inv``, with the bits
+of scipy's on the R of ``np.linalg.qr`` up to 64 columns.
 """
 
 from __future__ import annotations
@@ -21,18 +22,21 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import special
-from scipy.linalg import solve_triangular
 
 from .panel import Grid, PanelDataset, demean_twoway_values, lag
 
 CONST = "const"  # reserved regressor name mapping to a column of ones
 
 
+def scipy_special():  # the one import of scipy: ingest and montecarlo load none
+    from scipy import special
+    return special
+
+
 def normal_p_value(z: float) -> float:
     """Two-sided standard normal p-value 2 * P(Z > |z|), by the ufunc that
     ``scipy.stats.norm.sf`` evaluates, so bit for bit its value."""
-    return float(2.0 * special.ndtr(-abs(z)))
+    return float(2.0 * scipy_special().ndtr(-abs(z)))
 
 
 class EstimationError(ValueError):
@@ -145,7 +149,8 @@ def qr_lstsq(
     Column j is collinear with the columns before it when |R_jj| is at most
     1e-10 of the norm of R's column j, which is the norm of X's column j, so
     the rank does not depend on the columns' units. The norm is taken by
-    ``np.hypot``, which does not overflow where the squares would.
+    ``np.hypot``, which does not overflow where the squares would. Past
+    64 columns, the coefficients may differ in the last bits from scipy's.
     """
     Q, R = np.linalg.qr(X)
     Qty = Q.T @ y
@@ -156,7 +161,9 @@ def qr_lstsq(
     if not collinear.size or collinear.any():
         bad = [name for name, flag in zip(names, collinear.tolist()) if flag]
         raise EstimationError(f"rank-deficient design; collinear columns: {bad or names}")
-    return solve_triangular(R, Qty), R
+    for i in reversed(range(Qty.size)):  # back-substitution, in place
+        Qty[i] = (Qty[i] - R[i, i + 1:] @ Qty[i + 1:]) / R[i, i]
+    return Qty, R
 
 
 def cluster_robust_vcov(
@@ -180,14 +187,12 @@ def cluster_robust_vcov(
     n, k = X.shape
     if factored is None:
         labels, inverse = np.unique(np.asarray(clusters), return_inverse=True)
-        G = labels.size
+        G, R = labels.size, np.linalg.qr(X)[1]
     else:
         inverse, (G, R) = clusters, factored
     if G < 2:
         raise EstimationError("cluster-robust covariance needs at least 2 clusters")
-    if factored is None:
-        _, R = np.linalg.qr(X)
-    Rinv = solve_triangular(R, np.eye(k))
+    Rinv = np.linalg.inv(R)
     xtx_inv = Rinv @ Rinv.T
     # per-cluster scores X_g' u_g: each column summed by cluster from 0.0,
     # in input order

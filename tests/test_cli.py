@@ -453,12 +453,32 @@ class TestGmmOptions:
         assert not out.exists()
 
 
+def run_fresh(*args):
+    """``python *args`` in a fresh process that imports this forestpanel, with
+    Python's default warning filters."""
+    import forestpanel
+
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    package_root = str(Path(forestpanel.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+# runs main in a fresh process, then prints its exit code and the scipy modules loaded
+SCIPY_MODULES = """
+import json, sys
+from forestpanel.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
 class TestColdStart:
     def test_scipy_stats_is_never_imported(self, tmp_path):
         """Neither the import of the CLI nor a run that reports p-values loads
         scipy.stats, whose import alone outlasts an estimate run."""
-        import forestpanel
-
         src = tmp_path / "panel.csv"
         write_log_panel(src, N=40, T=8, seed=85)
         script = f"""
@@ -473,15 +493,47 @@ assert main(["montecarlo", "--preset", "nickell-demo", "--reps", "2",
 seen.append(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"]))
 print(json.dumps(seen))
 """
-        env = dict(os.environ)
-        package_root = str(Path(forestpanel.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
-                                                          env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=300, check=True)
+        done = run_fresh("-c", script)
+        assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == [False, False, []]
         report = read_json(tmp_path / "est" / "report.json")
         assert "hansen_j" in report["diagnostics"]["sysgmm"]
+
+    @pytest.mark.parametrize("command", ["ingest", "montecarlo"])
+    def test_run_without_p_values_loads_no_scipy(self, tmp_path, command):
+        """ingest and montecarlo report no p-value, so their processes load
+        no scipy module at all."""
+        from forestpanel.dgp import GridDGPConfig, simulate_disturbance_grid
+        from forestpanel.ingest import write_pixel_grid_csv
+
+        if command == "ingest":
+            grid = simulate_disturbance_grid(
+                GridDGPConfig(n_regions=20, pixels_per_region=50, n_years=8, seed=85))
+            write_pixel_grid_csv(grid, tmp_path / "pixels.csv", tmp_path / "events.csv")
+            argv = ["ingest", "--pixels", str(tmp_path / "pixels.csv"),
+                    "--events", str(tmp_path / "events.csv")]
+        else:
+            argv = ["montecarlo", "--preset", "nickell-demo", "--reps", "2"]
+        done = run_fresh("-c", SCIPY_MODULES, *argv, "--out", str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+
+    def test_estimate_loads_only_scipy_special(self, tmp_path):
+        """p-values come from scipy.special, loaded at the first one, and the
+        least-squares solves are numpy's: an estimate run loads exactly the
+        scipy modules that ``import scipy.special`` loads: on recent releases
+        that leaves out scipy.linalg, which older ones import there."""
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, N=40, T=8, seed=85)
+        done = run_fresh("-c", SCIPY_MODULES, "estimate", "--panel", str(src), "--two-step",
+                         "--out", str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        special = run_fresh("-c", "import json, sys, scipy.special; print(json.dumps(sorted("
+                            "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+        assert code == 0 and "scipy.special" in loaded
+        assert loaded == json.loads(special.stdout)
+        assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "stats"]]
 
 
 class TestRobustness:
@@ -708,6 +760,71 @@ class TestOutputStep:
                      "--estimator", estimator, "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"error: report.json: {NOT_JSON}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [OVERFLOWING_PANEL, None], ids=["1e308", "1e160"])
+    def test_rejected_run_prints_only_its_error_line(self, tmp_path, rows):
+        # numpy warns at each overflow before the typed error is raised; in a
+        # fresh process, with the default warning filters, no warning line
+        # (an install path and a source line) comes before the error line
+        if rows is None:
+            rng = np.random.default_rng(99)
+            panel = PanelDataset(tuple(f"r{i:02d}" for i in range(30)),
+                                 tuple(range(2001, 2007)),
+                                 {name: Grid.full(rng.uniform(1, 2, (30, 6)) * 1e160)
+                                  for name in ("L", "E")})
+            write_panel_csv(panel, tmp_path / "levels.csv")
+            message = f"report.json: {NOT_JSON}"
+        else:
+            (tmp_path / "levels.csv").write_text(rows)
+            message = "least-squares design or response is not finite (inf, NaN or overflow)"
+        out = tmp_path / "out"
+        done = run_fresh("-m", "forestpanel.cli", "estimate", "--panel",
+                         str(tmp_path / "levels.csv"), "--levels", "--estimator", "fe2w",
+                         "--out", str(out))
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reject", [False, True])
+    def test_stderr_is_shown_only_for_a_run_that_succeeds(self, tmp_path, reject):
+        # a subcommand that prints to stderr and warns: a run that succeeds
+        # shows both, in order, as they happened; a rejected one neither
+        script = """
+import sys, warnings
+from forestpanel import cli
+from forestpanel.estimators import EstimationError
+def noisy(args):
+    print("note", file=sys.stderr)
+    warnings.warn("kept", RuntimeWarning)
+    if args.panel == "reject":
+        raise EstimationError("typed failure")
+    return {}, ["done"]
+cli.cmd_ingest = noisy
+sys.exit(cli.main(sys.argv[1:]))
+"""
+        out = tmp_path / "out"
+        done = run_fresh("-c", script, "ingest", "--panel", "reject" if reject else "keep",
+                         "--out", str(out))
+        if reject:
+            assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: typed failure\n")
+            assert not out.exists()
+        else:
+            assert (done.returncode, done.stdout) == (0, "done\n")
+            note, warning = done.stderr.split("\n", 1)
+            assert note == "note" and "RuntimeWarning: kept\n" in warning
+            assert (out / "manifest.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_callers_warning_filters_still_apply(self, tmp_path, monkeypatch):
+        # a warning that the caller's filters turn into an error is a bug of
+        # the run, raised out of main, not a rejection
+        def warns(args):
+            np.float64(1e308) * 10.0
+            return {}, []
+
+        monkeypatch.setattr(cli, "cmd_ingest", warns)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            main(["ingest", "--panel", "unread.csv", "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
 
 class TestMonteCarloCommand:

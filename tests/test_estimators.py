@@ -15,6 +15,7 @@ from forestpanel.estimators import (
     fit_pooled_ols,
     fit_twoway_fe,
     long_run_elasticity,
+    qr_lstsq,
 )
 from forestpanel.panel import Grid, PanelDataset, PanelError, demean_twoway_values, lag
 
@@ -266,6 +267,16 @@ class TestClusterRobustVcov:
         with pytest.raises(EstimationError):
             cluster_robust_vcov(np.ones((4, 1)), np.ones(4), np.zeros(4))
 
+    @pytest.mark.parametrize("zero", [0, 1, 2])
+    def test_all_zero_column_is_a_linear_algebra_error(self, zero):
+        # the unfactored path takes its own QR, whose R has an exact zero on
+        # the diagonal; inverting it is a typed error, never a silent inf
+        rng = np.random.default_rng(49)
+        X = rng.normal(size=(40, 3))
+        X[:, zero] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            cluster_robust_vcov(X, rng.normal(size=40), np.repeat(np.arange(10), 4))
+
     def test_symmetric_psd(self):
         rng = np.random.default_rng(43)
         X = rng.normal(size=(50, 4))
@@ -383,6 +394,52 @@ class TestSharedFactor:
         want = cluster_robust_vcov(X, resid, np.repeat(np.arange(N), Ts), dof_absorbed)
         assert np.array_equal(fit.vcov, want)
         assert Ts == (5 if "m" in panel.variables else 6 - (tag == "lsdv"))
+
+
+def triangular_design(rng, kind, n, k):
+    """An n x k design: standard normal, with column scales exp(N(0, 3)), or
+    near-collinear (each column the one before it plus 1e-6 noise)."""
+    X = rng.normal(size=(n, k))
+    if kind == "badly-scaled":
+        X *= np.exp(rng.normal(0.0, 3.0, size=k))
+    elif kind == "near-collinear":
+        X[:, 1:] = X[:, :1] + 1e-6 * X[:, 1:]
+    return X
+
+
+class TestTriangularSolves:
+    """numpy's back-substitution and inverse on the R that ``np.linalg.qr``
+    returns keep the bits of scipy's triangular solve up to 64 columns."""
+
+    @pytest.mark.parametrize("kind", ["random", "badly-scaled", "near-collinear"])
+    def test_back_substitution_has_scipys_bits(self, kind):
+        rng = np.random.default_rng(50)
+        for k in range(1, 65):
+            for _ in range(3):
+                n = k + int(rng.integers(1, 2 * k + 10))
+                X = triangular_design(rng, kind, n, k)
+                y = X @ rng.normal(size=k) + rng.normal(size=n)
+                Q, R = np.linalg.qr(X)
+                beta, factor = qr_lstsq(X, y, [f"x{j}" for j in range(k)])
+                assert factor.tobytes() == R.tobytes()
+                assert beta.tobytes() == solve_triangular(R, Q.T @ y).tobytes(), (kind, n, k)
+
+    def test_inverse_has_scipys_bits(self):
+        rng = np.random.default_rng(51)
+        for k in [*range(1, 65), 65, 100, 128, 200, 256, 300]:
+            kind = ("random", "badly-scaled", "near-collinear")[k % 3]
+            _, R = np.linalg.qr(triangular_design(rng, kind, k + 20, k))
+            assert np.linalg.inv(R).tobytes() == solve_triangular(R, np.eye(k)).tobytes(), k
+
+    @pytest.mark.parametrize("k", [65, 128])
+    def test_wide_design_agrees_with_lstsq(self, k):
+        # past 64 columns the bits may differ from scipy's; the values agree
+        rng = np.random.default_rng(k)
+        X = rng.normal(size=(3 * k, k))
+        y = X @ rng.normal(size=k) + rng.normal(size=3 * k)
+        beta, _ = qr_lstsq(X, y, [f"x{j}" for j in range(k)])
+        expected = np.linalg.lstsq(X, y, rcond=None)[0]
+        assert np.abs(beta - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 class TestNonFiniteSystem:
