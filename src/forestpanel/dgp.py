@@ -15,6 +15,7 @@ import ctypes
 import dataclasses
 import multiprocessing
 import sys
+import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -241,12 +242,12 @@ def simulate_disturbance_grid(config: GridDGPConfig) -> PixelGrid:
          rng.uniform(0.0, 100.0, n))
         for _ in regions
     ]
-    pixel_ids = [f"{region}:P{j:05d}" for region in regions for j in range(n)]
+    pixel_ids = np.array([f"{region}:P{j:05d}" for region in regions for j in range(n)], object)
 
-    events: list[tuple[str, int]] = []
+    event_pixel, event_year = [], []
     years = range(config.start_year, config.start_year + config.n_years)
     for i in range(config.n_regions):
-        pool = pixel_ids[i * n:(i + 1) * n]
+        pool = list(range(i * n, (i + 1) * n))  # rows of the region's pixels not yet lost
         for year in years:
             n_events = rng.poisson(config.ignition_rate)
             for _ in range(n_events):
@@ -255,15 +256,17 @@ def simulate_disturbance_grid(config: GridDGPConfig) -> PixelGrid:
                 if take == 0:
                     break
                 chosen = rng.choice(len(pool), size=take, replace=False)
-                for idx in sorted(chosen, reverse=True):
-                    events.append((pool.pop(idx), year))
-    return PixelGrid(
+                event_pixel.extend(pool.pop(idx) for idx in sorted(chosen, reverse=True))
+                event_year.extend([year] * take)
+    return PixelGrid.__new__(PixelGrid)._init_coded(
         pixel_ids,
-        [region for region in regions for _ in range(n)],
+        tuple(regions),
+        np.repeat(np.arange(config.n_regions, dtype=np.intp), n),
         np.concatenate([biomass for biomass, _ in draws]),
         np.full(len(pixel_ids), PIXEL_AREA),
         np.concatenate([canopy for _, canopy in draws]),
-        events,
+        np.array(event_pixel, dtype=np.intp),
+        np.array(event_year, dtype=np.int64),
     )
 
 
@@ -362,6 +365,10 @@ def monte_carlo(
     that many forked processes and are collected in order of r, so the run
     equals the serial one only if each estimand is a function of its panel:
     state an estimand keeps between calls stays in the worker that made it.
+
+    The warnings a replication raises under the caller's filters are recorded
+    where it runs and issued again here, in order of r, so a run warns the
+    same at any worker count.
     """
     if replications < 2:
         raise DGPError("need at least 2 replications")
@@ -385,7 +392,10 @@ def monte_carlo(
                                  initargs=(config, estimators)) as pool:
             chunk = -(-replications // (4 * workers))
             outcomes = list(pool.map(_replicate_in_worker, range(replications), chunksize=chunk))
-    for outcome in outcomes:
+    registry: dict = {}  # under the "default" filter, a warning shows once per run
+    for outcome, caught in outcomes:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
         for study, result in zip(studies.values(), outcome):
             (study.rows if isinstance(result, dict) else study.failures).append(result)
     return MonteCarloRun(studies)
@@ -393,25 +403,30 @@ def monte_carlo(
 
 def _replicate(
     config: DGPConfig, estimators: Mapping[str, Estimand], r: int
-) -> list[dict | tuple[int, str, str]]:
+) -> tuple[list[dict | tuple[int, str, str]], list[tuple]]:
     """Replication r of a study: per estimator, in order, its row or its
-    (r, exception type name, message) failure."""
+    (r, exception type name, message) failure; and the (message, category,
+    filename, lineno) of each warning it raised, in order, for
+    ``monte_carlo`` to issue where the run was called."""
     sub = dataclasses.replace(config, seed=replication_seed(config.seed, r))
-    panel, _ = simulate_dynamic_panel(sub)
     outcome = []
-    for estimator, truth in estimators.values():
-        try:
-            fit = estimator(panel)
-            ses = fit.std_errors()
-        except (EstimationError, PanelError, np.linalg.LinAlgError) as exc:
-            outcome.append((r, type(exc).__name__, str(exc)))
-            continue
-        row: dict = {"rep": r}
-        for n in truth:
-            row[f"{n}_estimate"] = fit.coefficients[n]
-            row[f"{n}_se"] = ses[n]
-        outcome.append(row)
-    return outcome
+    # the caller's filters still apply: an ignored warning is not recorded,
+    # and one turned into an error raises here
+    with warnings.catch_warnings(record=True) as caught:
+        panel, _ = simulate_dynamic_panel(sub)
+        for estimator, truth in estimators.values():
+            try:
+                fit = estimator(panel)
+                ses = fit.std_errors()
+            except (EstimationError, PanelError, np.linalg.LinAlgError) as exc:
+                outcome.append((r, type(exc).__name__, str(exc)))
+                continue
+            row: dict = {"rep": r}
+            for n in truth:
+                row[f"{n}_estimate"] = fit.coefficients[n]
+                row[f"{n}_se"] = ses[n]
+            outcome.append(row)
+    return outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 # the entry points by which an OpenBLAS build sets its thread count
@@ -445,5 +460,5 @@ def _start_worker(config: DGPConfig, estimators: Mapping[str, Estimand]) -> None
                 break
 
 
-def _replicate_in_worker(r: int) -> list[dict | tuple[int, str, str]]:
+def _replicate_in_worker(r: int) -> tuple[list[dict | tuple[int, str, str]], list[tuple]]:
     return _replicate(*_worker_study, r)

@@ -5,17 +5,17 @@ region id, biomass carbon density, area, and canopy density, plus a set of
 (pixel, year) loss events. Zonal aggregation, ``pixel_panel``, turns those
 into the panel's loss-area and emission variables ``L`` and ``E``.
 
-A ``PixelGrid`` holds columns: the CSV loader and the simulator pass its
-constructor one list or array per attribute, ``filter_canopy`` takes rows of
-a built grid past the constructor (``_subset``), and ``pixel_panel`` works on
-the columns. One vectorised rule, ``_first_bad_pixel``, decides which pixel
-values are valid, for the constructor and for the loader's line-numbered
-errors alike.
+A ``PixelGrid`` holds columns. The public constructor, the CSV loader and the
+simulator give one checking core, ``_init_coded``, coded columns: region codes
+and each event's pixel row. ``filter_canopy`` takes rows of a built grid past
+it (``_subset``), and ``pixel_panel`` works on the columns. One vectorised
+rule, ``_first_bad_pixel``, decides which pixel values are valid, for the core
+and for the loader's line-numbered errors alike.
 
 Both CSV loaders read a file in blocks of a few thousand lines, through one
 block reader, ``_column_blocks``. Each block's fields become float64, int64
 or object arrays at once, and the block's text is dropped before the next
-block is read, except the fields kept as text: pixel ids and region labels.
+block is read; of its text fields, only pixel ids are kept as text.
 A block is parsed by numpy's C reader, ``np.loadtxt``, when it is ASCII and
 holds no quote, no U+001C-U+001F separator, no NUL and no line longer than
 the csv module's field limit. A block that fails those screens, or that
@@ -84,8 +84,22 @@ def _first_bad_pixel(ids, biomass, area, canopy) -> tuple[int, str] | None:
     return row, f"pixel {ids[row]}: {rules[int(np.argmax(broken[:, row]))][1]}"
 
 
-# one loss event as the constructor reads it
-_EVENT = np.dtype([("pixel", object), ("year", np.int64)])
+def _codes(labels, code: dict) -> np.ndarray:
+    """Each label's index in ``code``, which takes new labels in first-seen order."""
+    for label in dict.fromkeys(labels):
+        code.setdefault(label, len(code))
+    return np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
+
+
+def _event_rows(row_of: dict, strangers: list, ids: np.ndarray) -> np.ndarray:
+    """Each id's pixel row in ``row_of``; -1 for an id it lacks, kept in ``strangers``."""
+    rows = np.fromiter(map(row_of.get, ids, repeat(-1)), np.intp, len(ids))
+    strangers.extend(ids[rows < 0].tolist())
+    return rows
+
+
+# the stored columns of a PixelGrid, as ``_store`` takes them
+_COLUMNS = ("pixel_ids", "region_code", "biomass", "area", "canopy", "event_pixel", "event_year")
 
 
 class PixelGrid:
@@ -108,7 +122,8 @@ class PixelGrid:
     bit-identical across runs and across the CSV round trip. Every column is
     read-only, and a grid is not hashable. A float64 array, or an object array
     of pixel ids, passed in is kept as the column, not copied, so it becomes
-    read-only too.
+    read-only too. This constructor codes its arguments for ``_init_coded``,
+    which checks and stores every grid but a ``_subset``.
 
     ``pixels`` and ``loss_events`` are object views rebuilt from the columns
     on every access.
@@ -116,27 +131,35 @@ class PixelGrid:
 
     def __init__(self, pixel_ids: Sequence[str], regions: Sequence[str], biomass, area, canopy,
                  loss_events: Iterable[tuple[str, int]]):
-        biomass, area, canopy = (np.asarray(c, dtype=float) for c in (biomass, area, canopy))
-        if not len(pixel_ids) == len(regions) == len(biomass) == len(area) == len(canopy):
-            raise LoadError("pixel columns differ in length")
-        fault = _first_bad_pixel(pixel_ids, biomass, area, canopy)
-        if fault is not None:
-            raise LoadError(fault[1])
+        code, strangers, events = {}, [], list(loss_events)
+        region_code = _codes(regions, code)
+        row_of = dict(zip(pixel_ids, range(len(pixel_ids))))
+        event_pixel = _event_rows(
+            row_of, strangers, np.fromiter(map(itemgetter(0), events), object, len(events)))
+        self._init_coded(
+            pixel_ids, tuple(code), region_code,
+            *(np.asarray(c, dtype=float) for c in (biomass, area, canopy)),
+            event_pixel, np.fromiter(map(itemgetter(1), events), np.int64, len(events)),
+            repeated_id=len(row_of) != len(pixel_ids), stranger=min(strangers, default=None))
+
+    def _init_coded(self, pixel_ids, regions, region_code, biomass, area, canopy, event_pixel,
+                    event_year, *, values_checked=False, repeated_id=False, stranger=None):
+        """Check coded columns, store them with sorted events; returns the grid.
+        ``event_pixel`` is -1 for an event naming no pixel (``stranger``: the
+        least such id); ``values_checked``: ``_first_bad_pixel`` has run."""
         pixel_ids = np.asarray(pixel_ids, dtype=object)
-        ids = pixel_ids.tolist()
-        row_of = dict(zip(ids, range(len(ids))))
-        if len(row_of) != len(ids):
+        if not len(pixel_ids) == len(region_code) == len(biomass) == len(area) == len(canopy):
+            raise LoadError("pixel columns differ in length")
+        if not values_checked and (fault := _first_bad_pixel(pixel_ids, biomass, area, canopy)):
+            raise LoadError(fault[1])
+        if repeated_id:
             raise LoadError("duplicate pixel ids")
-        events = np.fromiter(loss_events, dtype=_EVENT)
-        event_pixel = np.fromiter(map(row_of.get, events["pixel"], repeat(-1)),
-                                  dtype=np.intp, count=len(events))
-        del row_of
         unknown = event_pixel < 0
-        event_pixel, event_year = event_pixel[~unknown], events["year"][~unknown]
-        # the rank of each lost pixel's id among the lost pixels' ids
-        lost = np.unique(event_pixel)
-        id_rank = np.empty(len(ids), dtype=np.intp)
-        id_rank[sorted(lost.tolist(), key=ids.__getitem__)] = np.arange(len(lost))
+        event_pixel, event_year = event_pixel[~unknown], event_year[~unknown]
+        # the lost pixels in row order, and the rank of each one's id among theirs
+        lost = np.flatnonzero(np.bincount(event_pixel, minlength=len(pixel_ids)))
+        id_rank = np.empty(len(pixel_ids), dtype=np.intp)
+        id_rank[lost[np.argsort(pixel_ids[lost], kind="stable")]] = np.arange(lost.size)
         # sorted by (pixel_id, year), with exact repeats dropped as from a set
         order = np.lexsort((event_year, id_rank[event_pixel]))
         event_pixel, event_year = event_pixel[order], event_year[order]
@@ -146,30 +169,19 @@ class PixelGrid:
         twice = event_pixel[1:][event_pixel[1:] == event_pixel[:-1]]
         if unknown.any() or twice.size:
             # the fault of the smallest offending pixel id
-            stranger = min(events["pixel"][unknown], default=None)
-            if stranger is not None and (not twice.size or stranger < ids[twice[0]]):
+            if stranger is not None and (not twice.size or stranger < pixel_ids[twice[0]]):
                 raise LoadError(f"loss event references unknown pixel {stranger!r}")
-            raise LoadError(f"pixel {ids[twice[0]]!r} lost more than once")
-        code_of = {r: i for i, r in enumerate(dict.fromkeys(regions))}
-        self._store(
-            pixel_ids,
-            tuple(code_of),
-            np.fromiter(map(code_of.__getitem__, regions), dtype=np.intp, count=len(regions)),
-            biomass, area, canopy,
-            event_pixel,
-            event_year,
-        )
+            raise LoadError(f"pixel {pixel_ids[twice[0]]!r} lost more than once")
+        return self._store(regions, pixel_ids, region_code, biomass, area, canopy,
+                           event_pixel, event_year)
 
-    def _store(self, pixel_ids, regions, region_code, biomass, area, canopy,
-               event_pixel, event_year) -> None:
-        self.regions: tuple[str, ...] = regions
-        for name, column in (
-            ("pixel_ids", pixel_ids), ("region_code", region_code), ("biomass", biomass),
-            ("area", area), ("canopy", canopy), ("event_pixel", event_pixel),
-            ("event_year", event_year),
-        ):
+    def _store(self, regions: tuple[str, ...], *columns: np.ndarray) -> "PixelGrid":
+        """Keep ``regions`` and the ``_COLUMNS``, in that order, read-only."""
+        self.regions = regions
+        for name, column in zip(_COLUMNS, columns, strict=True):
             column.setflags(write=False)
             setattr(self, name, column)
+        return self
 
     def _subset(self, keep: np.ndarray) -> "PixelGrid":
         """The pixels where the boolean row mask ``keep`` holds, with their events."""
@@ -180,16 +192,14 @@ class PixelGrid:
         recode[order] = np.arange(order.size)
         new_row = np.cumsum(keep) - 1
         kept_events = keep[self.event_pixel]
-        grid = PixelGrid.__new__(PixelGrid)
-        grid._store(
-            self.pixel_ids[keep],
+        return PixelGrid.__new__(PixelGrid)._store(
             tuple(self.regions[c] for c in order),
+            self.pixel_ids[keep],
             recode[codes],
             self.biomass[keep], self.area[keep], self.canopy[keep],
             new_row[self.event_pixel[kept_events]],
             self.event_year[kept_events],
         )
-        return grid
 
     @property
     def pixels(self) -> tuple[Pixel, ...]:
@@ -208,9 +218,7 @@ class PixelGrid:
         if not isinstance(other, PixelGrid):
             return NotImplemented
         return self.regions == other.regions and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("pixel_ids", "region_code", "biomass", "area", "canopy",
-                         "event_pixel", "event_year")
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
         )
 
     __hash__ = None  # nothing hashes a grid; a hash would have to build both views
@@ -467,9 +475,7 @@ def _panel_columns(
     try:
         dtypes = [object, np.int64] + [float] * n_names
         for regions, block_years, *values in _column_blocks(handle, dtypes, years=[1]):
-            for region in dict.fromkeys(regions.tolist()):
-                code.setdefault(region, len(code))
-            codes.append(np.fromiter(map(code.__getitem__, regions), np.intp, len(regions)))
+            codes.append(_codes(regions, code))
             years.append(block_years)
             blocks.append(np.column_stack(values))
     except (ValueError, OverflowError, csv.Error):  # OverflowError: a year beyond int64
@@ -517,7 +523,8 @@ _PIXEL_COLUMNS = {"pixel": (str, object), "region": (str, object), "biomass": (f
 _EVENT_COLUMNS = {"pixel": (str, object), "year": (_event_year, np.int64)}
 
 
-def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[np.ndarray]:
+def _read_columns(path, converters: dict, check=lambda *columns: None,
+                  encode: dict | None = None) -> list[np.ndarray]:
     """The named columns of a CSV file, one array per column.
 
     ``converters`` maps each required header name to a (convert, dtype) pair:
@@ -538,6 +545,9 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
     ``check`` runs once, on the rows before the first that fails in any other
     way. Blank lines are skipped as rows but counted as lines, and a repeated
     header name means its last column, as with ``csv.DictReader``.
+
+    ``encode`` maps a header name to a function of its column's blocks, whose
+    results are kept in their place.
     """
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -547,14 +557,15 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
         position = {name: i for i, name in enumerate(header)}
         index = [position[name] for name in converters]
         width = max(index) + 1
-        chunks = [[np.empty(0, dtype)] for _, dtype in converters.values()]
+        dtypes = [dtype for _, dtype in converters.values()]
+        encoders = [(encode or {}).get(name, np.asarray) for name in converters]
+        chunks = [[f(np.empty(0, dtype))] for f, dtype in zip(encoders, dtypes)]
         converted = False  # until every block converts
         try:
-            dtypes = [dtype for _, dtype in converters.values()]
             years = [j for j, name in enumerate(converters) if name == "year"]
             for block in _column_blocks(handle, dtypes, index, years):
-                for chunk, column in zip(chunks, block):
-                    chunk.append(column)
+                for chunk, f, column in zip(chunks, encoders, block):
+                    chunk.append(f(column))
             converted = True
         except (ValueError, OverflowError, csv.Error):  # OverflowError: a year beyond int64
             pass
@@ -564,12 +575,12 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
         # unreadable; a value fault among them comes before that row's fault.
         # Each _BLOCK_ROWS of them become one array per column, so at most one
         # block of rows is held as lists
-        chunks = [[np.empty(0, dtype)] for _, dtype in converters.values()]
+        chunks = [[f(np.empty(0, dtype))] for f, dtype in zip(encoders, dtypes)]
         rows = []
 
         def flush():
-            for j, ((_, dtype), chunk) in enumerate(zip(converters.values(), chunks)):
-                chunk.append(np.fromiter(map(itemgetter(j), rows), dtype, len(rows)))
+            for j, (f, dtype, chunk) in enumerate(zip(encoders, dtypes, chunks)):
+                chunk.append(f(np.fromiter(map(itemgetter(j), rows), dtype, len(rows))))
             rows.clear()
 
         def convert_row(row):
@@ -597,12 +608,20 @@ def _read_columns(path, converters: dict, check=lambda *columns: None) -> list[n
 
 
 def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
-    """Load the `pixels.csv` / `loss_events.csv` pair."""
-    ids, regions, biomass, area, canopy = _read_columns(
-        pixels_path, _PIXEL_COLUMNS, lambda ids, _, *values: _first_bad_pixel(ids, *values)
-    )
-    event_ids, event_years = _read_columns(events_path, _EVENT_COLUMNS)
-    return PixelGrid(ids, regions, biomass, area, canopy, zip(event_ids, event_years))
+    """Load the `pixels.csv` / `loss_events.csv` pair. Each block's region
+    labels become codes, and its event ids pixel rows, as soon as it is read."""
+    code: dict[str, int] = {}
+    ids, region_code, biomass, area, canopy = _read_columns(
+        pixels_path, _PIXEL_COLUMNS, lambda ids, _, *values: _first_bad_pixel(ids, *values),
+        encode={"region": lambda labels: _codes(labels, code)})
+    row_of, strangers = dict(zip(ids, range(len(ids)))), []
+    repeated_id = len(row_of) != len(ids)
+    event_pixel, event_year = _read_columns(events_path, _EVENT_COLUMNS, encode={
+        "pixel": lambda block: _event_rows(row_of, strangers, block)})
+    del row_of  # the largest thing a load holds
+    return PixelGrid.__new__(PixelGrid)._init_coded(
+        ids, tuple(code), region_code, biomass, area, canopy, event_pixel, event_year,
+        values_checked=True, repeated_id=repeated_id, stranger=min(strangers, default=None))
 
 
 def write_pixel_grid_csv(grid: PixelGrid, pixels_path, events_path) -> None:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import multiprocessing
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,19 +288,35 @@ class TestDisturbanceGrid:
         cfg = GridDGPConfig(n_regions=4, pixels_per_region=20, n_years=6, seed=12)
         assert simulate_disturbance_grid(cfg) == simulate_disturbance_grid(cfg)
 
-    def test_columns_pinned_at_seed_11(self):
-        # drawing in another order, or adding or dropping a draw, changes the digest
-        grid = simulate_disturbance_grid(GridDGPConfig(seed=11))
+    @staticmethod
+    def column_digest(grid):
+        """The sizes and a digest of every column of ``grid``."""
         digest = hashlib.sha256()
         digest.update("\n".join(grid.pixel_ids.tolist()).encode())
         digest.update("\n".join(grid.regions).encode())
         for name, dtype in (("region_code", "<i8"), ("biomass", "<f8"), ("area", "<f8"),
                             ("canopy", "<f8"), ("event_pixel", "<i8"), ("event_year", "<i8")):
             digest.update(np.ascontiguousarray(getattr(grid, name), dtype=dtype).tobytes())
-        assert (len(grid.pixel_ids), len(grid.event_pixel)) == (80000, 13132)
-        assert digest.hexdigest() == (
-            "f83c413722cd128d57eb0baeeca68d32567cf7cf378a15eb6a8463f72dec4c12"
+        return len(grid.pixel_ids), len(grid.event_pixel), digest.hexdigest()
+
+    def test_columns_pinned_at_seed_11(self):
+        # drawing in another order, or adding or dropping a draw, changes the digest
+        assert self.column_digest(simulate_disturbance_grid(GridDGPConfig(seed=11))) == (
+            80000, 13132, "f83c413722cd128d57eb0baeeca68d32567cf7cf378a15eb6a8463f72dec4c12"
         )
+
+    @pytest.mark.parametrize("config, expected", [
+        (GridDGPConfig(n_regions=50, pixels_per_region=40, n_years=23, seed=3),
+         (2000, 1928, "3adc8dae571807ec1b1be5ba67042eb576402f694bdad490b7bcdaa96608544a")),
+        # events of at least 8 pixels empty every region's pool: truncated
+        # events, and region-years that stop drawing once the pool is empty
+        (GridDGPConfig(n_regions=50, pixels_per_region=40, n_years=23, event_min_pixels=8.0,
+                       seed=3),
+         (2000, 2000, "818a8c122643576626fb5548a20f3bc7c7a70111f9691d96952ff8067dfc0228")),
+    ], ids=["seed-3", "truncated"])
+    def test_columns_pinned(self, config, expected):
+        # digests of the grids drawn when the pools held pixel id strings
+        assert self.column_digest(simulate_disturbance_grid(config)) == expected
 
 
 class TestMonteCarlo:
@@ -518,6 +535,31 @@ class TestWorkers:
 
         with pytest.raises(RuntimeError, match="bug in the estimator"):
             monte_carlo(self.CFG, {"buggy": (buggy, {"l": 1.0})}, replications=4, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_warnings_reach_the_caller_in_order_of_r(self):
+        # a forked worker's own stderr is not the caller's, so each
+        # replication's warnings come back with its outcome
+        def warns(panel):
+            warnings.warn(f"stub fit, e[0, 0] = {panel.var('e').values[0, 0]!r}", UserWarning)
+            warnings.warn("the same text in every replication", UserWarning)
+            return FitResult("stub", ("l",), {"l": 1.0}, np.array([[1.0]]), 1)
+
+        def recorded(workers, action):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                monte_carlo(self.CFG, {"warns": (warns, {"l": 1.0})}, replications=6,
+                            workers=workers)
+            return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+        # "default" shows the repeated text once per run, as a serial run
+        # without recording would
+        for action, count in (("always", 12), ("default", 7)):
+            serial = recorded(1, action)
+            assert len(serial) == count
+            assert serial[0][0].startswith("stub fit, e[0, 0] = ")
+            assert serial[1][0] == "the same text in every replication"
+            assert recorded(2, action) == serial, action
         assert multiprocessing.active_children() == []
 
     def test_each_worker_runs_one_blas_thread(self):

@@ -1,10 +1,13 @@
+import csv
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forestpanel import ingest
+from forestpanel import cli, ingest
 from forestpanel.dgp import (
     DGPConfig,
     GridDGPConfig,
@@ -28,7 +31,7 @@ from forestpanel.ingest import (
 
 def grid_of(pixel_specs, events):
     """A grid from (pixel_id, region, biomass, area, canopy) rows."""
-    return PixelGrid(*zip(*pixel_specs), events)
+    return PixelGrid(*(zip(*pixel_specs) if pixel_specs else [()] * 5), events)
 
 
 @pytest.fixture
@@ -270,6 +273,147 @@ class TestPixelGridInvariants:
             hash(grid)
 
 
+GRID_COLUMNS = ("pixel_ids", "region_code", "biomass", "area", "canopy", "event_pixel",
+                "event_year")
+
+
+def grid_or_error(build, *args):
+    """``build(*args)``, or the text of the LoadError it raises."""
+    try:
+        return build(*args)
+    except LoadError as exc:
+        return f"LoadError: {exc}"
+
+
+def assert_same_grid(got, expected):
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    assert got == expected
+    assert got.regions == expected.regions
+    for name in GRID_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+
+
+def write_grid_files(tmp_path, pixel_rows, events):
+    """The pixel and event files of raw rows, in the layout of ``write_pixel_grid_csv``."""
+    with (tmp_path / "pixels.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["pixel", "region", "biomass", "area", "canopy"])
+        writer.writerows([pixel_id, region, *map(repr, values)]
+                         for pixel_id, region, *values in pixel_rows)
+    with (tmp_path / "events.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["pixel", "year"])
+        writer.writerows(events)
+    return tmp_path / "pixels.csv", tmp_path / "events.csv"
+
+
+# labels that numpy's reader passes to the csv module: a quote, a comma,
+# text beyond ASCII; and plain ones, which it reads itself
+ID_STEMS = ["p", "P", "q\"", "a,b", "é", "東"]
+REGION_LABELS = ["A", "B", "R\"1", "R,2", "Rø", "東京"]
+
+
+@st.composite
+def grid_inputs(draw):
+    """Pixel rows and events, shuffled, that may repeat an event exactly or
+    hold a grid-level fault: a repeated pixel id, an event naming an unknown
+    pixel, a pixel lost twice."""
+    n = draw(st.integers(0, 9))
+    stems = st.sampled_from(ID_STEMS)
+    ids = [f"{draw(stems)}{i}" for i in range(n)]
+    if n and draw(st.booleans()):  # a repeated pixel id
+        ids[draw(st.integers(0, n - 1))] = ids[draw(st.integers(0, n - 1))]
+    values = st.tuples(st.floats(0, 500), st.floats(0.01, 2), st.floats(0, 100))
+    rows = [(pixel_id, draw(st.sampled_from(REGION_LABELS)), *draw(values)) for pixel_id in ids]
+    # each lost pixel loses once, in a year of its own
+    lost = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+    events = [(pixel_id, draw(st.integers(2001, 2004))) for pixel_id in lost]
+    events += draw(st.lists(st.sampled_from(events), max_size=3)) if events else []  # repeats
+    if draw(st.booleans()):  # a pixel lost twice, or an unknown pixel
+        events.append((draw(st.sampled_from(ids + [f"{draw(stems)}{n + 1}", "zz", "0"])),
+                       draw(st.integers(2001, 2004))))
+    return draw(st.permutations(rows)), draw(st.permutations(events))
+
+
+class TestOneConstructionPath:
+    """The public constructor, the CSV loader and the simulator build every
+    grid through one checking core, so they agree on grids and faults."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=grid_inputs())
+    def test_loader_equals_constructor(self, tmp_path_factory, case):
+        pixel_rows, events = case
+        expected = grid_or_error(grid_of, pixel_rows, events)
+        paths = write_grid_files(tmp_path_factory.mktemp("grid"), pixel_rows, events)
+        assert_same_grid(grid_or_error(load_pixel_grid_csv, *paths), expected)
+        if not isinstance(expected, str):
+            # and the files the writer makes of the grid load back to it
+            write_pixel_grid_csv(expected, *paths)
+            assert_same_grid(load_pixel_grid_csv(*paths), expected)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_simulator_equals_constructor_and_loader(self, tmp_path, seed):
+        grid = simulate_disturbance_grid(
+            GridDGPConfig(n_regions=6, pixels_per_region=30, n_years=8, ignition_rate=1.5,
+                          seed=seed))
+        assert_same_grid(grid_of(grid.pixels, grid.loss_events), grid)
+        # shuffled rows keep the pixel order they are read in, and the events'
+        # (pixel_id, year) order
+        rng = np.random.default_rng(seed)
+        pixels = [grid.pixels[i] for i in rng.permutation(len(grid.pixel_ids))]
+        events = sorted(grid.loss_events)
+        events = [events[i] for i in rng.permutation(len(events))]
+        shuffled = grid_of(pixels, events)
+        assert_same_grid(load_pixel_grid_csv(*write_grid_files(tmp_path, pixels, events)),
+                         shuffled)
+        assert shuffled.pixels == tuple(pixels)
+        assert shuffled.loss_events == grid.loss_events
+        assert np.array_equal(shuffled.pixel_ids[shuffled.event_pixel],
+                              grid.pixel_ids[grid.event_pixel])
+        assert np.array_equal(shuffled.event_year, grid.event_year)
+
+    @pytest.mark.parametrize("events, message", [
+        # the smaller pixel id names the fault, whichever fault it is
+        ([("b", 2001), ("b", 2002), ("c", 2001)], "pixel 'b' lost more than once"),
+        ([("b", 2001), ("b", 2002), ("a0", 2001)], "loss event references unknown pixel 'a0'"),
+        ([("c", 2001), ("zz", 2003), ("c", 2002)], "pixel 'c' lost more than once"),
+        ([("c", 2001), ("c", 2001)], None),  # an exact repeat collapses
+    ], ids=["twice-before-unknown", "unknown-before-twice", "unknown-after-twice", "repeat"])
+    def test_grid_faults(self, tmp_path, events, message):
+        pixel_rows = [("c", "A", 1.0, 1.0, 50.0), ("b", "A", 1.0, 1.0, 50.0)]
+        expected = grid_or_error(grid_of, pixel_rows, events)
+        assert expected == f"LoadError: {message}" if message else len(expected.event_year) == 1
+        paths = write_grid_files(tmp_path, pixel_rows, events)
+        assert_same_grid(grid_or_error(load_pixel_grid_csv, *paths), expected)
+
+    def test_event_line_fault_comes_before_a_repeated_pixel_id(self, tmp_path):
+        pixel_rows = [("p1", "A", 1.0, 1.0, 50.0), ("p1", "A", 1.0, 1.0, 50.0)]
+        paths = write_grid_files(tmp_path, pixel_rows, [("p1", 2001), ("p1", "20x2")])
+        with pytest.raises(LoadError, match=r"events\.csv:3: invalid literal"):
+            load_pixel_grid_csv(*paths)
+        paths = write_grid_files(tmp_path, pixel_rows, [("p1", 2001)])
+        with pytest.raises(LoadError, match="^duplicate pixel ids$"):
+            load_pixel_grid_csv(*paths)
+
+    def test_good_load_checks_values_once(self, tmp_path, monkeypatch):
+        calls = []
+        first_bad_pixel = ingest._first_bad_pixel
+
+        def counted(*columns):
+            calls.append(len(columns[0]))
+            return first_bad_pixel(*columns)
+
+        grid = simulate_disturbance_grid(GridDGPConfig(n_regions=5, pixels_per_region=20,
+                                                       n_years=6, seed=2))
+        write_pixel_grid_csv(grid, tmp_path / "pixels.csv", tmp_path / "events.csv")
+        monkeypatch.setattr(ingest, "_first_bad_pixel", counted)
+        assert load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv") == grid
+        assert calls == [100]
+
+
 class TestPanelCsv:
     def test_well_formed(self, tmp_path):
         path = tmp_path / "panel.csv"
@@ -476,22 +620,47 @@ class TestUnreadableRow:
             load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv")
 
 
-def test_pixel_load_peak_memory_per_pixel(tmp_path):
-    # The loader converts each block of rows to columns before reading the
-    # next, so no file is held whole as rows of strings. A whole-file read
-    # peaked at 594 B/pixel here; reading in blocks peaks near 270.
+@pytest.fixture
+def pixel_files_20k(tmp_path):
     grid = simulate_disturbance_grid(
         GridDGPConfig(n_regions=200, pixels_per_region=100, n_years=23, seed=3)
     )
     write_pixel_grid_csv(grid, tmp_path / "pixels.csv", tmp_path / "events.csv")
+    return grid, tmp_path / "pixels.csv", tmp_path / "events.csv"
+
+
+def test_pixel_load_peak_memory_per_pixel(pixel_files_20k):
+    # The loader converts each block of rows to columns before reading the
+    # next, so no file is held whole as rows of strings. A whole-file read
+    # peaked at 594 B/pixel here; reading in blocks, near 276; coding each
+    # block's region labels and joining each block of event ids to pixel
+    # rows at once, without a string per pixel region or per event, 205.
+    grid, pixels, events = pixel_files_20k
     tracemalloc.start()
     try:
-        loaded = load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv")
+        loaded = load_pixel_grid_csv(pixels, events)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert loaded == grid
-    assert peak / len(grid.pixel_ids) < 400
+    assert peak / len(grid.pixel_ids) < 225
+
+
+def test_ingest_call_peak_memory_per_pixel(pixel_files_20k):
+    # the whole ingest subcommand, which holds the loaded and the filtered
+    # grid together, peaks no higher than the load: 276 B/pixel when the
+    # grid was built from strings, 205 from coded columns
+    grid, pixels, events = pixel_files_20k
+    args = cli.build_parser().parse_args(
+        ["ingest", "--pixels", str(pixels), "--events", str(events), "--out", "unused"])
+    tracemalloc.start()
+    try:
+        files, lines = cli.cmd_ingest(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines == ["ingest: 200 regions x 23 years, 0 dropped"]
+    assert peak / len(grid.pixel_ids) < 225
 
 
 def test_rejected_pixel_file_peaks_near_a_good_one(tmp_path):
