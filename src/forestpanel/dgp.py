@@ -44,6 +44,13 @@ PIXEL_AREA = 0.09         # hectares; one 30 m pixel
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
+def _check_years(start_year: int, n_years: int) -> None:
+    """Every simulated year lies in 1000-9999, as the CSV loaders require."""
+    if start_year < 1000 or start_year + n_years - 1 > 9999:
+        raise DGPError(f"start_year {start_year} with n_years {n_years} gives years outside "
+                       f"1000-9999")
+
+
 @dataclass(frozen=True)
 class DGPConfig:
     """Ground truth for the dynamic panel recursion."""
@@ -67,6 +74,7 @@ class DGPConfig:
     def __post_init__(self):
         if self.n_regions < 1 or self.n_years < 1:
             raise DGPError("need at least one region and one year")
+        _check_years(self.start_year, self.n_years)
         if not abs(self.rho) < 1:
             raise DGPError("|rho| must be < 1 for stationarity")
         if min(self.sigma_alpha, self.sigma_gamma, self.sigma_u, self.sigma_x) < 0:
@@ -215,6 +223,7 @@ class GridDGPConfig:
     def __post_init__(self):
         if min(self.n_regions, self.pixels_per_region, self.n_years) < 1:
             raise DGPError("counts must be positive")
+        _check_years(self.start_year, self.n_years)
         for name in ("ignition_rate", "event_min_pixels"):
             if not 0 <= getattr(self, name) <= sys.float_info.max:
                 raise DGPError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")

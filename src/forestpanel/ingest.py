@@ -12,10 +12,12 @@ it (``_subset``), and ``pixel_panel`` works on the columns. One vectorised
 rule, ``_first_bad_pixel``, decides which pixel values are valid, for the core
 and for the loader's line-numbered errors alike.
 
-Both CSV loaders read a file in blocks of a few thousand lines, through one
-block reader, ``_column_blocks``. Each block's fields become float64, int64
-or object arrays at once, and the block's text is dropped before the next
-block is read; of its text fields, only pixel ids are kept as text.
+Both CSV loaders read a file's data rows in one block pass,
+``_column_blocks``, a few thousand lines at a time. Each block's fields become
+float64, int64 or object arrays at once, each column passes through the
+loader's encoder (region labels become codes, event ids pixel rows), and the
+block's text is dropped before the next block is read; of its text fields,
+only pixel ids are kept as text. Each column is joined once, at the end.
 A block is parsed by numpy's C reader, ``np.loadtxt``, when it is ASCII and
 holds no quote, no U+001C-U+001F separator, no NUL and no line longer than
 the csv module's field limit. A block that fails those screens, or that
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -301,25 +303,17 @@ _NOT_FOR_NUMPY = '"\x1c\x1d\x1e\x1f\x00'
 _CONVERT = {"O": str, "i": int, "f": float}
 
 
-def _column_blocks(handle, dtypes, usecols=None, years=()) -> Iterator[list[np.ndarray]]:
-    """The rest of ``handle``, block by block, as one array per entry of ``dtypes``.
+def _column_blocks(handle, dtypes, usecols, years, encoders) -> list[np.ndarray] | None:
+    """The rest of ``handle`` as one array per entry of ``dtypes``; None if
+    a block breaks a rule. Both CSV loaders read their data rows here.
 
     A column of dtype object holds its fields as text, one of int64 or
     float64 their values as ``int`` or ``float`` reads them. With ``usecols``
     None a row has exactly one field per column; otherwise column j is field
     ``usecols[j]``, and a row may hold more fields but none fewer than it
-    needs. Each value of a column listed in ``years`` lies in 1000-9999. A
-    block that breaks any of these rules raises ValueError, OverflowError or
-    csv.Error; the blocks before it were yielded.
-    """
-    for columns in _parsed_blocks(handle, dtypes, usecols):
-        if any(_outside_years(columns[j]).any() for j in years):
-            raise ValueError("year outside 1000-9999")
-        yield columns
-
-
-def _parsed_blocks(handle, dtypes, usecols) -> Iterator[list[np.ndarray]]:
-    """``_column_blocks`` without its year rule.
+    needs. Each value of a column listed in ``years`` lies in 1000-9999.
+    Column j of each block is kept as ``encoders[j]`` returns it, and each
+    column's blocks are joined once, at the end.
 
     Each block of ``_BLOCK_ROWS`` lines is parsed by one ``np.loadtxt`` call,
     numpy's C reader, if it passes three screens. It is ASCII: numpy's integer
@@ -338,41 +332,51 @@ def _parsed_blocks(handle, dtypes, usecols) -> Iterator[list[np.ndarray]]:
     """
     dtype = np.dtype([(f"f{j}", d) for j, d in enumerate(dtypes)])
     limit = csv.field_size_limit()
-    while lines := list(islice(handle, _BLOCK_ROWS)):
-        text = "".join(lines)
-        if not text.strip("\r\n"):
-            continue  # blank lines only, which numpy would warn about
-        screened = (text.isascii() and not any(c in text for c in _NOT_FOR_NUMPY)
-                    and max(map(len, lines)) <= limit)
-        del text
-        if not screened:
-            break
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                                   quotechar=None, ndmin=1, usecols=usecols)
-        except (ValueError, DeprecationWarning):
-            break
-        del lines
-        # copies: a field's view would keep the whole block and its text alive
-        columns = [block[name].copy() for name in dtype.names]
-        del block
-        yield columns
-    else:
-        return
-    rows = filter(None, csv.reader(chain(lines, handle)))
-    index = range(len(dtypes)) if usecols is None else usecols
-    width = len(dtypes) if usecols is None else max(usecols) + 1
-    converts = [_CONVERT[np.dtype(d).kind] for d in dtypes]
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        lengths = set(map(len, block))
-        if min(lengths) < width or usecols is None and lengths != {width}:
-            raise ValueError(f"expected {width} fields")
-        columns = [np.fromiter(map(convert, map(itemgetter(i), block)), d, len(block))
-                   for i, convert, d in zip(index, converts, dtypes)]
-        del block
-        yield columns
+    chunks = [[encode(np.empty(0, d))] for encode, d in zip(encoders, dtypes)]
+
+    def keep(columns):
+        if any(_outside_years(columns[j]).any() for j in years):
+            raise ValueError("year outside 1000-9999")
+        for chunk, encode, column in zip(chunks, encoders, columns):
+            chunk.append(encode(column))
+
+    try:
+        while lines := list(islice(handle, _BLOCK_ROWS)):
+            text = "".join(lines)
+            if not text.strip("\r\n"):
+                continue  # blank lines only, which numpy would warn about
+            screened = (text.isascii() and not any(c in text for c in _NOT_FOR_NUMPY)
+                        and max(map(len, lines)) <= limit)
+            del text
+            if not screened:
+                break
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)
+                    block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                       quotechar=None, ndmin=1, usecols=usecols)
+            except (ValueError, DeprecationWarning):
+                break
+            del lines
+            # copies: a field's view would keep the whole block and its text alive
+            keep([block[name].copy() for name in dtype.names])
+            del block
+        # the block numpy did not read and the rest of the file; none if it read all
+        rows = filter(None, csv.reader(chain(lines, handle))) if lines else ()
+        index = range(len(dtypes)) if usecols is None else usecols
+        width = len(dtypes) if usecols is None else max(usecols) + 1
+        converts = [_CONVERT[np.dtype(d).kind] for d in dtypes]
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            lengths = set(map(len, block))
+            if min(lengths) < width or usecols is None and lengths != {width}:
+                return None
+            keep([np.fromiter(map(convert, map(itemgetter(i), block)), d, len(block))
+                  for i, convert, d in zip(index, converts, dtypes)])
+            del block
+    except (ValueError, OverflowError, csv.Error):  # OverflowError: a year beyond int64
+        return None
+    # each column's chunks are dropped as soon as it is joined
+    return [np.concatenate(chunks.pop(0)) for _ in dtypes]
 
 
 def _first_fault(path, rule) -> LoadError:
@@ -405,17 +409,17 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
     field count, a year that is no integer or lies outside 1000-9999, a
     (region, year) pair seen before, and a malformed number, checked in header
     order; the first row that fails, or that the csv module cannot read, names
-    its ``path:line``. The file is read in blocks by ``_column_blocks``, so
-    only one block of text is held at a time; each block becomes object, int64
-    and float64 columns at once, by numpy's C reader where the block passes
-    its screens and by ``csv.reader`` from the first block that does not. The
-    rows' region codes, years and (rows, V) block of values are what
-    ``panel.build_panel`` takes, and the repeated (region, year) check here is
-    the only one. A file that fails anywhere is read again, row by row, to
-    find its first bad row; the block pass's columns are gone by then, and the
-    re-read keeps each (region, year) pair seen as one int.
+    its ``path:line``. The data rows are read by ``_column_blocks``, which
+    codes each block's regions in first-seen order as it is read. The
+    repeated (region, year) check runs here, once, on the joined codes and
+    years, and the value columns are stacked once into the (rows, V) block
+    that ``panel.build_panel`` takes. A file that fails anywhere is read
+    again, row by row, to find its first bad row; the block pass's columns
+    are gone by then, and the re-read keeps each (region, year) pair seen as
+    one int.
     """
     path = Path(path)
+    code: dict[str, int] = {}  # region -> index, in first-seen order
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = _header(reader, path)
@@ -427,69 +431,43 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
         repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
         if repeated:
             raise LoadError(f"{path}: header repeats column {repeated[0]!r}")
-        columns = _panel_columns(handle, len(names))
-    if columns is None:
-        code: dict[str, int] = {}  # region -> index, in first-seen order
-        seen: set[int] = set()  # each (region, year) pair as index * 10000 + year
-
-        def rule(row):
-            if len(row) != len(header):
-                return f"expected {len(header)} fields"
+        columns = _column_blocks(
+            handle, [object, np.int64] + [float] * len(names), None, [1],
+            [lambda labels: _codes(labels, code)] + [np.asarray] * (len(names) + 1))
+    if columns is not None:
+        region_code, year, *values = columns
+        del columns
+        # return_index keeps np.unique on its sort path, several times faster here
+        if np.unique(region_code * 10000 + year, return_index=True)[1].size == year.size:
+            values = np.column_stack(values)  # the list drops the 1-D columns
             try:
-                year = int(row[1])
+                return build_panel(tuple(code), tuple(names), region_code, year, values)
+            except PanelError as exc:
+                raise LoadError(f"{path}: {exc}") from exc
+        del region_code, year, values  # gone before the row-by-row re-read
+    seen: set[int] = set()  # each (region, year) pair as index * 10000 + year
+
+    def rule(row):
+        if len(row) != len(header):
+            return f"expected {len(header)} fields"
+        try:
+            year = int(row[1])
+        except ValueError:
+            return f"bad year {row[1]!r}"
+        if _outside_years(year):
+            return f"year {year} outside 1000-9999"
+        key = code.setdefault(row[0], len(code)) * 10000 + year
+        if key in seen:
+            return f"duplicate row for ({row[0]}, {year})"
+        seen.add(key)
+        for name, text in zip(names, row[2:]):
+            try:
+                float(text)
             except ValueError:
-                return f"bad year {row[1]!r}"
-            if _outside_years(year):
-                return f"year {year} outside 1000-9999"
-            key = code.setdefault(row[0], len(code)) * 10000 + year
-            if key in seen:
-                return f"duplicate row for ({row[0]}, {year})"
-            seen.add(key)
-            for name, text in zip(names, row[2:]):
-                try:
-                    float(text)
-                except ValueError:
-                    return f"malformed number {text!r} for {name}"
-            return None
-
-        raise _first_fault(path, rule)
-    try:
-        return build_panel(columns[0], tuple(names), *columns[1:])
-    except PanelError as exc:
-        raise LoadError(f"{path}: {exc}") from exc
-
-
-def _panel_columns(
-    handle, n_names: int
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray] | None:
-    """The data rows of a panel file as the regions in first-seen order, each
-    row's region code and year, and the (rows, n_names) block of its values;
-    None if a block does not convert or a (region, year) pair repeats.
-
-    The blocks' columns are joined one at a time, each list of chunks dropped
-    once joined, and all of them are gone when this returns.
-    """
-    code: dict[str, int] = {}  # region -> index, in first-seen order
-    codes, years = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int64)]
-    blocks = [np.empty((0, n_names))]
-    try:
-        dtypes = [object, np.int64] + [float] * n_names
-        for regions, block_years, *values in _column_blocks(handle, dtypes, years=[1]):
-            codes.append(_codes(regions, code))
-            years.append(block_years)
-            blocks.append(np.column_stack(values))
-    except (ValueError, OverflowError, csv.Error):  # OverflowError: a year beyond int64
+                return f"malformed number {text!r} for {name}"
         return None
-    region_code = np.concatenate(codes)
-    del codes
-    year = np.concatenate(years)
-    del years
-    # return_index keeps np.unique on its sort path, several times faster here
-    if np.unique(region_code * 10000 + year, return_index=True)[1].size != year.size:
-        return None
-    values = np.concatenate(blocks)
-    del blocks
-    return tuple(code), region_code, year, values
+
+    raise _first_fault(path, rule)
 
 
 def write_panel_csv(panel: PanelDataset, path) -> None:
@@ -534,10 +512,8 @@ def _read_columns(path, converters: dict, check=lambda *columns: None,
     accepts just the fields that ``str``, ``int`` or ``float`` reads for the
     dtype, within that rule. ``check(*columns)`` finds the first row whose
     values break a rule, as ``_first_bad_pixel`` does, or returns None. The
-    file is read in blocks by ``_column_blocks``, so only one block of text
-    is held at a time, and each block's fields are converted at once: by
-    numpy's C reader where the block passes its screens, and by
-    ``csv.reader`` from the first block that does not. A file that fails
+    data rows are read by ``_column_blocks``, the block pass the panel loader
+    uses too, which returns the joined columns. A file that fails
     anywhere is read again, row by row, with ``convert``, and
     raises the ``LoadError`` naming the ``path:line`` of its first row that is
     too short for the columns, that a converter rejects (in ``converters``
@@ -547,7 +523,7 @@ def _read_columns(path, converters: dict, check=lambda *columns: None,
     header name means its last column, as with ``csv.DictReader``.
 
     ``encode`` maps a header name to a function of its column's blocks, whose
-    results are kept in their place.
+    results are kept in their place, by the block pass and the re-read alike.
     """
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -559,18 +535,10 @@ def _read_columns(path, converters: dict, check=lambda *columns: None,
         width = max(index) + 1
         dtypes = [dtype for _, dtype in converters.values()]
         encoders = [(encode or {}).get(name, np.asarray) for name in converters]
-        chunks = [[f(np.empty(0, dtype))] for f, dtype in zip(encoders, dtypes)]
-        converted = False  # until every block converts
-        try:
-            years = [j for j, name in enumerate(converters) if name == "year"]
-            for block in _column_blocks(handle, dtypes, index, years):
-                for chunk, f, column in zip(chunks, encoders, block):
-                    chunk.append(f(column))
-            converted = True
-        except (ValueError, OverflowError, csv.Error):  # OverflowError: a year beyond int64
-            pass
+        years = [j for j, name in enumerate(converters) if name == "year"]
+        columns = _column_blocks(handle, dtypes, index, years, encoders)
     parse_fault = None
-    if not converted:
+    if columns is None:
         # the rows before the first one that is short, unconvertible or
         # unreadable; a value fault among them comes before that row's fault.
         # Each _BLOCK_ROWS of them become one array per column, so at most one
@@ -597,7 +565,7 @@ def _read_columns(path, converters: dict, check=lambda *columns: None,
 
         parse_fault = _first_fault(path, convert_row)
         flush()
-    columns = [np.concatenate(chunk) for chunk in chunks]
+        columns = [np.concatenate(chunk) for chunk in chunks]
     fault = check(*columns)
     if fault is not None:  # the value rule's row index names the line
         row_numbers = count()
@@ -645,9 +613,14 @@ def write_pixel_grid_csv(grid: PixelGrid, pixels_path, events_path) -> None:
 # summary statistics
 
 def summary_stats(panel: PanelDataset, var: str) -> dict[str, float]:
-    """Mean/std/min/median/max over all available cells of one variable."""
+    """Mean/std/min/median/max over all available cells of one variable.
+
+    The cells are taken region by region in sorted label order, years
+    ascending, so the sums do not depend on the order of the input rows.
+    """
     grid = panel.var(var)
-    x = grid.values[:, grid.available].ravel()
+    order = sorted(range(panel.N), key=panel.regions.__getitem__)
+    x = grid.values[np.ix_(order, grid.available)].ravel()
     return {
         "mean": float(np.mean(x)),
         "std": float(np.std(x, ddof=1)) if x.size > 1 else 0.0,

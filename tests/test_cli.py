@@ -263,6 +263,25 @@ class TestEstimate:
         tags = {row["estimator"] for row in report["elasticity"]}
         assert {"lsdv", "diffgmm", "sysgmm", "fe2w"} <= tags
 
+    @pytest.mark.parametrize("estimator, n_regions, entries", [
+        ("diffgmm", 30, {"ar1_error": "too few differenced periods (1) for AR(1)",
+                         "ar2_error": "too few differenced periods (1) for AR(2)"}),
+        ("pooled", 2, {"jarque_bera_error": "need at least 8 residuals"}),
+    ], ids=["diffgmm-one-differenced-period", "pooled-six-residuals"])
+    def test_diagnostic_that_cannot_run_is_named(self, tmp_path, capsys, estimator, n_regions,
+                                                 entries):
+        # three years: a difference-GMM fit keeps one differenced period, and
+        # a pooled fit on two regions has six residuals; the run still succeeds
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, N=n_regions, T=3, seed=96)
+        out = tmp_path / "out"
+        assert main(["estimate", "--estimator", estimator, "--panel", str(src),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        bundle = read_json(out / "report.json")["diagnostics"][estimator]
+        assert {name: bundle.get(name) for name in entries} == entries
+        assert not {name.removesuffix("_error") for name in entries} & set(bundle)
+
     def test_uncollapsed_estimate_peak_memory(self, tmp_path, capsys):
         # N = 1000, T = 23, two-step: the five fits, their diagnostics and the
         # panel load, traced end to end. Keeping all five fits, each GMM fit
@@ -644,14 +663,24 @@ class TestErrorHandling:
         (["estimate", "--panel", "{other}"], "panel must contain variables L/E or l/e"),
         (["robustness", "--panel", "{good}", "--exclude-years", "1999"],
          "excluded years not in panel: [1999]"),
+        (["ingest", "--pixels", "{pixels}"], "ingest needs --panel or both --pixels and --events"),
+        # the pixel files exist and are good, so the threshold is what is named
+        (["ingest", "--pixels", "{pixels}", "--events", "{events}", "--canopy-threshold", "101"],
+         "canopy threshold must lie in [0, 100]"),
+        (["ingest", "--panel", "{empty}"], "empty.csv: empty file"),
     ], ids=["robustness-filter", "estimate-load", "ingest-load", "montecarlo-reps", "lsdv-fit",
-            "estimate-levels", "estimate-variables", "robustness-years"])
+            "estimate-levels", "estimate-variables", "robustness-years",
+            "ingest-pixels-without-events", "ingest-threshold-above-100", "ingest-empty-panel"])
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, capsys, command, message):
         write_log_panel(tmp_path / "good.csv", seed=92)
         write_log_panel(tmp_path / "one.csv", N=1, seed=93)
         (tmp_path / "bad.csv").write_text("region,year,l,e\nA,2001,1,1\nA,2001,2,2\n")
         (tmp_path / "other.csv").write_text("region,year,L,e\nA,2001,1,1\nA,2002,2,2\n")
-        inputs = {name: tmp_path / f"{name}.csv" for name in ("good", "bad", "one", "other")}
+        (tmp_path / "pixels.csv").write_text("pixel,region,biomass,area,canopy\np1,A,1,1,50\n")
+        (tmp_path / "events.csv").write_text("pixel,year\np1,2001\n")
+        (tmp_path / "empty.csv").write_text("")
+        inputs = {name: tmp_path / f"{name}.csv"
+                  for name in ("good", "bad", "one", "other", "pixels", "events", "empty")}
         out = tmp_path / "out"
         assert main([arg.format(**inputs) for arg in command] + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -902,8 +931,14 @@ class TestMonteCarloCommand:
         ({"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0,
                   "error_law": "heavy_tail", "tail_index": 0.0}, "estimators": ["lsdv"]},
          "tail_index must be > 0 for heavy-tailed errors"),
+        # years no CSV loader would read back
+        ({"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0, "start_year": 998},
+          "estimators": ["lsdv"]}, "start_year 998 with n_years 6 gives years outside 1000-9999"),
+        ({"dgp": {"n_regions": 20, "n_years": 6, "rho": 0.2, "beta": 1.0, "start_year": 9995},
+          "estimators": ["lsdv"]},
+         "start_year 9995 with n_years 6 gives years outside 1000-9999"),
     ], ids=["unknown-key", "missing-rho", "missing-dgp", "sigma-u-nan", "beta-inf",
-            "heavy-tail-index-zero"])
+            "heavy-tail-index-zero", "start-year-low", "start-year-high"])
     def test_malformed_dgp_block_is_an_error(self, tmp_path, capsys, config, message):
         (tmp_path / "mc.json").write_text(json.dumps({**config, "replications": 2}))
         assert main(["montecarlo", "--config", str(tmp_path / "mc.json"),

@@ -31,7 +31,14 @@ from forestpanel.estimators import (
     lagged_name,
 )
 from forestpanel.gmm import GmmOptions, fit_diff_gmm
-from forestpanel.ingest import EmissionFactors, pixel_panel
+from forestpanel.ingest import (
+    EmissionFactors,
+    load_panel_csv,
+    load_pixel_grid_csv,
+    pixel_panel,
+    write_panel_csv,
+    write_pixel_grid_csv,
+)
 
 
 class TestDGPConfigValidation:
@@ -87,6 +94,19 @@ class TestDGPConfigValidation:
         with pytest.raises(DGPError, match=r"^\|ar1 coefficient\| must be < 1$"):
             DGPConfig(n_regions=5, n_years=5, rho=0.0, beta=1.0,
                       regressor_process="ar1", regressor_param=phi)
+
+    @pytest.mark.parametrize("start_year", [999, 9997])
+    def test_years_outside_the_loaders_range_are_named(self, start_year):
+        with pytest.raises(DGPError, match=rf"^start_year {start_year} with n_years 4 gives "
+                                           r"years outside 1000-9999$"):
+            DGPConfig(n_regions=5, n_years=4, rho=0.0, beta=1.0, start_year=start_year)
+
+    @pytest.mark.parametrize("start_year", [1000, 9996])
+    def test_years_at_the_range_ends_load(self, tmp_path, start_year):
+        cfg = DGPConfig(n_regions=3, n_years=4, rho=0.0, beta=1.0, start_year=start_year)
+        panel, _ = simulate_dynamic_panel(cfg)
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        assert load_panel_csv(tmp_path / "panel.csv")[0].years == panel.years
 
 
 class TestSimulateDynamicPanel:
@@ -226,6 +246,22 @@ class TestGridDGPConfigValidation:
     def test_counts_must_be_positive(self, field):
         with pytest.raises(DGPError, match=r"^counts must be positive$"):
             GridDGPConfig(**{field: 0})
+
+    @pytest.mark.parametrize("start_year", [998, 9978])
+    def test_years_outside_the_loaders_range_are_named(self, start_year):
+        with pytest.raises(DGPError, match=rf"^start_year {start_year} with n_years 23 gives "
+                                           r"years outside 1000-9999$"):
+            GridDGPConfig(start_year=start_year)
+
+    @pytest.mark.parametrize("start_year", [1000, 9977])
+    def test_years_at_the_range_ends_load(self, tmp_path, start_year):
+        cfg = GridDGPConfig(n_regions=3, pixels_per_region=20, ignition_rate=2.0, seed=4,
+                            start_year=start_year)
+        grid = simulate_disturbance_grid(cfg)
+        assert grid.event_year.min() >= 1000 and grid.event_year.max() <= 9999
+        paths = tmp_path / "pixels.csv", tmp_path / "events.csv"
+        write_pixel_grid_csv(grid, *paths)
+        assert load_pixel_grid_csv(*paths) == grid
 
     @pytest.mark.parametrize("field", ["biomass_log_mean", "biomass_log_sigma",
                                        "event_tail_index", "pixel_area"])

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import re
 import tracemalloc
 
@@ -751,3 +752,19 @@ class TestSummaryStats:
         assert stats["std"] == pytest.approx(np.sqrt(5 / 3), abs=1e-12)
         assert stats["median"] == 2.5
         assert (stats["min"], stats["max"]) == (1.0, 4.0)
+
+    def test_cells_are_summed_in_region_label_order(self, tmp_path):
+        # 1e16 + 1 rounds back to 1e16, so a sum in row order depends on which
+        # region's rows come first; every file order gives the sorted order's
+        cells = {"A": ["1e16", "1"], "B": ["1", "1"], "C": ["-1e16", "1"]}
+        summaries = []
+        for regions in itertools.permutations(cells):
+            path = tmp_path / f"{''.join(regions)}.csv"
+            path.write_text("region,year,x\n" + "".join(
+                f"{r},{2001 + j},{v}\n" for r in regions for j, v in enumerate(cells[r])))
+            panel, _ = load_panel_csv(path)
+            assert panel.regions == regions
+            summaries.append(summary_stats(panel, "x"))
+        # A, B, C: 1e16 + 1 + 1 + 1 - 1e16 + 1 = 1
+        assert summaries[0]["mean"] == 1 / 6
+        assert all(s == summaries[0] for s in summaries)
