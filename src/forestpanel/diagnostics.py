@@ -87,17 +87,19 @@ def hansen_j(gmm_fit: FitResult) -> TestResult:
 
     J = g' S^+ g for the summed scores g and S = sum_i (Z_i'u_i)(Z_i'u_i)',
     read from one eigendecomposition of S as the sum of (v'g)^2 / lambda over
-    the eigenpairs that ``np.linalg.pinv``'s cutoff keeps.
+    the eigenpairs that ``np.linalg.pinv``'s cutoff keeps. A just-identified
+    fit sets every moment to zero, so its J is 0.0, not the rounding residue
+    that formula would leave.
     """
     if gmm_fit.gmm is None:
         raise DiagnosticError("J test needs a GMM fit with retained instruments")
+    df = gmm_fit.gmm.n_instruments - len(gmm_fit.coef_names)
+    if df <= 0:
+        return TestResult(0.0, 1.0, 0, "just-identified: J is identically zero")
     zu = gmm_fit.gmm.scores
     g = zu.sum(axis=0)
     _, V, lam = symmetric_factor(zu.T @ zu)
     J = float(np.sum((V.T @ g) ** 2 / lam))
-    df = gmm_fit.gmm.n_instruments - len(gmm_fit.coef_names)
-    if df <= 0:
-        return TestResult(J, 1.0, 0, "just-identified: J is identically zero")
     p = _chi2_sf(J, df)
     return TestResult(J, p, df, _verdict(p, "instrument validity"))
 
@@ -107,11 +109,13 @@ def durbin_watson(residuals: Grid) -> float:
     the pooled squared-residual sum.
 
     A region's series is its residuals in the available years, so a masked
-    year is bridged: the years on either side of it are differenced.
+    year is bridged: the years on either side of it are differenced. The grid
+    is balanced, so either every region has two such years or none has, and
+    then the statistic is undefined.
     """
     r = residuals.values[:, residuals.available]
-    if r.size < 2:
-        raise DiagnosticError("need at least 2 residuals")
+    if r.shape[1] < 2:
+        raise DiagnosticError(f"too few residual periods ({r.shape[1]}) for Durbin-Watson")
     den = float(r.ravel() @ r.ravel())
     if den == 0.0:
         raise DiagnosticError("all residuals are zero: statistic undefined")

@@ -141,12 +141,14 @@ def build_panel(
 
     Row c of the (rows, V) block ``values`` holds the variables ``names`` of
     region ``regions[region_code[c]]`` in year ``years[c]``. No (region, year)
-    pair may repeat; the caller checks that. Regions and variables keep the
-    order given. The panel spans the observed years, and a region without a
-    row in every year of the span is dropped. Returns the panel together with
-    the list of dropped regions. Each variable's grid is filled straight from
-    its column of the block, one variable at a time. The panel CSV loader
-    builds its panel here.
+    pair may repeat; the caller checks that. Variables keep the order given,
+    and regions come in sorted label order, so the panel, and every fit and
+    file made of it, depends on the set of rows and not on their order. The
+    panel spans the observed years, and a region without a row in every year
+    of the span is dropped. Returns the panel together with the list of
+    dropped regions, in label order too. Each variable's grid is filled
+    straight from its column of the block, one variable at a time. The panel
+    CSV loader builds its panel here.
     """
     if not len(years):
         raise PanelError("no input rows")
@@ -155,13 +157,17 @@ def build_panel(
     T = len(span)
     # rows are distinct and inside the span, so a region is complete iff it has T rows
     complete = np.bincount(region_code, minlength=len(regions)) == T
-    kept = [r for r, ok in zip(regions, complete.tolist()) if ok]
-    dropped = [r for r, ok in zip(regions, complete.tolist()) if not ok]
+    by_label = sorted(range(len(regions)), key=regions.__getitem__)
+    ok = complete.tolist()
+    kept = [regions[c] for c in by_label if ok[c]]
+    dropped = [regions[c] for c in by_label if not ok[c]]
     if not kept:
         raise PanelError("no region has a complete year series over the observed span")
 
-    # each row's position in the flat (kept region, year) order
-    kept_row = np.cumsum(complete) - 1
+    # each code's rank among the kept regions in label order, and each row's
+    # position in the flat (kept region, year) order
+    kept_row = np.empty(len(regions), dtype=np.intp)
+    kept_row[by_label] = np.cumsum(complete[by_label]) - 1
     cell = kept_row[region_code]
     cell *= T
     cell += years

@@ -265,7 +265,8 @@ class TestEstimate:
 
     @pytest.mark.parametrize("estimator, n_regions, entries", [
         ("diffgmm", 30, {"ar1_error": "too few differenced periods (1) for AR(1)",
-                         "ar2_error": "too few differenced periods (1) for AR(2)"}),
+                         "ar2_error": "too few differenced periods (1) for AR(2)",
+                         "durbin_watson_error": "too few residual periods (1) for Durbin-Watson"}),
         ("pooled", 2, {"jarque_bera_error": "need at least 8 residuals"}),
     ], ids=["diffgmm-one-differenced-period", "pooled-six-residuals"])
     def test_diagnostic_that_cannot_run_is_named(self, tmp_path, capsys, estimator, n_regions,
@@ -281,6 +282,18 @@ class TestEstimate:
         bundle = read_json(out / "report.json")["diagnostics"][estimator]
         assert {name: bundle.get(name) for name in entries} == entries
         assert not {name.removesuffix("_error") for name in entries} & set(bundle)
+
+    def test_just_identified_j_is_exactly_zero(self, tmp_path):
+        # the three-year difference-GMM fit has one instrument per coefficient,
+        # so its moments are zero by construction, not up to rounding
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, N=30, T=3, seed=96)
+        out = tmp_path / "out"
+        assert main(["estimate", "--estimator", "diffgmm", "--panel", str(src),
+                     "--out", str(out)]) == 0
+        assert read_json(out / "report.json")["diagnostics"]["diffgmm"]["hansen_j"] == {
+            "statistic": 0.0, "p_value": 1.0, "df": 0,
+            "note": "just-identified: J is identically zero"}
 
     def test_uncollapsed_estimate_peak_memory(self, tmp_path, capsys):
         # N = 1000, T = 23, two-step: the five fits, their diagnostics and the
@@ -722,6 +735,41 @@ class TestErrorHandling:
 OVERFLOWING_PANEL = ("region,year,L,E\nA,2001,1e308,1e308\nA,2002,0,2\nA,2003,1e308,1\n"
                      "B,2001,0,2\nB,2002,1,1\nB,2003,3,3\n")
 NOT_JSON = "a number is NaN or infinite, which JSON cannot hold"
+
+
+class TestRowOrder:
+    """A panel CSV gives the same bytes whatever the order of its rows: the
+    panel builder takes its regions, and its dropped regions, in label order."""
+
+    @pytest.mark.parametrize("command", [
+        ["ingest"],
+        ["estimate", "--estimator", "all", "--two-step", "--collapse"],
+        ["robustness", "--estimator", "lsdv", "--exclude-years", "2004",
+         "--regions", "R0011,R0003,R0007"],
+    ], ids=["ingest", "estimate", "robustness"])
+    def test_shuffled_panel_gives_the_same_bytes(self, tmp_path, capsys, command):
+        path = tmp_path / "panel.csv"
+        write_log_panel(path, N=24, T=8, seed=97)
+        header, *rows = path.read_text(encoding="utf-8").splitlines(True)
+        # two regions lack a year, so both are dropped and listed
+        rows = [row for row in rows if not row.startswith(("R0005,2003,", "R0002,2006,"))]
+        runs = []
+        for form, order in (("ordered", range(len(rows))),
+                            ("shuffled", np.random.default_rng(97).permutation(len(rows)))):
+            lines = [rows[k] for k in order]
+            if form == "shuffled":
+                regions = [row.split(",")[0] for row in lines]
+                assert list(dict.fromkeys(regions)) != sorted(set(regions))
+            # one input path, so the manifests name the same file
+            path.write_text(header + "".join(lines), encoding="utf-8")
+            out = tmp_path / form
+            assert main([command[0], "--panel", str(path), *command[1:],
+                         "--out", str(out)]) == 0
+            runs.append((read_all_bytes(out), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        if command[0] == "ingest":
+            assert read_json(tmp_path / "shuffled" / "summary.json")["dropped_regions"] == [
+                "R0002", "R0005"]
 
 
 class TestOutputStep:

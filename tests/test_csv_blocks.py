@@ -3,7 +3,8 @@
 Each oracle below is the earlier implementation, kept verbatim: the panel
 loader parsed the file row by row into (region, year, variable, value) tuples
 and assembled them with the tuple-based builder that survives here only as
-``old_build_panel``; ``_read_columns``
+``old_build_panel``, whose regions now come in sorted label order, as
+``build_panel``'s do; ``_read_columns``
 held every row of the file as a list before converting each column, and
 returned the columns up to the first bad row with that row's error; the pixel
 loader checked the values of those columns before raising the error; the
@@ -56,7 +57,7 @@ def old_build_panel(rows):
     names = list(map(str, map(itemgetter(2), rows)))
     years_seen = np.fromiter(map(int, map(itemgetter(1), rows)), dtype=np.int64, count=n)
     values = np.fromiter(map(float, map(itemgetter(3), rows)), dtype=float, count=n)
-    region_index = {r: i for i, r in enumerate(dict.fromkeys(regions))}
+    region_index = {r: i for i, r in enumerate(sorted(set(regions)))}
     var_index = {v: k for k, v in enumerate(dict.fromkeys(names))}
     ri = np.fromiter(map(region_index.__getitem__, regions), dtype=np.intp, count=n)
     vi = np.fromiter(map(var_index.__getitem__, names), dtype=np.intp, count=n)

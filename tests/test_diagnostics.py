@@ -104,7 +104,7 @@ class TestHansenJ:
         fit = fit_diff_gmm(panel, SPEC, GmmOptions(min_lag=2, max_lag=2, collapse=True))
         assert fit.gmm.n_instruments == len(fit.coef_names)
         result = hansen_j(fit)
-        assert result.statistic <= 1e-8
+        assert result.statistic == 0.0
         assert result.df == 0
 
     def test_within_fit_is_rejected(self):
@@ -192,17 +192,17 @@ class TestDurbinWatson:
 
     @staticmethod
     def per_region_oracle(grid):
-        """The per-region loop the columnar statistic replaced."""
+        """The per-region loop the columnar statistic replaced; None where the
+        statistic is undefined: no region has two periods, or every residual
+        is zero."""
         num = den = 0.0
-        total = 0
         for i in range(grid.shape[0]):
             r = grid.values[i][grid.available]
-            total += r.size
             den += float(r @ r)
             if r.size >= 2:
                 d = np.diff(r)
                 num += float(d @ d)
-        if total < 2 or den == 0.0:
+        if grid.available.sum() < 2 or den == 0.0:
             return None
         return num / den
 

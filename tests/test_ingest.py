@@ -390,6 +390,38 @@ class TestOneConstructionPath:
         paths = write_grid_files(tmp_path, pixel_rows, events)
         assert_same_grid(grid_or_error(load_pixel_grid_csv, *paths), expected)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=grid_inputs())
+    def test_colliding_hashes_join_as_distinct_ones_do(self, tmp_path_factory, case):
+        # every id hashing alike sends the join to its dict: the constructor
+        # and the loader must give the grids and fault texts of the hash path
+        pixel_rows, events = case
+        paths = write_grid_files(tmp_path_factory.mktemp("grid"), pixel_rows, events)
+        builds = [(grid_of, pixel_rows, events), (load_pixel_grid_csv, *paths)]
+        expected = [grid_or_error(*build) for build in builds]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_id_hashes", lambda ids: np.zeros(len(ids), np.int64))
+            if len(pixel_rows) > 1:
+                ids = np.array([row[0] for row in pixel_rows], dtype=object)
+                assert ingest._RowJoin(ids).row_of is not None
+            for build, grid in zip(builds, expected):
+                assert_same_grid(grid_or_error(*build), grid)
+
+    def test_event_sharing_a_pixels_hash_is_a_stranger(self, monkeypatch):
+        # "zz" lands on "b"'s row and "c" past the last hash, but neither id
+        # equals that row's, so both name no pixel
+        fake = {"a": 1, "b": 2, "zz": 2, "c": 5, "0": 0}
+        monkeypatch.setattr(ingest, "_id_hashes",
+                            lambda ids: np.fromiter(map(fake.get, ids), np.int64, len(ids)))
+        join = ingest._RowJoin(np.array(["b", "a"], dtype=object))
+        assert join.row_of is None
+        rows = join(np.array(["a", "zz", "b", "c", "0"], dtype=object))
+        assert rows.tolist() == [1, -1, 0, -1, -1]
+        assert (join.strangers, join.stranger, join.repeated_id) == (["zz", "c", "0"], "0", False)
+        with pytest.raises(LoadError, match="^loss event references unknown pixel 'zz'$"):
+            grid_of([("b", "A", 1.0, 1.0, 50.0), ("a", "A", 1.0, 1.0, 50.0)],
+                    [("a", 2001), ("zz", 2002)])
+
     def test_event_line_fault_comes_before_a_repeated_pixel_id(self, tmp_path):
         pixel_rows = [("p1", "A", 1.0, 1.0, 50.0), ("p1", "A", 1.0, 1.0, 50.0)]
         paths = write_grid_files(tmp_path, pixel_rows, [("p1", 2001), ("p1", "20x2")])
@@ -635,7 +667,8 @@ def test_pixel_load_peak_memory_per_pixel(pixel_files_20k):
     # next, so no file is held whole as rows of strings. A whole-file read
     # peaked at 594 B/pixel here; reading in blocks, near 276; coding each
     # block's region labels and joining each block of event ids to pixel
-    # rows at once, without a string per pixel region or per event, 205.
+    # rows at once, without a string per pixel region or per event, 205;
+    # joining event ids through sorted id hashes, not an id-to-row dict, 155.
     grid, pixels, events = pixel_files_20k
     tracemalloc.start()
     try:
@@ -644,13 +677,14 @@ def test_pixel_load_peak_memory_per_pixel(pixel_files_20k):
     finally:
         tracemalloc.stop()
     assert loaded == grid
-    assert peak / len(grid.pixel_ids) < 225
+    assert peak / len(grid.pixel_ids) < 175
 
 
 def test_ingest_call_peak_memory_per_pixel(pixel_files_20k):
     # the whole ingest subcommand, which holds the loaded and the filtered
-    # grid together, peaks no higher than the load: 276 B/pixel when the
-    # grid was built from strings, 205 from coded columns
+    # grid together, peaks near the load: 276 B/pixel when the grid was built
+    # from strings, 205 from coded columns, 161 with the hash join, where
+    # filtering the loaded grid, not the load, sets the peak
     grid, pixels, events = pixel_files_20k
     args = cli.build_parser().parse_args(
         ["ingest", "--pixels", str(pixels), "--events", str(events), "--out", "unused"])
@@ -661,7 +695,7 @@ def test_ingest_call_peak_memory_per_pixel(pixel_files_20k):
     finally:
         tracemalloc.stop()
     assert lines == ["ingest: 200 regions x 23 years, 0 dropped"]
-    assert peak / len(grid.pixel_ids) < 225
+    assert peak / len(grid.pixel_ids) < 175
 
 
 def test_rejected_pixel_file_peaks_near_a_good_one(tmp_path):
@@ -763,7 +797,7 @@ class TestSummaryStats:
             path.write_text("region,year,x\n" + "".join(
                 f"{r},{2001 + j},{v}\n" for r in regions for j, v in enumerate(cells[r])))
             panel, _ = load_panel_csv(path)
-            assert panel.regions == regions
+            assert panel.regions == ("A", "B", "C")
             summaries.append(summary_stats(panel, "x"))
         # A, B, C: 1e16 + 1 + 1 + 1 - 1e16 + 1 = 1
         assert summaries[0]["mean"] == 1 / 6

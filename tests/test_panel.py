@@ -25,7 +25,7 @@ LOG_651812 = 13.3875114557715111
 
 
 def build(rows):
-    """``build_panel`` of (region, year, x) rows, regions in first-seen order."""
+    """``build_panel`` of (region, year, x) rows, coded in first-seen order."""
     regions = tuple(dict.fromkeys(r for r, _, _ in rows))
     code = {r: i for i, r in enumerate(regions)}
     return build_panel(
@@ -83,8 +83,9 @@ class TestBuildPanel:
         with pytest.raises(PanelError):
             build(rows)
 
-    def test_first_seen_order_and_drops_with_shuffled_rows(self, tmp_path):
-        # through the CSV loader, which numbers the regions in first-seen order
+    def test_label_order_and_drops_with_shuffled_rows(self, tmp_path):
+        # through the CSV loader, which numbers the regions in first-seen order;
+        # the panel and its dropped regions come in label order all the same
         rng = np.random.default_rng(12)
         names = [f"R{i}" for i in rng.permutation(2000)]
         incomplete = set(rng.choice(names, size=50, replace=False).tolist())
@@ -98,16 +99,8 @@ class TestBuildPanel:
         path.write_text("region,year,L,E\n" + "".join(
             f"{r},{y},{l!r},{e!r}\n" for r, y, l, e in rows))
         panel, dropped = load_panel_csv(path)
-
-        def first_seen(items):
-            order, seen = [], set()
-            for item in items:
-                if item not in seen:
-                    seen.add(item)
-                    order.append(item)
-            return order
-
-        regions = first_seen(row[0] for row in rows)
+        regions = sorted({row[0] for row in rows})
+        assert list(dict.fromkeys(row[0] for row in rows)) != regions
         assert list(panel.regions) == [r for r in regions if r not in incomplete]
         assert dropped == [r for r in regions if r in incomplete]
         assert list(panel.variables) == ["L", "E"]
