@@ -186,7 +186,7 @@ def cmd_ingest(args) -> tuple[dict, list[str]]:
         # the loaded grid's span, so a year whose every loss falls below the
         # threshold is a zero at every threshold, never dropped
         years = range(int(loaded.event_year.min()), int(loaded.event_year.max()) + 1)
-        # the regions that keep no pixel, in the grid's order
+        # the regions that keep no pixel, in the grid's label order
         kept = set(grid.regions)
         dropped = [region for region in loaded.regions if region not in kept]
         del loaded
@@ -262,15 +262,17 @@ def _mask_years(panel: PanelDataset, excluded: set[int]) -> PanelDataset:
 
 
 def _subset_regions(panel: PanelDataset, keep: list[str]) -> PanelDataset:
+    """The regions named in ``keep``, in the panel's order, so that the names
+    in another order fit the same panel; a repeated name is an error."""
     position = {r: i for i, r in enumerate(panel.regions)}
     missing = [r for r in keep if r not in position]
     if missing:
         raise PanelError(f"unknown regions: {missing}")
     if not keep:
         raise PanelError("region subset is empty")
-    idx = [position[r] for r in keep]
+    idx = sorted(position[r] for r in keep)
     variables = {name: Grid(g.values[idx], g.available) for name, g in panel.variables.items()}
-    return PanelDataset(tuple(keep), panel.years, variables)
+    return PanelDataset(tuple(panel.regions[i] for i in idx), panel.years, variables)
 
 
 def cmd_robustness(args) -> tuple[dict, list[str]]:
@@ -418,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("-v", "--verbose", action="count", default=0)
 
     p_ingest = sub.add_parser("ingest", help="build a balanced panel and summary stats")
     p_ingest.add_argument("--panel", help="panel CSV passthrough")
@@ -468,9 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.verbose:  # no subcommand reads it yet, so no manifest may record it as applied
-        print("error: --verbose: read by no subcommand yet", file=sys.stderr)
-        return 1
     # input, numerical and output errors only (UnicodeDecodeError: an input
     # file that is not UTF-8); any other exception is a bug and propagates
     held = io.StringIO()  # the run's stderr: a rejected run's is its error line alone

@@ -267,7 +267,7 @@ def simulate_disturbance_grid(config: GridDGPConfig) -> PixelGrid:
                 chosen = rng.choice(len(pool), size=take, replace=False)
                 event_pixel.extend(pool.pop(idx) for idx in sorted(chosen, reverse=True))
                 event_year.extend([year] * take)
-    return PixelGrid.__new__(PixelGrid)._init_coded(
+    return PixelGrid(
         pixel_ids,
         tuple(regions),
         np.repeat(np.arange(config.n_regions, dtype=np.intp), n),

@@ -5,15 +5,17 @@ region id, biomass carbon density, area, and canopy density, plus a set of
 (pixel, year) loss events. Zonal aggregation, ``pixel_panel``, turns those
 into the panel's loss-area and emission variables ``L`` and ``E``.
 
-A ``PixelGrid`` holds columns. The public constructor, the CSV loader and the
-simulator give one checking core, ``_init_coded``, coded columns: region codes
-and each event's pixel row. ``filter_canopy`` takes rows of a built grid past
-it (``_subset``), and ``pixel_panel`` works on the columns. One vectorised
-rule, ``_first_bad_pixel``, decides which pixel values are valid, for the core
-and for the loader's line-numbered errors alike. One join, ``_RowJoin``,
-turns event ids into pixel rows for the constructor and the loader alike: it
-finds each id's hash among the pixel ids' sorted hashes and checks the id
-itself, and holds no dict from id to row unless two pixel ids share a hash.
+A ``PixelGrid`` holds columns, and its one constructor takes them coded:
+region codes and each event's pixel row. Its two callers are the CSV loader
+and the simulator; ``filter_canopy`` takes rows of a built grid past it
+(``_subset``), and ``pixel_panel`` works on the columns. The constructor puts
+the regions in label order, so a grid's region order, and that of every
+panel and file made of it, is decided there alone. One vectorised rule,
+``_first_bad_pixel``, decides which pixel values are valid, for the
+constructor and for the loader's line-numbered errors alike. The loader's
+join, ``_RowJoin``, turns event ids into pixel rows: it finds each id's hash
+among the pixel ids' sorted hashes and checks the id itself, and holds no
+dict from id to row unless two pixel ids share a hash.
 
 Both CSV loaders read a file's data rows in one block pass,
 ``_column_blocks``, a few thousand lines at a time. Each block's fields become
@@ -40,10 +42,10 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -147,50 +149,38 @@ _COLUMNS = ("pixel_ids", "region_code", "biomass", "area", "canopy", "event_pixe
 class PixelGrid:
     """Pixels plus the set of (pixel_id, year) loss events, stored as columns.
 
-    ``PixelGrid(pixel_ids, regions, biomass, area, canopy, loss_events)`` takes
-    one entry per pixel in each column (its id, its region label, biomass
-    carbon density in Mg C/ha, area in hectares, canopy density in percent)
-    and any iterable of (pixel_id, year) loss-event tuples. It raises ``LoadError``
-    for the first pixel with a non-finite attribute, negative biomass,
+    ``PixelGrid(pixel_ids, regions, region_code, biomass, area, canopy,
+    event_pixel, event_year)`` takes coded columns, as arrays: per pixel, its
+    id, its region as an index into the tuple of labels ``regions``, biomass
+    carbon density in Mg C/ha, area in hectares and canopy density in
+    percent; per loss event, its pixel's row, or -1 for an event that names
+    no pixel, and its year. The CSV loader and the simulator build every grid
+    here, and ``filter_canopy`` takes rows of a built grid past it
+    (``_subset``). It raises ``LoadError`` for columns of unequal length, for
+    the first pixel with a non-finite attribute, negative biomass,
     nonpositive area or canopy outside [0, 100], for a repeated pixel id, and
-    for an event naming an unknown pixel or a pixel lost twice. Exact repeats
-    of an event collapse, as in a set.
+    for an event naming an unknown pixel or a pixel lost twice, whichever has
+    the smaller pixel id. Exact repeats of an event collapse, as in a set.
+    The caller reports what it found while coding: ``values_checked``,
+    ``_first_bad_pixel`` has run; ``repeated_id``, two pixels share an id;
+    ``stranger``, the least event id that names no pixel.
 
-    Stored: ``pixel_ids`` (object array of str), ``region_code`` (index into
-    ``regions``, the regions in first-seen pixel order), and the float arrays
-    ``biomass``, ``area`` and ``canopy``. Loss events are two parallel arrays,
-    ``event_pixel`` (a pixel row) and ``event_year``, sorted once by
-    (pixel_id, year). Aggregates sum in that order, so results are
-    bit-identical across runs and across the CSV round trip. Every column is
-    read-only, and a grid is not hashable. A float64 array, or an object array
-    of pixel ids, passed in is kept as the column, not copied, so it becomes
-    read-only too. This constructor codes its arguments for ``_init_coded``,
-    which checks and stores every grid but a ``_subset``: the regions in
-    first-seen order, and the events' ids as pixel rows through ``_RowJoin``,
-    as the CSV loader does.
+    Stored: ``pixel_ids`` (object array of str), ``regions`` in sorted label
+    order with ``region_code`` recoded to match, so that region order, and
+    every panel made of the grid, does not depend on the order of the input
+    rows, and the float arrays ``biomass``, ``area`` and ``canopy``. Loss
+    events are ``event_pixel`` and ``event_year``, sorted once by (pixel_id,
+    year). Aggregates sum in that order, so results are bit-identical across
+    runs and across the CSV round trip. Every column is read-only. A float64
+    array, or an object array of pixel ids, passed in is kept as the column,
+    not copied, so it becomes read-only too.
 
     ``pixels`` and ``loss_events`` are object views rebuilt from the columns
     on every access.
     """
 
-    def __init__(self, pixel_ids: Sequence[str], regions: Sequence[str], biomass, area, canopy,
-                 loss_events: Iterable[tuple[str, int]]):
-        code, events = {}, list(loss_events)
-        region_code = _codes(regions, code)
-        pixel_ids = np.asarray(pixel_ids, dtype=object)
-        join = _RowJoin(pixel_ids)
-        event_pixel = join(np.fromiter(map(itemgetter(0), events), object, len(events)))
-        self._init_coded(
-            pixel_ids, tuple(code), region_code,
-            *(np.asarray(c, dtype=float) for c in (biomass, area, canopy)),
-            event_pixel, np.fromiter(map(itemgetter(1), events), np.int64, len(events)),
-            repeated_id=join.repeated_id, stranger=join.stranger)
-
-    def _init_coded(self, pixel_ids, regions, region_code, biomass, area, canopy, event_pixel,
-                    event_year, *, values_checked=False, repeated_id=False, stranger=None):
-        """Check coded columns, store them with sorted events; returns the grid.
-        ``event_pixel`` is -1 for an event naming no pixel (``stranger``: the
-        least such id); ``values_checked``: ``_first_bad_pixel`` has run."""
+    def __init__(self, pixel_ids, regions, region_code, biomass, area, canopy, event_pixel,
+                 event_year, *, values_checked=False, repeated_id=False, stranger=None):
         pixel_ids = np.asarray(pixel_ids, dtype=object)
         if not len(pixel_ids) == len(region_code) == len(biomass) == len(area) == len(canopy):
             raise LoadError("pixel columns differ in length")
@@ -216,8 +206,12 @@ class PixelGrid:
             if stranger is not None and (not twice.size or stranger < pixel_ids[twice[0]]):
                 raise LoadError(f"loss event references unknown pixel {stranger!r}")
             raise LoadError(f"pixel {pixel_ids[twice[0]]!r} lost more than once")
-        return self._store(regions, pixel_ids, region_code, biomass, area, canopy,
-                           event_pixel, event_year)
+        # each region's rank in label order becomes its code
+        by_label = sorted(range(len(regions)), key=regions.__getitem__)
+        rank = np.empty(len(regions), dtype=np.intp)
+        rank[by_label] = np.arange(len(regions))
+        self._store(tuple(regions[c] for c in by_label), pixel_ids, rank[region_code],
+                    biomass, area, canopy, event_pixel, event_year)
 
     def _store(self, regions: tuple[str, ...], *columns: np.ndarray) -> "PixelGrid":
         """Keep ``regions`` and the ``_COLUMNS``, in that order, read-only."""
@@ -228,18 +222,17 @@ class PixelGrid:
         return self
 
     def _subset(self, keep: np.ndarray) -> "PixelGrid":
-        """The pixels where the boolean row mask ``keep`` holds, with their events."""
+        """The pixels where the boolean row mask ``keep`` holds, with their
+        events, and the regions that keep a pixel, in the grid's order."""
         codes = self.region_code[keep]
-        present, first = np.unique(codes, return_index=True)
-        order = present[np.argsort(first)]  # first-seen order among kept pixels
-        recode = np.empty(len(self.regions), dtype=np.intp)
-        recode[order] = np.arange(order.size)
+        present = np.bincount(codes, minlength=len(self.regions)) > 0
+        new_code = np.cumsum(present) - 1
         new_row = np.cumsum(keep) - 1
         kept_events = keep[self.event_pixel]
         return PixelGrid.__new__(PixelGrid)._store(
-            tuple(self.regions[c] for c in order),
+            tuple(compress(self.regions, present)),
             self.pixel_ids[keep],
-            recode[codes],
+            new_code[codes],
             self.biomass[keep], self.area[keep], self.canopy[keep],
             new_row[self.event_pixel[kept_events]],
             self.event_year[kept_events],
@@ -257,19 +250,6 @@ class PixelGrid:
     @property
     def loss_events(self) -> frozenset[tuple[str, int]]:
         return frozenset(zip(self.pixel_ids[self.event_pixel].tolist(), self.event_year.tolist()))
-
-    def __eq__(self, other):
-        if not isinstance(other, PixelGrid):
-            return NotImplemented
-        return self.regions == other.regions and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
-        )
-
-    __hash__ = None  # nothing hashes a grid; a hash would have to build both views
-
-    def __repr__(self):
-        return (f"PixelGrid({len(self.pixel_ids)} pixels, {len(self.event_pixel)} loss events, "
-                f"{len(self.regions)} regions)")
 
 
 @dataclass(frozen=True)
@@ -631,9 +611,8 @@ def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
     event_pixel, event_year = _read_columns(events_path, _EVENT_COLUMNS, encode={"pixel": join})
     repeated_id, stranger = join.repeated_id, join.stranger
     del join  # its hashes and rows, 16 B a pixel, go before the grid's checks run
-    return PixelGrid.__new__(PixelGrid)._init_coded(
-        ids, tuple(code), region_code, biomass, area, canopy, event_pixel, event_year,
-        values_checked=True, repeated_id=repeated_id, stranger=stranger)
+    return PixelGrid(ids, tuple(code), region_code, biomass, area, canopy, event_pixel,
+                     event_year, values_checked=True, repeated_id=repeated_id, stranger=stranger)
 
 
 def write_pixel_grid_csv(grid: PixelGrid, pixels_path, events_path) -> None:
@@ -659,12 +638,13 @@ def write_pixel_grid_csv(grid: PixelGrid, pixels_path, events_path) -> None:
 def summary_stats(panel: PanelDataset, var: str) -> dict[str, float]:
     """Mean/std/min/median/max over all available cells of one variable.
 
-    The cells are taken region by region in sorted label order, years
-    ascending, so the sums do not depend on the order of the input rows.
+    The cells are taken region by region in the panel's order, years
+    ascending. ``load_panel_csv`` and ``pixel_panel`` give panels whose
+    regions come in label order, so the sums do not depend on the order of
+    the input rows.
     """
     grid = panel.var(var)
-    order = sorted(range(panel.N), key=panel.regions.__getitem__)
-    x = grid.values[np.ix_(order, grid.available)].ravel()
+    x = grid.values[:, grid.available].ravel()
     return {
         "mean": float(np.mean(x)),
         "std": float(np.std(x, ddof=1)) if x.size > 1 else 0.0,

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from test_ingest import grid_of
 
 from forestpanel.cli import main as cli_main
 from forestpanel.dgp import DGPConfig, replication_seed, simulate_dynamic_panel
@@ -24,13 +25,7 @@ from forestpanel.estimators import (
     long_run_elasticity,
 )
 from forestpanel.gmm import GmmOptions, fit_diff_gmm, fit_sys_gmm
-from forestpanel.ingest import (
-    EmissionFactors,
-    Pixel,
-    PixelGrid,
-    pixel_panel,
-    write_panel_csv,
-)
+from forestpanel.ingest import EmissionFactors, Pixel, pixel_panel, write_panel_csv
 from forestpanel.panel import Grid, PanelDataset
 
 
@@ -239,7 +234,7 @@ def test_criterion_8_aggregation_oracle_and_properties():
         (p.pixel_id, int(rng.choice(years)))
         for p in pixels if rng.random() < 0.6
     )
-    grid = PixelGrid(*zip(*pixels), events)
+    grid = grid_of(pixels, events)
     theta = 44.0 / 12.0
     panel = pixel_panel(grid, EmissionFactors(theta), years)
 
@@ -263,8 +258,8 @@ def test_criterion_8_aggregation_oracle_and_properties():
 
     # partition-additivity: splitting the grid and summing matches the whole
     half_ids = {p.pixel_id for p in pixels[:150]}
-    first = PixelGrid(*zip(*pixels[:150]), [e for e in events if e[0] in half_ids])
-    second = PixelGrid(*zip(*pixels[150:]), [e for e in events if e[0] not in half_ids])
+    first = grid_of(pixels[:150], [e for e in events if e[0] in half_ids])
+    second = grid_of(pixels[150:], [e for e in events if e[0] not in half_ids])
     total = np.zeros((len(panel.regions), len(years)))
     for part in (first, second):
         sub = pixel_panel(part, EmissionFactors(theta), years)

@@ -12,12 +12,19 @@ import pytest
 
 from forestpanel import cli
 from forestpanel.cli import ESTIMATORS, main
-from forestpanel.dgp import DGPConfig, DGPError, replication_seed, simulate_dynamic_panel
+from forestpanel.dgp import (
+    DGPConfig,
+    DGPError,
+    GridDGPConfig,
+    replication_seed,
+    simulate_disturbance_grid,
+    simulate_dynamic_panel,
+)
 from forestpanel.diagnostics import DiagnosticError
 from forestpanel.estimators import EstimationError
 from forestpanel.gmm import GmmOptions
-from forestpanel.ingest import write_panel_csv
-from forestpanel.panel import Grid, PanelDataset
+from forestpanel.ingest import write_panel_csv, write_pixel_grid_csv
+from forestpanel.panel import Grid, PanelDataset, PanelError
 
 
 def write_log_panel(path, N=30, T=10, rho=0.3, beta=1.0, sigma_u=0.5, seed=80):
@@ -204,11 +211,11 @@ class TestIngest:
             "ingest: 2 regions x 4 years, 0 dropped\ningest: 2 regions x 4 years, 0 dropped\n")
 
     def test_region_without_kept_pixels_is_reported_dropped(self, tmp_path, capsys):
-        # C and A keep no pixel at threshold 50: named in the grid's region
-        # order and counted, while panel.csv holds B alone
+        # C and A keep no pixel at threshold 50: named in label order and
+        # counted, while panel.csv holds B alone
         pixels = "c1,C,1,1,5\nb1,B,1,1,90\na1,A,1,1,40\na2,A,1,1,10\n"
         out = self.ingest_toy(tmp_path, pixels, "c1,2001\nb1,2001\na1,2001\n", "50")
-        assert read_json(out / "summary.json")["dropped_regions"] == ["C", "A"]
+        assert read_json(out / "summary.json")["dropped_regions"] == ["A", "C"]
         assert capsys.readouterr().out == "ingest: 1 regions x 1 years, 2 dropped\n"
         assert (out / "panel.csv").read_bytes() == b"region,year,L,E\r\nB,2001,1.0,1.0\r\n"
 
@@ -603,6 +610,33 @@ class TestRobustness:
         assert main(["robustness", "--panel", str(src), "--regions", "nope",
                      "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("estimator", ["fe2w", "lsdv", "sysgmm"])
+    def test_region_subset_is_fitted_in_the_panels_order(self, tmp_path, estimator):
+        # the same names in another order fit the same panel, to the bit;
+        # the variation keeps the names as they were given
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, N=30, T=10, seed=4)
+        names = ["R0011", "R0003", "R0007", "R0020", "R0001", "R0015"]
+        rows = []
+        for form, order in (("typed", names), ("sorted", sorted(names))):
+            out = tmp_path / form
+            assert main(["robustness", "--panel", str(src), "--estimator", estimator,
+                         "--regions", ",".join(order), "--out", str(out)]) == 0
+            row = read_json(out / "report.json")["robustness"][1]
+            assert row.pop("variation") == f"regions={order}"
+            rows.append(row)
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("regions, message", [
+        (["R0001", "nope"], r"^unknown regions: \['nope'\]$"),
+        ([], "^region subset is empty$"),
+        (["R0003", "R0001", "R0003"], "^region identifiers must be unique$"),
+    ], ids=["unknown", "empty", "repeated"])
+    def test_bad_region_subset_is_named(self, regions, message):
+        panel, _ = simulate_dynamic_panel(DGPConfig(n_regions=5, n_years=4, rho=0.3, beta=1.0))
+        with pytest.raises(PanelError, match=message):
+            cli._subset_regions(panel, regions)
+
 
 class TestErrorHandling:
     def test_bare_value_error_is_a_bug_and_propagates(self, tmp_path, monkeypatch):
@@ -718,16 +752,19 @@ class TestErrorHandling:
         assert main([*command, "--estimator", "diffgmm"]) == 0
 
     @pytest.mark.parametrize("flag", ["-v", "-vv", "--verbose"])
-    def test_verbose_is_an_error_until_a_run_reads_it(self, tmp_path, capsys, flag):
+    def test_verbose_is_a_usage_error(self, tmp_path, capsys, flag):
+        # no option reads it, so argparse rejects it and no manifest names it
         src = tmp_path / "panel.csv"
         write_log_panel(src, seed=94)
         out = tmp_path / "out"
         command = ["estimate", "--estimator", "fe2w", "--panel", str(src), "--out", str(out)]
-        assert main([*command, flag]) == 1
-        assert capsys.readouterr().err == "error: --verbose: read by no subcommand yet\n"
+        with pytest.raises(SystemExit) as exited:
+            main([*command, flag])
+        assert exited.value.code == 2
+        assert f"error: unrecognized arguments: {flag}\n" in capsys.readouterr().err
         assert not out.exists()
-        assert main(command) == 0  # left at its default, the flag is accepted and recorded
-        assert read_json(out / "manifest.json")["config"]["verbose"] == 0
+        assert main(command) == 0
+        assert "verbose" not in read_json(out / "manifest.json")["config"]
 
 
 # region A loses 1e308 twice: a two-way demeaning of its levels overflows,
@@ -770,6 +807,39 @@ class TestRowOrder:
         if command[0] == "ingest":
             assert read_json(tmp_path / "shuffled" / "summary.json")["dropped_regions"] == [
                 "R0002", "R0005"]
+
+    def test_shuffled_pixel_files_give_the_same_bytes(self, tmp_path, capsys):
+        # the grid takes its regions in label order, so pixel and event rows
+        # whose regions are first seen in another order ingest to the same
+        # files, dropped regions included, and estimate the same from them
+        grid = simulate_disturbance_grid(GridDGPConfig(n_regions=30, pixels_per_region=6,
+                                                       n_years=8, ignition_rate=1.0, seed=5))
+        paths = tmp_path / "pixels.csv", tmp_path / "events.csv"
+        write_pixel_grid_csv(grid, *paths)
+        files = [path.read_text(encoding="utf-8").splitlines(True) for path in paths]
+        rng = np.random.default_rng(5)
+        panel = tmp_path / "panel.csv"
+        runs = []
+        for form in ("ordered", "shuffled"):
+            if form == "shuffled":
+                # the same input paths, so the manifests name the same files
+                for path, (header, *rows) in zip(paths, files):
+                    lines = [rows[k] for k in rng.permutation(len(rows))]
+                    path.write_text(header + "".join(lines), encoding="utf-8")
+                pixels = paths[0].read_text(encoding="utf-8").splitlines()[1:]
+                regions = [line.split(",")[1] for line in pixels]
+                assert list(dict.fromkeys(regions)) != sorted(set(regions))
+            ingested, estimated = tmp_path / f"{form}-ingest", tmp_path / f"{form}-estimate"
+            assert main(["ingest", "--pixels", str(paths[0]), "--events", str(paths[1]),
+                         "--canopy-threshold", "70", "--out", str(ingested)]) == 0
+            panel.write_bytes((ingested / "panel.csv").read_bytes())  # one path for estimate
+            assert main(["estimate", "--panel", str(panel), "--estimator", "all", "--two-step",
+                         "--collapse", "--out", str(estimated)]) == 0
+            runs.append((read_all_bytes(ingested), read_all_bytes(estimated),
+                         capsys.readouterr()))
+        assert runs[0] == runs[1]
+        dropped = read_json(tmp_path / "shuffled-ingest" / "summary.json")["dropped_regions"]
+        assert dropped and dropped == sorted(dropped)
 
 
 class TestOutputStep:

@@ -8,13 +8,15 @@ and assembled them with the tuple-based builder that survives here only as
 held every row of the file as a list before converting each column, and
 returned the columns up to the first bad row with that row's error; the pixel
 loader checked the values of those columns before raising the error; the
-``PixelGrid`` constructor sorted its events as tuples and found their pixels
-with a dict; the panel and scatter writers formatted one cell at a time. The
-loaders must give an equal panel, grid or columns, or raise the same
-``LoadError`` text, and the writers must write the same bytes. The two CSV
-oracles read with ``csv.reader`` and Python's ``float`` and ``int`` only, so
-they also stand for the fallback of the loaders' numpy pass; a row the csv
-module cannot read ends either oracle's file with the error naming its line.
+``PixelGrid`` constructor from strings sorted its events as tuples and found
+their pixels with a dict, and ``old_grid`` holds the columns it stored, with
+the regions in label order; the panel and scatter writers formatted one cell
+at a time. The loaders must give an equal panel, grid or columns, or raise
+the same ``LoadError`` text, and the writers must write the same bytes. The
+two CSV oracles read with ``csv.reader`` and Python's ``float`` and ``int``
+only, so they also stand for the fallback of the loaders' numpy pass; a row
+the csv module cannot read ends either oracle's file with the error naming
+its line.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from functools import partial
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -36,7 +39,7 @@ from hypothesis import strategies as st
 
 from forestpanel import cli, ingest
 from forestpanel.dgp import GridDGPConfig, simulate_disturbance_grid
-from forestpanel.ingest import LoadError, PixelGrid, write_panel_csv, write_pixel_grid_csv
+from forestpanel.ingest import LoadError, write_panel_csv, write_pixel_grid_csv
 from forestpanel.panel import (
     Grid,
     PanelDataset,
@@ -221,6 +224,25 @@ def old_event_columns(pixel_ids, loss_events):
     return event_pixel, np.fromiter(map(itemgetter(1), events), dtype=np.int64, count=len(events))
 
 
+def old_grid(pixel_ids, regions, biomass, area, canopy, loss_events):
+    """The columns of a grid, as the constructor from strings stored them, with
+    the regions in label order; its pixel values are not checked, and its
+    events are coded, and their faults raised, by ``old_event_columns``."""
+    labels = sorted(set(regions))
+    code = {label: c for c, label in enumerate(labels)}
+    event_pixel, event_year = old_event_columns(list(pixel_ids), loss_events)
+    return SimpleNamespace(
+        regions=tuple(labels),
+        pixel_ids=np.array(list(pixel_ids), dtype=object),
+        region_code=np.array([code[r] for r in regions], dtype=np.intp),
+        biomass=np.array(biomass, dtype=float),
+        area=np.array(area, dtype=float),
+        canopy=np.array(canopy, dtype=float),
+        event_pixel=event_pixel,
+        event_year=event_year,
+    )
+
+
 def old_write_panel_csv(panel, path):
     names = list(panel.variables)
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
@@ -394,6 +416,14 @@ def columns_key(result):
         if error is not None:
             return f"LoadError: {error}"
     return [list(map(repr, c.tolist() if isinstance(c, np.ndarray) else c)) for c in result]
+
+
+def grid_key(result):
+    """A grid's regions and its columns, each with its dtype; an error's text."""
+    if isinstance(result, str):
+        return result
+    return result.regions, [(getattr(result, name).dtype, getattr(result, name).tolist())
+                            for name in ingest._COLUMNS]
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +636,7 @@ def old_load_pixels(path):
         raise LoadError(f"{path}:{_file_line(path, row)}: {message}")
     if error is not None:
         raise error
-    return PixelGrid(ids, regions, *values, ())
+    return old_grid(ids, regions, *values, ())
 
 
 PIXEL_FIELDS = st.sampled_from(["1.5", "0", "-1", "100", "101", "nan", "inf", "abc", ""])
@@ -632,7 +662,8 @@ def test_pixel_loader_matches_prefix_then_value_rule(work, text, block, limit):
     with field_size_limit(limit):
         expected = outcome(old_load_pixels, pixels)
         with mock.patch.object(ingest, "_BLOCK_ROWS", block):
-            assert outcome(ingest.load_pixel_grid_csv, pixels, events) == expected
+            assert grid_key(outcome(ingest.load_pixel_grid_csv, pixels, events)) == grid_key(
+                expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -640,10 +671,15 @@ def test_pixel_loader_matches_prefix_then_value_rule(work, text, block, limit):
     pixel_ids=st.lists(st.text("ab", max_size=3), max_size=6),
     events=st.lists(st.tuples(st.text("abc", max_size=3), st.integers(2001, 2004)), max_size=8),
 )
-def test_grid_events_match_dict_and_sort(pixel_ids, events):
-    n = len(pixel_ids)
+def test_grid_events_match_dict_and_sort(work, pixel_ids, events):
     expected = outcome(old_event_columns, pixel_ids, events)
-    grid = outcome(PixelGrid, pixel_ids, ["A"] * n, [1.0] * n, [1.0] * n, [50.0] * n, iter(events))
+    paths = work / "pixels.csv", work / "events.csv"
+    for path, header, rows in (
+            (paths[0], PIXEL_COLUMNS, [[pixel_id, "A", 1.0, 1.0, 50.0] for pixel_id in pixel_ids]),
+            (paths[1], ["pixel", "year"], events)):
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([header, *rows])
+    grid = outcome(ingest.load_pixel_grid_csv, *paths)
     if isinstance(expected, str):
         assert grid == expected
     else:
@@ -653,8 +689,7 @@ def test_grid_events_match_dict_and_sort(pixel_ids, events):
 
 def test_ingest_ignores_pixel_order_within_regions(tmp_path):
     # the events are summed in (pixel_id, year) order whatever the row order of
-    # the pixels, so ids that arrive unsorted give the same bytes, as long as
-    # the regions are first seen in the same order
+    # the pixels, so ids that arrive unsorted give the same bytes
     grid = simulate_disturbance_grid(GridDGPConfig(n_regions=8, pixels_per_region=60,
                                                    n_years=9, seed=4))
     write_pixel_grid_csv(grid, tmp_path / "pixels.csv", tmp_path / "events.csv")

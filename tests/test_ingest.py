@@ -1,12 +1,15 @@
 import csv
 import itertools
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_csv_blocks import old_grid
 
 from forestpanel import cli, ingest
 from forestpanel.dgp import (
@@ -30,9 +33,30 @@ from forestpanel.ingest import (
 )
 
 
-def grid_of(pixel_specs, events):
-    """A grid from (pixel_id, region, biomass, area, canopy) rows."""
-    return PixelGrid(*(zip(*pixel_specs) if pixel_specs else [()] * 5), events)
+def write_grid_files(directory, pixel_rows, events):
+    """The pixel and event files of raw rows, in the layout of ``write_pixel_grid_csv``."""
+    with (directory / "pixels.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["pixel", "region", "biomass", "area", "canopy"])
+        writer.writerows([pixel_id, region, *map(repr, values)]
+                         for pixel_id, region, *values in pixel_rows)
+    with (directory / "events.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["pixel", "year"])
+        writer.writerows(events)
+    return directory / "pixels.csv", directory / "events.csv"
+
+
+def grid_of(pixel_rows, events):
+    """The grid the CSV loader reads from (pixel_id, region, biomass, area,
+    canopy) rows and (pixel_id, year) events."""
+    with tempfile.TemporaryDirectory() as directory:
+        return load_pixel_grid_csv(*write_grid_files(Path(directory), pixel_rows, events))
+
+
+def oracle_grid(pixel_rows, events):
+    """``old_grid`` of (pixel_id, region, biomass, area, canopy) rows."""
+    return old_grid(*(zip(*pixel_rows) if pixel_rows else [()] * 5), events)
 
 
 @pytest.fixture
@@ -49,7 +73,7 @@ def toy_grid():
 
 class TestFilterCanopy:
     def test_zero_threshold_is_identity(self, toy_grid):
-        assert filter_canopy(toy_grid, 0.0) == toy_grid
+        assert_same_grid(filter_canopy(toy_grid, 0.0), toy_grid)
 
     def test_all_below_threshold(self):
         grid = grid_of([("p1", "A", 1.0, 1.0, 20.0), ("p2", "A", 1.0, 1.0, 20.0)], [])
@@ -198,13 +222,11 @@ class TestPixelPanelOracle:
         theta = 44.0 / 12.0
         panel = pixel_panel(grid, EmissionFactors(theta), years)
 
-        # reference: one += per loss event, in sorted (pixel_id, year) order
+        # reference: one += per loss event, in sorted (pixel_id, year) order,
+        # into the kept regions in label order
         kept = [spec for spec in specs if spec[4] >= threshold]
         by_id = {spec[0]: spec for spec in kept}
-        regions = []
-        for spec in kept:
-            if spec[1] not in regions:
-                regions.append(spec[1])
+        regions = sorted({spec[1] for spec in kept})
         L = np.zeros((len(regions), len(years)))
         E = np.zeros_like(L)
         for pixel_id, year in sorted(events):
@@ -243,11 +265,18 @@ class TestPixelGridInvariants:
             ((1.0, -inf, 500.0), "non-finite area"),
         ):
             with pytest.raises(LoadError, match=f"^pixel p: {message}$"):
+                PixelGrid(np.array(["ok", "p"], dtype=object), ("A",), np.zeros(2, np.intp),
+                          *np.array([(1.0, 1.0, 50.0), bad]).T, np.zeros(0, np.intp),
+                          np.zeros(0, np.int64))
+            # the loader names the pixel's line too
+            with pytest.raises(LoadError, match=f"pixels.csv:3: pixel p: {message}$"):
                 grid_of([("ok", "A", 1.0, 1.0, 50.0), ("p", "A", *bad)], [])
 
     def test_columns_of_unequal_length(self):
         with pytest.raises(LoadError, match="differ in length"):
-            PixelGrid(["p1", "p2"], ["A"], [1.0, 1.0], [1.0, 1.0], [50.0, 50.0], [])
+            PixelGrid(np.array(["p1", "p2"], dtype=object), ("A",), np.zeros(1, np.intp),
+                      np.ones(2), np.ones(2), np.full(2, 50.0), np.zeros(0, np.intp),
+                      np.zeros(0, np.int64))
 
     def test_object_views_match_columns(self, toy_grid):
         # the benchmark counts pixels and events through these views
@@ -264,14 +293,29 @@ class TestPixelGridInvariants:
         assert toy_grid.pixels[2] == ("p3", "B", 30.0, 1.0, 95.0)
         assert filter_canopy(toy_grid, 60.0).loss_events == {("p1", 2001), ("p3", 2001)}
 
-    def test_columns_read_only_and_grid_unhashable(self):
+    def test_columns_read_only(self):
         biomass = np.array([1.0, 2.0])
-        grid = PixelGrid(["a", "b"], ["A", "A"], biomass, [1, 1], [50, 50], [("a", 2001)])
-        for column in (biomass, grid.area, grid.pixel_ids, grid.event_year):
+        grid = PixelGrid(np.array(["a", "b"], dtype=object), ("A",), np.zeros(2, np.intp),
+                         biomass, np.ones(2), np.full(2, 50.0), np.zeros(1, np.intp),
+                         np.array([2001]))
+        for column in (biomass, grid.area, grid.pixel_ids, grid.region_code, grid.event_year):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[-1]
-        with pytest.raises(TypeError):
-            hash(grid)
+
+    def test_regions_in_label_order(self):
+        # regions first seen as C, A, B; B's pixels fall below the threshold
+        grid = grid_of([("p1", "C", 1, 1, 80), ("p2", "A", 1, 1, 80), ("p3", "B", 1, 1, 10),
+                        ("p4", "C", 1, 1, 80), ("p5", "B", 1, 1, 20)], [("p4", 2001)])
+        assert grid.regions == ("A", "B", "C")
+        assert [grid.regions[c] for c in grid.region_code] == ["C", "A", "B", "C", "B"]
+        filtered = filter_canopy(grid, 50.0)
+        assert filtered.regions == ("A", "C")
+        assert [filtered.regions[c] for c in filtered.region_code] == ["C", "A", "C"]
+        assert filtered.loss_events == {("p4", 2001)}
+        simulated = simulate_disturbance_grid(GridDGPConfig(n_regions=12, pixels_per_region=3,
+                                                            n_years=2, seed=1))
+        assert simulated.regions == tuple(sorted(simulated.regions))
+        assert len(simulated.regions) == 12
 
 
 GRID_COLUMNS = ("pixel_ids", "region_code", "biomass", "area", "canopy", "event_pixel",
@@ -287,28 +331,14 @@ def grid_or_error(build, *args):
 
 
 def assert_same_grid(got, expected):
+    """Equal regions, and equal columns of equal dtypes; or equal error texts."""
     if isinstance(expected, str) or isinstance(got, str):
         assert got == expected
         return
-    assert got == expected
     assert got.regions == expected.regions
     for name in GRID_COLUMNS:
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
         assert getattr(got, name).dtype == getattr(expected, name).dtype, name
-
-
-def write_grid_files(tmp_path, pixel_rows, events):
-    """The pixel and event files of raw rows, in the layout of ``write_pixel_grid_csv``."""
-    with (tmp_path / "pixels.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["pixel", "region", "biomass", "area", "canopy"])
-        writer.writerows([pixel_id, region, *map(repr, values)]
-                         for pixel_id, region, *values in pixel_rows)
-    with (tmp_path / "events.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["pixel", "year"])
-        writer.writerows(events)
-    return tmp_path / "pixels.csv", tmp_path / "events.csv"
 
 
 # labels that numpy's reader passes to the csv module: a quote, a comma,
@@ -340,19 +370,21 @@ def grid_inputs(draw):
 
 
 class TestOneConstructionPath:
-    """The public constructor, the CSV loader and the simulator build every
-    grid through one checking core, so they agree on grids and faults."""
+    """The CSV loader and the simulator build every grid through one
+    constructor, and give the columns and faults of ``old_grid``, the
+    from-strings constructor's oracle with its regions in label order."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=grid_inputs())
     def test_loader_equals_constructor(self, tmp_path_factory, case):
         pixel_rows, events = case
-        expected = grid_or_error(grid_of, pixel_rows, events)
+        expected = grid_or_error(oracle_grid, pixel_rows, events)
         paths = write_grid_files(tmp_path_factory.mktemp("grid"), pixel_rows, events)
-        assert_same_grid(grid_or_error(load_pixel_grid_csv, *paths), expected)
-        if not isinstance(expected, str):
+        loaded = grid_or_error(load_pixel_grid_csv, *paths)
+        assert_same_grid(loaded, expected)
+        if not isinstance(loaded, str):
             # and the files the writer makes of the grid load back to it
-            write_pixel_grid_csv(expected, *paths)
+            write_pixel_grid_csv(loaded, *paths)
             assert_same_grid(load_pixel_grid_csv(*paths), expected)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -360,16 +392,16 @@ class TestOneConstructionPath:
         grid = simulate_disturbance_grid(
             GridDGPConfig(n_regions=6, pixels_per_region=30, n_years=8, ignition_rate=1.5,
                           seed=seed))
-        assert_same_grid(grid_of(grid.pixels, grid.loss_events), grid)
+        assert_same_grid(grid, oracle_grid(grid.pixels, grid.loss_events))
         # shuffled rows keep the pixel order they are read in, and the events'
         # (pixel_id, year) order
         rng = np.random.default_rng(seed)
         pixels = [grid.pixels[i] for i in rng.permutation(len(grid.pixel_ids))]
         events = sorted(grid.loss_events)
         events = [events[i] for i in rng.permutation(len(events))]
-        shuffled = grid_of(pixels, events)
-        assert_same_grid(load_pixel_grid_csv(*write_grid_files(tmp_path, pixels, events)),
-                         shuffled)
+        shuffled = load_pixel_grid_csv(*write_grid_files(tmp_path, pixels, events))
+        assert_same_grid(shuffled, oracle_grid(pixels, events))
+        assert shuffled.regions == grid.regions
         assert shuffled.pixels == tuple(pixels)
         assert shuffled.loss_events == grid.loss_events
         assert np.array_equal(shuffled.pixel_ids[shuffled.event_pixel],
@@ -385,7 +417,7 @@ class TestOneConstructionPath:
     ], ids=["twice-before-unknown", "unknown-before-twice", "unknown-after-twice", "repeat"])
     def test_grid_faults(self, tmp_path, events, message):
         pixel_rows = [("c", "A", 1.0, 1.0, 50.0), ("b", "A", 1.0, 1.0, 50.0)]
-        expected = grid_or_error(grid_of, pixel_rows, events)
+        expected = grid_or_error(oracle_grid, pixel_rows, events)
         assert expected == f"LoadError: {message}" if message else len(expected.event_year) == 1
         paths = write_grid_files(tmp_path, pixel_rows, events)
         assert_same_grid(grid_or_error(load_pixel_grid_csv, *paths), expected)
@@ -393,19 +425,17 @@ class TestOneConstructionPath:
     @settings(max_examples=100, deadline=None)
     @given(case=grid_inputs())
     def test_colliding_hashes_join_as_distinct_ones_do(self, tmp_path_factory, case):
-        # every id hashing alike sends the join to its dict: the constructor
-        # and the loader must give the grids and fault texts of the hash path
+        # every id hashing alike sends the join to its dict: the loader must
+        # give the grids and fault texts of the hash path
         pixel_rows, events = case
         paths = write_grid_files(tmp_path_factory.mktemp("grid"), pixel_rows, events)
-        builds = [(grid_of, pixel_rows, events), (load_pixel_grid_csv, *paths)]
-        expected = [grid_or_error(*build) for build in builds]
+        expected = grid_or_error(load_pixel_grid_csv, *paths)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_id_hashes", lambda ids: np.zeros(len(ids), np.int64))
             if len(pixel_rows) > 1:
                 ids = np.array([row[0] for row in pixel_rows], dtype=object)
                 assert ingest._RowJoin(ids).row_of is not None
-            for build, grid in zip(builds, expected):
-                assert_same_grid(grid_or_error(*build), grid)
+            assert_same_grid(grid_or_error(load_pixel_grid_csv, *paths), expected)
 
     def test_event_sharing_a_pixels_hash_is_a_stranger(self, monkeypatch):
         # "zz" lands on "b"'s row and "c" past the last hash, but neither id
@@ -443,7 +473,8 @@ class TestOneConstructionPath:
                                                        n_years=6, seed=2))
         write_pixel_grid_csv(grid, tmp_path / "pixels.csv", tmp_path / "events.csv")
         monkeypatch.setattr(ingest, "_first_bad_pixel", counted)
-        assert load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv") == grid
+        assert_same_grid(load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv"),
+                         grid)
         assert calls == [100]
 
 
@@ -525,11 +556,8 @@ class TestPanelCsv:
         )
         write_pixel_grid_csv(grid, tmp_path / "pixels.csv", tmp_path / "events.csv")
         reloaded = load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv")
-        assert reloaded == grid
-        assert reloaded.regions == grid.regions == ("A", "B")
-        for name in ("pixel_ids", "region_code", "biomass", "area", "canopy",
-                     "event_pixel", "event_year"):
-            assert np.array_equal(getattr(reloaded, name), getattr(grid, name)), name
+        assert_same_grid(reloaded, grid)
+        assert reloaded.regions == ("A", "B")
         assert reloaded.pixel_ids.tolist() == ["p1", "p2"]
         assert reloaded.biomass.tolist() == [10.5, 20.25]
         assert reloaded.event_year.tolist() == [2003]
@@ -668,7 +696,8 @@ def test_pixel_load_peak_memory_per_pixel(pixel_files_20k):
     # peaked at 594 B/pixel here; reading in blocks, near 276; coding each
     # block's region labels and joining each block of event ids to pixel
     # rows at once, without a string per pixel region or per event, 205;
-    # joining event ids through sorted id hashes, not an id-to-row dict, 155.
+    # joining event ids through sorted id hashes, not an id-to-row dict, 155,
+    # which the one constructor's sort of the region labels keeps.
     grid, pixels, events = pixel_files_20k
     tracemalloc.start()
     try:
@@ -676,7 +705,7 @@ def test_pixel_load_peak_memory_per_pixel(pixel_files_20k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert loaded == grid
+    assert_same_grid(loaded, grid)
     assert peak / len(grid.pixel_ids) < 175
 
 
@@ -684,7 +713,9 @@ def test_ingest_call_peak_memory_per_pixel(pixel_files_20k):
     # the whole ingest subcommand, which holds the loaded and the filtered
     # grid together, peaks near the load: 276 B/pixel when the grid was built
     # from strings, 205 from coded columns, 161 with the hash join, where
-    # filtering the loaded grid, not the load, sets the peak
+    # filtering the loaded grid, not the load, sets the peak. The filter finds
+    # the regions it keeps with np.bincount: np.unique, which keeps about
+    # 1.1 MB allocated after its first call on numpy 2.4, peaked at 216
     grid, pixels, events = pixel_files_20k
     args = cli.build_parser().parse_args(
         ["ingest", "--pixels", str(pixels), "--events", str(events), "--out", "unused"])
