@@ -268,8 +268,6 @@ def _subset_regions(panel: PanelDataset, keep: list[str]) -> PanelDataset:
     missing = [r for r in keep if r not in position]
     if missing:
         raise PanelError(f"unknown regions: {missing}")
-    if not keep:
-        raise PanelError("region subset is empty")
     idx = sorted(position[r] for r in keep)
     variables = {name: Grid(g.values[idx], g.available) for name, g in panel.variables.items()}
     return PanelDataset(tuple(panel.regions[i] for i in idx), panel.years, variables)
@@ -402,12 +400,17 @@ def cmd_montecarlo(args) -> tuple[dict, list[str]]:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
-
-
 def _str_list(text: str) -> list[str]:
-    return [part for part in text.split(",") if part]
+    """The comma-separated items of ``text``; a list of none is a usage error,
+    which argparse reports naming the flag (exit 2)."""
+    items = [part for part in text.split(",") if part]
+    if not items:
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    return items
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(part) for part in _str_list(text)]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,10 @@ and share the FitResult container defined here.
 Each estimator owns its effects: pooled OLS absorbs none (give it ``const``
 for an intercept), the within fits absorb region and year effects, and GMM
 differences out the region effects. A ``RegressionSpec`` only names the
-response and the regressors.
+response and the regressors. Pooled OLS and the within fits check their own
+samples and share one least-squares helper, ``_clustered_lstsq``: it stacks
+the design, factors it once by ``qr_lstsq``, hands the R factor to
+``cluster_robust_vcov`` and fills the ``FitResult``.
 
 Coefficient p-values are two-sided normal tails from ``scipy.special.ndtr``
 (``normal_p_value``), imported at the first one. The triangular solves are
@@ -18,7 +21,7 @@ of scipy's on the R of ``np.linalg.qr`` up to 64 columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -222,29 +225,39 @@ def _gather(panel: PanelDataset, names: Sequence[str]) -> tuple[dict[str, Grid],
     return grids, np.logical_and.reduce([grid.available for grid in grids.values()])
 
 
-def fit_pooled_ols(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
-    """Pooled OLS over all available cells, clustered by region.
-
-    Use the reserved regressor name ``const`` for an intercept column.
-    """
-    names = [spec.response, *spec.regressors]
-    grids, year_mask = _gather(panel, names)
+def _clustered_lstsq(panel: PanelDataset, spec: RegressionSpec, tag: str, y: np.ndarray,
+                     columns: Sequence[np.ndarray], year_mask: np.ndarray,
+                     dof_absorbed: int = 0) -> FitResult:
+    """Least squares of ``y`` on ``columns``, one per regressor, each an N x Ts
+    grid at the years of ``year_mask``, clustered by region. The design is
+    factored once; its R reaches ``cluster_robust_vcov`` with ``dof_absorbed``."""
     N, Ts = panel.N, int(year_mask.sum())
-    if N * Ts <= len(spec.regressors):
-        raise EstimationError("not enough complete observations for pooled OLS")
-    y = grids[spec.response].values[:, year_mask].ravel()
-    X = np.column_stack([grids[n].values[:, year_mask].ravel() for n in spec.regressors])
+    y = y.ravel()
+    X = np.column_stack([col.ravel() for col in columns])
     beta, R = qr_lstsq(X, y, spec.regressors)
     resid = y - X @ beta
-    vcov = cluster_robust_vcov(X, resid, np.repeat(np.arange(N), Ts), factored=(N, R))
+    vcov = cluster_robust_vcov(X, resid, np.repeat(np.arange(N), Ts), dof_absorbed=dof_absorbed,
+                               factored=(N, R))
     return FitResult(
-        estimator_tag="pooled",
+        estimator_tag=tag,
         coef_names=tuple(spec.regressors),
         coefficients=dict(zip(spec.regressors, beta.tolist())),
         vcov=vcov,
         n_obs=N * Ts,
         residual_grid=Grid.at_years(resid.reshape(N, Ts), year_mask),
     )
+
+
+def fit_pooled_ols(panel: PanelDataset, spec: RegressionSpec) -> FitResult:
+    """Pooled OLS over all available cells, clustered by region.
+
+    Use the reserved regressor name ``const`` for an intercept column.
+    """
+    grids, year_mask = _gather(panel, [spec.response, *spec.regressors])
+    if panel.N * int(year_mask.sum()) <= len(spec.regressors):
+        raise EstimationError("not enough complete observations for pooled OLS")
+    return _clustered_lstsq(panel, spec, "pooled", grids[spec.response].values[:, year_mask],
+                            [grids[n].values[:, year_mask] for n in spec.regressors], year_mask)
 
 
 def _within_fit(
@@ -255,12 +268,10 @@ def _within_fit(
 ) -> FitResult:
     if CONST in spec.regressors:
         raise EstimationError("const is absorbed by the fixed effects")
-    names = [spec.response, *spec.regressors]
-    grids, year_mask = _gather(panel, names)
+    grids, year_mask = _gather(panel, [spec.response, *spec.regressors])
     Ts = int(year_mask.sum())
     if Ts < 2:
         raise EstimationError("need at least 2 complete years for the within fit")
-    N = panel.N
     y_til = demean_twoway_values(grids[spec.response].values[:, year_mask])
     cols = []
     for name in spec.regressors:
@@ -268,25 +279,11 @@ def _within_fit(
         scale = max(np.abs(grids[name].values[:, year_mask]).max(), 1.0)
         if np.abs(col).max() <= 1e-12 * scale:
             raise EstimationError(f"regressor {name!r} has no within variation")
-        cols.append(col.ravel())
-    X = np.column_stack(cols)
-    y = y_til.ravel()
-    beta, R = qr_lstsq(X, y, spec.regressors)
-    resid = y - X @ beta
-    tss = float(y @ y)
-    rss = float(resid @ resid)
-    vcov = cluster_robust_vcov(X, resid, np.repeat(np.arange(N), Ts), dof_absorbed=N + Ts - 1,
-                               factored=(N, R))
-    return FitResult(
-        estimator_tag=tag,
-        coef_names=tuple(spec.regressors),
-        coefficients=dict(zip(spec.regressors, beta.tolist())),
-        vcov=vcov,
-        n_obs=N * Ts,
-        residual_grid=Grid.at_years(resid.reshape(N, Ts), year_mask),
-        within_r2=1.0 - rss / tss if tss > 0 else None,
-        warnings=extra_warnings,
-    )
+        cols.append(col)
+    fit = _clustered_lstsq(panel, spec, tag, y_til, cols, year_mask, dof_absorbed=panel.N + Ts - 1)
+    y, resid = y_til.ravel(), fit.residual_grid.values[:, year_mask].ravel()
+    tss, rss = float(y @ y), float(resid @ resid)
+    return replace(fit, within_r2=1.0 - rss / tss if tss > 0 else None, warnings=extra_warnings)
 
 
 def fit_twoway_fe(panel: PanelDataset, spec: RegressionSpec) -> FitResult:

@@ -49,7 +49,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import Grid, PanelDataset, PanelError, build_panel, region_year_rows
+from .panel import Grid, PanelDataset, PanelError, build_panel, check_codes, region_year_rows
 
 # CO2/C molecular mass ratio; the conventional carbon-to-CO2e factor.
 DEFAULT_THETA = 44.0 / 12.0
@@ -157,13 +157,14 @@ class PixelGrid:
     no pixel, and its year. The CSV loader and the simulator build every grid
     here, and ``filter_canopy`` takes rows of a built grid past it
     (``_subset``). It raises ``LoadError`` for columns of unequal length, for
-    the first pixel with a non-finite attribute, negative biomass,
-    nonpositive area or canopy outside [0, 100], for a repeated pixel id, and
-    for an event naming an unknown pixel or a pixel lost twice, whichever has
-    the smaller pixel id. Exact repeats of an event collapse, as in a set.
-    The caller reports what it found while coding: ``values_checked``,
-    ``_first_bad_pixel`` has run; ``repeated_id``, two pixels share an id;
-    ``stranger``, the least event id that names no pixel.
+    a region code or an event row outside its range (an event row of -1
+    needs ``stranger``), for the first pixel with a non-finite attribute,
+    negative biomass, nonpositive area or canopy outside [0, 100], for a
+    repeated pixel id, and for an event naming an unknown pixel or a pixel
+    lost twice, whichever has the smaller pixel id. Exact repeats of an event
+    collapse, as in a set. The caller reports what it found while coding:
+    ``values_checked``, ``_first_bad_pixel`` has run; ``repeated_id``, two
+    pixels share an id; ``stranger``, the least event id that names no pixel.
 
     Stored: ``pixel_ids`` (object array of str), ``regions`` in sorted label
     order with ``region_code`` recoded to match, so that region order, and
@@ -184,6 +185,11 @@ class PixelGrid:
         pixel_ids = np.asarray(pixel_ids, dtype=object)
         if not len(pixel_ids) == len(region_code) == len(biomass) == len(area) == len(canopy):
             raise LoadError("pixel columns differ in length")
+        check_codes("region code", region_code, len(regions), LoadError)
+        # -1 marks an event that names no pixel, and only the caller's
+        # ``stranger`` can name it
+        check_codes("event row", event_pixel, len(pixel_ids), LoadError,
+                    -1 if stranger is not None else 0)
         if not values_checked and (fault := _first_bad_pixel(pixel_ids, biomass, area, canopy)):
             raise LoadError(fault[1])
         if repeated_id:

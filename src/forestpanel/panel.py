@@ -130,6 +130,15 @@ def _check_shape(name: str, grid: Grid, shape: tuple[int, int]) -> None:
         raise PanelError(f"variable {name!r} has shape {grid.shape}, expected {shape}")
 
 
+def check_codes(what: str, codes: np.ndarray, stop: int, error=PanelError, start: int = 0) -> None:
+    """Raise ``error`` naming a code of ``codes`` outside [start, stop): the
+    least one if it lies below, else the greatest."""
+    if len(codes):
+        for code in (int(codes.min()), int(codes.max())):
+            if not start <= code < stop:
+                raise error(f"{what} {code} outside [{start}, {stop})")
+
+
 def build_panel(
     regions: tuple[str, ...],
     names: tuple[str, ...],
@@ -141,17 +150,19 @@ def build_panel(
 
     Row c of the (rows, V) block ``values`` holds the variables ``names`` of
     region ``regions[region_code[c]]`` in year ``years[c]``. No (region, year)
-    pair may repeat; the caller checks that. Variables keep the order given,
-    and regions come in sorted label order, so the panel, and every fit and
-    file made of it, depends on the set of rows and not on their order. The
-    panel spans the observed years, and a region without a row in every year
-    of the span is dropped. Returns the panel together with the list of
-    dropped regions, in label order too. Each variable's grid is filled
-    straight from its column of the block, one variable at a time. The panel
-    CSV loader builds its panel here.
+    pair may repeat; the caller checks that. A code outside the labels is a
+    ``PanelError``. Variables keep the order given, and regions come in
+    sorted label order, so the panel, and every fit and file made of it,
+    depends on the set of rows and not on their order. The panel spans the
+    observed years, and a region without a row in every year of the span is
+    dropped. Returns the panel together with the list of dropped regions, in
+    label order too. Each variable's grid is filled straight from its column
+    of the block, one variable at a time. The panel CSV loader builds its
+    panel here.
     """
     if not len(years):
         raise PanelError("no input rows")
+    check_codes("region code", region_code, len(regions))
     first_year = int(years.min())
     span = tuple(range(first_year, int(years.max()) + 1))
     T = len(span)

@@ -629,13 +629,26 @@ class TestRobustness:
 
     @pytest.mark.parametrize("regions, message", [
         (["R0001", "nope"], r"^unknown regions: \['nope'\]$"),
-        ([], "^region subset is empty$"),
         (["R0003", "R0001", "R0003"], "^region identifiers must be unique$"),
-    ], ids=["unknown", "empty", "repeated"])
+    ], ids=["unknown", "repeated"])
     def test_bad_region_subset_is_named(self, regions, message):
         panel, _ = simulate_dynamic_panel(DGPConfig(n_regions=5, n_years=4, rho=0.3, beta=1.0))
         with pytest.raises(PanelError, match=message):
             cli._subset_regions(panel, regions)
+
+    @pytest.mark.parametrize("flag", ["--regions", "--exclude-years"])
+    @pytest.mark.parametrize("text", [",", ""], ids=["comma", "blank"])
+    def test_empty_list_is_a_usage_error(self, tmp_path, capsys, flag, text):
+        # a list of no item is not read as no filter: with --levels, the run
+        # would fit every region and exit 0
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, seed=89)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main(["robustness", "--panel", str(src), flag, text, "--levels", "--out", str(out)])
+        assert exited.value.code == 2
+        assert f"error: argument {flag}: empty list: {text!r}\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrorHandling:

@@ -47,6 +47,16 @@ def dummy_ols_oracle(panel, response, regressors):
     return beta[: len(regressors)]
 
 
+class TestRegressionSpec:
+    @pytest.mark.parametrize("regressors, message", [
+        ((), "^regressor list must be nonempty$"),
+        (("l", "e"), "^response cannot appear among regressors$"),
+    ], ids=["no-regressors", "response-among-regressors"])
+    def test_bad_spec_is_rejected(self, regressors, message):
+        with pytest.raises(EstimationError, match=message):
+            RegressionSpec("e", regressors)
+
+
 class TestPooledOls:
     def test_noise_free_line(self):
         x = np.arange(1.0, 13.0).reshape(3, 4)
@@ -517,6 +527,14 @@ class TestLongRunElasticity:
 
 
 class TestFitResultSerialization:
+    @pytest.mark.parametrize("estimate, p_value", [(0.0, 1.0), (0.5, 0.0), (-0.5, 0.0)])
+    def test_zero_standard_error_p_value(self, estimate, p_value):
+        # no normal tail at a zero standard error: a nonzero estimate is
+        # certain, a zero one is not evidence at all
+        fit = stub_fit(estimate, 0.3, vcov=np.diag([0.0, 1e-4]))
+        assert fit.std_errors()["l"] == 0.0
+        assert fit.p_values()["l"] == p_value
+
     def test_coefficient_table_fields(self):
         fit = stub_fit(1.0, 0.3)
         table = fit.coefficient_table()

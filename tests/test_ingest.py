@@ -100,6 +100,10 @@ class TestAggregateLoss:
         panel = pixel_panel(grid, EmissionFactors(), [2001, 2002])
         assert np.all(panel.var("L").values == 0.0)
 
+    def test_empty_grid_is_rejected(self, toy_grid):
+        with pytest.raises(LoadError, match="^empty pixel grid$"):
+            pixel_panel(filter_canopy(toy_grid, 100.0), EmissionFactors(), [2001])
+
     def test_direct_sum(self):
         grid = grid_of(
             [("p1", "A", 1, 0.09, 80), ("p2", "A", 1, 0.09, 80)],
@@ -277,6 +281,24 @@ class TestPixelGridInvariants:
             PixelGrid(np.array(["p1", "p2"], dtype=object), ("A",), np.zeros(1, np.intp),
                       np.ones(2), np.ones(2), np.full(2, 50.0), np.zeros(0, np.intp),
                       np.zeros(0, np.int64))
+
+    @pytest.mark.parametrize("region_code, event_pixel, stranger, message", [
+        ([0, 1, -1], [0], None, r"region code -1 outside \[0, 2\)"),
+        ([0, 1, 2], [0], None, r"region code 2 outside \[0, 2\)"),
+        ([0, 1, 1], [0, 3], None, r"event row 3 outside \[0, 3\)"),
+        ([0, 1, 1], [-1, 0], None, r"event row -1 outside \[0, 3\)"),
+        ([0, 1, 1], [-2, 0], "z", r"event row -2 outside \[-1, 3\)"),
+        ([0, 1, 1], [-1, 0], "z", "loss event references unknown pixel 'z'"),
+    ], ids=["region-below", "region-past-end", "event-past-end", "unknown-without-stranger",
+            "event-below-unknown", "unknown-with-stranger"])
+    def test_codes_outside_their_range_are_named(self, region_code, event_pixel, stranger,
+                                                 message):
+        # a code the columns cannot store is never wrapped or indexed past the end
+        with pytest.raises(LoadError, match=f"^{message}$"):
+            PixelGrid(np.array(["a", "b", "c"], dtype=object), ("A", "B"),
+                      np.array(region_code, np.intp), np.ones(3), np.ones(3), np.full(3, 50.0),
+                      np.array(event_pixel, np.intp), np.full(len(event_pixel), 2001),
+                      stranger=stranger)
 
     def test_object_views_match_columns(self, toy_grid):
         # the benchmark counts pixels and events through these views

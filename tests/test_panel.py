@@ -78,6 +78,12 @@ class TestBuildPanel:
         with pytest.raises(PanelError):
             build([])
 
+    @pytest.mark.parametrize("code", [-1, 2])
+    def test_region_code_outside_the_labels_is_named(self, code):
+        with pytest.raises(PanelError, match=rf"^region code {code} outside \[0, 2\)$"):
+            build_panel(("A", "B"), ("x",), np.array([0, code, 1], dtype=np.intp),
+                        np.array([2001, 2001, 2002]), np.ones((3, 1)))
+
     def test_zero_survivors(self):
         rows = [("A", 2001, 1.0), ("B", 2002, 2.0)]
         with pytest.raises(PanelError):
@@ -294,6 +300,17 @@ class TestDatasetInvariants:
         added = panel.with_variable("y", grid)
         assert added == PanelDataset(panel.regions, panel.years, {"x": panel.var("x"), "y": grid})
         assert list(added.variables) == ["x", "y"] and list(panel.variables) == ["x"]
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Grid(np.ones(3), np.ones(3, dtype=bool)), "^grid values must be a 2-D"),
+        (lambda: PanelDataset((), (2001,)), "^panel needs at least one region and one year$"),
+        (lambda: PanelDataset(("a",), ()), "^panel needs at least one region and one year$"),
+        (lambda: make_panel([[1, 2]]).var("y"), "^unknown variable 'y'$"),
+        (lambda: lag(make_panel([[1, 2, 3]]), "x", 0), "^lag order must be >= 1$"),
+    ], ids=["grid-1d", "no-region", "no-year", "unknown-variable", "lag-order-0"])
+    def test_bad_construction_is_named(self, build, message):
+        with pytest.raises(PanelError, match=message):
+            build()
 
     def test_grids_immutable(self):
         panel = make_panel([[1, 2]])
