@@ -6,9 +6,11 @@ them. It adds ``manifest.json``, the fully resolved configuration and seed,
 renders every JSON payload, and only then creates the output directory,
 writes the files and prints the lines, so a rejected run (a failed check or
 fit, or a NaN or infinity, which JSON cannot hold) writes nothing. Rerunning
-from the same manifest reproduces output files byte for byte. A flag that no
-fit of a run reads must stay at its default, so the manifest records only
-settings that were applied.
+from the same manifest reproduces output files byte for byte, at any BLAS
+thread count or number of cores: ``main`` runs every subcommand, and its
+Monte Carlo workers, at one BLAS thread. A flag that no fit of a run reads
+must stay at its default, so the manifest records only settings that were
+applied.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import io
 import json
 import os
@@ -409,8 +412,17 @@ def _str_list(text: str) -> list[str]:
     return items
 
 
+def _year(text: str) -> int:
+    """One year of a list; an item that ``int`` cannot read is a usage error
+    that names the item, which argparse reports naming the flag (exit 2)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a year: {text!r}") from None
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in _str_list(text)]
+    return [_year(part) for part in _str_list(text)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,8 +482,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the entry points by which an OpenBLAS build sets its thread count
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Set each OpenBLAS the process has loaded to one thread. A threaded
+    product splits its sums by the host's cores, so the bits of a fit would
+    depend on them; forked Monte Carlo workers inherit the setting. numpy's
+    OpenBLAS runs every product; scipy's, loaded later with the p-value
+    ufuncs, runs none. Without /proc, BLAS keeps its threads. Setting it
+    again changes nothing."""
+    paths = set()
+    with contextlib.suppress(OSError), open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:  # e.g. a library file replaced since it was mapped
+            continue
+        for symbol in _BLAS_THREAD_SETTERS:
+            if hasattr(library, symbol):
+                getattr(library, symbol)(1)
+                break
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _one_blas_thread()  # every subcommand, before it loads or fits anything
     # input, numerical and output errors only (UnicodeDecodeError: an input
     # file that is not UTF-8); any other exception is a bug and propagates
     held = io.StringIO()  # the run's stderr: a rejected run's is its error line alone

@@ -11,7 +11,6 @@ its panel alone.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import multiprocessing
 import sys
@@ -374,6 +373,9 @@ def monte_carlo(
     that many forked processes and are collected in order of r, so the run
     equals the serial one only if each estimand is a function of its panel:
     state an estimand keeps between calls stays in the worker that made it.
+    A forked worker inherits the BLAS thread count of its parent, which
+    ``cli.main`` sets to one, so the workers do not contend with BLAS threads
+    of their own.
 
     The warnings a replication raises under the caller's filters are recorded
     where it runs and issued again here, in order of r, so a run warns the
@@ -438,35 +440,14 @@ def _replicate(
     return outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-# the entry points by which an OpenBLAS build sets its thread count
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                        "openblas_set_num_threads64_", "openblas_set_num_threads")
-
 # a worker's study: the (config, estimands) its pool initializer was given
 _worker_study: tuple = ()
 
 
 def _start_worker(config: DGPConfig, estimators: Mapping[str, Estimand]) -> None:
-    """Pool initializer: the study, and one thread for each OpenBLAS the
-    worker has loaded. The workers already fill the CPUs; BLAS threads of
-    their own would contend with them, and cost more than they save on the
-    small products of one replication."""
+    """Pool initializer: the study."""
     global _worker_study
     _worker_study = (config, estimators)
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
-    except OSError:  # no /proc: BLAS keeps its threads
-        paths = set()
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:  # e.g. a library file replaced since it was mapped
-            continue
-        for symbol in _BLAS_THREAD_SETTERS:
-            if hasattr(library, symbol):
-                getattr(library, symbol)(1)
-                break
 
 
 def _replicate_in_worker(r: int) -> tuple[list[dict | tuple[int, str, str]], list[tuple]]:

@@ -156,15 +156,17 @@ class PixelGrid:
     percent; per loss event, its pixel's row, or -1 for an event that names
     no pixel, and its year. The CSV loader and the simulator build every grid
     here, and ``filter_canopy`` takes rows of a built grid past it
-    (``_subset``). It raises ``LoadError`` for columns of unequal length, for
-    a region code or an event row outside its range (an event row of -1
-    needs ``stranger``), for the first pixel with a non-finite attribute,
-    negative biomass, nonpositive area or canopy outside [0, 100], for a
-    repeated pixel id, and for an event naming an unknown pixel or a pixel
-    lost twice, whichever has the smaller pixel id. Exact repeats of an event
-    collapse, as in a set. The caller reports what it found while coding:
-    ``values_checked``, ``_first_bad_pixel`` has run; ``repeated_id``, two
-    pixels share an id; ``stranger``, the least event id that names no pixel.
+    (``_subset``). It raises ``LoadError`` for pixel columns, or event
+    columns, of unequal length, for a region code or an event row outside
+    its range (an event row of -1 needs ``stranger``), for the first pixel
+    with a non-finite attribute, negative biomass, nonpositive area or
+    canopy outside [0, 100], for a repeated pixel id, and for an event
+    naming an unknown pixel or a pixel lost twice, whichever has the smaller
+    pixel id. Exact repeats of an event collapse, as in a set. The caller
+    reports what it found while coding: ``repeated_id``, two pixels share an
+    id; ``stranger``, the least event id that names no pixel. The pixel
+    values are always checked here, also when the loader has checked them
+    for its line-numbered error.
 
     Stored: ``pixel_ids`` (object array of str), ``regions`` in sorted label
     order with ``region_code`` recoded to match, so that region order, and
@@ -181,16 +183,18 @@ class PixelGrid:
     """
 
     def __init__(self, pixel_ids, regions, region_code, biomass, area, canopy, event_pixel,
-                 event_year, *, values_checked=False, repeated_id=False, stranger=None):
+                 event_year, *, repeated_id=False, stranger=None):
         pixel_ids = np.asarray(pixel_ids, dtype=object)
         if not len(pixel_ids) == len(region_code) == len(biomass) == len(area) == len(canopy):
             raise LoadError("pixel columns differ in length")
+        if len(event_pixel) != len(event_year):
+            raise LoadError("event columns differ in length")
         check_codes("region code", region_code, len(regions), LoadError)
         # -1 marks an event that names no pixel, and only the caller's
         # ``stranger`` can name it
         check_codes("event row", event_pixel, len(pixel_ids), LoadError,
                     -1 if stranger is not None else 0)
-        if not values_checked and (fault := _first_bad_pixel(pixel_ids, biomass, area, canopy)):
+        if fault := _first_bad_pixel(pixel_ids, biomass, area, canopy):
             raise LoadError(fault[1])
         if repeated_id:
             raise LoadError("duplicate pixel ids")
@@ -618,7 +622,7 @@ def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
     repeated_id, stranger = join.repeated_id, join.stranger
     del join  # its hashes and rows, 16 B a pixel, go before the grid's checks run
     return PixelGrid(ids, tuple(code), region_code, biomass, area, canopy, event_pixel,
-                     event_year, values_checked=True, repeated_id=repeated_id, stranger=stranger)
+                     event_year, repeated_id=repeated_id, stranger=stranger)
 
 
 def write_pixel_grid_csv(grid: PixelGrid, pixels_path, events_path) -> None:

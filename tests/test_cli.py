@@ -492,12 +492,12 @@ class TestGmmOptions:
         assert not out.exists()
 
 
-def run_fresh(*args):
+def run_fresh(*args, **env_vars):
     """``python *args`` in a fresh process that imports this forestpanel, with
-    Python's default warning filters."""
+    Python's default warning filters and the environment variables ``env_vars``."""
     import forestpanel
 
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env.pop("PYTHONWARNINGS", None)
     package_root = str(Path(forestpanel.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -575,6 +575,27 @@ print(json.dumps(seen))
         assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "stats"]]
 
 
+class TestBlasThreads:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs 2 CPUs to run 2 BLAS threads")
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # left at 2 threads, OpenBLAS splits the sums of this panel's GMM
+        # products in another order; main runs every subcommand at one
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, N=50, T=23, seed=3)
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            done = run_fresh("-m", "forestpanel.cli", "estimate", "--panel", str(src),
+                             "--estimator", "all", "--two-step", "--out", str(out),
+                             OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            runs.append((read_all_bytes(out), done.stdout))
+        assert set(runs[0][0]) == {"report.json", "elasticity.csv", "scatter.csv",
+                                   "manifest.json"}
+        assert runs[0] == runs[1]
+
+
 class TestRobustness:
     def test_full_region_subset_is_noop(self, tmp_path):
         src = tmp_path / "panel.csv"
@@ -648,6 +669,19 @@ class TestRobustness:
             main(["robustness", "--panel", str(src), flag, text, "--levels", "--out", str(out)])
         assert exited.value.code == 2
         assert f"error: argument {flag}: empty list: {text!r}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["x", "2003,20x4"])
+    def test_bad_year_is_a_usage_error(self, tmp_path, capsys, text):
+        # the message names the item, never the parser's internal function
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main(["robustness", "--panel", str(tmp_path / "panel.csv"), "--exclude-years", text,
+                  "--out", str(out)])
+        assert exited.value.code == 2
+        bad = text.split(",")[-1]
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --exclude-years: not a year: {bad!r}\n")
         assert not out.exists()
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from test_ingest import assert_same_grid
 
-from forestpanel import dgp
+from forestpanel import cli, dgp
 from forestpanel.cli import ESTIMATORS
 from forestpanel.dgp import (
     DGPConfig,
@@ -613,6 +613,9 @@ class TestWorkers:
         def blas_threads(panel):
             return FitResult("stub", ("l",), {"l": float(getter())}, np.array([[1.0]]), 1)
 
+        # the setting cli.main makes before any subcommand runs; forked
+        # workers inherit it
+        cli._one_blas_thread()
         run = monte_carlo(self.CFG, {"threads": (blas_threads, {"l": 1.0})}, replications=4,
                           workers=2)
         assert [row["l_estimate"] for row in run.studies["threads"].rows] == [1.0] * 4

@@ -282,23 +282,24 @@ class TestPixelGridInvariants:
                       np.ones(2), np.ones(2), np.full(2, 50.0), np.zeros(0, np.intp),
                       np.zeros(0, np.int64))
 
-    @pytest.mark.parametrize("region_code, event_pixel, stranger, message", [
-        ([0, 1, -1], [0], None, r"region code -1 outside \[0, 2\)"),
-        ([0, 1, 2], [0], None, r"region code 2 outside \[0, 2\)"),
-        ([0, 1, 1], [0, 3], None, r"event row 3 outside \[0, 3\)"),
-        ([0, 1, 1], [-1, 0], None, r"event row -1 outside \[0, 3\)"),
-        ([0, 1, 1], [-2, 0], "z", r"event row -2 outside \[-1, 3\)"),
-        ([0, 1, 1], [-1, 0], "z", "loss event references unknown pixel 'z'"),
+    @pytest.mark.parametrize("region_code, event_pixel, event_year, stranger, message", [
+        ([0, 1, -1], [0], [2001], None, r"region code -1 outside \[0, 2\)"),
+        ([0, 1, 2], [0], [2001], None, r"region code 2 outside \[0, 2\)"),
+        ([0, 1, 1], [0, 3], [2001] * 2, None, r"event row 3 outside \[0, 3\)"),
+        ([0, 1, 1], [-1, 0], [2001] * 2, None, r"event row -1 outside \[0, 3\)"),
+        ([0, 1, 1], [-2, 0], [2001] * 2, "z", r"event row -2 outside \[-1, 3\)"),
+        ([0, 1, 1], [-1, 0], [2001] * 2, "z", "loss event references unknown pixel 'z'"),
+        ([0, 1, 1], [0, 1], [2001], None, "event columns differ in length"),
     ], ids=["region-below", "region-past-end", "event-past-end", "unknown-without-stranger",
-            "event-below-unknown", "unknown-with-stranger"])
-    def test_codes_outside_their_range_are_named(self, region_code, event_pixel, stranger,
-                                                 message):
-        # a code the columns cannot store is never wrapped or indexed past the end
+            "event-below-unknown", "unknown-with-stranger", "event-columns-unequal"])
+    def test_codes_outside_their_range_are_named(self, region_code, event_pixel, event_year,
+                                                 stranger, message):
+        # a code the columns cannot store is never wrapped or indexed past the
+        # end, and neither is an event column longer than the other
         with pytest.raises(LoadError, match=f"^{message}$"):
             PixelGrid(np.array(["a", "b", "c"], dtype=object), ("A", "B"),
                       np.array(region_code, np.intp), np.ones(3), np.ones(3), np.full(3, 50.0),
-                      np.array(event_pixel, np.intp), np.full(len(event_pixel), 2001),
-                      stranger=stranger)
+                      np.array(event_pixel, np.intp), np.array(event_year), stranger=stranger)
 
     def test_object_views_match_columns(self, toy_grid):
         # the benchmark counts pixels and events through these views
@@ -483,7 +484,9 @@ class TestOneConstructionPath:
         with pytest.raises(LoadError, match="^duplicate pixel ids$"):
             load_pixel_grid_csv(*paths)
 
-    def test_good_load_checks_values_once(self, tmp_path, monkeypatch):
+    def test_good_load_checks_values_in_loader_and_grid(self, tmp_path, monkeypatch):
+        # once each, over all pixels: the loader's check names a bad line,
+        # and the grid checks every grid it builds
         calls = []
         first_bad_pixel = ingest._first_bad_pixel
 
@@ -497,7 +500,7 @@ class TestOneConstructionPath:
         monkeypatch.setattr(ingest, "_first_bad_pixel", counted)
         assert_same_grid(load_pixel_grid_csv(tmp_path / "pixels.csv", tmp_path / "events.csv"),
                          grid)
-        assert calls == [100]
+        assert calls == [100, 100]
 
 
 class TestPanelCsv:
