@@ -8,9 +8,13 @@ writes the files and prints the lines, so a rejected run (a failed check or
 fit, or a NaN or infinity, which JSON cannot hold) writes nothing. Rerunning
 from the same manifest reproduces output files byte for byte, at any BLAS
 thread count or number of cores: ``main`` runs every subcommand, and its
-Monte Carlo workers, at one BLAS thread. A flag that no fit of a run reads
-must stay at its default, so the manifest records only settings that were
-applied.
+Monte Carlo workers, at one BLAS thread. When the process may run on two
+CPUs, ``estimate`` fits the GMM estimators itself while one forked helper
+fits the others and renders ``scatter.csv``; it takes each step's entries,
+warnings and error in registry order, so a run pinned to one CPU, which
+takes every step itself, writes, prints and fails alike. A flag that no fit
+of a run reads must stay at its default, so the manifest records only
+settings that were applied.
 """
 
 from __future__ import annotations
@@ -21,8 +25,11 @@ import csv
 import ctypes
 import io
 import json
+import multiprocessing
 import os
+import pickle
 import sys
+import traceback
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -32,7 +39,14 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DiagnosticError, diagnostic_bundle
-from .dgp import DGPConfig, DGPError, monte_carlo
+from .dgp import (
+    DGPConfig,
+    DGPError,
+    RecordedWarning,
+    monte_carlo,
+    record_warnings,
+    reissue_warnings,
+)
 from .estimators import (
     CONST,
     ElasticityReport,
@@ -44,6 +58,7 @@ from .estimators import (
     fit_twoway_fe,
     lagged_name,
     long_run_elasticity,
+    scipy_special,
 )
 from .gmm import GmmOptions, fit_diff_gmm, fit_sys_gmm
 from .ingest import (
@@ -206,16 +221,125 @@ def cmd_ingest(args) -> tuple[dict, list[str]]:
             [f"ingest: {panel.N} regions x {panel.T} years, {len(dropped)} dropped"])
 
 
-def _write_scatter(path: Path, panel: PanelDataset, x: str, y: str) -> None:
+def _scatter_text(panel: PanelDataset, x: str, y: str) -> str:
     """``scatter.csv``: x and y two-way demeaned over the years where both are complete."""
     gx, gy = panel.var(x), panel.var(y)
     mask = gx.available & gy.available
     dx = demean_twoway_values(gx.values[:, mask])
     dy = demean_twoway_values(gy.values[:, mask])
     years = [panel.years[j] for j in range(panel.T) if mask[j]]
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerow(["region", "year", f"{x}_demeaned", f"{y}_demeaned"])
-        handle.writelines(region_year_rows(panel.regions, years, (dx, dy)))
+    header = io.StringIO()
+    csv.writer(header).writerow(["region", "year", f"{x}_demeaned", f"{y}_demeaned"])
+    return "".join([header.getvalue(), *region_year_rows(panel.regions, years, (dx, dy))])
+
+
+class _Entries(NamedTuple):
+    """What an estimate run keeps of one fit: its JSON, its diagnostics, its
+    stdout line, and, for the elasticity, the fit without residuals or GMM
+    scores."""
+    fit: dict
+    diagnostics: dict
+    line: str
+    estimate: FitResult
+
+
+def _fit_entries(tag: str, panel: PanelDataset, x: str, y: str,
+                 options: GmmOptions | None) -> _Entries:
+    """Fit ``tag`` and reduce it to its report entries, so that its scores and
+    residuals are released as soon as it returns."""
+    fit = ESTIMATORS[tag].fit(panel, x, y, options)
+    coefs = ", ".join(f"{n}={v:.4f}" for n, v in list(fit.coefficients.items())[:3])
+    return _Entries(fit.to_json_dict(), diagnostic_bundle(fit),
+                    f"{tag}: {coefs} (n={fit.n_obs})",
+                    replace(fit, residual_grid=None, gmm=None))
+
+
+class _Step(NamedTuple):
+    """One step of an estimate lane: its value (a fit's entries or the text of
+    scatter.csv), the warnings it raised, and the exception that stopped it."""
+    value: _Entries | str | None
+    caught: list[RecordedWarning]
+    error: Exception | None = None
+
+
+def _estimate_lane(panel: PanelDataset, x: str, y: str, options: GmmOptions | None,
+                   tags, scatter: bool) -> list[_Step]:
+    """Fit ``tags`` in order, then, with ``scatter``, render scatter.csv: one
+    step each, recorded with its warnings. The first step that raises ends the
+    lane, as it would end a run that took the steps one by one."""
+    work = [partial(_fit_entries, tag, panel, x, y, options) for tag in tags]
+    if scatter:
+        work.append(partial(_scatter_text, panel, x, y))
+    steps = []
+    for run in work:
+        try:
+            with record_warnings() as caught:
+                value = run()
+        except Exception as exc:  # raised again by the run, in registry order
+            steps.append(_Step(None, caught, exc))
+            break
+        steps.append(_Step(value, caught))
+    return steps
+
+
+class _HelperTraceback(Exception):
+    """The traceback, as text, of an exception raised in the helper process;
+    the cause of that exception where it is raised again."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _send_steps(send, lane: Callable[[], list[_Step]]) -> None:
+    """The helper process: run ``lane`` and send its steps, with the traceback
+    text of the exception that ended it. An exception that pickle cannot carry
+    is sent as a RuntimeError of that text."""
+    steps = lane()
+    text = None
+    if (error := steps[-1].error) is not None:
+        text = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:
+            steps[-1] = steps[-1]._replace(error=RuntimeError(text))
+    send.send((steps, text))
+
+
+@contextlib.contextmanager
+def _helper_process(lane: Callable[[], list[_Step]]):
+    """Run ``lane`` in one forked helper process while the block runs, and
+    yield a function that waits for the lane's steps. Leaving the block joins
+    the helper; a block that raised stops it first."""
+    context = multiprocessing.get_context("fork")  # the lane is never pickled
+    receive, send = context.Pipe(duplex=False)
+    helper = context.Process(target=_send_steps, args=(send, lane))
+    helper.start()
+    send.close()
+
+    def steps() -> list[_Step]:
+        try:
+            steps, text = receive.recv()
+        except EOFError:
+            helper.join()
+            raise RuntimeError(f"the helper process exited with code {helper.exitcode} "
+                               "before it sent its fits") from None
+        if text is not None:
+            steps[-1].error.__cause__ = _HelperTraceback(text)
+        return steps
+
+    try:
+        yield steps
+    except BaseException:
+        helper.terminate()
+        raise
+    finally:
+        receive.close()
+        helper.join()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def cmd_estimate(args) -> tuple[dict, list[str]]:
@@ -223,24 +347,42 @@ def cmd_estimate(args) -> tuple[dict, list[str]]:
     options = _gmm_options(args, names, year_dummies=True)
     panel, _ = load_panel_csv(args.panel)
     panel, x, y = _log_variables(panel, args.levels)
-    # each fit is reduced to its report entries as soon as it returns, so no
-    # earlier fit's scores or residuals are held while a later one runs; the
-    # elasticities, which may fail, are taken once every fit has run
-    fits, diagnostics, estimates, lines = {}, {}, {}, []
-    for tag in names:
-        fit = ESTIMATORS[tag].fit(panel, x, y, options)
-        fits[tag] = fit.to_json_dict()
-        diagnostics[tag] = diagnostic_bundle(fit)
-        estimates[tag] = replace(fit, residual_grid=None, gmm=None)
-        coefs = ", ".join(f"{n}={v:.4f}" for n, v in list(fit.coefficients.items())[:3])
-        lines.append(f"{tag}: {coefs} (n={fit.n_obs})")
-        del fit
-    elasticity = {tag: _elasticity(tag, fit, x, y).to_json_dict()
-                  for tag, fit in estimates.items()}
+    scipy_special()  # every fit's p-values; loaded once, before any fork
+    # The GMM fits run here, and with two CPUs a forked helper runs the other
+    # fits and renders scatter.csv meanwhile; it sends back only their report
+    # entries. Each lane stops at its first exception. The steps are taken in
+    # registry order, their warnings issued again as they come, so a run
+    # names the error, and warns, as one that took the steps one by one.
+    lane = partial(_estimate_lane, panel, x, y, options)
+    scatter = "fe2w" in names
+    helper_tags = [tag for tag in names if not ESTIMATORS[tag].gmm]
+    gmm_tags = [tag for tag in names if ESTIMATORS[tag].gmm]
+    if helper_tags and gmm_tags and _cpus() > 1:
+        with _helper_process(partial(lane, helper_tags, scatter)) as helper:
+            gmm_steps = lane(gmm_tags, False)
+            helper_steps = helper()
+        steps = {**dict(zip([*helper_tags, "scatter.csv"], helper_steps)),
+                 **dict(zip(gmm_tags, gmm_steps))}
+    else:
+        steps = dict(zip([*names, "scatter.csv"], lane(names, scatter)))
+    registry: dict = {}
+
+    def take(name: str):
+        # a step absent from its lane follows one that raised, which is taken first
+        step = steps[name]
+        reissue_warnings(step.caught, registry)
+        if step.error is not None:
+            raise step.error
+        return step.value
+
+    entries = {tag: take(tag) for tag in names}
+    # the elasticities, which may fail, are taken once every fit has run
+    elasticity = {tag: _elasticity(tag, entry.estimate, x, y).to_json_dict()
+                  for tag, entry in entries.items()}
     files = {
         "report.json": {
-            "fits": fits,
-            "diagnostics": diagnostics,
+            "fits": {tag: entry.fit for tag, entry in entries.items()},
+            "diagnostics": {tag: entry.diagnostics for tag, entry in entries.items()},
             "elasticity": [{"estimator": tag, **row} for tag, row in elasticity.items()],
         },
         "elasticity.csv": partial(
@@ -250,9 +392,10 @@ def cmd_estimate(args) -> tuple[dict, list[str]]:
                   for tag, row in elasticity.items()],
         ),
     }
-    if "fe2w" in fits:
-        files["scatter.csv"] = partial(_write_scatter, panel=panel, x=x, y=y)
-    return files, lines
+    if scatter:
+        files["scatter.csv"] = partial(Path.write_text, data=take("scatter.csv"),
+                                       encoding="utf-8", newline="")
+    return files, [entry.line for entry in entries.values()]
 
 
 def _mask_years(panel: PanelDataset, excluded: set[int]) -> PanelDataset:
@@ -372,8 +515,7 @@ def cmd_montecarlo(args) -> tuple[dict, list[str]]:
         estimands[name] = (partial(ESTIMATORS[name].fit, x="l", y="e", options=options), truth)
     # registry fits are functions of their panel, so replications may run in
     # one forked worker per CPU this process may use; outputs do not change
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    run = monte_carlo(dgp, estimands, reps, workers)
+    run = monte_carlo(dgp, estimands, reps, _cpus())
     results = {name: study.to_json_dict() for name, study in run.studies.items()}
     all_rows = [{"estimator": name, **row}
                 for name, study in run.studies.items() for row in study.rows]

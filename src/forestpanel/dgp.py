@@ -11,6 +11,7 @@ its panel alone.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import multiprocessing
 import sys
@@ -19,7 +20,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -281,6 +282,34 @@ def simulate_disturbance_grid(config: GridDGPConfig) -> PixelGrid:
 # ---------------------------------------------------------------------------
 # Monte Carlo harness
 
+# one warning, as (message, category, filename, lineno): what pickle can carry
+# from a forked process and warnings.warn_explicit can issue again
+RecordedWarning = tuple[Warning, type, str, int]
+
+
+@contextlib.contextmanager
+def record_warnings() -> Iterator[list[RecordedWarning]]:
+    """Record, in order, the warnings that the block raises under the caller's
+    filters: an ignored warning is not recorded, and one that a filter turns
+    into an error raises in the block. The list is filled as the block ends,
+    also when it raises."""
+    records: list[RecordedWarning] = []
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            yield records
+        finally:
+            records.extend((w.message, w.category, w.filename, w.lineno) for w in caught)
+
+
+def reissue_warnings(records: list[RecordedWarning], registry: dict) -> None:
+    """Issue again, in order, warnings that ``record_warnings`` recorded where
+    the work ran, so that a run warns alike wherever its parts ran. One
+    ``registry`` per run: under the "default" filter a warning shows once per
+    run."""
+    for message, category, filename, lineno in records:
+        warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+
+
 def replication_seed(seed: int, r: int) -> int:
     """Deterministic sub-seed for replication r, independent of other reps."""
     return int(np.random.SeedSequence([seed, r]).generate_state(1)[0])
@@ -403,10 +432,9 @@ def monte_carlo(
                                  initargs=(config, estimators)) as pool:
             chunk = -(-replications // (4 * workers))
             outcomes = list(pool.map(_replicate_in_worker, range(replications), chunksize=chunk))
-    registry: dict = {}  # under the "default" filter, a warning shows once per run
+    registry: dict = {}
     for outcome, caught in outcomes:
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        reissue_warnings(caught, registry)
         for study, result in zip(studies.values(), outcome):
             (study.rows if isinstance(result, dict) else study.failures).append(result)
     return MonteCarloRun(studies)
@@ -414,16 +442,13 @@ def monte_carlo(
 
 def _replicate(
     config: DGPConfig, estimators: Mapping[str, Estimand], r: int
-) -> tuple[list[dict | tuple[int, str, str]], list[tuple]]:
+) -> tuple[list[dict | tuple[int, str, str]], list[RecordedWarning]]:
     """Replication r of a study: per estimator, in order, its row or its
-    (r, exception type name, message) failure; and the (message, category,
-    filename, lineno) of each warning it raised, in order, for
-    ``monte_carlo`` to issue where the run was called."""
+    (r, exception type name, message) failure; and the warnings it raised,
+    for ``monte_carlo`` to issue where the run was called."""
     sub = dataclasses.replace(config, seed=replication_seed(config.seed, r))
     outcome = []
-    # the caller's filters still apply: an ignored warning is not recorded,
-    # and one turned into an error raises here
-    with warnings.catch_warnings(record=True) as caught:
+    with record_warnings() as caught:
         panel, _ = simulate_dynamic_panel(sub)
         for estimator, truth in estimators.values():
             try:
@@ -437,7 +462,7 @@ def _replicate(
                 row[f"{n}_estimate"] = fit.coefficients[n]
                 row[f"{n}_se"] = ses[n]
             outcome.append(row)
-    return outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    return outcome, caught
 
 
 # a worker's study: the (config, estimands) its pool initializer was given
@@ -450,5 +475,6 @@ def _start_worker(config: DGPConfig, estimators: Mapping[str, Estimand]) -> None
     _worker_study = (config, estimators)
 
 
-def _replicate_in_worker(r: int) -> tuple[list[dict | tuple[int, str, str]], list[tuple]]:
+def _replicate_in_worker(r: int) -> tuple[list[dict | tuple[int, str, str]],
+                                          list[RecordedWarning]]:
     return _replicate(*_worker_study, r)

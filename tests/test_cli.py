@@ -1,8 +1,11 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -326,17 +329,20 @@ class TestEstimate:
     def test_no_earlier_fit_is_held_while_a_later_one_runs(self, tmp_path, monkeypatch,
                                                            command):
         # the scores and residuals of each fit are released once the fit is
-        # reduced to its report entries
+        # reduced to its report entries. With two CPUs estimate fits pooled,
+        # fe2w and lsdv in a forked helper: there the check runs on the
+        # helper's own copy of earlier, and each fit is counted in a file
         src = tmp_path / "panel.csv"
         write_log_panel(src, N=30, T=8, seed=96)
-        earlier, fits = [], 0
+        earlier, fits = [], tmp_path / "fits.txt"
+        fits.touch()
 
         def tracked(fit):
             def run(*args, **kwargs):
-                nonlocal fits
                 assert all(ref() is None for ref in earlier)
                 result = fit(*args, **kwargs)
-                fits += 1
+                with fits.open("a", encoding="utf-8") as handle:
+                    handle.write(f"{result.estimator_tag}\n")
                 earlier.extend(weakref.ref(part) for part in (result.residual_grid, result.gmm)
                                if part is not None)
                 return result
@@ -347,7 +353,8 @@ class TestEstimate:
             monkeypatch.setattr(cli, name, tracked(getattr(cli, name)))
         out = tmp_path / "out"
         assert main([command[0], "--panel", str(src), *command[1:], "--out", str(out)]) == 0
-        assert fits == (5 if command[0] == "estimate" else 2)
+        assert len(fits.read_text(encoding="utf-8").splitlines()) == (
+            5 if command[0] == "estimate" else 2)
         assert earlier and all(ref() is None for ref in earlier)
 
     def test_scatter_rows_equal_n_obs(self, tmp_path):
@@ -594,6 +601,190 @@ class TestBlasThreads:
         assert set(runs[0][0]) == {"report.json", "elasticity.csv", "scatter.csv",
                                    "manifest.json"}
         assert runs[0] == runs[1]
+
+
+# each registry estimator's fit function, by the name cli looks it up under
+FIT_FUNCTIONS = {"pooled": "fit_pooled_ols", "fe2w": "fit_twoway_fe", "lsdv": "fit_dynamic_lsdv",
+                 "diffgmm": "fit_diff_gmm", "sysgmm": "fit_sys_gmm"}
+HAS_TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+ONE_CPU = pytest.mark.parametrize("one_cpu", [True, False], ids=["one-cpu", "all-cpus"])
+
+
+def run_on(one_cpu, capsys, argv):
+    """``main(argv)``, with the process's affinity read as one CPU or as it
+    is; returns the exit code, stdout and stderr."""
+    with pytest.MonkeyPatch.context() as patch:
+        if one_cpu:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+class TestLanes:
+    """With two CPUs, estimate fits the GMM estimators in its own process and
+    the others, and scatter.csv, in one forked helper; on one CPU it takes
+    every step in one process. Either way a run writes, prints, warns and
+    fails alike, and leaves no process behind."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        src = tmp_path / "panel.csv"
+        write_log_panel(src, N=50, T=23, seed=3)
+        return ["estimate", "--panel", str(src), "--estimator", "all", "--two-step",
+                "--out", str(tmp_path / "out")]
+
+    def patch_fits(self, monkeypatch, wrap, tags=FIT_FUNCTIONS):
+        for tag in tags:
+            name = FIT_FUNCTIONS[tag]
+            monkeypatch.setattr(cli, name, wrap(tag, getattr(cli, name)))
+
+    def test_one_cpu_and_all_cpus_give_the_same_bytes(self, tmp_path, capsys, argv):
+        runs = []
+        for one_cpu in (True, False):
+            out = tmp_path / f"one-cpu-{one_cpu}"
+            code, stdout, stderr = run_on(one_cpu, capsys, [*argv, "--out", str(out)])
+            assert code == 0
+            runs.append((read_all_bytes(out), stdout, stderr))
+        assert set(runs[0][0]) == {"report.json", "elasticity.csv", "scatter.csv",
+                                   "manifest.json"}
+        assert runs[0][1].count("\n") == len(ESTIMATORS)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.skipif(not HAS_TWO_CPUS, reason="the helper runs only with 2 CPUs")
+    def test_helper_fits_every_non_gmm_estimator(self, tmp_path, monkeypatch, argv):
+        pids = tmp_path / "pids.txt"
+
+        def logged(tag, fit):
+            def run(*args, **kwargs):
+                with pids.open("a", encoding="utf-8") as handle:
+                    handle.write(f"{tag} {os.getpid()}\n")
+                return fit(*args, **kwargs)
+            return run
+
+        self.patch_fits(monkeypatch, logged)
+        assert main(argv) == 0
+        ran = dict(line.split() for line in pids.read_text(encoding="utf-8").splitlines())
+        assert set(ran) == set(ESTIMATORS)
+        helper = {ran[tag] for tag in ESTIMATORS if not ESTIMATORS[tag].gmm}
+        assert len(helper) == 1 and str(os.getpid()) not in helper
+        assert {ran["diffgmm"], ran["sysgmm"]} == {str(os.getpid())}
+
+    @ONE_CPU
+    @pytest.mark.parametrize("action, shown", [("always", list(ESTIMATORS)), ("default", ["pooled"])])
+    def test_warnings_are_issued_in_registry_order(self, monkeypatch, capsys, argv, one_cpu,
+                                                   action, shown):
+        # each fit warns from the same line; under "default" a warning shows
+        # once per run, whichever process raised it
+        def warning(tag, fit):
+            def run(*args, **kwargs):
+                warnings.warn("fitted" if action == "default" else f"{tag} fitted", UserWarning)
+                return fit(*args, **kwargs)
+            return run
+
+        self.patch_fits(monkeypatch, warning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, UserWarning)
+            assert run_on(one_cpu, capsys, argv)[0] == 0
+        caught = [w for w in caught if w.category is UserWarning]
+        assert [str(w.message) for w in caught] == (
+            [f"{tag} fitted" for tag in shown] if action == "always" else ["fitted"])
+        assert {Path(w.filename).name for w in caught} == {Path(__file__).name}
+
+    @ONE_CPU
+    @pytest.mark.parametrize("failing, named", [
+        (("pooled", "sysgmm"), "pooled"),
+        (("lsdv", "diffgmm"), "lsdv"),
+        (("diffgmm",), "diffgmm"),
+        (("fe2w",), "fe2w"),
+    ], ids=["pooled-and-sysgmm", "lsdv-and-diffgmm", "diffgmm", "fe2w"])
+    def test_first_failure_in_registry_order_is_named(self, tmp_path, monkeypatch, capsys,
+                                                      argv, one_cpu, failing, named):
+        def failing_fit(tag, fit):
+            def run(*args, **kwargs):
+                raise EstimationError(f"{tag} failed")
+            return run
+
+        self.patch_fits(monkeypatch, failing_fit, failing)
+        assert run_on(one_cpu, capsys, argv) == (1, "", f"error: {named} failed\n")
+        assert not (tmp_path / "out").exists()
+
+    @ONE_CPU
+    @pytest.mark.parametrize("raised", [ValueError, RuntimeWarning])
+    def test_exception_of_a_helper_fit_keeps_its_type(self, tmp_path, monkeypatch, capsys, argv,
+                                                      one_cpu, raised):
+        # a bare ValueError is a bug; so is a warning the caller's filters
+        # turn into an error. Either propagates out of main as itself
+        def bug(*args, **kwargs):
+            if raised is ValueError:
+                raise ValueError("bug in a fit")
+            np.float64(1e308) * 10.0
+
+        monkeypatch.setattr(cli, "fit_pooled_ols", bug)
+        with warnings.catch_warnings(), pytest.raises(raised) as excinfo:
+            warnings.simplefilter("error", RuntimeWarning)
+            run_on(one_cpu, capsys, argv)
+        assert str(excinfo.value) == ("bug in a fit" if raised is ValueError
+                                      else "overflow encountered in scalar multiply")
+        if HAS_TWO_CPUS and not one_cpu:  # caused by its traceback in the helper
+            assert "in bug\n" in str(excinfo.value.__cause__)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not HAS_TWO_CPUS, reason="the helper runs only with 2 CPUs")
+    def test_exception_pickle_cannot_carry_comes_as_its_traceback(self, monkeypatch, argv):
+        class Local(Exception):  # pickle cannot name a class defined in a function
+            pass
+
+        def bug(*args, **kwargs):
+            raise Local("a fit's bug")
+
+        monkeypatch.setattr(cli, "fit_dynamic_lsdv", bug)
+        with pytest.raises(RuntimeError, match="Local: a fit's bug"):
+            main(argv)
+
+    @pytest.mark.parametrize("outcome", ["success", "helper-error", "parent-error",
+                                         "output-error", "bug", "interrupt"])
+    def test_no_process_is_left(self, monkeypatch, argv, outcome):
+        parent = os.getpid()
+
+        def fail(error):
+            def wrap(tag, fit):
+                def run(*args, **kwargs):
+                    raise error
+                return run
+            return wrap
+
+        def infinite(tag, fit):  # a coefficient JSON cannot hold
+            def run(*args, **kwargs):
+                result = fit(*args, **kwargs)
+                return replace(result, coefficients={**result.coefficients, "l": np.inf})
+            return run
+
+        def stalled(tag, fit):  # in the helper, until it is stopped
+            def run(*args, **kwargs):
+                if os.getpid() != parent:
+                    time.sleep(60)
+                return fit(*args, **kwargs)
+            return run
+
+        wraps = {"helper-error": [(fail(EstimationError("typed")), ("lsdv",))],
+                 "parent-error": [(fail(EstimationError("typed")), ("sysgmm",))],
+                 "output-error": [(infinite, ("fe2w",))],
+                 "bug": [(fail(ZeroDivisionError("bug")), ("fe2w",))],
+                 "interrupt": [(stalled, ("pooled",)), (fail(KeyboardInterrupt()), ("diffgmm",))]}
+        for wrap, tags in wraps.get(outcome, []):
+            self.patch_fits(monkeypatch, wrap, tags)
+        raised = {"bug": ZeroDivisionError, "interrupt": KeyboardInterrupt}.get(outcome)
+        start = time.perf_counter()
+        if raised:
+            with pytest.raises(raised):
+                main(argv)
+        else:
+            assert main(argv) == (0 if outcome == "success" else 1)
+        assert time.perf_counter() - start < 30
+        # a helper that exited but was never joined is still a child here
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert multiprocessing.active_children() == []
 
 
 class TestRobustness:
@@ -1007,7 +1198,6 @@ sys.exit(cli.main(sys.argv[1:]))
             assert note == "note" and "RuntimeWarning: kept\n" in warning
             assert (out / "manifest.json").exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_callers_warning_filters_still_apply(self, tmp_path, monkeypatch):
         # a warning that the caller's filters turn into an error is a bug of
         # the run, raised out of main, not a rejection
@@ -1016,7 +1206,8 @@ sys.exit(cli.main(sys.argv[1:]))
             return {}, []
 
         monkeypatch.setattr(cli, "cmd_ingest", warns)
-        with pytest.raises(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="overflow"):
+            warnings.simplefilter("error", RuntimeWarning)
             main(["ingest", "--panel", "unread.csv", "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
