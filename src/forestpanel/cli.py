@@ -7,14 +7,15 @@ renders every JSON payload, and only then creates the output directory,
 writes the files and prints the lines, so a rejected run (a failed check or
 fit, or a NaN or infinity, which JSON cannot hold) writes nothing. Rerunning
 from the same manifest reproduces output files byte for byte, at any BLAS
-thread count or number of cores: ``main`` runs every subcommand, and its
-Monte Carlo workers, at one BLAS thread. When the process may run on two
-CPUs, ``estimate`` fits the GMM estimators itself while one forked helper
-fits the others and renders ``scatter.csv``; it takes each step's entries,
-warnings and error in registry order, so a run pinned to one CPU, which
-takes every step itself, writes, prints and fails alike. A flag that no fit
-of a run reads must stay at its default, so the manifest records only
-settings that were applied.
+thread count or number of cores: ``main`` runs every subcommand, and the
+helpers it forks, at one BLAS thread. Both forking subcommands use
+``dgp.run_lanes`` and take each step's value, warnings and error in order.
+When the process may run on two CPUs, ``estimate`` fits the GMM estimators
+itself while one forked helper fits the others and renders ``scatter.csv``,
+so a run pinned to one CPU, which takes every step itself, writes, prints
+and fails alike; ``montecarlo`` splits its replications into one forked lane
+per CPU. A flag that no fit of a run reads must stay at its default, so the
+manifest records only settings that were applied.
 """
 
 from __future__ import annotations
@@ -25,11 +26,8 @@ import csv
 import ctypes
 import io
 import json
-import multiprocessing
 import os
-import pickle
 import sys
-import traceback
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -39,14 +37,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DiagnosticError, diagnostic_bundle
-from .dgp import (
-    DGPConfig,
-    DGPError,
-    RecordedWarning,
-    monte_carlo,
-    record_warnings,
-    reissue_warnings,
-)
+from .dgp import DGPConfig, DGPError, monte_carlo, run_lanes, take
 from .estimators import (
     CONST,
     ElasticityReport,
@@ -254,89 +245,6 @@ def _fit_entries(tag: str, panel: PanelDataset, x: str, y: str,
                     replace(fit, residual_grid=None, gmm=None))
 
 
-class _Step(NamedTuple):
-    """One step of an estimate lane: its value (a fit's entries or the text of
-    scatter.csv), the warnings it raised, and the exception that stopped it."""
-    value: _Entries | str | None
-    caught: list[RecordedWarning]
-    error: Exception | None = None
-
-
-def _estimate_lane(panel: PanelDataset, x: str, y: str, options: GmmOptions | None,
-                   tags, scatter: bool) -> list[_Step]:
-    """Fit ``tags`` in order, then, with ``scatter``, render scatter.csv: one
-    step each, recorded with its warnings. The first step that raises ends the
-    lane, as it would end a run that took the steps one by one."""
-    work = [partial(_fit_entries, tag, panel, x, y, options) for tag in tags]
-    if scatter:
-        work.append(partial(_scatter_text, panel, x, y))
-    steps = []
-    for run in work:
-        try:
-            with record_warnings() as caught:
-                value = run()
-        except Exception as exc:  # raised again by the run, in registry order
-            steps.append(_Step(None, caught, exc))
-            break
-        steps.append(_Step(value, caught))
-    return steps
-
-
-class _HelperTraceback(Exception):
-    """The traceback, as text, of an exception raised in the helper process;
-    the cause of that exception where it is raised again."""
-
-    def __str__(self) -> str:
-        return "\n" + self.args[0]
-
-
-def _send_steps(send, lane: Callable[[], list[_Step]]) -> None:
-    """The helper process: run ``lane`` and send its steps, with the traceback
-    text of the exception that ended it. An exception that pickle cannot carry
-    is sent as a RuntimeError of that text."""
-    steps = lane()
-    text = None
-    if (error := steps[-1].error) is not None:
-        text = "".join(traceback.format_exception(type(error), error, error.__traceback__))
-        try:
-            pickle.loads(pickle.dumps(error))
-        except Exception:
-            steps[-1] = steps[-1]._replace(error=RuntimeError(text))
-    send.send((steps, text))
-
-
-@contextlib.contextmanager
-def _helper_process(lane: Callable[[], list[_Step]]):
-    """Run ``lane`` in one forked helper process while the block runs, and
-    yield a function that waits for the lane's steps. Leaving the block joins
-    the helper; a block that raised stops it first."""
-    context = multiprocessing.get_context("fork")  # the lane is never pickled
-    receive, send = context.Pipe(duplex=False)
-    helper = context.Process(target=_send_steps, args=(send, lane))
-    helper.start()
-    send.close()
-
-    def steps() -> list[_Step]:
-        try:
-            steps, text = receive.recv()
-        except EOFError:
-            helper.join()
-            raise RuntimeError(f"the helper process exited with code {helper.exitcode} "
-                               "before it sent its fits") from None
-        if text is not None:
-            steps[-1].error.__cause__ = _HelperTraceback(text)
-        return steps
-
-    try:
-        yield steps
-    except BaseException:
-        helper.terminate()
-        raise
-    finally:
-        receive.close()
-        helper.join()
-
-
 def _cpus() -> int:
     """The CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -348,34 +256,26 @@ def cmd_estimate(args) -> tuple[dict, list[str]]:
     panel, _ = load_panel_csv(args.panel)
     panel, x, y = _log_variables(panel, args.levels)
     scipy_special()  # every fit's p-values; loaded once, before any fork
+    # one call per report entry, in registry order: each fit reduced to its
+    # entries, then the text of scatter.csv
+    calls = {tag: partial(_fit_entries, tag, panel, x, y, options) for tag in names}
+    if scatter := "fe2w" in names:
+        calls["scatter.csv"] = partial(_scatter_text, panel, x, y)
     # The GMM fits run here, and with two CPUs a forked helper runs the other
-    # fits and renders scatter.csv meanwhile; it sends back only their report
-    # entries. Each lane stops at its first exception. The steps are taken in
-    # registry order, their warnings issued again as they come, so a run
-    # names the error, and warns, as one that took the steps one by one.
-    lane = partial(_estimate_lane, panel, x, y, options)
-    scatter = "fe2w" in names
-    helper_tags = [tag for tag in names if not ESTIMATORS[tag].gmm]
-    gmm_tags = [tag for tag in names if ESTIMATORS[tag].gmm]
-    if helper_tags and gmm_tags and _cpus() > 1:
-        with _helper_process(partial(lane, helper_tags, scatter)) as helper:
-            gmm_steps = lane(gmm_tags, False)
-            helper_steps = helper()
-        steps = {**dict(zip([*helper_tags, "scatter.csv"], helper_steps)),
-                 **dict(zip(gmm_tags, gmm_steps))}
-    else:
-        steps = dict(zip([*names, "scatter.csv"], lane(names, scatter)))
+    # calls meanwhile; it sends back only their values. Each lane stops at
+    # its first exception. The steps are taken in registry order, their
+    # warnings issued again as they come, so a run names the error, and
+    # warns, as one that made the calls one by one. A step absent from its
+    # lane follows one that raised, which is taken first.
+    here = [tag for tag in names if ESTIMATORS[tag].gmm]
+    helper = [name for name in calls if name not in here]
+    lanes = [here, helper] if here and helper and _cpus() > 1 else [list(calls)]
+    ran = run_lanes([calls[name] for name in lanes[0]],
+                    [[calls[name] for name in lane] for lane in lanes[1:]])
+    steps = {name: step for lane, lane_steps in zip(lanes, ran)
+             for name, step in zip(lane, lane_steps)}
     registry: dict = {}
-
-    def take(name: str):
-        # a step absent from its lane follows one that raised, which is taken first
-        step = steps[name]
-        reissue_warnings(step.caught, registry)
-        if step.error is not None:
-            raise step.error
-        return step.value
-
-    entries = {tag: take(tag) for tag in names}
+    entries = {tag: take(steps[tag], registry) for tag in names}
     # the elasticities, which may fail, are taken once every fit has run
     elasticity = {tag: _elasticity(tag, entry.estimate, x, y).to_json_dict()
                   for tag, entry in entries.items()}
@@ -393,7 +293,7 @@ def cmd_estimate(args) -> tuple[dict, list[str]]:
         ),
     }
     if scatter:
-        files["scatter.csv"] = partial(Path.write_text, data=take("scatter.csv"),
+        files["scatter.csv"] = partial(Path.write_text, data=take(steps["scatter.csv"], registry),
                                        encoding="utf-8", newline="")
     return files, [entry.line for entry in entries.values()]
 
@@ -514,7 +414,7 @@ def cmd_montecarlo(args) -> tuple[dict, list[str]]:
             truth[lagged_name("e")] = dgp.rho
         estimands[name] = (partial(ESTIMATORS[name].fit, x="l", y="e", options=options), truth)
     # registry fits are functions of their panel, so replications may run in
-    # one forked worker per CPU this process may use; outputs do not change
+    # one forked lane per CPU this process may use; outputs do not change
     run = monte_carlo(dgp, estimands, reps, _cpus())
     results = {name: study.to_json_dict() for name, study in run.studies.items()}
     all_rows = [{"estimator": name, **row}
@@ -632,7 +532,7 @@ _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set
 def _one_blas_thread() -> None:
     """Set each OpenBLAS the process has loaded to one thread. A threaded
     product splits its sums by the host's cores, so the bits of a fit would
-    depend on them; forked Monte Carlo workers inherit the setting. numpy's
+    depend on them; forked helpers inherit the setting. numpy's
     OpenBLAS runs every product; scipy's, loaded later with the p-value
     ufuncs, runs none. Without /proc, BLAS keeps its threads. Setting it
     again changes nothing."""

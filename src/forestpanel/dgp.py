@@ -4,23 +4,30 @@ disturbance grids, and the Monte Carlo harness used to validate estimators.
 Every draw is reproducible from the config seed. Replication r of a Monte
 Carlo study draws one panel from the sub-seed of (seed, r), so replications
 are independent of execution order and worker count, and every estimator of
-the study is fitted on that same panel. A study run in worker processes
-returns what a serial run returns, provided each estimand is a function of
-its panel alone.
+the study is fitted on that same panel. A study run in forked helper
+processes returns what a serial run returns, provided each estimand is a
+function of its panel alone.
+
+The harness also holds the one way the package forks work: ``run_lanes``
+runs lanes of calls here and in forked helpers and brings back each call's
+value, warnings and exception, which ``take`` issues and raises where the
+run was called. ``monte_carlo`` and ``cli``'s ``estimate`` both use it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import multiprocessing
+import pickle
 import sys
+import traceback
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterator, Mapping
+from functools import lru_cache, partial
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -282,32 +289,111 @@ def simulate_disturbance_grid(config: GridDGPConfig) -> PixelGrid:
 # ---------------------------------------------------------------------------
 # Monte Carlo harness
 
-# one warning, as (message, category, filename, lineno): what pickle can carry
-# from a forked process and warnings.warn_explicit can issue again
-RecordedWarning = tuple[Warning, type, str, int]
+class Step(NamedTuple):
+    """One call of a lane: its value, the warnings it raised under the
+    caller's filters, as (message, category, filename, lineno), and the
+    exception that stopped the lane there."""
+    value: Any
+    caught: list[tuple[Warning, type, str, int]]
+    error: Exception | None
+
+
+def run_steps(calls: Sequence[Callable[[], Any]]) -> list[Step]:
+    """Make each call in order, one step each. A warning that a filter turns
+    into an error raises in its call; the first call that raises ends the
+    lane, as it would end a run that made the calls one by one."""
+    steps = []
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                value, error = call(), None
+            except Exception as exc:  # raised again by take, where the run was called
+                value, error = None, exc
+        steps.append(Step(value, [(w.message, w.category, w.filename, w.lineno)
+                                  for w in caught], error))
+        if error is not None:
+            break
+    return steps
+
+
+def take(step: Step, registry: dict):
+    """Issue the step's warnings again, in order, then raise its exception or
+    return its value, so that a run warns and fails alike wherever its steps
+    ran. One ``registry`` per run: under the "default" filter a warning shows
+    once per run."""
+    for message, category, filename, lineno in step.caught:
+        warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+    if step.error is not None:
+        raise step.error
+    return step.value
+
+
+class _HelperTraceback(Exception):
+    """The traceback, as text, of an exception raised in a helper process;
+    the cause of that exception where it is raised again."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _send_steps(send, calls: Sequence[Callable[[], Any]]) -> None:
+    """A helper process: run the lane ``calls`` and send its steps, with the
+    traceback text of the exception that ended it. An exception that pickle
+    cannot carry is sent as a RuntimeError of that text."""
+    steps = run_steps(calls)
+    text = None
+    if steps and (error := steps[-1].error) is not None:
+        text = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:
+            steps[-1] = steps[-1]._replace(error=RuntimeError(text))
+    send.send((steps, text))
 
 
 @contextlib.contextmanager
-def record_warnings() -> Iterator[list[RecordedWarning]]:
-    """Record, in order, the warnings that the block raises under the caller's
-    filters: an ignored warning is not recorded, and one that a filter turns
-    into an error raises in the block. The list is filled as the block ends,
-    also when it raises."""
-    records: list[RecordedWarning] = []
-    with warnings.catch_warnings(record=True) as caught:
+def _helper_process(calls: Sequence[Callable[[], Any]]):
+    """Run the lane ``calls`` in one forked helper process while the block
+    runs, and yield a function that waits for its steps. Leaving the block
+    joins the helper; a block that raised stops it first."""
+    context = multiprocessing.get_context("fork")  # the calls are never pickled
+    receive, send = context.Pipe(duplex=False)
+    helper = context.Process(target=_send_steps, args=(send, calls))
+    helper.start()
+    send.close()
+
+    def steps() -> list[Step]:
         try:
-            yield records
-        finally:
-            records.extend((w.message, w.category, w.filename, w.lineno) for w in caught)
+            steps, text = receive.recv()
+        except EOFError:
+            helper.join()
+            raise RuntimeError(f"the helper process exited with code {helper.exitcode} "
+                               "before it sent its steps") from None
+        if text is not None:
+            steps[-1].error.__cause__ = _HelperTraceback(text)
+        return steps
+
+    try:
+        yield steps
+    except BaseException:
+        helper.terminate()
+        raise
+    finally:
+        receive.close()
+        helper.join()
 
 
-def reissue_warnings(records: list[RecordedWarning], registry: dict) -> None:
-    """Issue again, in order, warnings that ``record_warnings`` recorded where
-    the work ran, so that a run warns alike wherever its parts ran. One
-    ``registry`` per run: under the "default" filter a warning shows once per
-    run."""
-    for message, category, filename, lineno in records:
-        warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+def run_lanes(here: Sequence[Callable[[], Any]],
+              elsewhere: Sequence[Sequence[Callable[[], Any]]] = ()) -> list[list[Step]]:
+    """The steps of each lane, a lane being a list of zero-argument calls:
+    ``here`` runs in this process while each lane of ``elsewhere`` runs in a
+    helper forked for it, so no call is pickled, only the steps that come
+    back. Each lane stops at its first exception, which the caller raises
+    with ``take``. Every helper is joined on return; an exception here,
+    an interrupt included, stops them first."""
+    with contextlib.ExitStack() as stack:
+        helpers = [stack.enter_context(_helper_process(calls)) for calls in elsewhere]
+        return [run_steps(here), *(steps() for steps in helpers)]
 
 
 def replication_seed(seed: int, r: int) -> int:
@@ -398,83 +484,62 @@ def monte_carlo(
     dropped; the other estimators still fit r. Any other exception is a bug
     and propagates.
 
-    With ``workers`` > 1 (capped at ``replications``) the replications run in
-    that many forked processes and are collected in order of r, so the run
-    equals the serial one only if each estimand is a function of its panel:
-    state an estimand keeps between calls stays in the worker that made it.
-    A forked worker inherits the BLAS thread count of its parent, which
-    ``cli.main`` sets to one, so the workers do not contend with BLAS threads
-    of their own.
+    With ``workers`` > 1 the replications are split, in order of r, into
+    ``min(workers, replications)`` contiguous lanes, each run in a forked
+    helper process while this one waits, and collected in order of r. So the
+    run equals the serial one only if each estimand is a function of its
+    panel: state an estimand keeps between calls stays in the helper that
+    made it. A forked helper inherits the BLAS thread count of its parent,
+    which ``cli.main`` sets to one, so the helpers do not contend with BLAS
+    threads of their own.
 
     The warnings a replication raises under the caller's filters are recorded
     where it runs and issued again here, in order of r, so a run warns the
-    same at any worker count.
+    same at any worker count; an exception that propagates is raised after
+    the warnings of the replications before it.
     """
     if replications < 2:
         raise DGPError("need at least 2 replications")
+    if workers < 1:
+        raise DGPError(f"need at least one worker, got {workers}")
     if not estimators:
         raise DGPError("need at least one estimator")
     studies = {
         name: MonteCarloStudy({n: float(v) for n, v in truth.items()}, replications, [], [])
         for name, (_, truth) in estimators.items()
     }
-    workers = min(workers, replications)
-    if workers == 1:
-        outcomes = [_replicate(config, estimators, r) for r in range(replications)]
+    calls = [partial(_replicate, config, estimators, r) for r in range(replications)]
+    lanes = min(workers, replications)
+    if lanes == 1:
+        ran = run_lanes(calls)
     else:
-        # fork hands the config and the estimands to each worker as they are
-        # in memory, so closures are never pickled; the indices go out in
-        # chunks, about four per worker, and the outcomes come back in order
-        # of r. Leaving the block joins the workers, also when one raised (map
-        # then cancels the chunks not yet started) or died.
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_start_worker,
-                                 initargs=(config, estimators)) as pool:
-            chunk = -(-replications // (4 * workers))
-            outcomes = list(pool.map(_replicate_in_worker, range(replications), chunksize=chunk))
+        # this process runs no replication, so its peak memory is that of the run
+        bounds = [replications * k // lanes for k in range(lanes + 1)]
+        ran = run_lanes([], [calls[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
     registry: dict = {}
-    for outcome, caught in outcomes:
-        reissue_warnings(caught, registry)
-        for study, result in zip(studies.values(), outcome):
+    for step in itertools.chain.from_iterable(ran):
+        for study, result in zip(studies.values(), take(step, registry)):
             (study.rows if isinstance(result, dict) else study.failures).append(result)
     return MonteCarloRun(studies)
 
 
-def _replicate(
-    config: DGPConfig, estimators: Mapping[str, Estimand], r: int
-) -> tuple[list[dict | tuple[int, str, str]], list[RecordedWarning]]:
+def _replicate(config: DGPConfig, estimators: Mapping[str, Estimand],
+               r: int) -> list[dict | tuple[int, str, str]]:
     """Replication r of a study: per estimator, in order, its row or its
-    (r, exception type name, message) failure; and the warnings it raised,
-    for ``monte_carlo`` to issue where the run was called."""
+    (r, exception type name, message) failure."""
     sub = dataclasses.replace(config, seed=replication_seed(config.seed, r))
+    panel, _ = simulate_dynamic_panel(sub)
     outcome = []
-    with record_warnings() as caught:
-        panel, _ = simulate_dynamic_panel(sub)
-        for estimator, truth in estimators.values():
-            try:
-                fit = estimator(panel)
-                ses = fit.std_errors()
-            except (EstimationError, PanelError, np.linalg.LinAlgError) as exc:
-                outcome.append((r, type(exc).__name__, str(exc)))
-                continue
-            row: dict = {"rep": r}
-            for n in truth:
-                row[f"{n}_estimate"] = fit.coefficients[n]
-                row[f"{n}_se"] = ses[n]
-            outcome.append(row)
-    return outcome, caught
-
-
-# a worker's study: the (config, estimands) its pool initializer was given
-_worker_study: tuple = ()
-
-
-def _start_worker(config: DGPConfig, estimators: Mapping[str, Estimand]) -> None:
-    """Pool initializer: the study."""
-    global _worker_study
-    _worker_study = (config, estimators)
-
-
-def _replicate_in_worker(r: int) -> tuple[list[dict | tuple[int, str, str]],
-                                          list[RecordedWarning]]:
-    return _replicate(*_worker_study, r)
+    for estimator, truth in estimators.values():
+        try:
+            fit = estimator(panel)
+            ses = fit.std_errors()
+        except (EstimationError, PanelError, np.linalg.LinAlgError) as exc:
+            outcome.append((r, type(exc).__name__, str(exc)))
+            continue
+        row: dict = {"rep": r}
+        for n in truth:
+            row[f"{n}_estimate"] = fit.coefficients[n]
+            row[f"{n}_se"] = ses[n]
+        outcome.append(row)
+    return outcome

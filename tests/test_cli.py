@@ -741,8 +741,12 @@ class TestLanes:
         with pytest.raises(RuntimeError, match="Local: a fit's bug"):
             main(argv)
 
-    @pytest.mark.parametrize("outcome", ["success", "helper-error", "parent-error",
-                                         "output-error", "bug", "interrupt"])
+    @pytest.mark.parametrize("outcome", [
+        "success", "helper-error", "parent-error", "output-error", "bug", "interrupt",
+        # on one CPU this process fits pooled itself, and the exit would end it
+        pytest.param("helper-exit", marks=pytest.mark.skipif(
+            not HAS_TWO_CPUS, reason="the helper runs only with 2 CPUs")),
+    ])
     def test_no_process_is_left(self, monkeypatch, argv, outcome):
         parent = os.getpid()
 
@@ -759,6 +763,11 @@ class TestLanes:
                 return replace(result, coefficients={**result.coefficients, "l": np.inf})
             return run
 
+        def exits(tag, fit):  # without sending its steps
+            def run(*args, **kwargs):
+                os._exit(3)
+            return run
+
         def stalled(tag, fit):  # in the helper, until it is stopped
             def run(*args, **kwargs):
                 if os.getpid() != parent:
@@ -770,14 +779,18 @@ class TestLanes:
                  "parent-error": [(fail(EstimationError("typed")), ("sysgmm",))],
                  "output-error": [(infinite, ("fe2w",))],
                  "bug": [(fail(ZeroDivisionError("bug")), ("fe2w",))],
-                 "interrupt": [(stalled, ("pooled",)), (fail(KeyboardInterrupt()), ("diffgmm",))]}
+                 "interrupt": [(stalled, ("pooled",)), (fail(KeyboardInterrupt()), ("diffgmm",))],
+                 "helper-exit": [(exits, ("pooled",))]}
         for wrap, tags in wraps.get(outcome, []):
             self.patch_fits(monkeypatch, wrap, tags)
-        raised = {"bug": ZeroDivisionError, "interrupt": KeyboardInterrupt}.get(outcome)
+        raised = {"bug": ZeroDivisionError, "interrupt": KeyboardInterrupt,
+                  "helper-exit": RuntimeError}.get(outcome)
         start = time.perf_counter()
         if raised:
-            with pytest.raises(raised):
+            with pytest.raises(raised) as excinfo:
                 main(argv)
+            if outcome == "helper-exit":
+                assert "exited with code 3" in str(excinfo.value)
         else:
             assert main(argv) == (0 if outcome == "success" else 1)
         assert time.perf_counter() - start < 30

@@ -4,7 +4,10 @@ import functools
 import hashlib
 import itertools
 import multiprocessing
+import os
+import signal
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -537,6 +540,20 @@ class TestSharedDraw:
             monte_carlo(self.CFG, {}, replications=2)
 
 
+def local_exception():
+    class Local(Exception):  # pickle cannot name a class defined in a function
+        pass
+
+    return Local
+
+
+def assert_no_child_is_left():
+    # a helper that exited but was never joined is still a child here
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
 class TestWorkers:
     # heavy tails make some GMM system matrices singular: 11 of 12 diff-GMM
     # and 8 of 12 sys-GMM replications complete
@@ -552,10 +569,14 @@ class TestWorkers:
                                truth)
         return estimands
 
-    def test_two_workers_equal_one(self):
+    # 12 replications in even lanes, uneven ones (2, 2, 2, 3, 3), and one
+    # lane per replication when there are more workers than replications
+    @pytest.mark.parametrize("workers", [2, 3, 5, 13])
+    def test_two_workers_equal_one(self, workers):
         serial = monte_carlo(self.CFG, self.registry_estimands(), replications=12)
-        forked = monte_carlo(self.CFG, self.registry_estimands(), replications=12, workers=2)
-        assert multiprocessing.active_children() == []
+        forked = monte_carlo(self.CFG, self.registry_estimands(), replications=12,
+                             workers=workers)
+        assert_no_child_is_left()
         assert {name: len(study.rows) for name, study in serial.studies.items()} == {
             "pooled": 12, "fe2w": 12, "lsdv": 12, "diffgmm": 11, "sysgmm": 8}
         assert list(forked.studies) == list(serial.studies)
@@ -566,13 +587,57 @@ class TestWorkers:
             assert twin.truth == study.truth and list(twin.truth) == list(study.truth)
             assert twin.to_json_dict() == study.to_json_dict(), name
 
-    def test_worker_exception_reaches_the_caller(self):
+    # an exception that pickle cannot carry comes as a RuntimeError of its
+    # traceback text
+    @pytest.mark.parametrize("raised", [RuntimeError, local_exception()],
+                             ids=["RuntimeError", "unpicklable"])
+    def test_worker_exception_reaches_the_caller(self, raised):
         def buggy(panel):
-            raise RuntimeError("bug in the estimator")
+            raise raised("bug in the estimator")
 
-        with pytest.raises(RuntimeError, match="bug in the estimator"):
+        with pytest.raises(RuntimeError, match="bug in the estimator") as excinfo:
             monte_carlo(self.CFG, {"buggy": (buggy, {"l": 1.0})}, replications=4, workers=2)
-        assert multiprocessing.active_children() == []
+        assert type(excinfo.value) is RuntimeError
+        if raised is not RuntimeError:
+            assert "Local: bug in the estimator" in str(excinfo.value)
+            assert "in buggy\n" in str(excinfo.value)
+        assert_no_child_is_left()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_no_worker_is_an_error(self, workers):
+        with pytest.raises(DGPError, match="at least one worker"):
+            monte_carlo(self.CFG, {"stub": (stub_fit, {"l": 1.0})}, replications=2,
+                        workers=workers)
+
+    def test_helper_that_dies_is_named(self):
+        def dies(panel):
+            os._exit(3)
+
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            monte_carlo(self.CFG, {"dies": (dies, {"l": 1.0})}, replications=4, workers=2)
+        assert_no_child_is_left()
+
+    def test_interrupt_stops_the_helpers(self):
+        # the interrupt comes while this process waits for its helpers; it
+        # must stop them, not wait for each replication's 20 s
+        def slow(panel):
+            time.sleep(20)
+            return stub_fit(panel)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.perf_counter()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                monte_carlo(self.CFG, {"slow": (slow, {"l": 1.0})}, replications=4, workers=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 30
+        assert_no_child_is_left()
 
     def test_worker_warnings_reach_the_caller_in_order_of_r(self):
         # a forked worker's own stderr is not the caller's, so each
