@@ -9,7 +9,8 @@ fit, or a NaN or infinity, which JSON cannot hold) writes nothing. Rerunning
 from the same manifest reproduces output files byte for byte, at any BLAS
 thread count or number of cores: ``main`` runs every subcommand, and the
 helpers it forks, at one BLAS thread. Both forking subcommands use
-``dgp.run_lanes`` and take each step's value, warnings and error in order.
+``dgp.run_lanes``, which gives their calls' values in call order and issues
+each call's warnings and its error there, wherever the call ran.
 When the process may run on two CPUs, ``estimate`` fits the GMM estimators
 itself while one forked helper fits the others and renders ``scatter.csv``,
 so a run pinned to one CPU, which takes every step itself, writes, prints
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DiagnosticError, diagnostic_bundle
-from .dgp import DGPConfig, DGPError, monte_carlo, run_lanes, take
+from .dgp import DGPConfig, DGPError, monte_carlo, run_lanes
 from .estimators import (
     CONST,
     ElasticityReport,
@@ -262,21 +263,15 @@ def cmd_estimate(args) -> tuple[dict, list[str]]:
     if scatter := "fe2w" in names:
         calls["scatter.csv"] = partial(_scatter_text, panel, x, y)
     # The GMM fits run here, and with two CPUs a forked helper runs the other
-    # calls meanwhile; it sends back only their values. Each lane stops at
-    # its first exception. The steps are taken in registry order, their
-    # warnings issued again as they come, so a run names the error, and
-    # warns, as one that made the calls one by one. A step absent from its
-    # lane follows one that raised, which is taken first.
-    here = [tag for tag in names if ESTIMATORS[tag].gmm]
-    helper = [name for name in calls if name not in here]
-    lanes = [here, helper] if here and helper and _cpus() > 1 else [list(calls)]
-    ran = run_lanes([calls[name] for name in lanes[0]],
-                    [[calls[name] for name in lane] for lane in lanes[1:]])
-    steps = {name: step for lane, lane_steps in zip(lanes, ran)
-             for name, step in zip(lane, lane_steps)}
-    registry: dict = {}
-    entries = {tag: take(steps[tag], registry) for tag in names}
-    # the elasticities, which may fail, are taken once every fit has run
+    # calls meanwhile; it sends back only their values. run_lanes gives them
+    # in registry order, so a run names the error, and warns, as one that
+    # made the calls one by one.
+    gmm = {tag for tag in names if ESTIMATORS[tag].gmm}
+    helper = [i for i, name in enumerate(calls) if name not in gmm]
+    forked = [helper] if gmm and helper and _cpus() > 1 else ()
+    entries = dict(zip(calls, run_lanes(list(calls.values()), forked)))
+    scatter_text = entries.pop("scatter.csv", None)
+    # the elasticities, which may fail, are computed once every fit has run
     elasticity = {tag: _elasticity(tag, entry.estimate, x, y).to_json_dict()
                   for tag, entry in entries.items()}
     files = {
@@ -293,7 +288,7 @@ def cmd_estimate(args) -> tuple[dict, list[str]]:
         ),
     }
     if scatter:
-        files["scatter.csv"] = partial(Path.write_text, data=take(steps["scatter.csv"], registry),
+        files["scatter.csv"] = partial(Path.write_text, data=scatter_text,
                                        encoding="utf-8", newline="")
     return files, [entry.line for entry in entries.values()]
 

@@ -9,16 +9,16 @@ processes returns what a serial run returns, provided each estimand is a
 function of its panel alone.
 
 The harness also holds the one way the package forks work: ``run_lanes``
-runs lanes of calls here and in forked helpers and brings back each call's
-value, warnings and exception, which ``take`` issues and raises where the
-run was called. ``monte_carlo`` and ``cli``'s ``estimate`` both use it.
+makes a list of calls, some in forked helpers, and returns their values in
+call order, issuing each call's warnings again and raising the first
+exception where the run was called. ``monte_carlo`` and ``cli``'s
+``estimate`` both use it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import multiprocessing
 import pickle
 import sys
@@ -307,25 +307,13 @@ def run_steps(calls: Sequence[Callable[[], Any]]) -> list[Step]:
         with warnings.catch_warnings(record=True) as caught:
             try:
                 value, error = call(), None
-            except Exception as exc:  # raised again by take, where the run was called
+            except Exception as exc:  # raised again by run_lanes, where the run was called
                 value, error = None, exc
         steps.append(Step(value, [(w.message, w.category, w.filename, w.lineno)
                                   for w in caught], error))
         if error is not None:
             break
     return steps
-
-
-def take(step: Step, registry: dict):
-    """Issue the step's warnings again, in order, then raise its exception or
-    return its value, so that a run warns and fails alike wherever its steps
-    ran. One ``registry`` per run: under the "default" filter a warning shows
-    once per run."""
-    for message, category, filename, lineno in step.caught:
-        warnings.warn_explicit(message, category, filename, lineno, registry=registry)
-    if step.error is not None:
-        raise step.error
-    return step.value
 
 
 class _HelperTraceback(Exception):
@@ -354,15 +342,15 @@ def _send_steps(send, calls: Sequence[Callable[[], Any]]) -> None:
 @contextlib.contextmanager
 def _helper_process(calls: Sequence[Callable[[], Any]]):
     """Run the lane ``calls`` in one forked helper process while the block
-    runs, and yield a function that waits for its steps. Leaving the block
-    joins the helper; a block that raised stops it first."""
+    runs, and yield an iterator over its steps, which waits for them. Leaving
+    the block joins the helper; a block that raised stops it first."""
     context = multiprocessing.get_context("fork")  # the calls are never pickled
     receive, send = context.Pipe(duplex=False)
     helper = context.Process(target=_send_steps, args=(send, calls))
     helper.start()
     send.close()
 
-    def steps() -> list[Step]:
+    def steps():
         try:
             steps, text = receive.recv()
         except EOFError:
@@ -371,10 +359,10 @@ def _helper_process(calls: Sequence[Callable[[], Any]]):
                                "before it sent its steps") from None
         if text is not None:
             steps[-1].error.__cause__ = _HelperTraceback(text)
-        return steps
+        yield from steps
 
     try:
-        yield steps
+        yield steps()
     except BaseException:
         helper.terminate()
         raise
@@ -383,17 +371,34 @@ def _helper_process(calls: Sequence[Callable[[], Any]]):
         helper.join()
 
 
-def run_lanes(here: Sequence[Callable[[], Any]],
-              elsewhere: Sequence[Sequence[Callable[[], Any]]] = ()) -> list[list[Step]]:
-    """The steps of each lane, a lane being a list of zero-argument calls:
-    ``here`` runs in this process while each lane of ``elsewhere`` runs in a
-    helper forked for it, so no call is pickled, only the steps that come
-    back. Each lane stops at its first exception, which the caller raises
-    with ``take``. Every helper is joined on return; an exception here,
-    an interrupt included, stops them first."""
+def run_lanes(calls: Sequence[Callable[[], Any]],
+              forked: Sequence[Sequence[int]] = ()) -> list:
+    """The values of zero-argument ``calls``, in call order. Each lane of
+    ``forked``, some calls' indexes in increasing order, runs in a helper
+    forked for it, so only its steps are pickled; the other calls run here
+    meanwhile. A lane stops at its first exception. Taken in call order, each
+    step issues its warnings again, once per run under "default", then raises
+    or gives its value, so a run warns and fails alike wherever its calls
+    ran. Every helper is joined on return; an exception, an interrupt
+    included, stops those whose steps were not taken first."""
     with contextlib.ExitStack() as stack:
-        helpers = [stack.enter_context(_helper_process(calls)) for calls in elsewhere]
-        return [run_steps(here), *(steps() for steps in helpers)]
+        lane_of = {}
+        for lane in forked:
+            steps = stack.enter_context(_helper_process([calls[i] for i in lane]))
+            lane_of.update(dict.fromkeys(lane, steps))
+        here = [i for i in range(len(calls)) if i not in lane_of]
+        lane_of.update(dict.fromkeys(here, iter(run_steps([calls[i] for i in here]))))
+        registry: dict = {}
+        values = []
+        for i in range(len(calls)):
+            # a lane's steps run out only after one that raised, taken first
+            value, caught, error = next(lane_of[i])
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+            if error is not None:
+                raise error
+            values.append(value)
+        return values
 
 
 def replication_seed(seed: int, r: int) -> int:
@@ -495,8 +500,10 @@ def monte_carlo(
 
     The warnings a replication raises under the caller's filters are recorded
     where it runs and issued again here, in order of r, so a run warns the
-    same at any worker count; an exception that propagates is raised after
-    the warnings of the replications before it.
+    same at any worker count. An exception that propagates is raised after
+    the warnings of the replications before it, as soon as its lane is
+    received; the helpers still running the lanes after it are stopped, not
+    waited for.
     """
     if replications < 2:
         raise DGPError("need at least 2 replications")
@@ -510,15 +517,11 @@ def monte_carlo(
     }
     calls = [partial(_replicate, config, estimators, r) for r in range(replications)]
     lanes = min(workers, replications)
-    if lanes == 1:
-        ran = run_lanes(calls)
-    else:
-        # this process runs no replication, so its peak memory is that of the run
-        bounds = [replications * k // lanes for k in range(lanes + 1)]
-        ran = run_lanes([], [calls[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-    registry: dict = {}
-    for step in itertools.chain.from_iterable(ran):
-        for study, result in zip(studies.values(), take(step, registry)):
+    # with several lanes this process runs no replication: its peak memory is the run's
+    bounds = [replications * k // lanes for k in range(lanes + 1)]
+    forked = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])] if lanes > 1 else ()
+    for outcome in run_lanes(calls, forked):
+        for study, result in zip(studies.values(), outcome):
             (study.rows if isinstance(result, dict) else study.failures).append(result)
     return MonteCarloRun(studies)
 

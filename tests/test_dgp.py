@@ -639,6 +639,25 @@ class TestWorkers:
         assert time.perf_counter() - start < 30
         assert_no_child_is_left()
 
+    def test_error_stops_the_other_helpers(self):
+        # replication 0 raises in the first lane; the second lane's four 1 s
+        # replications must be stopped, not waited for
+        first, _ = simulate_dynamic_panel(
+            dataclasses.replace(self.CFG, seed=replication_seed(self.CFG.seed, 0)))
+
+        def fails_first(panel):
+            if np.array_equal(panel.var("e").values, first.var("e").values):
+                raise RuntimeError("bug at replication 0")
+            time.sleep(1)
+            return stub_fit(panel)
+
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="bug at replication 0"):
+            monte_carlo(self.CFG, {"fails": (fails_first, {"l": 1.0})}, replications=8,
+                        workers=2)
+        assert time.perf_counter() - start < 2
+        assert_no_child_is_left()
+
     def test_worker_warnings_reach_the_caller_in_order_of_r(self):
         # a forked worker's own stderr is not the caller's, so each
         # replication's warnings come back with its outcome
@@ -684,3 +703,65 @@ class TestWorkers:
         run = monte_carlo(self.CFG, {"threads": (blas_threads, {"l": 1.0})}, replications=4,
                           workers=2)
         assert [row["l_estimate"] for row in run.studies["threads"].rows] == [1.0] * 4
+
+
+class TestRunLanes:
+    # calls 0, 2 and 5 run in one helper, call 3 in another, calls 1 and 4
+    # here; the lanes are forked whatever the CPU count
+    FORKED = [[0, 2, 5], [3]]
+
+    @staticmethod
+    def calls(ran: Path, raising=()):
+        """Six calls; call i notes i in ``ran``, warns twice, then raises
+        ValueError if i is in ``raising`` or gives (i, its process id)."""
+        def call(i):
+            with ran.open("a") as handle:
+                handle.write(f"{i}\n")
+            warnings.warn(f"call {i}", UserWarning)
+            warnings.warn("the same text in every call", UserWarning)
+            if i in raising:
+                raise ValueError(f"call {i} failed")
+            return i, os.getpid()
+
+        return [functools.partial(call, i) for i in range(6)]
+
+    def test_values_come_in_call_order(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            values = dgp.run_lanes(self.calls(tmp_path / "ran"), self.FORKED)
+        assert [i for i, _ in values] == list(range(6))
+        pids = [pid for _, pid in values]
+        assert pids[1] == pids[4] == os.getpid()
+        assert pids[0] == pids[2] == pids[5] != os.getpid()
+        assert pids[3] not in (os.getpid(), pids[0])
+        assert_no_child_is_left()
+
+    def test_warnings_come_in_call_order(self, tmp_path):
+        def recorded(action):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                dgp.run_lanes(self.calls(tmp_path / action), self.FORKED)
+            return [(str(w.message), w.category) for w in caught]
+
+        each = [[(f"call {i}", UserWarning), ("the same text in every call", UserWarning)]
+                for i in range(6)]
+        assert recorded("always") == list(itertools.chain.from_iterable(each))
+        # "default" shows the repeated text once per run
+        assert recorded("default") == [*each[0], *(calls[0] for calls in each[1:])]
+        assert_no_child_is_left()
+
+    # calls 2 and 3 raise in two helpers: call 2's error comes first, and call
+    # 5 after it in its lane never runs; call 1 raises here, and call 4 after
+    # it never runs
+    @pytest.mark.parametrize("raising, never", [((2, 3), 5), ((1,), 4)])
+    def test_first_error_in_call_order_is_raised(self, tmp_path, raising, never):
+        ran = tmp_path / "ran"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"call {raising[0]} failed"):
+                dgp.run_lanes(self.calls(ran, raising), self.FORKED)
+        # the warnings of the calls before it, and its own, were issued
+        assert [str(w.message) for w in caught][::2] == [
+            f"call {i}" for i in range(raising[0] + 1)]
+        assert never not in {int(line) for line in ran.read_text().split()}
+        assert_no_child_is_left()
