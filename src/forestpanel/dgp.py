@@ -135,15 +135,6 @@ _JSON_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class PanelTruth:
-    rho: float
-    beta: float
-    alpha: np.ndarray
-    gamma: np.ndarray
-    config: DGPConfig
-
-
 def _draw_errors(rng, law: str, tail_index: float, size) -> np.ndarray:
     if law == "normal":
         return rng.standard_normal(size)
@@ -166,9 +157,10 @@ def _time_major(values: np.ndarray, scale: float) -> np.ndarray:
     return np.multiply(values.T, scale, out=np.empty(values.shape[::-1]))
 
 
-def simulate_dynamic_panel(config: DGPConfig) -> tuple[PanelDataset, PanelTruth]:
+def simulate_dynamic_panel(config: DGPConfig) -> tuple[PanelDataset, DGPConfig]:
     """Simulate the autoregressive panel recursion after a burn-in window: the
-    regressor is ``l`` and the response ``e``."""
+    regressor is ``l`` and the response ``e``. Returns the panel with
+    ``config`` itself, whose ``rho`` and ``beta`` are the panel's truth."""
     rng = np.random.default_rng(config.seed)
     N, T, B = config.n_regions, config.n_years, config.burn_in
     total = B + T
@@ -208,7 +200,7 @@ def simulate_dynamic_panel(config: DGPConfig) -> tuple[PanelDataset, PanelTruth]
     panel = (_empty_panel(N, years)
              .with_variable("l", Grid.full(x[:, B:]))
              .with_variable("e", Grid.full(e[B:].T)))
-    return panel, PanelTruth(config.rho, config.beta, alpha, gamma_all[B:], config)
+    return panel, config
 
 
 # ---------------------------------------------------------------------------

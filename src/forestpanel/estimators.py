@@ -21,7 +21,7 @@ of scipy's on the R of ``np.linalg.qr`` up to 64 columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -130,12 +130,7 @@ class ElasticityReport:
     long_run_se: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "short_run": self.short_run,
-            "persistence": self.persistence,
-            "long_run": self.long_run,
-            "long_run_se": self.long_run_se,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -373,14 +373,12 @@ def _fit_gmm(
     Mzx = Z.cross(X)
     mzy = Z.cross(_Design(y_all[:, :, None], np.empty((rows, 0))))[:, 0]
 
-    def weight_factor(M):
+    def solve(M):
+        # the weights W = pinv(M) = V diag(1/lam) V' stay factored: only the
+        # K x k product W Mzx is formed
         rank, V, lam = symmetric_factor(M)
         if rank < M.shape[0]:
             warnings.append("singular weighting matrix: pseudo-inverse fallback")
-        return V, lam
-
-    def solve_theta(V, lam):
-        # W = V diag(1/lam) V' stays factored: only the K x k product W Mzx is formed
         WM = V @ ((V.T @ Mzx) / lam[:, None])
         rank, VA, lamA = symmetric_factor(Mzx.T @ WM)
         if rank < k:
@@ -388,7 +386,7 @@ def _fit_gmm(
         Ainv = (VA / lamA) @ VA.T
         return Ainv @ (WM.T @ mzy), WM, Ainv
 
-    theta, WM, Ainv = solve_theta(*weight_factor(Z.gram(H)))
+    theta, WM, Ainv = solve(Z.gram(H))
     u = X.residual(y_all, theta)
     if options.two_step:
         zu = Z.scores(u)
@@ -401,7 +399,7 @@ def _fit_gmm(
                 "degenerate first-step residuals: kept one-step weighting"
             )
         else:
-            theta, WM, Ainv = solve_theta(*weight_factor(S1))
+            theta, WM, Ainv = solve(S1)
             u = X.residual(y_all, theta)
 
     # clustered GMM sandwich A^-1 B A^-1, with B = (W Mzx)' S (W Mzx) and S = zu'zu

@@ -160,13 +160,14 @@ class PixelGrid:
     columns, of unequal length, for a region code or an event row outside
     its range (an event row of -1 needs ``stranger``), for the first pixel
     with a non-finite attribute, negative biomass, nonpositive area or
-    canopy outside [0, 100], for a repeated pixel id, and for an event
-    naming an unknown pixel or a pixel lost twice, whichever has the smaller
-    pixel id. Exact repeats of an event collapse, as in a set. The caller
-    reports what it found while coding: ``repeated_id``, two pixels share an
-    id; ``stranger``, the least event id that names no pixel. The pixel
-    values are always checked here, also when the loader has checked them
-    for its line-numbered error.
+    canopy outside [0, 100], and for an event naming an unknown pixel or a
+    pixel lost twice, whichever has the smaller pixel id. Exact repeats of
+    an event collapse, as in a set. The one keyword, ``stranger``, is the
+    least event id that names no pixel, which the caller finds while coding
+    the events. Repeated pixel ids are not checked here:
+    ``load_pixel_grid_csv`` rejects them itself. The pixel values are always
+    checked here, also when the loader has checked them for its
+    line-numbered error.
 
     Stored: ``pixel_ids`` (object array of str), ``regions`` in sorted label
     order with ``region_code`` recoded to match, so that region order, and
@@ -183,7 +184,7 @@ class PixelGrid:
     """
 
     def __init__(self, pixel_ids, regions, region_code, biomass, area, canopy, event_pixel,
-                 event_year, *, repeated_id=False, stranger=None):
+                 event_year, *, stranger=None):
         pixel_ids = np.asarray(pixel_ids, dtype=object)
         if not len(pixel_ids) == len(region_code) == len(biomass) == len(area) == len(canopy):
             raise LoadError("pixel columns differ in length")
@@ -196,8 +197,6 @@ class PixelGrid:
                     -1 if stranger is not None else 0)
         if fault := _first_bad_pixel(pixel_ids, biomass, area, canopy):
             raise LoadError(fault[1])
-        if repeated_id:
-            raise LoadError("duplicate pixel ids")
         unknown = event_pixel < 0
         event_pixel, event_year = event_pixel[~unknown], event_year[~unknown]
         # the lost pixels in row order, and the rank of each one's id among theirs
@@ -439,13 +438,15 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
     Returns the panel and the list of regions dropped for incompleteness. The
     header must name each variable once. A row fails for, in this order, its
     field count, a year that is no integer or lies outside 1000-9999, a
-    (region, year) pair seen before, and a malformed number, checked in header
-    order; the first row that fails, or that the csv module cannot read, names
-    its ``path:line``. The data rows are read by ``_column_blocks``, which
-    codes each block's regions in first-seen order as it is read. The
-    repeated (region, year) check runs here, once, on the joined codes and
-    years, and the value columns are stacked once into the (rows, V) block
-    that ``panel.build_panel`` takes, which puts the regions in label order.
+    (region, year) pair seen before, and a malformed or non-finite number
+    (``nan``, ``inf``, or ``1e400``, which overflows), checked in header
+    order, also in a region that would be dropped; the first row that fails,
+    or that the csv module cannot read, names its ``path:line``. The data
+    rows are read by ``_column_blocks``, which codes each block's regions in
+    first-seen order as it is read. The repeated (region, year) and finite
+    value checks run here, once, on the joined columns, and the value
+    columns are stacked once into the (rows, V) block that
+    ``panel.build_panel`` takes, which puts the regions in label order.
     A file that fails anywhere is read again, row by row, to find its first
     bad row; the block pass's columns are gone by then, and the re-read keeps
     each (region, year) pair seen as one int.
@@ -470,7 +471,8 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
         region_code, year, *values = columns
         del columns
         # return_index keeps np.unique on its sort path, several times faster here
-        if np.unique(region_code * 10000 + year, return_index=True)[1].size == year.size:
+        if (np.unique(region_code * 10000 + year, return_index=True)[1].size == year.size
+                and all(np.isfinite(column).all() for column in values)):
             values = np.column_stack(values)  # the list drops the 1-D columns
             try:
                 return build_panel(tuple(code), tuple(names), region_code, year, values)
@@ -494,9 +496,11 @@ def load_panel_csv(path) -> tuple[PanelDataset, list[str]]:
         seen.add(key)
         for name, text in zip(names, row[2:]):
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 return f"malformed number {text!r} for {name}"
+            if not math.isfinite(value):
+                return f"non-finite number {text!r} for {name}"
         return None
 
     raise _first_fault(path, rule)
@@ -612,17 +616,22 @@ def load_pixel_grid_csv(pixels_path, events_path) -> PixelGrid:
     labels become codes, and its event ids pixel rows, as soon as it is read.
     The pixel ids are hashed once for ``_RowJoin``, whose sorted hashes and
     rows, 16 bytes a pixel, are the join's whole cost unless two ids share a
-    hash; they are dropped before the grid is checked."""
+    hash; they are dropped before the grid is checked. A repeated pixel id
+    raises ``LoadError("duplicate pixel ids")`` once the events file is read,
+    ahead of the grid's event checks; its earlier checks already hold for
+    the loader's columns."""
     code: dict[str, int] = {}
     ids, region_code, biomass, area, canopy = _read_columns(
         pixels_path, _PIXEL_COLUMNS, lambda ids, _, *values: _first_bad_pixel(ids, *values),
         encode={"region": lambda labels: _codes(labels, code)})
     join = _RowJoin(ids)
     event_pixel, event_year = _read_columns(events_path, _EVENT_COLUMNS, encode={"pixel": join})
-    repeated_id, stranger = join.repeated_id, join.stranger
+    if join.repeated_id:
+        raise LoadError("duplicate pixel ids")
+    stranger = join.stranger
     del join  # its hashes and rows, 16 B a pixel, go before the grid's checks run
     return PixelGrid(ids, tuple(code), region_code, biomass, area, canopy, event_pixel,
-                     event_year, repeated_id=repeated_id, stranger=stranger)
+                     event_year, stranger=stranger)
 
 
 def write_pixel_grid_csv(grid: PixelGrid, pixels_path, events_path) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from contextlib import contextmanager
 from functools import partial
@@ -144,6 +145,8 @@ def old_load_panel_csv(path):
                     raise LoadError(
                         f"{path}:{lineno}: malformed number {text!r} for {name}"
                     ) from None
+                if not math.isfinite(value):
+                    raise LoadError(f"{path}:{lineno}: non-finite number {text!r} for {name}")
                 rows.append((region, year, name, value))
     try:
         return old_build_panel(rows)

@@ -122,6 +122,7 @@ class TestSimulateDynamicPanel:
             panel.var("e").values, 2.0 * panel.var("l").values, atol=1e-12
         )
         assert truth.beta == 2.0
+        assert simulate_dynamic_panel(cfg)[1] is cfg
 
     def test_stationary_variance(self):
         cfg = DGPConfig(n_regions=2000, n_years=50, rho=0.5, beta=1.0,

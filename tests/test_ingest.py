@@ -483,6 +483,10 @@ class TestOneConstructionPath:
         paths = write_grid_files(tmp_path, pixel_rows, [("p1", 2001)])
         with pytest.raises(LoadError, match="^duplicate pixel ids$"):
             load_pixel_grid_csv(*paths)
+        # a repeated id comes before an event that names no pixel
+        paths = write_grid_files(tmp_path, pixel_rows, [("p0", 2001), ("p1", 2002)])
+        with pytest.raises(LoadError, match="^duplicate pixel ids$"):
+            load_pixel_grid_csv(*paths)
 
     def test_good_load_checks_values_in_loader_and_grid(self, tmp_path, monkeypatch):
         # once each, over all pixels: the loader's check names a bad line,
@@ -533,6 +537,22 @@ class TestPanelCsv:
             path.write_text(f"region,year,L\nA,2001,1\nA,{year},2\n")
             with pytest.raises(LoadError, match=f"panel.csv:3: year {year} outside 1000-9999"):
                 load_panel_csv(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_number_names_line(self, tmp_path, text):
+        path = tmp_path / "panel.csv"
+        path.write_text(f"region,year,L,E\nA,2001,1,1\nA,2002,{text},1\n")
+        with pytest.raises(LoadError, match=f"panel.csv:3: non-finite number '{text}' for L$"):
+            load_panel_csv(path)
+        # checked in header order with the malformed number, and also in a
+        # region that would be dropped for a missing year
+        path.write_text(f"region,year,L,E\nA,2001,1,1\nA,2002,1,1\nB,2001,abc,{text}\n"
+                        f"B,2002,1,1\nC,2001,1,{text}\n")
+        with pytest.raises(LoadError, match="panel.csv:4: malformed number 'abc' for L$"):
+            load_panel_csv(path)
+        path.write_text(f"region,year,L,E\nA,2001,1,1\nA,2002,1,1\nC,2001,1,{text}\n")
+        with pytest.raises(LoadError, match=f"panel.csv:4: non-finite number '{text}' for E$"):
+            load_panel_csv(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "panel.csv"
